@@ -29,7 +29,7 @@ constexpr std::uint64_t kSeed = 0xE11;
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E11/open-problem";
   rec.paper_claim =

@@ -25,7 +25,7 @@ const std::vector<std::size_t> kSampleCounts = {100, 200, 400, 800, 1600, 3200, 
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E13/tester-power";
   rec.paper_claim =

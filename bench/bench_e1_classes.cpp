@@ -31,7 +31,7 @@ struct Entry {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E1/classes";
   rec.paper_claim =

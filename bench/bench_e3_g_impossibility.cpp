@@ -24,7 +24,7 @@ constexpr std::size_t kSamples = 3000;
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E3/g-impossibility";
   rec.paper_claim =

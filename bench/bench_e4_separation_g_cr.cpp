@@ -58,7 +58,7 @@ Row evaluate(const sim::ParallelBroadcastProtocol& proto, const dist::InputEnsem
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E4/separation-g-cr";
   rec.paper_claim =

@@ -26,7 +26,7 @@ constexpr std::uint64_t kSeed = 0xE5;
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E5/singleton";
   rec.paper_claim = "Prop. 6.3: Singleton is trivial for CR but not trivial for Sb";

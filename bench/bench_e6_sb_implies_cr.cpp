@@ -24,7 +24,7 @@ constexpr std::uint64_t kSeed = 0xE6;
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E6/sb-implies-cr";
   rec.paper_claim =

@@ -56,7 +56,7 @@ double gstar_gap(const RunSpec& spec, std::uint64_t seed, exec::BatchReport& swe
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E8/gstar";
   rec.paper_claim =

@@ -45,7 +45,7 @@ Measurement measure(const sim::ParallelBroadcastProtocol& proto, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   obs::ExperimentRecord rec;
   rec.id = "E9/rounds";
   rec.paper_claim =

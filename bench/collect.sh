@@ -145,54 +145,33 @@ EOF
   fi
 }
 
-# Resumed-vs-baseline record equality modulo wall clock: strip the keys
-# that legitimately differ between two runs of the same campaign ("metrics",
-# "phases", "wall_seconds", "throughput" — all timing) anywhere in the tree,
-# then require exact equality.  Determinism of everything else (verdict,
-# seeds, traffic, rounds, completion accounting) is the resume contract.
-check_resumed_record() {
-  python3 - "$1" "$2" 2>&1 <<'EOF'
+# Record identity modulo wall clock: strip the keys that legitimately
+# differ between two runs of the same campaign ("metrics", "phases",
+# "wall_seconds", "throughput" -- all timing -- plus any EXTRA_KEY) anywhere
+# in the tree, then require exact equality.  Determinism of everything else
+# (verdict, seeds, traffic, rounds, completion accounting) is the contract
+# of every identity mode.
+# Usage: same_record RECORD_A RECORD_B [EXTRA_KEY...]
+same_record() {
+  python3 - "$@" 2>&1 <<'EOF'
 import json, sys
+
+strip = {"metrics", "phases", "wall_seconds", "throughput", *sys.argv[3:]}
 
 def canon(node):
     if isinstance(node, dict):
-        return {k: canon(v) for k, v in node.items()
-                if k not in ("metrics", "phases", "wall_seconds", "throughput")}
+        return {k: canon(v) for k, v in node.items() if k not in strip}
     if isinstance(node, list):
         return [canon(v) for v in node]
     return node
 
-baseline = canon(json.load(open(sys.argv[1])))
-resumed = canon(json.load(open(sys.argv[2])))
-if baseline != resumed:
-    for key in sorted(set(baseline) | set(resumed)):
-        if baseline.get(key) != resumed.get(key):
-            print(f"  field {key!r} differs:\n    baseline: {baseline.get(key)!r}\n    resumed:  {resumed.get(key)!r}")
-    sys.exit(1)
-EOF
-}
-
-# Socket-vs-inproc record equality: like check_resumed_record, but the
-# metadata block is stripped too — it names the transport backend, the one
-# field the two runs legitimately disagree on.
-check_socket_pair() {
-  python3 - "$1" "$2" 2>&1 <<'EOF'
-import json, sys
-
-def canon(node):
-    if isinstance(node, dict):
-        return {k: canon(v) for k, v in node.items()
-                if k not in ("metrics", "phases", "wall_seconds", "throughput", "metadata")}
-    if isinstance(node, list):
-        return [canon(v) for v in node]
-    return node
-
-inproc = canon(json.load(open(sys.argv[1])))
-socket = canon(json.load(open(sys.argv[2])))
-if inproc != socket:
-    for key in sorted(set(inproc) | set(socket)):
-        if inproc.get(key) != socket.get(key):
-            print(f"  field {key!r} differs:\n    inproc: {inproc.get(key)!r}\n    socket: {socket.get(key)!r}")
+a = canon(json.load(open(sys.argv[1])))
+b = canon(json.load(open(sys.argv[2])))
+if a != b:
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            print(f"  field {key!r} differs:\n    {sys.argv[1]}: {a.get(key)!r}\n"
+                  f"    {sys.argv[2]}: {b.get(key)!r}")
     sys.exit(1)
 EOF
 }
@@ -319,152 +298,85 @@ if [ "$want_status" -eq 1 ]; then
   exit
 fi
 
-if [ "$want_chaos" -eq 1 ]; then
+# The transport identity modes (--socket, --process, --chaos).  Each
+# variant is "LABEL CHECK ARGS...": one more run of a command line with
+# ARGS, whose records must equal the base run's modulo timing and metadata
+# (which names the backend and the chaos spec, the one thing the runs
+# disagree on) and pass CHECK.
+if [ "$want_socket" -eq 1 ] || [ "$want_process" -eq 1 ] || [ "$want_chaos" -eq 1 ]; then
   if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --chaos needs python3 for record comparison" >&2
+    echo "collect.sh: identity modes need python3 for record comparison" >&2
     exit 2
   fi
-  if [ "${#drivers[@]}" -lt 1 ] || [ ! -x "${drivers[0]}" ]; then
-    echo "collect.sh: --chaos needs one driver command line after OUT_DIR" >&2
-    exit 2
-  fi
-  name=$(basename "${drivers[0]}")
-  failures=0
-  clean_dir=$out_dir/clean_$name
-  chaos_dir=$out_dir/chaos_$name
-  rm -rf "$clean_dir" "$chaos_dir"
-  mkdir -p "$clean_dir" "$chaos_dir"
-
-  if ! "${drivers[@]}" --json="$clean_dir"; then
-    echo "collect.sh: FAIL $name (clean run exited nonzero)" >&2
-    exit 1
-  fi
-  if ! "${drivers[@]}" --json="$chaos_dir" --transport=socket --chaos="$chaos_spec"; then
-    echo "collect.sh: FAIL $name (--chaos=$chaos_spec run exited nonzero)" >&2
-    exit 1
-  fi
-  for clean in "$clean_dir"/BENCH_*.json; do
-    base=$(basename "$clean")
-    chaotic=$chaos_dir/$base
-    if [ ! -f "$chaotic" ]; then
-      echo "collect.sh: FAIL $name (chaotic run wrote no $base)" >&2
-      failures=$((failures + 1))
-      continue
+  base_label=inproc
+  if [ "$want_socket" -eq 1 ]; then
+    variants=("socket check_socket_metrics --transport=socket")
+    commands=("${drivers[@]}")  # one command line per driver
+  else
+    if [ ! -x "${drivers[0]}" ]; then
+      echo "collect.sh: --process/--chaos need one driver command line after OUT_DIR" >&2
+      exit 2
     fi
-    if ! check_socket_pair "$clean" "$chaotic"; then
-      echo "collect.sh: FAIL $name ($base differs between clean and chaotic runs)" >&2
-      failures=$((failures + 1))
+    if [ "$want_process" -eq 1 ]; then
+      variants=("socket true --transport=socket"
+                "process check_process_metrics --transport=process")
+    else
+      base_label=clean
+      variants=("chaos check_chaos_metrics --transport=socket --chaos=$chaos_spec")
     fi
-    if ! check_chaos_metrics "$chaotic"; then
-      echo "collect.sh: FAIL $name (chaotic record shows no recovered chaos)" >&2
-      failures=$((failures + 1))
+    commands=("${drivers[*]}")  # the remaining arguments are one command line
+  fi
+
+  # identity_check CMD...: the base run, then every variant and its pair
+  # checks.  Returns nonzero when any run or comparison failed.
+  identity_check() {
+    local name base_dir dir label check args base other ok=0
+    name=$(basename "$1")
+    base_dir=$out_dir/${base_label}_$name
+    rm -rf "$base_dir"
+    mkdir -p "$base_dir"
+    if ! "$@" --json="$base_dir"; then
+      echo "collect.sh: FAIL $name ($base_label run exited nonzero)" >&2
+      return 1
     fi
-  done
-  if [ "$failures" -eq 0 ]; then
-    echo "collect.sh: $name record-identical under --chaos=$chaos_spec, records in $out_dir"
-  fi
-  [ "$failures" -eq 0 ]
-  exit
-fi
-
-if [ "$want_process" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --process needs python3 for record comparison" >&2
-    exit 2
-  fi
-  if [ "${#drivers[@]}" -lt 1 ] || [ ! -x "${drivers[0]}" ]; then
-    echo "collect.sh: --process needs one driver command line after OUT_DIR" >&2
-    exit 2
-  fi
-  name=$(basename "${drivers[0]}")
-  failures=0
-  inproc_dir=$out_dir/inproc_$name
-  socket_dir=$out_dir/socket_$name
-  process_dir=$out_dir/process_$name
-  rm -rf "$inproc_dir" "$socket_dir" "$process_dir"
-  mkdir -p "$inproc_dir" "$socket_dir" "$process_dir"
-
-  if ! "${drivers[@]}" --json="$inproc_dir"; then
-    echo "collect.sh: FAIL $name (in-process run exited nonzero)" >&2
-    exit 1
-  fi
-  if ! "${drivers[@]}" --json="$socket_dir" --transport=socket; then
-    echo "collect.sh: FAIL $name (--transport=socket run exited nonzero)" >&2
-    exit 1
-  fi
-  if ! "${drivers[@]}" --json="$process_dir" --transport=process; then
-    echo "collect.sh: FAIL $name (--transport=process run exited nonzero)" >&2
-    exit 1
-  fi
-  for inproc in "$inproc_dir"/BENCH_*.json; do
-    base=$(basename "$inproc")
-    for other in "$socket_dir/$base" "$process_dir/$base"; do
-      if [ ! -f "$other" ]; then
-        echo "collect.sh: FAIL $name (run wrote no $other)" >&2
-        failures=$((failures + 1))
-        continue
+    for variant in "${variants[@]}"; do
+      read -r label check args <<<"$variant"
+      dir=$out_dir/${label}_$name
+      rm -rf "$dir"
+      mkdir -p "$dir"
+      # $args is deliberately word-split into its flags.
+      if ! "$@" --json="$dir" $args; then
+        echo "collect.sh: FAIL $name ($args run exited nonzero)" >&2
+        return 1
       fi
-      if ! check_socket_pair "$inproc" "$other"; then
-        echo "collect.sh: FAIL $name ($other differs from in-process record)" >&2
-        failures=$((failures + 1))
-      fi
+      for base in "$base_dir"/BENCH_*.json; do
+        other=$dir/$(basename "$base")
+        if [ ! -f "$other" ]; then
+          echo "collect.sh: FAIL $name ($label run wrote no $(basename "$base"))" >&2
+          ok=1
+          continue
+        fi
+        if ! same_record "$base" "$other" metadata; then
+          echo "collect.sh: FAIL $name ($other differs from $base)" >&2
+          ok=1
+        fi
+        if ! "$check" "$other"; then
+          echo "collect.sh: FAIL $name ($other fails $check)" >&2
+          ok=1
+        fi
+      done
     done
-    if [ -f "$process_dir/$base" ] && ! check_process_metrics "$process_dir/$base"; then
-      echo "collect.sh: FAIL $name (process record shows no spawned workers)" >&2
-      failures=$((failures + 1))
-    fi
-  done
-  if [ "$failures" -eq 0 ]; then
-    echo "collect.sh: $name record-identical across inproc/socket/process, records in $out_dir"
-  fi
-  [ "$failures" -eq 0 ]
-  exit
-fi
+    return $ok
+  }
 
-if [ "$want_socket" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --socket needs python3 for record comparison" >&2
-    exit 2
-  fi
   failures=0
-  for driver in "${drivers[@]}"; do
-    name=$(basename "$driver")
-    inproc_dir=$out_dir/inproc_$name
-    socket_dir=$out_dir/socket_$name
-    rm -rf "$inproc_dir" "$socket_dir"
-    mkdir -p "$inproc_dir" "$socket_dir"
-
-    if ! "$driver" --json="$inproc_dir"; then
-      echo "collect.sh: FAIL $name (in-process run exited nonzero)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    if ! "$driver" --json="$socket_dir" --transport=socket; then
-      echo "collect.sh: FAIL $name (--transport=socket run exited nonzero)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    pair_ok=1
-    for inproc in "$inproc_dir"/BENCH_*.json; do
-      socket=$socket_dir/$(basename "$inproc")
-      if [ ! -f "$socket" ]; then
-        echo "collect.sh: FAIL $name (socket run wrote no $(basename "$inproc"))" >&2
-        pair_ok=0
-        continue
-      fi
-      if ! check_socket_pair "$inproc" "$socket"; then
-        echo "collect.sh: FAIL $name (socket record $(basename "$inproc") differs from in-process)" >&2
-        pair_ok=0
-      fi
-      if ! check_socket_metrics "$socket"; then
-        echo "collect.sh: FAIL $name (socket record shows no kernel traffic)" >&2
-        pair_ok=0
-      fi
-    done
-    [ "$pair_ok" -eq 1 ] || failures=$((failures + 1))
+  for command in "${commands[@]}"; do
+    # A --process/--chaos command line is word-split back into its argv.
+    identity_check $command || failures=$((failures + 1))
   done
-  count=${#drivers[@]}
-  echo "collect.sh: $((count - failures))/$count drivers verdict-identical across transports, records in $out_dir"
+  count=${#commands[@]}
+  echo "collect.sh: $((count - failures))/$count command lines record-identical to the" \
+       "$base_label run across [${variants[*]}], records in $out_dir"
   [ "$failures" -eq 0 ]
   exit
 fi
@@ -515,7 +427,7 @@ if [ "$want_resume" -eq 1 ]; then
     record_ok=1
     for baseline in "$base_dir"/BENCH_*.json; do
       resumed=$res_dir/$(basename "$baseline")
-      if [ ! -f "$resumed" ] || ! check_resumed_record "$baseline" "$resumed"; then
+      if [ ! -f "$resumed" ] || ! same_record "$baseline" "$resumed"; then
         echo "collect.sh: FAIL $name (resumed record $(basename "$baseline") differs from baseline)" >&2
         record_ok=0
       fi

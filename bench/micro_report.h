@@ -38,13 +38,13 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 };
 
 /// The micro-harness main: strips the simulcast CLI knobs (--threads=,
-/// --json=, --trace=; already consumed by configure_threads) out of argv
+/// --json=, --trace=; already consumed by exec::configure) out of argv
 /// before google-benchmark sees them, runs the registered benchmarks, and
 /// emits the record.  Exits 0 iff at least one benchmark ran without error.
 inline int run_micro(int argc, char** argv, obs::ExperimentRecord rec) {
   // Strict parse of the shared knobs; google-benchmark's own flags pass
   // through to benchmark::Initialize below.
-  exec::configure_threads(argc, argv, {"--benchmark_"});
+  exec::configure(argc, argv, {"--benchmark_"});
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];

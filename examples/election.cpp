@@ -67,7 +67,7 @@ Tally run_elections(const std::string& protocol, const adversary::AdversaryFacto
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::configure_threads(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
   static const crypto::HashCommitmentScheme scheme;
   std::cout << std::fixed << std::setprecision(3) << "referendum with " << kVoters
             << " voters, voter 6 corrupted, " << kElections << " elections per row\n\n";

@@ -30,6 +30,7 @@
 //   explore seq-broadcast copy singleton:1011 --n=4 --corrupt=3
 //   explore gennaro passive product:0.3,0.7,0.5,0.8 --n=4 --corrupt=2
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "core/registry.h"
@@ -59,11 +60,21 @@ using namespace simulcast;
   std::exit(2);
 }
 
+/// Explore's own numbers go through the run knobs' strict parser: "3x",
+/// "-1" or "abc" is a usage error, never a silent truncation or wrap.
+std::uint64_t count_arg(const std::string& what, const std::string& text, std::uint64_t min) {
+  const std::optional<std::uint64_t> value = exec::parse_uint(text);
+  if (!value || *value < min)
+    usage(what + " must be " + (min > 0 ? "a positive integer" : "a non-negative integer") +
+          ", got '" + text + "'");
+  return *value;
+}
+
 std::vector<sim::PartyId> parse_ids(const std::string& csv) {
   std::vector<sim::PartyId> ids;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) ids.push_back(std::stoul(item));
+  while (std::getline(ss, item, ',')) ids.push_back(count_arg("--corrupt entry", item, 0));
   return ids;
 }
 
@@ -71,7 +82,12 @@ std::vector<double> parse_probs(const std::string& csv) {
   std::vector<double> p;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) p.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) {
+    const std::optional<double> value = exec::parse_real(item);
+    if (!value || !(*value >= 0.0 && *value <= 1.0))
+      usage("product: entries must be probabilities in [0, 1], got '" + item + "'");
+    p.push_back(*value);
+  }
   return p;
 }
 
@@ -79,8 +95,12 @@ std::shared_ptr<dist::InputEnsemble> make_ensemble(const std::string& spec, std:
   if (spec == "uniform") return dist::make_uniform(n);
   if (spec == "copy") return std::make_shared<dist::NoisyCopyEnsemble>(n, 0.0);
   if (spec == "parity-even") return std::make_shared<dist::EvenParityEnsemble>(n);
-  if (spec.rfind("singleton:", 0) == 0)
-    return std::make_shared<dist::SingletonEnsemble>(BitVec::from_string(spec.substr(10)));
+  if (spec.rfind("singleton:", 0) == 0) {
+    const std::string bits = spec.substr(10);
+    if (bits.empty() || bits.size() > kMaxBits || bits.find_first_not_of("01") != std::string::npos)
+      usage("singleton: needs 1 to 64 bits of 0/1, got '" + bits + "'");
+    return std::make_shared<dist::SingletonEnsemble>(BitVec::from_string(bits));
+  }
   if (spec.rfind("product:", 0) == 0)
     return std::make_shared<dist::ProductEnsemble>(parse_probs(spec.substr(8)));
   usage("unknown distribution '" + spec + "'");
@@ -91,7 +111,7 @@ std::shared_ptr<dist::InputEnsemble> make_ensemble(const std::string& spec, std:
 int main(int argc, char** argv) {
   // Worker dispatch must run before the positional-argument checks: a
   // re-exec'd process-transport worker carries no positionals, only the
-  // --simulcast-worker-* flags (configure_threads below never sees them —
+  // --simulcast-worker-* flags (exec::configure below never sees them —
   // it is handed argv offset past the positionals).
   if (const int worker_rc = simulcast::net::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
@@ -108,9 +128,9 @@ int main(int argc, char** argv) {
   // and resilience flags) go through the same strict parser every bench
   // driver uses: an unknown or repeated option exits 2 there, so explore's
   // own loop only sees its four pass-through knobs.  argv is offset past
-  // the three positionals, which configure_threads must not see.
-  exec::configure_threads(argc - 3, argv + 3,
-                          {"--n=", "--corrupt=", "--samples=", "--seed="});
+  // the three positionals, which exec::configure must not see.
+  const exec::RunConfig config =
+      exec::configure(argc - 3, argv + 3, {"--n=", "--corrupt=", "--samples=", "--seed="});
   std::size_t n = 5;
   std::vector<sim::PartyId> corrupted;
   std::size_t samples = 2000;
@@ -118,18 +138,15 @@ int main(int argc, char** argv) {
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--n=", 0) == 0)
-      n = std::stoul(arg.substr(4));
+      n = count_arg("--n", arg.substr(4), 1);
     else if (arg.rfind("--corrupt=", 0) == 0)
       corrupted = parse_ids(arg.substr(10));
     else if (arg.rfind("--samples=", 0) == 0)
-      samples = std::stoul(arg.substr(10));
+      samples = count_arg("--samples", arg.substr(10), 1);
     else if (arg.rfind("--seed=", 0) == 0)
-      seed = std::stoull(arg.substr(7));
+      seed = count_arg("--seed", arg.substr(7), 0);
   }
-  if (samples == 0) usage("--samples must be at least 1");
-  if (exec::default_batch_options().resume && exec::default_batch_options().checkpoint_path.empty())
-    usage("--resume requires --checkpoint=PATH");
-  const sim::FaultPlan& faults = exec::default_fault_plan();
+  const sim::FaultPlan& faults = config.faults;
 
   try {
     const auto proto = core::make_protocol(protocol_name);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "base/error.h"
-#include "net/chaos.h"
 #include "net/transport.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -187,14 +186,15 @@ void print_verdict_line(const std::string& experiment_id, bool reproduced,
 
 int finish_experiment(const obs::ExperimentRecord& record) {
   obs::trace_instant("finish_experiment");
+  const exec::RunConfig config = exec::run_config();
   obs::ExperimentRecord full = record;
   if (full.metrics.empty()) full.metrics = obs::Metrics::global().snapshot();
   // Records state the conditions they were measured under: drivers that
   // didn't set a plan inherit whatever --drop/--delay/--crash installed.
-  if (full.faults.empty()) full.faults = exec::default_fault_plan();
+  if (full.faults.empty()) full.faults = config.faults;
   if (full.transport.empty())
-    full.transport = std::string(net::transport_kind_name(net::default_transport_kind()));
-  if (full.chaos.empty()) full.chaos = net::default_chaos_spec().summary();
+    full.transport = std::string(net::transport_kind_name(config.transport));
+  if (full.chaos.empty()) full.chaos = config.chaos.summary();
   // Campaign correlation ids (schema v7): every batch that ran in this
   // process, in batch order — the join key between this record and its
   // trace/log/status artifacts.
@@ -210,14 +210,10 @@ int finish_experiment(const obs::ExperimentRecord& record) {
   if (!full.metrics.empty()) std::cout << describe(full.metrics) << "\n";
   if (full.perf.report.executions > 0 || !full.metrics.empty()) std::cout << "\n";
   print_verdict_line(full.id, full.reproduced, full.detail);
-  const std::string written = obs::emit(full);
-  if (!written.empty()) std::cout << "[obs] wrote " << written << "\n";
-  const std::string trace_written = obs::write_trace(full.id);
-  if (!trace_written.empty()) std::cout << "[obs] wrote " << trace_written << "\n";
-  const std::string log_written = obs::flush_log();
-  if (!log_written.empty()) std::cout << "[obs] wrote " << log_written << "\n";
-  const std::string status_written = obs::flush_status();
-  if (!status_written.empty()) std::cout << "[obs] wrote " << status_written << "\n";
+  for (const std::string& written :
+       {obs::write_record(full, config.json_path), obs::write_trace(full.id, config.trace_path),
+        obs::flush_log(config.log_path), obs::flush_status(config.status_path)})
+    if (!written.empty()) std::cout << "[obs] wrote " << written << "\n";
   return full.reproduced ? 0 : 1;
 }
 

@@ -7,7 +7,8 @@
 
 namespace simulcast::core {
 
-Session::Session(std::string protocol, std::size_t n) : protocol_(make_protocol(protocol)) {
+Session::Session(std::string protocol, std::size_t n, exec::RunConfig config)
+    : protocol_(make_protocol(protocol)), config_(std::move(config)) {
   params_.n = n;
 }
 
@@ -38,9 +39,12 @@ SessionResult Session::run_with_adversary(const BitVec& inputs,
   sim::ExecutionConfig config;
   config.seed = seed;
   config.corrupted = corrupted;
-  // Same fallback the batch path gets from exec::run_one, so serial and
-  // batch runs of one seed stay identical under the process-default knobs.
-  config.faults = faults_.empty() ? exec::default_fault_plan() : faults_;
+  // The conditions the batch path gets from the Runner, so serial and batch
+  // runs of one seed stay identical.
+  config.faults = config_.faults;
+  config.transport = config_.transport;
+  config.chaos = config_.chaos;
+  config.net_timeout = config_.net_timeout;
 
   const std::unique_ptr<sim::Adversary> adv = adversary();
   const sim::ExecutionResult exec =
@@ -81,9 +85,8 @@ SessionBatch Session::run_batch_seeded(const std::vector<BitVec>& inputs,
   spec.params = params_;
   spec.corrupted = corrupted;
   spec.adversary = adversary;
-  spec.faults = faults_;
 
-  exec::BatchResult batch = exec::Runner(threads).run_batch(spec, inputs, seeds);
+  exec::BatchResult batch = exec::Runner(threads, config_).run_batch(spec, inputs, seeds);
 
   SessionBatch out;
   out.report = batch.report;

@@ -38,8 +38,11 @@ struct SessionBatch {
 
 class Session {
  public:
-  /// `protocol` is a registry name (core/registry.h).
-  Session(std::string protocol, std::size_t n);
+  /// `protocol` is a registry name (core/registry.h).  Every execution,
+  /// serial or batch, runs under `config`: its transport, chaos, net
+  /// timeout and fault plan, and for batches its pool width and resilience
+  /// options.
+  Session(std::string protocol, std::size_t n, exec::RunConfig config = exec::run_config());
   ~Session();
   Session(Session&&) noexcept;
   Session& operator=(Session&&) noexcept;
@@ -60,7 +63,7 @@ class Session {
 
   /// Repetition sweep: runs one all-honest session per input vector, with
   /// per-session seeds `master(seed).fork("session", i)`, sharded across
-  /// `threads` workers (0 = exec::default_threads()).  Results are ordered
+  /// `threads` workers (0 = the config's width).  Results are ordered
   /// and bit-identical for every thread count.
   [[nodiscard]] SessionBatch run_batch(const std::vector<BitVec>& inputs, std::uint64_t seed,
                                        std::size_t threads = 0) const;
@@ -79,19 +82,13 @@ class Session {
       const std::vector<sim::PartyId>& corrupted, const adversary::AdversaryFactory& adversary,
       std::size_t threads = 0) const;
 
-  /// Fault plan applied to every execution this session runs, serial or
-  /// batch (sim/faults.h).  An empty plan (the default) falls back to the
-  /// process-wide exec::default_fault_plan().
-  void set_fault_plan(sim::FaultPlan plan) { faults_ = std::move(plan); }
-  [[nodiscard]] const sim::FaultPlan& fault_plan() const { return faults_; }
-
   [[nodiscard]] const sim::ParallelBroadcastProtocol& protocol() const { return *protocol_; }
   [[nodiscard]] const sim::ProtocolParams& params() const { return params_; }
 
  private:
   std::unique_ptr<sim::ParallelBroadcastProtocol> protocol_;
   sim::ProtocolParams params_;
-  sim::FaultPlan faults_;
+  exec::RunConfig config_;
 };
 
 }  // namespace simulcast::core

@@ -3,22 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 
 #include "base/error.h"
 #include "broadcast/parallel_broadcast.h"
 #include "exec/checkpoint.h"
-#include "net/chaos.h"
-#include "net/transport.h"
-#include "net/worker.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/status.h"
@@ -27,23 +20,6 @@
 namespace simulcast::exec {
 
 namespace {
-
-std::atomic<std::size_t> g_default_threads_override{0};
-
-std::string& json_path_override() {
-  static std::string path;
-  return path;
-}
-
-sim::FaultPlan& fault_plan_override() {
-  static sim::FaultPlan plan;
-  return plan;
-}
-
-BatchOptions& batch_options_override() {
-  static BatchOptions options;
-  return options;
-}
 
 // Graceful-shutdown state.  The stop flag is an atomic<bool> (lock-free on
 // every target we build for) so the signal handler's store is
@@ -71,29 +47,18 @@ void note_completed_repetition() {
   }
 }
 
-std::size_t env_threads() {
-  const char* env = std::getenv("SIMULCAST_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value <= 0) {
-    // Same loud failure as --threads: silently running 4 threads for
-    // SIMULCAST_THREADS=4abc (or 1 for "abc") hides a mistyped knob.
-    std::fprintf(stderr, "error: SIMULCAST_THREADS must be a positive integer, got '%s'\n", env);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(value);
-}
-
-Sample run_one(const RunSpec& spec, const BitVec& input, std::uint64_t exec_seed,
-               std::chrono::steady_clock::time_point deadline = {}) {
+Sample run_one(const RunSpec& spec, const RunConfig& run, const BitVec& input,
+               std::uint64_t exec_seed, std::chrono::steady_clock::time_point deadline = {}) {
   sim::ExecutionConfig config;
   config.seed = exec_seed;
   config.corrupted = spec.corrupted;
   config.auxiliary_input = spec.auxiliary_input;
   config.private_channels = spec.private_channels;
-  config.faults = spec.faults.empty() ? default_fault_plan() : spec.faults;
+  config.faults = spec.faults.empty() ? run.faults : spec.faults;
   config.deadline = deadline;
+  config.transport = run.transport;
+  config.chaos = run.chaos;
+  config.net_timeout = run.net_timeout;
 
   const std::unique_ptr<sim::Adversary> adv = spec.adversary();
   const sim::ExecutionResult result =
@@ -131,7 +96,7 @@ void record_repetition_metrics(const Sample& s, std::uint64_t elapsed_us) {
 /// before trusting a sidecar file.  The stream hash covers every
 /// (input, seed) pair in slot order, so two batches agree only when every
 /// repetition is the same pure function application.
-CampaignIdentity compute_identity(const RunSpec& spec,
+CampaignIdentity compute_identity(const RunSpec& spec, const sim::FaultPlan& plan,
                                   const std::function<const BitVec&(std::size_t)>& input_for,
                                   const std::vector<std::uint64_t>& seeds) {
   CampaignIdentity identity;
@@ -147,7 +112,6 @@ CampaignIdentity compute_identity(const RunSpec& spec,
   config_hash.mix(static_cast<std::uint64_t>(spec.private_channels ? 1 : 0));
   identity.config_hash = config_hash.value();
 
-  const sim::FaultPlan& plan = spec.faults.empty() ? default_fault_plan() : spec.faults;
   IdentityHash fault_hash;
   fault_hash.mix(plan.drop_probability);
   fault_hash.mix(static_cast<std::uint64_t>(plan.max_delay));
@@ -179,10 +143,11 @@ CampaignIdentity compute_identity(const RunSpec& spec,
 /// retry exhaustion) reported as a quarantine reason.  Returns true and
 /// fills `sample` on success.  `rep` and `retry_count` feed telemetry only
 /// (log events, heartbeat retry totals).
-bool attempt_repetition(const RunSpec& spec, const BitVec& input, std::uint64_t exec_seed,
-                        const BatchOptions& options, std::size_t rep,
+bool attempt_repetition(const RunSpec& spec, const RunConfig& run, const BitVec& input,
+                        std::uint64_t exec_seed, std::size_t rep,
                         std::atomic<std::size_t>& retry_count, Sample& sample,
                         std::string& reason) {
+  const BatchOptions& options = run.batch;
   const int max_attempts = options.retries < 0 ? 1 : options.retries + 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     // Each attempt gets a fresh wall-clock budget: a retry that inherited an
@@ -194,7 +159,7 @@ bool attempt_repetition(const RunSpec& spec, const BitVec& input, std::uint64_t 
                      std::chrono::duration<double>(options.rep_timeout));
     }
     try {
-      sample = run_one(spec, input, exec_seed, deadline);
+      sample = run_one(spec, run, input, exec_seed, deadline);
       return true;
     } catch (const TimeoutError& e) {
       // A stuck repetition is deterministic under the purity contract:
@@ -236,9 +201,11 @@ bool attempt_repetition(const RunSpec& spec, const BitVec& input, std::uint64_t 
 /// resilience features (checkpoint/resume, watchdog, retry/quarantine,
 /// graceful-stop drain) each activate only when their knob is set — except
 /// the stop flag, which always drains so ^C works for every driver.
-BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOptions& options,
+BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
                          const std::function<const BitVec&(std::size_t)>& input_for,
                          const std::vector<std::uint64_t>& seeds) {
+  const BatchOptions& options = run.batch;
+  const std::size_t threads = run.threads;
   const std::size_t count = seeds.size();
   BatchResult out;
   out.samples.resize(count);
@@ -268,7 +235,8 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
   // (obs/log.h), so it is computed for every batch now, not only for
   // checkpointed ones — the hash is O(count) and vanishes next to running
   // the repetitions.
-  const CampaignIdentity identity = compute_identity(spec, input_for, seeds);
+  const CampaignIdentity identity =
+      compute_identity(spec, spec.faults.empty() ? run.faults : spec.faults, input_for, seeds);
   const std::uint64_t campaign = identity.digest();
   out.report.campaign = campaign;
   obs::set_current_campaign(campaign);
@@ -351,7 +319,7 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
   // only reads the atomics above and the metrics registry; destroyed (with
   // a final beat) before the batch report is sealed.
   std::optional<obs::StatusReporter> reporter;
-  if (obs::status_enabled() && count > 0) {
+  if (!run.status_path.empty() && count > 0) {
     obs::StatusBatchInfo info;
     info.campaign = campaign;
     info.total = count;
@@ -362,7 +330,7 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
     info.retried = &retried_count;
     info.last_exec = &last_exec_id;
     info.throughput_guard = &safe_throughput;
-    reporter.emplace(info, obs::default_status_path(), obs::default_status_interval());
+    reporter.emplace(info, run.status_path, run.status_interval);
   }
 
   {
@@ -382,8 +350,8 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
       if (options.quarantine) {
         Sample sample;
         std::string reason;
-        if (attempt_repetition(spec, input_for(rep), seeds[rep], options, rep, retried_count,
-                               sample, reason)) {
+        if (attempt_repetition(spec, run, input_for(rep), seeds[rep], rep, retried_count, sample,
+                               reason)) {
           out.samples[rep] = std::move(sample);
           const auto elapsed = std::chrono::steady_clock::now() - start;
           record_repetition_metrics(
@@ -408,7 +376,7 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
       } else {
         // Legacy contract: a throwing repetition aborts the batch through
         // parallel_for's first-by-worker-index rethrow.
-        out.samples[rep] = run_one(spec, input_for(rep), seeds[rep]);
+        out.samples[rep] = run_one(spec, run, input_for(rep), seeds[rep]);
         const auto elapsed = std::chrono::steady_clock::now() - start;
         record_repetition_metrics(
             out.samples[rep],
@@ -493,9 +461,10 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
   }
   if (out.report.partial) {
     // A drained batch may never reach finish_experiment (the driver decides
-    // what to do after a graceful stop); land every configured telemetry
-    // sink on disk now so the interrupt loses no observability either.
-    obs::flush_sinks();
+    // what to do after a graceful stop); land the log and status sinks on
+    // disk now so the interrupt loses no observability either.
+    (void)obs::flush_log(run.log_path);
+    (void)obs::flush_status(run.status_path);
   }
   obs::set_current_campaign(0);
   return out;
@@ -510,41 +479,6 @@ std::vector<std::uint64_t> fork_seeds(std::uint64_t seed, std::string_view label
 }
 
 }  // namespace
-
-std::size_t default_threads() {
-  const std::size_t override_value = g_default_threads_override.load(std::memory_order_relaxed);
-  return override_value != 0 ? override_value : env_threads();
-}
-
-void set_default_threads(std::size_t threads) {
-  g_default_threads_override.store(threads, std::memory_order_relaxed);
-}
-
-std::string default_json_path() {
-  if (!json_path_override().empty()) return json_path_override();
-  const char* env = std::getenv("SIMULCAST_JSON");
-  return env == nullptr ? std::string() : std::string(env);
-}
-
-void set_default_json_path(std::string path) {
-  json_path_override() = std::move(path);
-}
-
-const sim::FaultPlan& default_fault_plan() {
-  return fault_plan_override();
-}
-
-void set_default_fault_plan(sim::FaultPlan plan) {
-  fault_plan_override() = std::move(plan);
-}
-
-const BatchOptions& default_batch_options() {
-  return batch_options_override();
-}
-
-void set_default_batch_options(BatchOptions options) {
-  batch_options_override() = std::move(options);
-}
 
 bool shutdown_requested() {
   return g_shutdown.load(std::memory_order_relaxed);
@@ -575,233 +509,6 @@ void set_stop_after(std::size_t completed) {
 
 double safe_throughput(std::size_t executions, double wall_seconds) {
   return wall_seconds > 0.0 ? static_cast<double>(executions) / wall_seconds : 0.0;
-}
-
-bool apply_resilience_knob(const std::string& arg) {
-  BatchOptions options = default_batch_options();
-  if (arg.rfind("--checkpoint=", 0) == 0) {
-    const std::string path = arg.substr(13);
-    if (path.empty()) {
-      std::fprintf(stderr, "error: --checkpoint needs a file or directory path\n");
-      std::exit(2);
-    }
-    options.checkpoint_path = path;
-  } else if (arg == "--resume") {
-    options.resume = true;
-  } else if (arg.rfind("--rep-timeout=", 0) == 0) {
-    char* end = nullptr;
-    const double seconds = std::strtod(arg.c_str() + 14, &end);
-    if (end == arg.c_str() + 14 || *end != '\0' || !(seconds > 0.0)) {
-      std::fprintf(stderr, "error: --rep-timeout must be a positive number of seconds, got '%s'\n",
-                   arg.c_str() + 14);
-      std::exit(2);
-    }
-    options.rep_timeout = seconds;
-    options.quarantine = true;  // a watchdog without quarantine would abort the batch
-  } else if (arg.rfind("--retries=", 0) == 0) {
-    char* end = nullptr;
-    const long retries = std::strtol(arg.c_str() + 10, &end, 10);
-    if (end == arg.c_str() + 10 || *end != '\0' || retries < 0) {
-      std::fprintf(stderr, "error: --retries must be an integer >= 0, got '%s'\n",
-                   arg.c_str() + 10);
-      std::exit(2);
-    }
-    options.retries = static_cast<int>(retries);
-    options.quarantine = true;
-  } else if (arg.rfind("--stop-after=", 0) == 0) {
-    char* end = nullptr;
-    const long completed = std::strtol(arg.c_str() + 13, &end, 10);
-    if (end == arg.c_str() + 13 || *end != '\0' || completed <= 0) {
-      std::fprintf(stderr, "error: --stop-after must be a positive repetition count, got '%s'\n",
-                   arg.c_str() + 13);
-      std::exit(2);
-    }
-    set_stop_after(static_cast<std::size_t>(completed));
-    return true;
-  } else {
-    return false;
-  }
-  set_default_batch_options(std::move(options));
-  return true;
-}
-
-std::size_t configure_threads(int argc, char** argv,
-                              std::initializer_list<std::string_view> pass_through) {
-  // Process-transport worker dispatch: a driver re-exec'd as a per-party
-  // worker (net/worker.h) must never fall through into its own campaign.
-  // Every driver calls configure_threads first thing in main, so this is
-  // the one chokepoint covering all of them.
-  if (const int worker_rc = net::maybe_worker_main(argc, argv); worker_rc >= 0)
-    std::exit(worker_rc);
-  sim::FaultPlan plan = default_fault_plan();
-  bool plan_changed = false;
-  std::set<std::string> seen_knobs;
-  const char* const program = argc > 0 ? argv[0] : "driver";
-  const auto usage_exit = [program](const std::string& detail) {
-    std::fprintf(stderr,
-                 "error: %s\n"
-                 "usage: %s [--threads=N] [--transport=inproc|socket|process] "
-                 "[--net-timeout=S] [--chaos=SPEC] [--json=PATH] "
-                 "[--trace=PATH] [--log=PATH] [--status=PATH] [--status-interval=S] "
-                 "[--drop=P] [--delay=R] [--crash=party@round,...] "
-                 "[--checkpoint=PATH] [--resume] [--rep-timeout=S] [--retries=N] "
-                 "[--stop-after=K]\n",
-                 detail.c_str(), program);
-    std::exit(2);
-  };
-  // Once per recognized knob: "--threads=2 --threads=8" silently last-winning
-  // hides which of two contradictory values the campaign actually ran with.
-  const auto check_duplicate = [&](const std::string& arg) {
-    const std::string knob = arg.substr(0, arg.find('='));
-    if (!seen_knobs.insert(knob).second) {
-      usage_exit("duplicate argument '" + knob + "'");
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      check_duplicate(arg);
-      char* end = nullptr;
-      const long value = std::strtol(arg.c_str() + 10, &end, 10);
-      if (value <= 0 || end == nullptr || *end != '\0') {
-        // This is the drivers' CLI knob: a clean usage exit beats an
-        // uncaught UsageError aborting the whole bench.
-        std::fprintf(stderr, "error: --threads must be a positive integer, got '%s'\n",
-                     arg.c_str() + 10);
-        std::exit(2);
-      }
-      set_default_threads(static_cast<std::size_t>(value));
-    } else if (arg.rfind("--transport=", 0) == 0) {
-      check_duplicate(arg);
-      try {
-        net::set_default_transport_kind(net::parse_transport_kind(arg.substr(12)));
-      } catch (const UsageError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--net-timeout=", 0) == 0) {
-      check_duplicate(arg);
-      // Fractional seconds are first-class (--net-timeout=0.5): chaos
-      // suites want sub-second stall detection, and the transports keep
-      // the deadline in milliseconds anyway.
-      char* end = nullptr;
-      const double seconds = std::strtod(arg.c_str() + 14, &end);
-      const double ms = seconds * 1000.0;
-      if (end == arg.c_str() + 14 || *end != '\0' || !std::isfinite(seconds) || !(ms >= 1.0)) {
-        std::fprintf(stderr,
-                     "error: --net-timeout must be a positive number of seconds (>= 0.001), "
-                     "got '%s'\n",
-                     arg.c_str() + 14);
-        std::exit(2);
-      }
-      net::set_default_net_timeout(std::chrono::milliseconds(static_cast<long>(ms)));
-    } else if (arg.rfind("--chaos=", 0) == 0) {
-      check_duplicate(arg);
-      // "" parses to the inert spec (that is how the default summary
-      // round-trips), but an explicitly empty knob is a CLI mistake.
-      if (arg.size() == 8) usage_exit("--chaos needs a spec (see net/chaos.h for the grammar)");
-      try {
-        net::set_default_chaos_spec(net::parse_chaos_spec(arg.substr(8)));
-      } catch (const UsageError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--json=", 0) == 0) {
-      check_duplicate(arg);
-      const std::string path = arg.substr(7);
-      if (path.empty()) {
-        std::fprintf(stderr, "error: --json needs a file or directory path\n");
-        std::exit(2);
-      }
-      set_default_json_path(path);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      check_duplicate(arg);
-      const std::string path = arg.substr(8);
-      if (path.empty()) {
-        std::fprintf(stderr, "error: --trace needs a file or directory path\n");
-        std::exit(2);
-      }
-      obs::set_default_trace_path(path);
-    } else if (arg.rfind("--log=", 0) == 0) {
-      check_duplicate(arg);
-      const std::string path = arg.substr(6);
-      if (path.empty()) {
-        std::fprintf(stderr, "error: --log needs a file path\n");
-        std::exit(2);
-      }
-      obs::set_default_log_path(path);
-    } else if (arg.rfind("--status=", 0) == 0) {
-      check_duplicate(arg);
-      const std::string path = arg.substr(9);
-      if (path.empty()) {
-        std::fprintf(stderr, "error: --status needs a file path\n");
-        std::exit(2);
-      }
-      obs::set_default_status_path(path);
-    } else if (arg.rfind("--status-interval=", 0) == 0) {
-      check_duplicate(arg);
-      char* end = nullptr;
-      const double seconds = std::strtod(arg.c_str() + 18, &end);
-      if (end == arg.c_str() + 18 || *end != '\0' || !(seconds > 0.0)) {
-        std::fprintf(stderr,
-                     "error: --status-interval must be a positive number of seconds, got '%s'\n",
-                     arg.c_str() + 18);
-        std::exit(2);
-      }
-      obs::set_default_status_interval(seconds);
-    } else if (arg.rfind("--drop=", 0) == 0) {
-      check_duplicate(arg);
-      char* end = nullptr;
-      const double p = std::strtod(arg.c_str() + 7, &end);
-      if (end == arg.c_str() + 7 || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
-        std::fprintf(stderr, "error: --drop must be a probability in [0, 1], got '%s'\n",
-                     arg.c_str() + 7);
-        std::exit(2);
-      }
-      plan.drop_probability = p;
-      plan_changed = true;
-    } else if (arg.rfind("--delay=", 0) == 0) {
-      check_duplicate(arg);
-      char* end = nullptr;
-      const long rounds = std::strtol(arg.c_str() + 8, &end, 10);
-      if (end == arg.c_str() + 8 || *end != '\0' || rounds < 0) {
-        std::fprintf(stderr, "error: --delay must be a round count >= 0, got '%s'\n",
-                     arg.c_str() + 8);
-        std::exit(2);
-      }
-      plan.max_delay = static_cast<std::size_t>(rounds);
-      plan_changed = true;
-    } else if (arg.rfind("--crash=", 0) == 0) {
-      check_duplicate(arg);
-      try {
-        plan.crashes = sim::parse_crash_schedule(arg.substr(8));
-      } catch (const UsageError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-      plan_changed = true;
-    } else if (arg.rfind("--checkpoint=", 0) == 0 || arg == "--resume" ||
-               arg.rfind("--rep-timeout=", 0) == 0 || arg.rfind("--retries=", 0) == 0 ||
-               arg.rfind("--stop-after=", 0) == 0) {
-      check_duplicate(arg);
-      apply_resilience_knob(arg);
-    } else {
-      bool passed = false;
-      for (const std::string_view prefix : pass_through)
-        passed = passed || arg.rfind(prefix, 0) == 0;
-      if (!passed) {
-        // Strict by design: a silently ignored "--thread=4" runs the whole
-        // experiment serially while the user believes otherwise.
-        usage_exit("unrecognized argument '" + arg + "'");
-      }
-    }
-  }
-  if (plan_changed) set_default_fault_plan(std::move(plan));
-  if (default_batch_options().resume && default_batch_options().checkpoint_path.empty()) {
-    usage_exit("--resume requires --checkpoint=PATH (nowhere to load the checkpoint from)");
-  }
-  install_signal_handlers();
-  return default_threads();
 }
 
 void parallel_for(std::size_t count, std::size_t threads,
@@ -840,8 +547,9 @@ void parallel_for(std::size_t count, std::size_t threads,
     if (e) std::rethrow_exception(e);
 }
 
-Runner::Runner(std::size_t threads)
-    : threads_(threads == 0 ? default_threads() : threads), options_(default_batch_options()) {}
+Runner::Runner(std::size_t threads, RunConfig config) : config_(std::move(config)) {
+  if (threads != 0) config_.threads = threads;
+}
 
 BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& ensemble,
                               std::size_t count, std::uint64_t seed) const {
@@ -856,7 +564,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& en
     const ScopedPhase timer(sampling_seconds, "sampling");
     for (std::size_t rep = 0; rep < count; ++rep) inputs.push_back(ensemble.sample(input_rng));
   }
-  BatchResult out = run_prepared(spec, threads_, options_,
+  BatchResult out = run_prepared(spec, config_,
                                  [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; },
                                  fork_seeds(seed, "exec", count));
   out.report.phases.sampling = sampling_seconds;
@@ -867,8 +575,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::siz
                               std::uint64_t seed) const {
   if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
   if (input.size() != spec.params.n) throw UsageError("exec::Runner: input width != n");
-  return run_prepared(spec, threads_, options_,
-                      [&input](std::size_t) -> const BitVec& { return input; },
+  return run_prepared(spec, config_, [&input](std::size_t) -> const BitVec& { return input; },
                       fork_seeds(seed, "exec-fixed", count));
 }
 
@@ -879,7 +586,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const std::vector<BitVec>& in
     throw UsageError("exec::Runner: inputs.size() != seeds.size()");
   for (const BitVec& input : inputs)
     if (input.size() != spec.params.n) throw UsageError("exec::Runner: input width != n");
-  return run_prepared(spec, threads_, options_,
+  return run_prepared(spec, config_,
                       [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; }, seeds);
 }
 

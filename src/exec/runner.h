@@ -27,14 +27,13 @@
 
 #include <chrono>
 #include <functional>
-#include <initializer_list>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "adversary/adversaries.h"
 #include "dist/ensembles.h"
+#include "exec/config.h"
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "stats/rng.h"
@@ -51,8 +50,8 @@ struct RunSpec {
   Bytes auxiliary_input;
   bool private_channels = true;
   /// Fault plan applied to every execution of the batch (sim/faults.h).
-  /// An empty plan falls back to the process-wide default_fault_plan(),
-  /// so the --drop/--delay/--crash knobs reach every driver unchanged.
+  /// An empty plan falls back to the Runner's RunConfig::faults, so the
+  /// --drop/--delay/--crash knobs reach every driver unchanged.
   sim::FaultPlan faults;
 };
 
@@ -76,58 +75,6 @@ struct QuarantineRecord {
   std::string reason;         ///< deterministic failure description
 };
 
-/// Campaign-resilience knobs for one batch.  The defaults reproduce the
-/// legacy engine exactly: no checkpointing, no watchdog, and a throwing
-/// repetition aborts the batch (first exception out of parallel_for).
-/// `Runner()` snapshots `default_batch_options()` at construction, which is
-/// how the --checkpoint/--resume/--rep-timeout/--retries knobs reach every
-/// driver, tester and Session sweep without per-caller wiring.
-struct BatchOptions {
-  /// Checkpoint sidecar location ("" = checkpointing off).  A path ending
-  /// in ".ckpt" names the file exactly (single-batch campaigns); anything
-  /// else is a directory receiving one ckpt_<identity-hash>.ckpt per batch,
-  /// so multi-batch drivers checkpoint each batch independently.
-  std::string checkpoint_path;
-  /// Load the checkpoint (verifying its identity tuple), restore completed
-  /// slots verbatim and execute only the rest.  By the purity contract the
-  /// final samples are bit-identical to an uninterrupted run.
-  bool resume = false;
-  /// Per-repetition wall-clock deadline in seconds (0 = no watchdog).  An
-  /// expired repetition is abandoned at its next round boundary and
-  /// quarantined; the batch keeps going.
-  double rep_timeout = 0.0;
-  /// Bounded retries (exponential backoff) for repetitions failing with
-  /// transient errors (std::bad_alloc, I/O).  Only consulted when
-  /// `quarantine` is on.
-  int retries = 0;
-  /// Capture failing repetitions as QuarantineRecords (reproducer seed into
-  /// the experiment record) instead of aborting the batch.  Off by default:
-  /// the legacy contract — exceptions propagate — is what the existing
-  /// tests and callers rely on.  configure_threads turns it on whenever
-  /// --retries or --rep-timeout is given.
-  bool quarantine = false;
-  /// Checkpoint flush cadence in completed slots (also flushed at shutdown
-  /// and on batch completion, so a graceful stop never loses work).
-  std::size_t checkpoint_every = 16;
-};
-
-/// Process-wide default BatchOptions (what Runner() snapshots); installed
-/// by the --checkpoint/--resume/--rep-timeout/--retries knobs.
-[[nodiscard]] const BatchOptions& default_batch_options();
-
-/// Installs `options` as the process-wide default (a default-constructed
-/// value clears it).  Not thread-safe: call from main before spawning
-/// batches, which is what configure_threads does.
-void set_default_batch_options(BatchOptions options);
-
-/// Recognizes and applies one resilience knob — --checkpoint=PATH,
-/// --resume, --rep-timeout=S, --retries=N, --stop-after=K — installing it
-/// into the process-default BatchOptions (or arming the stop-after
-/// counter).  Returns false when `arg` is none of them; exits 2 on a
-/// malformed value.  configure_threads routes every argument through this;
-/// examples/explore's hand-rolled parser reuses it.
-bool apply_resilience_knob(const std::string& arg);
-
 /// ---- graceful shutdown -------------------------------------------------
 /// SIGINT/SIGTERM flip a cooperative stop flag; workers drain at the next
 /// slot boundary, the engine flushes a checkpoint for every in-flight
@@ -145,9 +92,9 @@ void request_shutdown();
 /// for the next campaign (used by resume loops and tests).
 void clear_shutdown();
 
-/// Installs the SIGINT/SIGTERM handlers (idempotent).  configure_threads
-/// calls this, so every driver exits cleanly on ^C with a flushed partial
-/// record plus the checkpoint needed to resume.
+/// Installs the SIGINT/SIGTERM handlers (idempotent).  configure() calls
+/// this, so every driver exits cleanly on ^C with a flushed partial record
+/// plus the checkpoint needed to resume.
 void install_signal_handlers();
 
 /// Arms a deterministic self-interrupt: request_shutdown() fires after
@@ -201,57 +148,6 @@ struct BatchResult {
   BatchReport report;
 };
 
-/// Process-wide default pool width: the last set_default_threads() value if
-/// any, else the SIMULCAST_THREADS environment variable, else 1 (serial).
-/// Results never depend on the value; only wall-clock does.
-[[nodiscard]] std::size_t default_threads();
-
-/// Installs `threads` as the process-wide default (0 clears the override,
-/// falling back to SIMULCAST_THREADS / 1).
-void set_default_threads(std::size_t threads);
-
-/// Scans argv for the uniform knobs every bench driver and example exposes
-/// — --threads=N, --transport=inproc|socket (installed as the
-/// process-default net transport backend), --json=PATH, --trace=PATH, the
-/// telemetry knobs --log=PATH (structured event log, obs/log.h),
-/// --status=PATH and --status-interval=S (heartbeat stream, obs/status.h),
-/// the fault knobs --drop=P,
-/// --delay=R, --crash=party@round[,party@round...] (combined into one
-/// process-default FaultPlan), and the resilience knobs --checkpoint=PATH,
-/// --resume, --rep-timeout=S, --retries=N, --stop-after=K (installed as the
-/// process-default BatchOptions) — installs them as the process defaults
-/// when present, installs the SIGINT/SIGTERM graceful-shutdown handlers,
-/// and returns the effective thread default.
-/// Parsing is strict: any other argument exits 2 with a usage line (a
-/// silently ignored flag hides a mistyped knob), except arguments matching
-/// one of the `pass_through` prefixes, which are left for the caller's own
-/// parser (the micro benches pass {"--benchmark_"}).  A repeated knob also
-/// exits 2: silently last-winning on "--threads=2 --threads=8" hides which
-/// of two contradictory widths the campaign actually ran with.
-std::size_t configure_threads(int argc, char** argv,
-                              std::initializer_list<std::string_view> pass_through = {});
-
-/// Process-wide JSON sink path: the last set_default_json_path() value if
-/// any, else the SIMULCAST_JSON environment variable, else "" (disabled).
-/// A path ending in ".json" names the output file exactly; anything else is
-/// a directory that receives one BENCH_<id>.json per experiment (obs/sink.h).
-[[nodiscard]] std::string default_json_path();
-
-/// Installs `path` as the process-wide JSON sink (empty re-enables the
-/// SIMULCAST_JSON fallback).  Not thread-safe: call from main before
-/// spawning batches, which is what configure_threads does.
-void set_default_json_path(std::string path);
-
-/// Process-wide default fault plan, empty unless set: the fallback every
-/// batch uses when its RunSpec carries an empty plan.  How the
-/// --drop/--delay/--crash knobs reach all drivers without per-driver wiring.
-[[nodiscard]] const sim::FaultPlan& default_fault_plan();
-
-/// Installs `plan` as the process-wide default (an empty plan clears it).
-/// Not thread-safe: call from main before spawning batches, which is what
-/// configure_threads does.
-void set_default_fault_plan(sim::FaultPlan plan);
-
 /// Scoped phase timer: adds the elapsed wall-clock seconds of its lifetime
 /// into `slot` on destruction (slots are the PhaseSeconds fields).  A
 /// non-null `trace_name` additionally records the lifetime as a trace span
@@ -292,20 +188,20 @@ auto timed_phase(double& slot, Body&& body, const char* trace_name = "evaluation
 void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 
-/// The engine.  A Runner is a configuration object (pool width), cheap to
+/// The engine.  A Runner is a configuration object (a RunConfig), cheap to
 /// construct; threads are spawned per batch so idle Runners hold nothing.
 class Runner {
  public:
-  /// `threads` = 0 means "use default_threads() at construction time".
-  /// The resilience knobs snapshot default_batch_options() the same way;
-  /// set_options() overrides them for this Runner (tests, embedders).
-  explicit Runner(std::size_t threads = 0);
+  /// Runs batches under `config` — by default the installed run_config() —
+  /// with `threads` workers (0 = config.threads).  set_options() overrides
+  /// the resilience knobs for this Runner (tests, embedders).
+  explicit Runner(std::size_t threads = 0, RunConfig config = run_config());
 
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
+  [[nodiscard]] std::size_t threads() const noexcept { return config_.threads; }
 
-  [[nodiscard]] const BatchOptions& options() const noexcept { return options_; }
+  [[nodiscard]] const BatchOptions& options() const noexcept { return config_.batch; }
   Runner& set_options(BatchOptions options) {
-    options_ = std::move(options);
+    config_.batch = std::move(options);
     return *this;
   }
 
@@ -325,8 +221,7 @@ class Runner {
                                       const std::vector<std::uint64_t>& seeds) const;
 
  private:
-  std::size_t threads_;
-  BatchOptions options_;
+  RunConfig config_;
 };
 
 }  // namespace simulcast::exec

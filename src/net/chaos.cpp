@@ -13,12 +13,6 @@ namespace simulcast::net {
 
 namespace {
 
-// Written only from main before batches start (exec::configure_threads),
-// read by concurrent Runner workers building ExecutionConfigs — the same
-// contract as every exec:: process default.  A struct of plain scalars
-// read-only after main makes that safe without an atomic.
-ChaosSpec g_default_spec;
-
 /// 53-bit uniform scale: draws map to doubles in [0, 1) exactly, and a
 /// probability threshold of 0 or 1 behaves exactly at the endpoints (the
 /// FaultPlan drop draw uses the same construction).
@@ -183,10 +177,6 @@ ChaosSpec parse_chaos_spec(std::string_view text) {
   spec.validate();
   return spec;
 }
-
-const ChaosSpec& default_chaos_spec() noexcept { return g_default_spec; }
-
-void set_default_chaos_spec(ChaosSpec spec) noexcept { g_default_spec = std::move(spec); }
 
 ChaosStats& ChaosStats::operator+=(const ChaosStats& other) noexcept {
   dropped += other.dropped;

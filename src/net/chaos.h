@@ -98,13 +98,6 @@ struct ChaosSpec {
 /// malformed input.  "" parses to the inert spec.
 [[nodiscard]] ChaosSpec parse_chaos_spec(std::string_view text);
 
-/// Process-wide default, inert unless the --chaos= knob
-/// (exec::configure_threads) installed a spec.  Read by
-/// sim::ExecutionConfig's default member initializer; same write-from-main
-/// contract as net::set_default_transport_kind.
-[[nodiscard]] const ChaosSpec& default_chaos_spec() noexcept;
-void set_default_chaos_spec(ChaosSpec spec) noexcept;
-
 /// Per-channel chaos accounting, merged into the net.chaos.* registry
 /// metrics by record_chaos_metrics.  Frame-fate counts are deterministic
 /// (pure functions of the traffic and the spec); retransmits vary with

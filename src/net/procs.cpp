@@ -105,7 +105,7 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   }
 
   const std::string timeout_arg =
-      std::string(kWorkerTimeoutFlag) + std::to_string(default_net_timeout().count());
+      std::string(kWorkerTimeoutFlag) + std::to_string(spec_.net_timeout.count());
   const std::string fd_arg = std::string(kWorkerFdFlag) + "3";
   std::vector<char*> argv;
   char exe[] = "/proc/self/exe";
@@ -132,7 +132,7 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   Worker& w = workers_[id];
   w.pid = pid;
   w.fd = sv[0];
-  w.channel = std::make_unique<WorkerChannel>(sv[0]);
+  w.channel = std::make_unique<WorkerChannel>(sv[0], spec_.net_timeout);
   w.spectator = spectator;
   proc_counters().spawned.add(1);
   if (obs::log_enabled())
@@ -190,7 +190,7 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   Bytes reply;
   WorkerChannel::Status status;
   try {
-    status = w.channel->read_frame(type, reply, default_net_timeout());
+    status = w.channel->read_frame(type, reply, spec_.net_timeout);
   } catch (const Error& e) {
     throw fail(e.what());
   } catch (const std::system_error& e) {
@@ -378,7 +378,7 @@ void ProcSupervisor::shutdown() noexcept {
     }
     chaos_stats_ = ChaosStats{};
   }
-  const auto give_up = std::chrono::steady_clock::now() + default_net_timeout();
+  const auto give_up = std::chrono::steady_clock::now() + spec_.net_timeout;
   for (std::size_t id = 0; id < workers_.size(); ++id) {
     Worker& w = workers_[id];
     if (w.pid < 0) continue;

@@ -30,6 +30,7 @@
 
 #include <sys/types.h>
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -41,6 +42,7 @@
 #include "base/bitvec.h"
 #include "base/error.h"
 #include "net/chaos.h"
+#include "net/transport.h"
 #include "net/worker.h"
 #include "sim/message.h"
 
@@ -116,6 +118,9 @@ class ProcSupervisor {
     /// retransmit budget runs out surfaces as WorkerLost, bit-for-bit the
     /// crash a FaultPlan entry at that round would have produced.
     ChaosSpec chaos;
+    /// Stall deadline (--net-timeout) for handshakes, replies and reaping;
+    /// handed to every worker on its command line.
+    std::chrono::milliseconds net_timeout = kDefaultNetTimeout;
   };
 
   explicit ProcSupervisor(Spec spec);

@@ -415,7 +415,6 @@ std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
 
   pump_writes();
   if (chaos_enabled_) pump_deferred(std::chrono::steady_clock::now());
-  const std::chrono::milliseconds stall_timeout = default_net_timeout();
   auto last_progress = std::chrono::steady_clock::now();
   std::size_t seen = parked_[slot].size();
   auto backoff = kRetryFloor;
@@ -450,7 +449,7 @@ std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
         backoff = std::min(backoff * 2, kRetryCeil);
         retry_at = now + backoff;
       }
-      if (now - last_progress > stall_timeout) {
+      if (now - last_progress > stall_timeout_) {
         if (obs::log_enabled())
           obs::log_event(obs::LogLevel::kError, "net-stall",
                          {{"slot", slot},

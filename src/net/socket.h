@@ -59,7 +59,9 @@ namespace simulcast::net {
 
 class SocketTransport final : public Transport {
  public:
-  SocketTransport() = default;
+  /// `stall_timeout` bounds how long collect() may go without progress.
+  explicit SocketTransport(std::chrono::milliseconds stall_timeout = kDefaultNetTimeout)
+      : stall_timeout_(stall_timeout) {}
   ~SocketTransport() override;
 
   SocketTransport(const SocketTransport&) = delete;
@@ -78,9 +80,10 @@ class SocketTransport final : public Transport {
   [[nodiscard]] const ChaosStats& chaos_stats() const noexcept { return chaos_stats_; }
 
  private:
-  // An event loop making no progress for net::default_net_timeout() (the
+  // An event loop making no progress for stall_timeout_ (the
   // --net-timeout=S knob; 30s unless overridden) is a wedged execution;
   // collect() throws instead of hanging the campaign.
+  std::chrono::milliseconds stall_timeout_;
 
   /// One loopback TCP channel: the scheduler writes to `send_fd`, the
   /// event loop reads completed records back from `recv_fd`.

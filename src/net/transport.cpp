@@ -14,12 +14,8 @@ namespace {
 
 // Relaxed atomic so concurrent Runner workers constructing ExecutionConfigs
 // read the knob without synchronization; it is written only from main
-// before batches start (same contract as every exec:: process default).
+// before batches start.
 std::atomic<TransportKind> g_default_kind{TransportKind::kInProcess};
-
-// Milliseconds, not a duration: std::atomic<std::chrono::milliseconds> is
-// not guaranteed lock-free and the knob is read on every blocking wait.
-std::atomic<long> g_net_timeout_ms{30000};
 
 /// The extracted pending-delivery vectors of the pre-transport scheduler:
 /// submit is a vector push, collect is a vector move, ordering is
@@ -77,16 +73,9 @@ void set_default_transport_kind(TransportKind kind) noexcept {
   g_default_kind.store(kind, std::memory_order_relaxed);
 }
 
-std::chrono::milliseconds default_net_timeout() noexcept {
-  return std::chrono::milliseconds(g_net_timeout_ms.load(std::memory_order_relaxed));
-}
-
-void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept {
-  g_net_timeout_ms.store(timeout.count(), std::memory_order_relaxed);
-}
-
-std::unique_ptr<Transport> make_transport(TransportKind kind) {
-  if (kind == TransportKind::kSocket) return std::make_unique<SocketTransport>();
+std::unique_ptr<Transport> make_transport(TransportKind kind,
+                                          std::chrono::milliseconds net_timeout) {
+  if (kind == TransportKind::kSocket) return std::make_unique<SocketTransport>(net_timeout);
   // Process mode moves *party machines* out of process, not the scheduler's
   // slot mailboxes: inter-round traffic still lives with the coordinator,
   // so the mailbox backend is the bit-identical in-process one and the real

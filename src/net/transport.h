@@ -58,27 +58,28 @@ enum class TransportKind {
 /// Parses a --transport= value; throws UsageError on anything else.
 [[nodiscard]] TransportKind parse_transport_kind(std::string_view text);
 
-/// Process-wide default backend, TransportKind::kInProcess unless the
-/// --transport= knob (exec::configure_threads) installed another.  Read by
-/// sim::ExecutionConfig's default member initializer, so every execution
-/// that does not explicitly pick a backend follows the knob.
+/// Process-wide default backend, TransportKind::kInProcess unless
+/// exec::install_run_config (the --transport= knob) or an embedder such as
+/// the benchmark harness installed another.  exec::run_config() reports it
+/// as its transport, and sim::ExecutionConfig's default member initializer
+/// reads it, so every execution that does not explicitly pick a backend
+/// follows it.  The one run condition that remains a process default.
 [[nodiscard]] TransportKind default_transport_kind() noexcept;
 
 /// Installs the process-wide default.  Not thread-safe: call from main
-/// before spawning batches, which is what configure_threads does.
+/// before spawning batches.
 void set_default_transport_kind(TransportKind kind) noexcept;
 
-/// Stall deadline for every blocking network wait: the socket backend's
-/// collect() event loop and the process coordinator's handshake / reply
-/// reads all abandon the execution (ProtocolError) after this long without
-/// progress.  Defaults to 30 seconds; the --net-timeout=S knob
-/// (exec::configure_threads, fractional seconds accepted) shortens it so
-/// tests fail in seconds, not minutes.  Chaos-resilient channels treat
-/// this as a ceiling and derive tighter adaptive deadlines from observed
-/// round-trip times (net/worker.h stall_deadline()).  Relaxed atomic, same
-/// write-from-main contract as the transport-kind default.
-[[nodiscard]] std::chrono::milliseconds default_net_timeout() noexcept;
-void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept;
+/// Default stall deadline for every blocking network wait: the socket
+/// backend's collect() event loop and the process coordinator's handshake /
+/// reply reads all abandon the execution (ProtocolError) after this long
+/// without progress.  sim::ExecutionConfig::net_timeout carries the
+/// effective value down to the backends; the --net-timeout=S knob
+/// (fractional seconds accepted) shortens it so tests fail in seconds, not
+/// minutes.  Chaos-resilient channels treat it as a ceiling and derive
+/// tighter adaptive deadlines from observed round-trip times (net/worker.h
+/// stall_deadline()).
+inline constexpr std::chrono::milliseconds kDefaultNetTimeout{30000};
 
 /// Per-execution transport accounting.  Byte/frame counts are
 /// deterministic (pure functions of the traffic); the *_us timings are
@@ -124,8 +125,10 @@ class Transport {
 };
 
 /// Backend factory.  The in-process backend is allocation-cheap; the
-/// socket backend opens its endpoints lazily in open().
-[[nodiscard]] std::unique_ptr<Transport> make_transport(TransportKind kind);
+/// socket backend opens its endpoints lazily in open() and gives up on a
+/// stalled collect() after `net_timeout`.
+[[nodiscard]] std::unique_ptr<Transport> make_transport(
+    TransportKind kind, std::chrono::milliseconds net_timeout = kDefaultNetTimeout);
 
 /// Feeds the net.* registry metrics (bytes on wire, frames, serialize /
 /// deserialize time, flush latency) from one execution's stats.  Called by

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string_view>
 #include <system_error>
 
@@ -499,7 +501,7 @@ void WorkerChannel::enable_chaos(const ChaosSpec& spec, std::uint64_t seed,
 }
 
 std::chrono::milliseconds WorkerChannel::stall_deadline() const {
-  const std::chrono::milliseconds flat = default_net_timeout();
+  const std::chrono::milliseconds flat = net_timeout_;
   if (!reliable_) return flat;
   // Worst case before the channel must have either recovered or spent its
   // budget: one RTO per remaining charged burst (backoff only shortens
@@ -556,33 +558,47 @@ bool WorkerChannel::drain(std::chrono::milliseconds deadline) {
 void set_worker_loop(WorkerLoop loop) noexcept { g_worker_loop = loop; }
 
 int maybe_worker_main(int argc, char** argv) {
-  int fd = -1;
+  // Strict whole-value parse: "--simulcast-worker-fd=abc" must not become
+  // fd 0 (stdin as the coordinator channel), nor a garbage timeout be
+  // silently ignored.
+  const auto parse = [](const char* text, long& out) {
+    const char* const end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end && ptr != text;
+  };
+  bool worker = false;
+  bool malformed = false;
   bool mute = false;
-  long timeout_ms = -1;
+  long fd = -1;
+  long timeout_ms = kDefaultNetTimeout.count();
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind(kWorkerFdFlag, 0) == 0) {
-      fd = std::atoi(argv[i] + std::strlen(kWorkerFdFlag));
+      worker = true;
+      malformed = malformed || !parse(argv[i] + std::strlen(kWorkerFdFlag), fd) || fd < 0 ||
+                  fd > std::numeric_limits<int>::max();
     } else if (arg.rfind(kWorkerTimeoutFlag, 0) == 0) {
-      timeout_ms = std::atol(argv[i] + std::strlen(kWorkerTimeoutFlag));
+      malformed = malformed || !parse(argv[i] + std::strlen(kWorkerTimeoutFlag), timeout_ms) ||
+                  timeout_ms <= 0;
     } else if (arg == kWorkerMuteFlag) {
       mute = true;
     }
   }
-  if (fd < 0) return -1;  // not a worker invocation
+  if (!worker) return -1;  // not a worker invocation
+  if (malformed) return 3;
 
   if (mute) {
     // The connects-but-never-handshakes negative case: hold the channel
     // open and say nothing until the coordinator gives up and kills us.
     for (;;) ::pause();
   }
-  if (timeout_ms > 0) set_default_net_timeout(std::chrono::milliseconds(timeout_ms));
+  const std::chrono::milliseconds timeout(timeout_ms);
 
   try {
-    WorkerChannel channel(fd);
+    WorkerChannel channel(static_cast<int>(fd), timeout);
     ProcFrame type{};
     Bytes body;
-    const auto status = channel.read_frame(type, body, default_net_timeout());
+    const auto status = channel.read_frame(type, body, timeout);
     if (status != WorkerChannel::Status::kOk) return 3;
     if (type != ProcFrame::kHello) return 3;
     const WorkerHello hello = decode_worker_hello(body);

@@ -70,6 +70,7 @@
 
 #include "base/bytes.h"
 #include "net/chaos.h"
+#include "net/transport.h"
 
 namespace simulcast::net {
 
@@ -154,7 +155,10 @@ class WorkerChannel {
     kBudget,  ///< retransmit budget spent: the wire was too hostile
   };
 
-  explicit WorkerChannel(int fd) : fd_(fd) {}
+  /// `net_timeout` is the flat stall deadline (--net-timeout) that
+  /// stall_deadline() never exceeds.
+  explicit WorkerChannel(int fd, std::chrono::milliseconds net_timeout = kDefaultNetTimeout)
+      : fd_(fd), net_timeout_(net_timeout) {}
   WorkerChannel(const WorkerChannel&) = delete;
   WorkerChannel& operator=(const WorkerChannel&) = delete;
 
@@ -188,7 +192,7 @@ class WorkerChannel {
   void set_label(std::string_view label) { label_ = label; }
 
   /// The stall deadline a blocking wait on this channel should use: the
-  /// flat default_net_timeout() in plain mode, otherwise an adaptive bound
+  /// flat net timeout in plain mode, otherwise an adaptive bound
   /// derived from the observed RTO and the remaining retransmit budget
   /// (never above the flat knob, never below one second).
   [[nodiscard]] std::chrono::milliseconds stall_deadline() const;
@@ -244,6 +248,7 @@ class WorkerChannel {
   void compact_inbuf();
 
   int fd_;
+  std::chrono::milliseconds net_timeout_;
   std::string label_ = "unlabeled";
   Bytes inbuf_;                 ///< stream-reassembly buffer
   std::size_t inbuf_head_ = 0;  ///< first unparsed inbuf byte
@@ -272,10 +277,11 @@ using WorkerLoop = int (*)(WorkerChannel& channel, const WorkerHello& hello);
 void set_worker_loop(WorkerLoop loop) noexcept;
 
 /// Worker-process dispatch: call first thing in main (drivers get it via
-/// exec::configure_threads).  Returns -1 when argv carries no worker
-/// flag — the caller proceeds as a normal process — otherwise runs the
-/// worker to completion and returns its exit code (callers std::exit it).
-/// Never throws; worker-side failures become nonzero exit codes.
+/// exec::configure).  Returns -1 when argv carries no worker fd flag — the
+/// caller proceeds as a normal process — otherwise runs the worker to
+/// completion and returns its exit code (callers std::exit it).  A
+/// malformed fd or timeout value returns 3 before any descriptor is
+/// touched.  Never throws; worker-side failures become nonzero exit codes.
 [[nodiscard]] int maybe_worker_main(int argc, char** argv);
 
 /// argv spelling shared by the supervisor and the dispatcher.

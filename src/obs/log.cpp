@@ -1,82 +1,18 @@
 #include "obs/log.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <utility>
 
 #include "base/error.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"  // trace epoch + lane: log and trace timestamps must be comparable
 
 namespace simulcast::obs {
 
-namespace detail {
-std::atomic<bool> g_log_enabled{[] {
-  const char* env = std::getenv("SIMULCAST_LOG");
-  return env != nullptr && *env != '\0';
-}()};
-}  // namespace detail
-
 namespace {
-
-/// Per-thread ring capacity.  A long campaign with logging on keeps the
-/// newest events (the ring overwrites the oldest); the loss is counted in
-/// obs.log_dropped_events, never silent.
-constexpr std::size_t kRingCapacity = 1u << 16;
-
-struct ThreadRing {
-  std::vector<LogRecord> records;  // grows to kRingCapacity, then wraps
-  std::size_t head = 0;            // oldest entry once wrapped
-
-  void push(LogRecord record) {
-    if (records.size() < kRingCapacity) {
-      records.push_back(std::move(record));
-      return;
-    }
-    records[head] = std::move(record);
-    head = (head + 1) % kRingCapacity;
-    Metrics::global().counter("obs.log_dropped_events").add(1);
-  }
-
-  void drain_into(std::vector<LogRecord>& out) {
-    for (std::size_t i = 0; i < records.size(); ++i)
-      out.push_back(std::move(records[(head + i) % records.size()]));
-    records.clear();
-    head = 0;
-  }
-};
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-/// Owns every thread's ring; entries outlive their threads so the merge
-/// sees events from workers that already exited (trace.cpp idiom).
-std::vector<std::shared_ptr<ThreadRing>>& registry() {
-  static std::vector<std::shared_ptr<ThreadRing>> rings;
-  return rings;
-}
-
-ThreadRing& local_ring() {
-  thread_local std::shared_ptr<ThreadRing> ring = [] {
-    auto fresh = std::make_shared<ThreadRing>();
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    registry().push_back(fresh);
-    return fresh;
-  }();
-  return *ring;
-}
-
-std::string& log_path_override() {
-  static std::string path;
-  return path;
-}
 
 std::atomic<std::uint64_t> g_current_campaign{0};
 thread_local std::uint64_t t_current_exec = 0;
@@ -91,29 +27,6 @@ std::vector<std::uint64_t>& campaigns_list() {
   return ids;
 }
 
-struct SinkFlusher {
-  std::string name;
-  std::function<void()> fn;
-};
-
-std::mutex& sinks_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<SinkFlusher>& sinks() {
-  static std::vector<SinkFlusher> entries;
-  return entries;
-}
-
-void ensure_log_sink_registered() {
-  static const bool registered = [] {
-    register_sink_flush("log", [] { (void)flush_log(); });
-    return true;
-  }();
-  (void)registered;
-}
-
 }  // namespace
 
 std::string_view log_level_name(LogLevel level) {
@@ -126,37 +39,20 @@ std::string_view log_level_name(LogLevel level) {
   return "info";
 }
 
-std::string default_log_path() {
-  if (!log_path_override().empty()) return log_path_override();
-  const char* env = std::getenv("SIMULCAST_LOG");
-  return env == nullptr ? std::string() : std::string(env);
-}
-
-void set_default_log_path(std::string path) {
-  log_path_override() = std::move(path);
-  detail::g_log_enabled.store(!default_log_path().empty(), std::memory_order_relaxed);
-  ensure_log_sink_registered();
-}
-
-void log_event(LogLevel level, const char* event, std::initializer_list<LogArg> args,
+void log_event(LogLevel level, const char* event, std::initializer_list<EventArg> args,
                std::string detail_text) {
   if (event == nullptr || !log_enabled()) return;
-  ensure_log_sink_registered();
-  LogRecord record;
-  record.event = event;
+  Event record;
+  record.name = event;
+  record.ph = 'L';
   record.level = level;
   record.lane = thread_lane();
-  record.ts_us = detail::trace_now_us();
+  record.ts_us = detail::now_us();
   record.campaign = current_campaign();
   record.exec = current_exec();
-  for (const LogArg& arg : args) {
-    if (record.arg_count >= LogRecord::kMaxArgs) break;
-    record.arg_keys[record.arg_count] = arg.key;
-    record.arg_values[record.arg_count] = arg.value;
-    ++record.arg_count;
-  }
+  for (const EventArg& arg : args) record.add_arg(arg.key, arg.value);
   record.detail = std::move(detail_text);
-  local_ring().push(std::move(record));
+  detail::record_event(std::move(record));
 }
 
 void set_current_campaign(std::uint64_t id) {
@@ -217,26 +113,10 @@ void clear_campaigns() {
   campaigns_list().clear();
 }
 
-std::vector<LogRecord> drain_log() {
-  std::vector<LogRecord> out;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    for (const std::shared_ptr<ThreadRing>& ring : registry()) ring->drain_into(out);
-  }
-  std::stable_sort(out.begin(), out.end(), [](const LogRecord& a, const LogRecord& b) {
-    return a.ts_us != b.ts_us ? a.ts_us < b.ts_us : a.lane < b.lane;
-  });
-  return out;
-}
-
-void clear_log() {
-  (void)drain_log();
-}
-
-std::string log_line(const LogRecord& record) {
+std::string log_line(const Event& record) {
   std::string line = "{\"ts_us\":" + Json::number(record.ts_us);
   line += ",\"level\":" + Json::quote(log_level_name(record.level));
-  line += ",\"event\":" + Json::quote(record.event == nullptr ? "" : record.event);
+  line += ",\"event\":" + Json::quote(record.name == nullptr ? "" : record.name);
   line += ",\"lane\":" + Json::number(std::uint64_t{record.lane});
   line += ",\"campaign\":";
   line += record.campaign == 0 ? "null" : Json::quote(correlation_hex(record.campaign));
@@ -250,46 +130,18 @@ std::string log_line(const LogRecord& record) {
 }
 
 std::string flush_log(const std::string& path) {
-  if (path.empty()) throw UsageError("obs::flush_log: empty path");
-  const std::vector<LogRecord> records = drain_log();
+  if (path.empty()) return {};
+  const std::vector<Event> records = drain_events(EventKind::kLog);
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path target(path);
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
   if (ec) throw UsageError("obs::flush_log: cannot create '" + path + "': " + ec.message());
   std::ofstream out(target, std::ios::app);
-  for (const LogRecord& record : records) out << log_line(record) << '\n';
+  for (const Event& record : records) out << log_line(record) << '\n';
   out.flush();
   if (!out) throw UsageError("obs::flush_log: cannot write '" + path + "'");
   return path;
-}
-
-std::string flush_log() {
-  const std::string path = default_log_path();
-  if (path.empty()) return {};
-  return flush_log(path);
-}
-
-void register_sink_flush(const char* name, std::function<void()> fn) {
-  const std::lock_guard<std::mutex> lock(sinks_mutex());
-  for (SinkFlusher& entry : sinks()) {
-    if (entry.name == name) {
-      entry.fn = std::move(fn);
-      return;
-    }
-  }
-  sinks().push_back({name, std::move(fn)});
-}
-
-void flush_sinks() {
-  // Copy under the lock, invoke outside it: a flusher may register.
-  std::vector<SinkFlusher> copy;
-  {
-    const std::lock_guard<std::mutex> lock(sinks_mutex());
-    copy = sinks();
-  }
-  for (const SinkFlusher& entry : copy)
-    if (entry.fn) entry.fn();
 }
 
 }  // namespace simulcast::obs

@@ -106,7 +106,7 @@ struct ExperimentRecord {
   /// core::finish_experiment fills it from obs::Metrics::global().
   MetricsSnapshot metrics;
   /// The fault plan in force (schema v3).  Left empty by drivers:
-  /// core::finish_experiment fills it from exec::default_fault_plan(), so a
+  /// core::finish_experiment fills it from exec::run_config().faults, so a
   /// record always states the conditions it was measured under.
   sim::FaultPlan faults;
   /// Schema v4: true when the record was flushed by a graceful stop before
@@ -117,11 +117,11 @@ struct ExperimentRecord {
   bool partial = false;
   /// Transport backend the record was measured under (schema v5,
   /// "inproc" | "socket").  Left empty by drivers: core::finish_experiment
-  /// fills it from net::default_transport_kind().
+  /// fills it from exec::run_config().transport.
   std::string transport;
   /// Wire-chaos spec the record was measured under (schema v8, canonical
   /// net/chaos.h summary; "" = clean wire).  Left empty by drivers:
-  /// core::finish_experiment fills it from net::default_chaos_spec().
+  /// core::finish_experiment fills it from exec::run_config().chaos.
   std::string chaos;
   /// Campaign correlation ids (schema v7): the 16-hex identity digest of
   /// every batch that fed this record, in batch order.  Left empty by

@@ -25,7 +25,7 @@ std::string bench_filename(std::string_view id) {
 }
 
 std::string write_record(const ExperimentRecord& record, const std::string& path) {
-  if (path.empty()) throw UsageError("obs::write_record: empty path");
+  if (path.empty()) return {};
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::path target(path);
@@ -43,12 +43,6 @@ std::string write_record(const ExperimentRecord& record, const std::string& path
   if (!out)
     throw UsageError("obs::write_record: cannot write '" + target.string() + "'");
   return target.string();
-}
-
-std::string emit(const ExperimentRecord& record) {
-  const std::string path = exec::default_json_path();
-  if (path.empty()) return {};
-  return write_record(record, path);
 }
 
 }  // namespace simulcast::obs

@@ -1,13 +1,12 @@
-// The process-wide machine-readable results sink.
+// The machine-readable results sink.
 //
-// Bench drivers call emit() once, at the end, with their finished
-// ExperimentRecord; where the JSON lands is controlled by the knobs parsed
-// in exec::configure_threads (--json=PATH next to --threads, or the
-// SIMULCAST_JSON environment variable).  A PATH ending in ".json" names
-// the output file exactly; any other PATH is treated as a directory
-// (created if missing) receiving one BENCH_<id>.json per experiment —
-// `bench_eN --json=out/` drops out/BENCH_<id>.json next to the printed
-// tables.
+// core::finish_experiment writes each driver's finished ExperimentRecord
+// to the JSON path of the installed exec::RunConfig (--json=PATH next to
+// --threads, or the SIMULCAST_JSON environment variable).  A PATH ending
+// in ".json" names the output file exactly; any other PATH is treated as a
+// directory (created if missing) receiving one BENCH_<id>.json per
+// experiment — `bench_eN --json=out/` drops out/BENCH_<id>.json next to
+// the printed tables.
 #pragma once
 
 #include <string>
@@ -24,13 +23,9 @@ namespace simulcast::obs {
 [[nodiscard]] std::string bench_filename(std::string_view id);
 
 /// Writes the record under `path` (file-or-directory semantics above) and
-/// returns the full path written.  Throws UsageError when the path cannot
-/// be created or written.
+/// returns the full path written, or "" when `path` is empty — no sink, the
+/// default: printing-only runs pay nothing for the observability layer.
+/// Throws UsageError when the path cannot be created or written.
 std::string write_record(const ExperimentRecord& record, const std::string& path);
-
-/// Writes the record to the configured sink.  Returns the path written, or
-/// "" when no sink is configured (the default: printing-only runs pay
-/// nothing for the observability layer).
-std::string emit(const ExperimentRecord& record);
 
 }  // namespace simulcast::obs

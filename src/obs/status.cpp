@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -14,21 +13,11 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"  // trace_now_us: heartbeats share the trace/log epoch
+#include "obs/events.h"  // now_us: heartbeats share the trace/log epoch
 
 namespace simulcast::obs {
 
 namespace {
-
-std::string& status_path_override() {
-  static std::string path;
-  return path;
-}
-
-double& status_interval_store() {
-  static double seconds = 1.0;
-  return seconds;
-}
 
 std::mutex& stream_mutex() {
   static std::mutex m;
@@ -46,14 +35,6 @@ std::vector<std::string>& stream_lines() {
 /// Process-wide repetitions completed by already-finished batches — keeps
 /// the heartbeat's `completed` field monotone across a multi-batch driver.
 std::atomic<std::uint64_t> g_completed_prior{0};
-
-void ensure_status_sink_registered() {
-  static const bool registered = [] {
-    register_sink_flush("status", [] { (void)flush_status(); });
-    return true;
-  }();
-  (void)registered;
-}
 
 /// Rewrites `path` with the full stream via temp+rename (the checkpoint
 /// idiom): a reader never sees a torn or truncated line.
@@ -84,38 +65,14 @@ bool counter_is_live(std::string_view name) {
 
 }  // namespace
 
-std::string default_status_path() {
-  if (!status_path_override().empty()) return status_path_override();
-  const char* env = std::getenv("SIMULCAST_STATUS");
-  return env == nullptr ? std::string() : std::string(env);
-}
-
-void set_default_status_path(std::string path) {
-  status_path_override() = std::move(path);
-  ensure_status_sink_registered();
-}
-
-bool status_enabled() {
-  return !default_status_path().empty();
-}
-
-double default_status_interval() {
-  return status_interval_store();
-}
-
-void set_default_status_interval(double seconds) {
-  if (!(seconds > 0.0))
-    throw UsageError("obs::Status: heartbeat interval must be positive");
-  status_interval_store() = seconds;
-}
-
 StatusReporter::StatusReporter(StatusBatchInfo info, std::string path, double interval_seconds)
     : info_(info),
       path_(std::move(path)),
       interval_(interval_seconds),
       completed_prior_(g_completed_prior.load(std::memory_order_relaxed)),
       start_(std::chrono::steady_clock::now()) {
-  ensure_status_sink_registered();
+  if (!(interval_seconds > 0.0))
+    throw UsageError("obs::Status: heartbeat interval must be positive");
   for (const CounterSnapshot& c : Metrics::global().snapshot().counters)
     if (counter_is_live(c.name)) last_counters_.emplace_back(c.name, c.value);
   thread_ = std::thread([this] { run(); });
@@ -166,7 +123,7 @@ void StatusReporter::emit(bool final_beat) {
   const double eta = eta_known ? static_cast<double>(remaining) / rate
                                : std::numeric_limits<double>::quiet_NaN();
 
-  std::string line = "{\"ts_us\":" + Json::number(detail::trace_now_us());
+  std::string line = "{\"ts_us\":" + Json::number(detail::now_us());
   line += ",\"campaign\":";
   line += info_.campaign == 0 ? "null" : Json::quote(correlation_hex(info_.campaign));
   line += ",\"last_exec\":";
@@ -216,8 +173,7 @@ void StatusReporter::emit(bool final_beat) {
   }
 }
 
-std::string flush_status() {
-  const std::string path = default_status_path();
+std::string flush_status(const std::string& path) {
   if (path.empty()) return {};
   const std::lock_guard<std::mutex> lock(stream_mutex());
   if (stream_lines().empty()) return {};

@@ -3,7 +3,8 @@
 // fleet-wide status line ROADMAP item 5 asks for.
 //
 // When a status sink is configured (--status=PATH / SIMULCAST_STATUS) the
-// engine constructs one StatusReporter per batch.  A dedicated reporter
+// engine constructs one StatusReporter per batch, handing it the path and
+// period from its exec::RunConfig.  A dedicated reporter
 // thread wakes every interval (--status-interval=S, default 1s) and emits
 // one heartbeat: a JSONL record appended to the in-process stream and the
 // whole stream rewritten to PATH via the checkpoint temp+rename idiom, so
@@ -37,23 +38,6 @@
 
 namespace simulcast::obs {
 
-/// Process-wide status sink path: the last set_default_status_path()
-/// value if any, else the SIMULCAST_STATUS environment variable, else ""
-/// (disabled).  Always a file path (JSONL, rewritten atomically).
-[[nodiscard]] std::string default_status_path();
-
-/// Installs `path` as the status sink (empty re-enables the
-/// SIMULCAST_STATUS fallback).  Not thread-safe: call from main before
-/// spawning batches (exec::configure_threads does).
-void set_default_status_path(std::string path);
-
-/// True when a status sink is configured.
-[[nodiscard]] bool status_enabled();
-
-/// Heartbeat period in seconds (default 1.0; --status-interval=S).
-[[nodiscard]] double default_status_interval();
-void set_default_status_interval(double seconds);
-
 /// Everything a reporter needs from the batch it watches.  The pointers
 /// alias engine-owned atomics that outlive the reporter; the reporter
 /// only loads them (relaxed — heartbeats are approximate by nature).
@@ -72,7 +56,9 @@ struct StatusBatchInfo {
 
 /// RAII heartbeat emitter: starts its thread on construction, and on
 /// destruction stops it, emits one final heartbeat (so even a sub-interval
-/// batch leaves a complete record) and clears the TTY line.
+/// batch leaves a complete record) and clears the TTY line.  Throws
+/// UsageError unless `interval_seconds` (the heartbeat period,
+/// --status-interval) is positive.
 class StatusReporter {
  public:
   StatusReporter(StatusBatchInfo info, std::string path, double interval_seconds);
@@ -96,11 +82,11 @@ class StatusReporter {
   std::thread thread_;
 };
 
-/// Rewrites the accumulated heartbeat stream to the configured sink
-/// (temp+rename); returns the path, or "" when no sink is configured or
-/// nothing has been emitted.  Registered with register_sink_flush() so
-/// the graceful-shutdown drain path lands the stream on disk.
-std::string flush_status();
+/// Rewrites the accumulated heartbeat stream to `path` (temp+rename);
+/// returns the path, or "" when `path` is empty (no sink) or nothing has
+/// been emitted.  The graceful-shutdown drain path and finish_experiment
+/// call it so the stream lands on disk.
+std::string flush_status(const std::string& path);
 
 /// Drops the accumulated heartbeat lines (tests; a new process starts
 /// empty anyway).

@@ -2,101 +2,27 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <mutex>
 
 #include "base/error.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace simulcast::obs {
 
-namespace detail {
-std::atomic<bool> g_trace_enabled{[] {
-  const char* env = std::getenv("SIMULCAST_TRACE");
-  return env != nullptr && *env != '\0';
-}()};
-}  // namespace detail
-
 namespace {
-
-/// Per-thread cap: a runaway tracer must not exhaust memory.  Dropped
-/// events are counted in the obs.trace_dropped_events metric so the loss
-/// is visible in every emitted record, never silent.
-constexpr std::size_t kMaxEventsPerThread = 1u << 20;
-constexpr std::size_t kBlockEvents = 1024;
-
-struct Block {
-  std::array<TraceEvent, kBlockEvents> events;
-  std::size_t count = 0;
-};
-
-struct ThreadBuffer {
-  std::vector<std::unique_ptr<Block>> blocks;
-  std::size_t total = 0;
-
-  void push(const TraceEvent& event) {
-    if (total >= kMaxEventsPerThread) {
-      Metrics::global().counter("obs.trace_dropped_events").add(1);
-      return;
-    }
-    if (blocks.empty() || blocks.back()->count == kBlockEvents)
-      blocks.push_back(std::make_unique<Block>());
-    Block& block = *blocks.back();
-    block.events[block.count++] = event;
-    ++total;
-  }
-};
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-/// Owns every thread's buffer; entries outlive their threads so the merge
-/// sees lanes whose workers already exited.
-std::vector<std::shared_ptr<ThreadBuffer>>& registry() {
-  static std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  return buffers;
-}
-
-ThreadBuffer& local_buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto fresh = std::make_shared<ThreadBuffer>();
-    const std::lock_guard<std::mutex> lock(registry_mutex());
-    registry().push_back(fresh);
-    return fresh;
-  }();
-  return *buffer;
-}
-
-thread_local std::uint32_t t_lane = 0;
-
-std::string& trace_path_override() {
-  static std::string path;
-  return path;
-}
-
-std::chrono::steady_clock::time_point trace_epoch() {
-  static const std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now();
-  return epoch;
-}
 
 bool ends_with_json(std::string_view path) {
   constexpr std::string_view suffix = ".json";
   return path.size() >= suffix.size() && path.substr(path.size() - suffix.size()) == suffix;
 }
 
-void append_event(Json& json, const TraceEvent& event) {
+void append_event(Json& json, const Event& event) {
   json.object_begin()
       .member("name", event.name == nullptr ? "" : event.name)
       .member("ph", std::string_view(&event.ph, 1))
       .member("pid", std::uint64_t{1})
-      .member("tid", std::uint64_t{event.tid})
+      .member("tid", std::uint64_t{event.lane})
       .member("ts", event.ts_us);
   if (event.ph == 'X') json.member("dur", event.dur_us);
   if (event.ph == 'i') json.member("s", "t");  // thread-scoped instant
@@ -124,77 +50,20 @@ void append_metadata(Json& json, const char* name, std::uint32_t tid, const std:
 
 }  // namespace
 
-namespace detail {
-
-std::uint64_t trace_now_us() {
-  const auto elapsed = std::chrono::steady_clock::now() - trace_epoch();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-}
-
-void record_event(const TraceEvent& event) {
-  local_buffer().push(event);
-}
-
-}  // namespace detail
-
-std::string default_trace_path() {
-  if (!trace_path_override().empty()) return trace_path_override();
-  const char* env = std::getenv("SIMULCAST_TRACE");
-  return env == nullptr ? std::string() : std::string(env);
-}
-
-void set_default_trace_path(std::string path) {
-  trace_path_override() = std::move(path);
-  detail::g_trace_enabled.store(!default_trace_path().empty(), std::memory_order_relaxed);
-}
-
-void set_thread_lane(std::uint32_t lane) {
-  t_lane = lane;
-}
-
-std::uint32_t thread_lane() {
-  return t_lane;
-}
-
-void trace_instant(const char* name, std::initializer_list<TraceArg> args) {
+void trace_instant(const char* name, std::initializer_list<EventArg> args) {
   if (name == nullptr || !trace_enabled()) return;
-  TraceEvent event;
+  Event event;
   event.name = name;
   event.ph = 'i';
-  event.tid = thread_lane();
-  event.ts_us = detail::trace_now_us();
-  for (const TraceArg& arg : args) {
-    if (event.arg_count >= TraceEvent::kMaxArgs) break;
-    event.arg_keys[event.arg_count] = arg.key;
-    event.arg_values[event.arg_count] = arg.value;
-    ++event.arg_count;
-  }
-  detail::record_event(event);
+  event.lane = thread_lane();
+  event.ts_us = detail::now_us();
+  for (const EventArg& arg : args) event.add_arg(arg.key, arg.value);
+  detail::record_event(std::move(event));
 }
 
-std::vector<TraceEvent> drain_trace() {
-  std::vector<TraceEvent> out;
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  for (const std::shared_ptr<ThreadBuffer>& buffer : registry()) {
-    for (const std::unique_ptr<Block>& block : buffer->blocks)
-      out.insert(out.end(), block->events.begin(), block->events.begin() + static_cast<std::ptrdiff_t>(block->count));
-    buffer->blocks.clear();
-    buffer->total = 0;
-  }
-  std::stable_sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
-    return a.ts_us != b.ts_us ? a.ts_us < b.ts_us : a.tid < b.tid;
-  });
-  return out;
-}
-
-void clear_trace() {
-  (void)drain_trace();
-}
-
-std::string trace_document(const std::vector<TraceEvent>& events) {
+std::string trace_document(const std::vector<Event>& events) {
   std::vector<std::uint32_t> lanes;
-  for (const TraceEvent& event : events) lanes.push_back(event.tid);
+  for (const Event& event : events) lanes.push_back(event.lane);
   std::sort(lanes.begin(), lanes.end());
   lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
 
@@ -204,7 +73,7 @@ std::string trace_document(const std::vector<TraceEvent>& events) {
   for (const std::uint32_t lane : lanes)
     append_metadata(json, "thread_name", lane,
                     lane == 0 ? std::string("main") : "worker-" + std::to_string(lane));
-  for (const TraceEvent& event : events) append_event(json, event);
+  for (const Event& event : events) append_event(json, event);
   json.array_end().member("displayTimeUnit", "ms").object_end();
   return json.str() + "\n";
 }
@@ -229,7 +98,7 @@ std::string trace_filename(std::string_view id) {
 }
 
 std::string write_trace(std::string_view experiment_id, const std::string& path) {
-  if (path.empty()) throw UsageError("obs::write_trace: empty path");
+  if (path.empty()) return {};
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::path target(path);
@@ -240,18 +109,12 @@ std::string write_trace(std::string_view experiment_id, const std::string& path)
     target /= trace_filename(experiment_id);
   }
   if (ec) throw UsageError("obs::write_trace: cannot create '" + path + "': " + ec.message());
-  const std::string document = trace_document(drain_trace());
+  const std::string document = trace_document(drain_events(EventKind::kTrace));
   std::ofstream out(target, std::ios::trunc);
   out << document;
   out.flush();
   if (!out) throw UsageError("obs::write_trace: cannot write '" + target.string() + "'");
   return target.string();
-}
-
-std::string write_trace(std::string_view experiment_id) {
-  const std::string path = default_trace_path();
-  if (path.empty()) return {};
-  return write_trace(experiment_id, path);
 }
 
 }  // namespace simulcast::obs

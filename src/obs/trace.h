@@ -1,83 +1,21 @@
-// Execution tracing (obs::Trace): per-thread event buffers rendered as
-// Chrome trace-event / Perfetto-compatible JSON.
+// Execution tracing (obs::Trace): spans and instants recorded into the
+// per-thread event store (obs/events.h) and rendered as Chrome trace-event
+// / Perfetto-compatible JSON.
 //
-// The hot path is a protocol round executing on a Runner worker; recording
-// must therefore cost nothing when tracing is off (one relaxed atomic load
-// per span) and allocate no per-event heap when it is on.  Events are
-// plain-old-data — a static-string name, a lane id, microsecond timestamps
-// and up to four numeric args — appended to a thread-local chain of
-// fixed-size blocks, so a push is a bounds check plus a struct copy; a new
-// block is allocated only every kBlockEvents events.  Buffers are
-// registered in a process-wide list and stay alive after their thread
-// exits, so the merge at write time sees every worker's lane.
-//
-// Determinism contract (DESIGN.md section 8): tracing only *observes*.  It
-// never touches an RNG, a seed, or a sample value, so every output of the
-// repository is bit-identical with tracing on or off and for every thread
-// count (pinned by tests/exec/runner_test.cpp).
-//
-// Concurrency contract: record from any thread; merge (drain_trace /
-// write_trace) only while no worker is recording.  The engine satisfies
-// this for free: parallel_for joins its workers before returning, and the
-// join is the happens-before edge TSan needs (ctest -L sanitize covers the
-// buffers with tracing enabled).
+// A span records nothing and builds no event unless tracing is on; the
+// determinism and concurrency contracts are the event store's.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/events.h"
+
 namespace simulcast::obs {
-
-/// One trace event.  `name` and the arg keys must be string literals (or
-/// otherwise outlive the trace): the hot path stores pointers, formatting
-/// happens only at serialization time.
-struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 4;
-
-  const char* name = nullptr;
-  char ph = 'X';               ///< 'X' complete span | 'i' instant
-  std::uint32_t tid = 0;       ///< lane (0 = main, k = worker k)
-  std::uint64_t ts_us = 0;     ///< microseconds since the trace epoch
-  std::uint64_t dur_us = 0;    ///< span duration ('X' only)
-  std::array<const char*, kMaxArgs> arg_keys{};
-  std::array<std::uint64_t, kMaxArgs> arg_values{};
-  std::uint8_t arg_count = 0;
-};
-
-namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-[[nodiscard]] std::uint64_t trace_now_us();
-void record_event(const TraceEvent& event);
-}  // namespace detail
-
-/// True when a trace sink is configured.  Relaxed load: the hot path's
-/// entire cost with tracing off.
-[[nodiscard]] inline bool trace_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-/// Process-wide trace sink path: the last set_default_trace_path() value if
-/// any, else the SIMULCAST_TRACE environment variable, else "" (disabled).
-/// Same file-or-directory semantics as the JSON sink: a path ending in
-/// ".json" names the file exactly, anything else is a directory receiving
-/// one TRACE_<id>.json per experiment.
-[[nodiscard]] std::string default_trace_path();
-
-/// Installs `path` as the trace sink (empty re-enables the SIMULCAST_TRACE
-/// fallback) and flips trace_enabled() accordingly.  Not thread-safe: call
-/// from main before spawning batches (exec::configure_threads does).
-void set_default_trace_path(std::string path);
-
-/// The calling thread's lane id (trace "tid").  The Runner assigns lane
-/// w+1 to worker w of every pool, so repeated batches merge into stable
-/// per-worker lanes; the main thread is lane 0.
-void set_thread_lane(std::uint32_t lane);
-[[nodiscard]] std::uint32_t thread_lane();
 
 /// RAII span: captures the start timestamp on construction and records one
 /// complete ('X') event on destruction.  A null name, or tracing being
@@ -86,54 +24,45 @@ class TraceSpan {
  public:
   explicit TraceSpan(const char* name) {
     if (name != nullptr && trace_enabled()) {
-      event_.name = name;
-      event_.ts_us = detail::trace_now_us();
-      active_ = true;
+      name_ = name;
+      start_us_ = detail::now_us();
     }
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() {
-    if (!active_) return;
-    event_.tid = thread_lane();
-    event_.dur_us = detail::trace_now_us() - event_.ts_us;
-    detail::record_event(event_);
+    if (name_ == nullptr) return;
+    Event event;
+    event.name = name_;
+    event.lane = thread_lane();
+    event.ts_us = start_us_;
+    event.dur_us = detail::now_us() - start_us_;
+    for (std::uint8_t a = 0; a < arg_count_; ++a) event.add_arg(args_[a].key, args_[a].value);
+    detail::record_event(std::move(event));
   }
 
-  /// Attaches a numeric arg (up to TraceEvent::kMaxArgs; extras dropped).
+  /// Attaches a numeric arg (up to Event::kMaxArgs; extras dropped).
   void arg(const char* key, std::uint64_t value) {
-    if (!active_ || event_.arg_count >= TraceEvent::kMaxArgs) return;
-    event_.arg_keys[event_.arg_count] = key;
-    event_.arg_values[event_.arg_count] = value;
-    ++event_.arg_count;
+    if (name_ == nullptr || arg_count_ >= Event::kMaxArgs) return;
+    args_[arg_count_++] = {key, value};
   }
 
  private:
-  TraceEvent event_;
-  bool active_ = false;
-};
-
-struct TraceArg {
-  const char* key;
-  std::uint64_t value;
+  const char* name_ = nullptr;  ///< null = not recording
+  std::uint64_t start_us_ = 0;
+  std::array<EventArg, Event::kMaxArgs> args_{};
+  std::uint8_t arg_count_ = 0;
 };
 
 /// Records one instant ('i') event with the given counters.
-void trace_instant(const char* name, std::initializer_list<TraceArg> args = {});
-
-/// Merges every thread's buffer into one timestamp-sorted vector and
-/// clears the buffers.  Call only while no worker thread is recording.
-[[nodiscard]] std::vector<TraceEvent> drain_trace();
-
-/// Discards all buffered events without rendering them.
-void clear_trace();
+void trace_instant(const char* name, std::initializer_list<EventArg> args = {});
 
 /// Renders events as a Chrome trace-event JSON document ({"traceEvents":
 /// [...]}): process/thread_name metadata rows for every lane present, then
 /// one object per event with ph/ts/tid (+dur for spans, +s:"t" for
 /// instants) and an "args" object when counters are attached.  The shape
 /// is pinned by tests/obs/golden_trace.json.
-[[nodiscard]] std::string trace_document(const std::vector<TraceEvent>& events);
+[[nodiscard]] std::string trace_document(const std::vector<Event>& events);
 
 /// "<id>" with '/' and whitespace mapped to '_'.  Throws UsageError when
 /// nothing usable survives (empty or all-separator id): two such ids would
@@ -143,13 +72,11 @@ void clear_trace();
 /// "TRACE_<stem>.json" (the trace twin of obs::bench_filename).
 [[nodiscard]] std::string trace_filename(std::string_view id);
 
-/// Drains the buffers and writes the document under `path` (file-or-
-/// directory semantics above).  Returns the full path written; throws
-/// UsageError when the path cannot be created or written.
+/// Drains the trace events and writes the document under `path`: a path
+/// ending in ".json" names the file exactly, anything else is a directory
+/// receiving one TRACE_<id>.json per experiment.  Returns the full path
+/// written, or "" (draining nothing) when `path` is empty — no sink.
+/// Throws UsageError when the path cannot be created or written.
 std::string write_trace(std::string_view experiment_id, const std::string& path);
-
-/// write_trace to the configured sink; returns "" (draining nothing) when
-/// no sink is configured.
-std::string write_trace(std::string_view experiment_id);
 
 }  // namespace simulcast::obs

@@ -404,6 +404,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
     spec.fault_digest = net::fault_plan_digest(plan.summary());
     spec.options = config.process;
     spec.chaos = config.chaos;
+    spec.net_timeout = config.net_timeout;
     crew = std::make_unique<net::ProcSupervisor>(std::move(spec));
   }
 
@@ -519,7 +520,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // in round r is submitted to slot r + 1, exactly the old pending-vector
   // hand-off — the scheduler decides what is delivered when (faults,
   // partitions), the transport decides how the bytes move.
-  std::unique_ptr<net::Transport> transport = net::make_transport(config.transport);
+  std::unique_ptr<net::Transport> transport = net::make_transport(config.transport, config.net_timeout);
   if (config.chaos.enabled()) transport->configure_chaos(config.chaos, config.seed);
   transport->open(n, total_rounds + 1);
 

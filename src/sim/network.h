@@ -55,7 +55,7 @@ struct ExecutionConfig {
   /// the check entirely, so watchdog-free executions never read the clock.
   std::chrono::steady_clock::time_point deadline{};
   /// Transport backend moving messages between rounds (net/transport.h).
-  /// Defaults to the process-wide knob (--transport=, exec::configure_threads),
+  /// Defaults to net::default_transport_kind() (the --transport= knob),
   /// which is the bit-identical in-process backend unless overridden.
   /// Samples and verdicts are transport-invariant, so the backend is not
   /// part of a campaign's identity.
@@ -64,11 +64,14 @@ struct ExecutionConfig {
   /// handshake tweaks for the equivalence and negative test suites.
   /// Ignored unless transport is TransportKind::kProcess.
   net::ProcessOptions process;
-  /// Wire-chaos conditions (net/chaos.h, the --chaos= knob).  Recoverable
-  /// chaos leaves samples and verdicts bit-identical to a clean run, so —
-  /// like the transport backend — the spec is not part of a campaign's
-  /// identity.  Ignored by the in-process backend (no wire to disturb).
-  net::ChaosSpec chaos = net::default_chaos_spec();
+  /// Wire-chaos conditions (net/chaos.h, the --chaos= knob; inert by
+  /// default).  Recoverable chaos leaves samples and verdicts bit-identical
+  /// to a clean run, so — like the transport backend — the spec is not part
+  /// of a campaign's identity.  Ignored by the in-process backend (no wire
+  /// to disturb).
+  net::ChaosSpec chaos;
+  /// Stall deadline for the socket and process backends (--net-timeout).
+  std::chrono::milliseconds net_timeout = net::kDefaultNetTimeout;
 };
 
 struct TrafficStats {

@@ -7,7 +7,7 @@
 //
 // Since the exec::Runner engine landed, this header is a thin facade: the
 // repetition loop, the seed derivation and the parallel sharding live in
-// exec/runner.h, and `threads` (0 = exec::default_threads()) only changes
+// exec/runner.h, and `threads` (0 = exec::run_config().threads) only changes
 // wall-clock time, never a single output bit.
 #pragma once
 

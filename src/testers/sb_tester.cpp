@@ -70,7 +70,7 @@ SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
 
   std::vector<std::pair<BitVec, BitVec>> real_pairs(options.samples);
   std::vector<std::pair<BitVec, BitVec>> ideal_pairs(options.samples);
-  exec::parallel_for(options.samples, exec::default_threads(), [&](std::size_t rep) {
+  exec::parallel_for(options.samples, exec::run_config().threads, [&](std::size_t rep) {
     const BitVec& x = xs[rep];
 
     // Real world.

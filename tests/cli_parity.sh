@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Parser parity: examples/explore and the bench drivers both route their
-# option handling through exec::configure_threads' strict parser, so the
+# option handling through exec::configure's strict parser, so the
 # same garbage input must be rejected identically — exit code 2 — by both
 # front doors.  A drift here means one of them grew a lenient hand-rolled
 # path again (the bug this test pins: explore used to silently ignore
@@ -55,6 +55,33 @@ check "chaos loss over 1"      --chaos=loss:1.5
 check "chaos bad delay kind"   --chaos=delay:gauss:1
 check "chaos without a wire condition" --chaos=budget:3
 check "repeated chaos"         --chaos=loss:0.1 --chaos=loss:0.1
+
+# Explore-only rows: explore's own options (--n, --samples, --seed,
+# --corrupt) and distribution specs go through the run knobs' strict number
+# parsing, so garbage exits 2 with the usage line instead of aborting on an
+# uncaught exception (exit 134) or silently truncating ("3x" -> 3) or
+# wrapping ("-1" -> 2^64-1).
+check_explore() {
+  desc=$1
+  shift
+  "$explore" "$@" >/dev/null 2>&1
+  a=$?
+  if [ "$a" -ne 2 ]; then
+    echo "FAIL [$desc]: explore exit $a (want 2)" >&2
+    fail=1
+  else
+    echo "ok   [$desc]: explore exit 2"
+  fi
+}
+
+check_explore "malformed party count"     gennaro none uniform --n=abc
+check_explore "trailing-junk party count" gennaro none uniform --n=3x
+check_explore "malformed sample count"    gennaro none uniform --samples=x
+check_explore "negative sample count"     gennaro none uniform --samples=-1
+check_explore "negative seed"             gennaro none uniform --seed=-1
+check_explore "malformed corrupt list"    gennaro none uniform --corrupt=a
+check_explore "malformed singleton bits"  gennaro none singleton:10x1
+check_explore "malformed product entry"   gennaro none product:0.5,x
 
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore

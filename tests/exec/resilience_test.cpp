@@ -198,7 +198,6 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
   const ShutdownGuard guard;
   const auto dir = scratch_dir("matrix");
   const auto ens = dist::make_uniform(4);
-  ASSERT_EQ(unsetenv("SIMULCAST_TRACE"), 0);
 
   std::size_t label = 0;
   for (const std::string& name : core::protocol_names()) {
@@ -214,8 +213,8 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
     ASSERT_EQ(baseline.report.completed, count) << name;
 
     for (const bool tracing : {false, true}) {
-      obs::set_default_trace_path(tracing ? "trace-on" : "");
-      obs::clear_trace();
+      obs::set_trace_enabled(tracing);
+      obs::clear_events();
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         const std::string ckpt = (dir / ("m" + std::to_string(label++) + ".ckpt")).string();
         BatchOptions options;
@@ -242,9 +241,9 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
         EXPECT_FALSE(std::filesystem::exists(ckpt))
             << context << ": completed batch must remove its checkpoint";
       }
-      (void)obs::drain_trace();
+      obs::clear_events();
     }
-    obs::set_default_trace_path("");
+    obs::set_trace_enabled(false);
   }
 }
 
@@ -568,9 +567,9 @@ TEST(Shutdown, SigintDrainsFlushesCheckpointAndResumes) {
 // The bug this pins: the graceful-shutdown drain used to flush only the
 // checkpoint, so an interrupted campaign that never reached
 // finish_experiment lost its entire event log and heartbeat stream.  After
-// a REAL SIGINT lands mid-batch, run_batch's drain path must flush every
-// registered obs sink: the log file exists and narrates the drain, the
-// status stream exists and its last heartbeat is final.
+// a REAL SIGINT lands mid-batch, run_batch's drain path must flush the log
+// and status sinks of its RunConfig: the log file exists and narrates the
+// drain, the status stream exists and its last heartbeat is final.
 TEST(Shutdown, SigintDrainFlushesTelemetrySinks) {
   const ShutdownGuard guard;
   // The library handler is one-shot per process (it restores SIG_DFL after
@@ -580,23 +579,22 @@ TEST(Shutdown, SigintDrainFlushesTelemetrySinks) {
   const auto dir = scratch_dir("sigint_sinks");
   const std::string log_path = (dir / "campaign.log").string();
   const std::string status_path = (dir / "status.jsonl").string();
-  obs::clear_log();
+  obs::clear_events();
   obs::clear_status();
-  obs::set_default_log_path(log_path);
-  obs::set_default_status_path(status_path);
-  obs::set_default_status_interval(0.002);
+  RunConfig config;
+  config.log_path = log_path;
+  config.status_path = status_path;
+  config.status_interval = 0.002;
+  config.batch.checkpoint_path = (dir / "sinks.ckpt").string();
+  obs::set_log_enabled(true);
   const auto ens = dist::make_uniform(4);
 
   const RaisingProtocol raising(2 * 4 + 1);  // SIGINT from rep 2's first party
   RunSpec spec = spec_for(raising, 4);
-  BatchOptions options;
-  options.checkpoint_path = (dir / "sinks.ckpt").string();
-  const BatchResult interrupted = Runner(1).set_options(options).run_batch(spec, *ens, 10, 3);
+  const BatchResult interrupted = Runner(1, config).run_batch(spec, *ens, 10, 3);
   std::signal(SIGINT, SIG_DFL);
-  obs::set_default_log_path("");
-  obs::set_default_status_path("");
-  obs::set_default_status_interval(1.0);
-  obs::clear_log();
+  obs::set_log_enabled(false);
+  obs::clear_events();
   obs::clear_status();
 
   EXPECT_TRUE(interrupted.report.partial);
@@ -616,25 +614,22 @@ TEST(Shutdown, SigintDrainFlushesTelemetrySinks) {
   EXPECT_NE(status_text.find("\"final\":true"), std::string::npos) << status_text;
 }
 
-// apply_resilience_knob installs the process defaults that Runner()
-// snapshots — the path by which the CLI knobs reach every driver.
+// The resilience knobs land in the parsed RunConfig's BatchOptions, which
+// a Runner built from that config snapshots — the path by which the CLI
+// knobs reach every driver.
 TEST(ResilienceKnobs, ApplyAndSnapshot) {
-  const ShutdownGuard guard;
-  const BatchOptions saved = default_batch_options();
-  EXPECT_FALSE(apply_resilience_knob("--threads=4"));  // not ours
-  EXPECT_TRUE(apply_resilience_knob("--checkpoint=/tmp/c.ckpt"));
-  EXPECT_TRUE(apply_resilience_knob("--resume"));
-  EXPECT_TRUE(apply_resilience_knob("--rep-timeout=1.5"));
-  EXPECT_TRUE(apply_resilience_knob("--retries=3"));
-  const BatchOptions& installed = default_batch_options();
-  EXPECT_EQ(installed.checkpoint_path, "/tmp/c.ckpt");
-  EXPECT_TRUE(installed.resume);
-  EXPECT_DOUBLE_EQ(installed.rep_timeout, 1.5);
-  EXPECT_EQ(installed.retries, 3);
-  EXPECT_TRUE(installed.quarantine) << "--retries/--rep-timeout imply quarantine";
-  EXPECT_EQ(Runner(1).options().checkpoint_path, "/tmp/c.ckpt");  // snapshot at construction
-  set_default_batch_options(saved);
-  EXPECT_TRUE(Runner(1).options().checkpoint_path.empty());
+  std::vector<const char*> args = {"driver",          "--checkpoint=/tmp/c.ckpt", "--resume",
+                                   "--rep-timeout=1.5", "--retries=3",            "--stop-after=7"};
+  const RunConfig config =
+      parse_run_config(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  EXPECT_EQ(config.batch.checkpoint_path, "/tmp/c.ckpt");
+  EXPECT_TRUE(config.batch.resume);
+  EXPECT_DOUBLE_EQ(config.batch.rep_timeout, 1.5);
+  EXPECT_EQ(config.batch.retries, 3);
+  EXPECT_TRUE(config.batch.quarantine) << "--retries/--rep-timeout imply quarantine";
+  EXPECT_EQ(config.stop_after, 7u);
+  EXPECT_EQ(Runner(1, config).options().checkpoint_path, "/tmp/c.ckpt");
+  EXPECT_TRUE(Runner(1, RunConfig{}).options().checkpoint_path.empty());
 }
 
 }  // namespace

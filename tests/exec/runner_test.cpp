@@ -157,23 +157,20 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
   const auto ens = dist::make_uniform(4);
   constexpr std::size_t kReps = 24;
 
-  ASSERT_EQ(unsetenv("SIMULCAST_TRACE"), 0);
-  obs::set_default_trace_path("");
-  obs::clear_trace();
-  ASSERT_FALSE(obs::trace_enabled());
+  obs::set_trace_enabled(false);
+  obs::clear_events();
   obs::Metrics::global().reset();
   const auto baseline = testers::collect_batch(spec, *ens, kReps, 7, 1);
   const std::string baseline_json = obs::to_json(canonical_record(baseline.report));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    obs::set_default_trace_path("trace-on");  // flips the flag; nothing is written
-    obs::clear_trace();
-    ASSERT_TRUE(obs::trace_enabled());
+    obs::set_trace_enabled(true);
+    obs::clear_events();
     obs::Metrics::global().reset();
     const auto traced = testers::collect_batch(spec, *ens, kReps, 7, threads);
     const std::string traced_json = obs::to_json(canonical_record(traced.report));
-    const std::vector<obs::TraceEvent> events = obs::drain_trace();
-    obs::set_default_trace_path("");
+    const std::vector<obs::Event> events = obs::drain_events(obs::EventKind::kTrace);
+    obs::set_trace_enabled(false);
 
     EXPECT_FALSE(events.empty()) << "traced run must actually record spans";
     ASSERT_EQ(baseline.samples.size(), traced.samples.size()) << threads;
@@ -200,9 +197,8 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
   const auto ens = dist::make_uniform(5);
   constexpr std::size_t kReps = 24;
 
-  ASSERT_EQ(unsetenv("SIMULCAST_TRACE"), 0);
-  obs::set_default_trace_path("");
-  obs::clear_trace();
+  obs::set_trace_enabled(false);
+  obs::clear_events();
   const auto baseline = testers::collect_batch(spec, *ens, kReps, 13, 1);
   std::size_t faults_seen = 0;
   for (const Sample& s : baseline.samples)
@@ -210,9 +206,8 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
   EXPECT_GT(faults_seen, 0u) << "the plan must actually inject faults";
 
   for (const bool tracing : {false, true}) {
-    obs::set_default_trace_path(tracing ? "trace-on" : "");
-    obs::clear_trace();
-    ASSERT_EQ(obs::trace_enabled(), tracing);
+    obs::set_trace_enabled(tracing);
+    obs::clear_events();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       const auto rerun = testers::collect_batch(spec, *ens, kReps, 13, threads);
       ASSERT_EQ(baseline.samples.size(), rerun.samples.size());
@@ -224,42 +219,45 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
       EXPECT_EQ(baseline.report.traffic.blocked, rerun.report.traffic.blocked);
       EXPECT_EQ(baseline.report.traffic.crashed, rerun.report.traffic.crashed);
     }
-    (void)obs::drain_trace();
+    obs::clear_events();
   }
-  obs::set_default_trace_path("");
+  obs::set_trace_enabled(false);
 }
 
-// An empty RunSpec plan falls back to the process default; an installed
-// default must reach every execution and clear cleanly.
+// An empty RunSpec plan falls back to the Runner's RunConfig plan, which
+// must reach every execution.
 TEST(Runner, DefaultFaultPlanReachesBatches) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
 
-  sim::FaultPlan plan;
-  plan.crashes.push_back({1, 0});
-  set_default_fault_plan(plan);
-  const auto faulty = testers::collect_batch(spec, *ens, 4, 5, 1);
-  set_default_fault_plan({});
+  RunConfig config;
+  config.faults.crashes.push_back({1, 0});
+  const auto faulty = Runner(1, config).run_batch(spec, *ens, 4, 5);
   EXPECT_EQ(faulty.report.traffic.crashed, 4u) << "party 1 crashes once per execution";
 
-  const auto clean = testers::collect_batch(spec, *ens, 4, 5, 1);
+  const auto clean = Runner(1, RunConfig{}).run_batch(spec, *ens, 4, 5);
   EXPECT_EQ(clean.report.traffic.crashed, 0u);
-  EXPECT_TRUE(default_fault_plan().empty());
+}
+
+RunConfig parse_args(std::vector<const char*> args) {
+  args.insert(args.begin(), "driver");
+  return parse_run_config(static_cast<int>(args.size()), const_cast<char**>(args.data()));
 }
 
 // Garbage in SIMULCAST_THREADS must abort loudly (exit 2), never silently
-// truncate ("4abc" -> 4) or fall back to serial ("abc" -> 1).
+// truncate ("4abc" -> 4) or fall back to serial ("abc" -> 1).  The command
+// line wins over the environment.
 TEST(EnvThreadsDeathTest, RejectsMalformedValues) {
-  set_default_threads(0);  // route default_threads() through the env lookup
   for (const char* bad : {"4abc", "abc", "-2", "0"}) {
     ASSERT_EQ(setenv("SIMULCAST_THREADS", bad, 1), 0);
-    EXPECT_EXIT((void)default_threads(), testing::ExitedWithCode(2), "SIMULCAST_THREADS")
-        << bad;
+    EXPECT_EXIT((void)parse_args({}), testing::ExitedWithCode(2), "SIMULCAST_THREADS") << bad;
   }
   ASSERT_EQ(setenv("SIMULCAST_THREADS", "3", 1), 0);
-  EXPECT_EQ(default_threads(), 3u);
+  EXPECT_EQ(parse_args({}).threads, 3u);
+  EXPECT_EQ(parse_args({"--threads=5"}).threads, 5u);
   ASSERT_EQ(unsetenv("SIMULCAST_THREADS"), 0);
+  EXPECT_EQ(parse_args({}).threads, 1u);
 }
 
 /// A protocol whose machines cannot be built: exercises exception flow out
@@ -313,12 +311,13 @@ TEST(ParallelFor, MoreThreadsThanWork) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// A Runner takes its width from its RunConfig unless given one explicitly.
 TEST(DefaultThreads, OverrideAndClear) {
-  set_default_threads(5);
-  EXPECT_EQ(default_threads(), 5u);
-  EXPECT_EQ(Runner().threads(), 5u);
-  EXPECT_EQ(Runner(3).threads(), 3u);
-  set_default_threads(0);  // back to env / serial
+  RunConfig config;
+  config.threads = 5;
+  EXPECT_EQ(Runner(0, config).threads(), 5u);
+  EXPECT_EQ(Runner(3, config).threads(), 3u);
+  EXPECT_EQ(Runner(0, RunConfig{}).threads(), 1u);
 }
 
 // Session-level sweeps ride the same engine: a sharded batch must equal the
@@ -411,10 +410,7 @@ TEST(Merge, CombinesResilienceAccounting) {
 // campaign actually ran with.  Same rule for every knob class, including
 // the resilience ones.
 TEST(ConfigureThreadsDeathTest, DuplicateKnobExitsWithUsage) {
-  const auto run = [](std::vector<const char*> args) {
-    args.insert(args.begin(), "driver");
-    (void)configure_threads(static_cast<int>(args.size()), const_cast<char**>(args.data()));
-  };
+  const auto run = [](std::vector<const char*> args) { (void)parse_args(std::move(args)); };
   EXPECT_EXIT(run({"--threads=2", "--threads=8"}), testing::ExitedWithCode(2),
               "duplicate argument '--threads'");
   EXPECT_EXIT(run({"--json=a.json", "--json=b.json"}), testing::ExitedWithCode(2),
@@ -423,22 +419,15 @@ TEST(ConfigureThreadsDeathTest, DuplicateKnobExitsWithUsage) {
               "duplicate argument '--retries'");
   EXPECT_EXIT(run({"--resume", "--checkpoint=c.ckpt", "--resume"}), testing::ExitedWithCode(2),
               "duplicate argument '--resume'");
-  // Different knobs on one line stay legal (exercised in the child so the
-  // installed defaults don't leak into this process).
-  EXPECT_EXIT(
-      {
-        run({"--threads=2", "--json=a.json"});
-        std::exit(42);
-      },
-      testing::ExitedWithCode(42), "");
+  // Different knobs on one line stay legal.
+  const RunConfig config = parse_args({"--threads=2", "--json=a.json"});
+  EXPECT_EQ(config.threads, 2u);
+  EXPECT_EQ(config.json_path, "a.json");
 }
 
 TEST(ConfigureThreadsDeathTest, ResumeRequiresCheckpoint) {
-  const auto run = [](std::vector<const char*> args) {
-    args.insert(args.begin(), "driver");
-    (void)configure_threads(static_cast<int>(args.size()), const_cast<char**>(args.data()));
-  };
-  EXPECT_EXIT(run({"--resume"}), testing::ExitedWithCode(2), "--resume requires --checkpoint");
+  EXPECT_EXIT((void)parse_args({"--resume"}), testing::ExitedWithCode(2),
+              "--resume requires --checkpoint");
 }
 
 // parallel_for's documented error contract: when several workers throw, the

@@ -314,18 +314,6 @@ TEST(WorkerChannelErrors, FrameCapViolationNamesTypeLengthAndChannel) {
 
 // ------------------------------------------------ socket backend chaos ----
 
-/// Restores the process-wide stall deadline on scope exit.
-class ScopedNetTimeout {
- public:
-  explicit ScopedNetTimeout(std::chrono::milliseconds timeout) : saved_(default_net_timeout()) {
-    set_default_net_timeout(timeout);
-  }
-  ~ScopedNetTimeout() { set_default_net_timeout(saved_); }
-
- private:
-  std::chrono::milliseconds saved_;
-};
-
 sim::Message random_traffic_message(stats::Rng& rng, std::size_t n, std::size_t round) {
   sim::Message m;
   m.from = rng.below(n);
@@ -395,8 +383,7 @@ TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
 }
 
 TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
-  const ScopedNetTimeout fast(std::chrono::milliseconds(400));
-  SocketTransport transport;
+  SocketTransport transport(std::chrono::milliseconds(400));
   transport.configure_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
   transport.open(2, 1);
   transport.submit(sim::Message{0, 1, 0, "t", {1}}, 0);

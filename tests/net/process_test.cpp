@@ -126,7 +126,8 @@ void expect_same_result(const sim::ExecutionResult& a, const sim::ExecutionResul
 }
 
 sim::ExecutionResult run_chatter(TransportKind kind, const sim::FaultPlan& plan,
-                                 std::uint64_t seed, const ProcessOptions& process = {}) {
+                                 std::uint64_t seed, const ProcessOptions& process = {},
+                                 std::chrono::milliseconds net_timeout = kDefaultNetTimeout) {
   ChatterProtocol proto;
   adversary::AdversaryFactory factory = adversary::silent_factory();
   auto adv = factory();
@@ -137,6 +138,7 @@ sim::ExecutionResult run_chatter(TransportKind kind, const sim::FaultPlan& plan,
   config.faults = plan;
   config.transport = kind;
   config.process = process;
+  config.net_timeout = net_timeout;
   BitVec inputs(5);
   inputs.set(1, true);
   inputs.set(3, true);
@@ -152,31 +154,6 @@ void expect_no_zombies() {
   EXPECT_EQ(got, -1) << "an unreaped child (pid " << got << ") survived the failure path";
   EXPECT_EQ(errno, ECHILD);
 }
-
-/// Restores the process-wide stall deadline on scope exit (the mute-worker
-/// test shortens it so the negative path stays fast).
-class ScopedNetTimeout {
- public:
-  explicit ScopedNetTimeout(std::chrono::milliseconds timeout) : saved_(default_net_timeout()) {
-    set_default_net_timeout(timeout);
-  }
-  ~ScopedNetTimeout() { set_default_net_timeout(saved_); }
-
- private:
-  std::chrono::milliseconds saved_;
-};
-
-/// Restores the process-wide transport knob on scope exit.
-class ScopedTransportDefault {
- public:
-  explicit ScopedTransportDefault(TransportKind kind) : saved_(default_transport_kind()) {
-    set_default_transport_kind(kind);
-  }
-  ~ScopedTransportDefault() { set_default_transport_kind(saved_); }
-
- private:
-  TransportKind saved_;
-};
 
 // ---------------------------------------------------- knob spelling ----
 
@@ -329,10 +306,11 @@ TEST(ProcessTransport, RunnerBatchIdenticalAcrossThreadCounts) {
   input.set(4, true);
 
   const exec::BatchResult baseline = exec::Runner(1).run_batch(spec, input, 12, kMasterSeed);
+  exec::RunConfig config;
+  config.transport = TransportKind::kProcess;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const ScopedTransportDefault guard(TransportKind::kProcess);
     const exec::BatchResult process =
-        exec::Runner(threads).run_batch(spec, input, 12, kMasterSeed);
+        exec::Runner(threads, config).run_batch(spec, input, 12, kMasterSeed);
     ASSERT_EQ(process.samples.size(), baseline.samples.size()) << "threads " << threads;
     for (std::size_t i = 0; i < baseline.samples.size(); ++i) {
       const exec::Sample& a = baseline.samples[i];
@@ -434,15 +412,35 @@ TEST(ProcessTransport, GarbageHelloIsRejectedAtTheHandshake) {
 }
 
 TEST(ProcessTransport, WorkerThatNeverHandshakesFailsWithinTheStallDeadline) {
-  const ScopedNetTimeout deadline(std::chrono::seconds(1));
   ProcessOptions options;
   options.tweak = ProcessOptions::HandshakeTweak::kMute;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)run_chatter(TransportKind::kProcess, {}, 5, options), ProtocolError);
+  EXPECT_THROW(
+      (void)run_chatter(TransportKind::kProcess, {}, 5, options, std::chrono::seconds(1)),
+      ProtocolError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::seconds(20))
       << "a mute worker must trip the 1s stall deadline, not hang";
   expect_no_zombies();
+}
+
+// Worker argv is parsed strictly: a malformed descriptor must not become fd
+// 0 (stdin as the coordinator channel) and a garbage timeout must not be
+// ignored.  Both are rejected with exit code 3 before any descriptor is
+// touched, which is why maybe_worker_main can run in-process here.
+TEST(ProcessTransport, MalformedWorkerArgvIsRejected) {
+  const auto run = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "worker");
+    return maybe_worker_main(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  };
+  for (const char* fd :
+       {"--simulcast-worker-fd=abc", "--simulcast-worker-fd=", "--simulcast-worker-fd=-1",
+        "--simulcast-worker-fd=3x", "--simulcast-worker-fd=99999999999"})
+    EXPECT_EQ(run({fd}), 3) << fd;
+  for (const char* timeout : {"--simulcast-net-timeout=abc", "--simulcast-net-timeout=0",
+                              "--simulcast-net-timeout=-5", "--simulcast-net-timeout=5s"})
+    EXPECT_EQ(run({"--simulcast-worker-fd=3", timeout}), 3) << timeout;
+  EXPECT_EQ(run({"--simulcast-net-timeout=abc"}), -1) << "no fd flag: not a worker invocation";
 }
 
 TEST(ProcessTransport, UnknownProtocolIsRejectedAtTheHandshake) {

@@ -223,19 +223,6 @@ TEST(Transport, ExecutionIdenticalAcrossBackendsUnderFaults) {
 
 // ------------------------------------------------ batch invariance ----
 
-/// Restores the process-wide transport knob on scope exit, so a failing
-/// assertion cannot leak the socket default into later tests.
-class ScopedTransportDefault {
- public:
-  explicit ScopedTransportDefault(TransportKind kind) : saved_(default_transport_kind()) {
-    set_default_transport_kind(kind);
-  }
-  ~ScopedTransportDefault() { set_default_transport_kind(saved_); }
-
- private:
-  TransportKind saved_;
-};
-
 TEST(Transport, RunnerBatchIdenticalAcrossBackendsAndThreadCounts) {
   ChatterProtocol proto;
   static const crypto::HashCommitmentScheme scheme;
@@ -250,9 +237,11 @@ TEST(Transport, RunnerBatchIdenticalAcrossBackendsAndThreadCounts) {
   input.set(4, true);
 
   const exec::BatchResult baseline = exec::Runner(1).run_batch(spec, input, 12, kMasterSeed);
+  exec::RunConfig config;
+  config.transport = TransportKind::kSocket;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const ScopedTransportDefault guard(TransportKind::kSocket);
-    const exec::BatchResult socket = exec::Runner(threads).run_batch(spec, input, 12, kMasterSeed);
+    const exec::BatchResult socket =
+        exec::Runner(threads, config).run_batch(spec, input, 12, kMasterSeed);
     ASSERT_EQ(socket.samples.size(), baseline.samples.size()) << "threads " << threads;
     for (std::size_t i = 0; i < baseline.samples.size(); ++i) {
       const exec::Sample& a = baseline.samples[i];
@@ -266,6 +255,18 @@ TEST(Transport, RunnerBatchIdenticalAcrossBackendsAndThreadCounts) {
     }
     expect_same_traffic(baseline.report.traffic, socket.report.traffic);
   }
+}
+
+// Embedders that never parse a command line (the benchmark harness) pick
+// the backend with net::set_default_transport_kind before constructing a
+// Runner, whose default config is exec::run_config(): it must report the
+// live default, not the transport installed at start-up.
+TEST(Transport, RunnerFollowsTheNetDefaultTransport) {
+  set_default_transport_kind(TransportKind::kSocket);
+  const TransportKind seen = exec::run_config().transport;
+  set_default_transport_kind(TransportKind::kInProcess);
+  EXPECT_EQ(seen, TransportKind::kSocket);
+  EXPECT_EQ(exec::run_config().transport, TransportKind::kInProcess);
 }
 
 }  // namespace

@@ -33,7 +33,6 @@
 #include "obs/records.h"
 #include "obs/status.h"
 #include "obs/trace.h"
-#include "testers/monte_carlo.h"
 
 namespace simulcast {
 namespace {
@@ -132,23 +131,18 @@ TEST(Percentile, RegistryHistogramRoundTrip) {
 
 // ------------------------------------------------------------- event log ----
 
-/// RAII: telemetry sinks off and buffers clean on both sides of a test,
+/// RAII: event gates closed and buffers clean on both sides of a test,
 /// even on assertion failure.
 struct TelemetryGuard {
   TelemetryGuard() { reset(); }
   ~TelemetryGuard() { reset(); }
   static void reset() {
-    ASSERT_EQ(unsetenv("SIMULCAST_LOG"), 0);
-    ASSERT_EQ(unsetenv("SIMULCAST_STATUS"), 0);
-    ASSERT_EQ(unsetenv("SIMULCAST_TRACE"), 0);
-    obs::set_default_log_path("");
-    obs::set_default_status_path("");
-    obs::set_default_trace_path("");
+    obs::set_log_enabled(false);
+    obs::set_trace_enabled(false);
     obs::set_current_campaign(0);
     obs::set_current_exec(0);
-    obs::clear_log();
+    obs::clear_events();
     obs::clear_status();
-    obs::clear_trace();
     obs::clear_campaigns();
   }
 };
@@ -175,13 +169,13 @@ TEST(Log, DisabledSinkRecordsNothing) {
   const TelemetryGuard guard;
   ASSERT_FALSE(obs::log_enabled());
   obs::log_event(obs::LogLevel::kInfo, "ignored-event", {{"a", 1}});
-  EXPECT_TRUE(obs::drain_log().empty());
-  EXPECT_EQ(obs::flush_log(), "");  // no sink: nothing written, no throw
+  EXPECT_TRUE(obs::drain_events(obs::EventKind::kLog).empty());
+  EXPECT_EQ(obs::flush_log(""), "");  // no sink: nothing written, no throw
 }
 
 TEST(Log, RecordsLevelsArgsAndCorrelationIds) {
   const TelemetryGuard guard;
-  obs::set_default_log_path("log-on");  // flips the flag; nothing written
+  obs::set_log_enabled(true);
   ASSERT_TRUE(obs::log_enabled());
   obs::set_current_campaign(0xE0);
   obs::set_current_exec(0xBEEF);
@@ -189,9 +183,9 @@ TEST(Log, RecordsLevelsArgsAndCorrelationIds) {
   obs::set_current_exec(0);
   obs::log_event(obs::LogLevel::kDebug, "second-event");
 
-  const std::vector<obs::LogRecord> records = obs::drain_log();
+  const std::vector<obs::Event> records = obs::drain_events(obs::EventKind::kLog);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_STREQ(records[0].event, "unit-event");
+  EXPECT_STREQ(records[0].name, "unit-event");
   EXPECT_EQ(records[0].level, obs::LogLevel::kWarn);
   EXPECT_EQ(records[0].campaign, 0xE0u);
   EXPECT_EQ(records[0].exec, 0xBEEFu);
@@ -206,8 +200,9 @@ TEST(Log, RecordsLevelsArgsAndCorrelationIds) {
 // The exact wire shape, pinned: one flat JSON object per line, correlation
 // ids as 16-hex strings or null, args inline, detail only when present.
 TEST(Log, LineRenderingIsPinned) {
-  obs::LogRecord record;
-  record.event = "net-stall";
+  obs::Event record;
+  record.name = "net-stall";
+  record.ph = 'L';
   record.level = obs::LogLevel::kError;
   record.lane = 3;
   record.ts_us = 42;
@@ -223,22 +218,38 @@ TEST(Log, LineRenderingIsPinned) {
             "\"detail\":\"peer went away\"}");
 }
 
-TEST(Log, RingOverflowDropsOldestAndCounts) {
+// Spans and log events share one per-thread store: at capacity the
+// thread's oldest event is overwritten, whatever its kind, and every loss
+// is counted in obs.dropped_events.
+TEST(Events, OverflowDropsOldestOfBothKindsAndCounts) {
   const TelemetryGuard guard;
-  obs::set_default_log_path("log-on");
+  obs::set_trace_enabled(true);
+  obs::set_log_enabled(true);
   obs::Metrics::global().reset();
-  constexpr std::size_t kCapacity = std::size_t{1} << 16;
+  constexpr std::size_t kCapacity = obs::kMaxEventsPerThread;
   constexpr std::size_t kExtra = 10;
-  for (std::size_t i = 0; i < kCapacity + kExtra; ++i)
-    obs::log_event(obs::LogLevel::kDebug, "flood", {{"i", i}});
-  const std::vector<obs::LogRecord> records = obs::drain_log();
-  ASSERT_EQ(records.size(), kCapacity);
-  // The oldest kExtra events were overwritten; the survivors start there.
-  EXPECT_EQ(records.front().arg_values[0], kExtra);
-  EXPECT_EQ(records.back().arg_values[0], kCapacity + kExtra - 1);
+  // Even i records a span, odd i a log event.
+  for (std::size_t i = 0; i < kCapacity + kExtra; ++i) {
+    if (i % 2 == 0) {
+      obs::TraceSpan span("flood");
+      span.arg("i", i);
+    } else {
+      obs::log_event(obs::LogLevel::kDebug, "flood", {{"i", i}});
+    }
+  }
+  const std::vector<obs::Event> spans = obs::drain_events(obs::EventKind::kTrace);
+  const std::vector<obs::Event> logs = obs::drain_events(obs::EventKind::kLog);
+  ASSERT_EQ(spans.size() + logs.size(), kCapacity);
+  ASSERT_EQ(spans.size(), kCapacity / 2);
+  // The oldest kExtra events, five of each kind, were overwritten; the
+  // survivors run from there to the newest.
+  EXPECT_EQ(spans.front().arg_values[0], kExtra);
+  EXPECT_EQ(logs.front().arg_values[0], kExtra + 1);
+  EXPECT_EQ(spans.back().arg_values[0], kCapacity + kExtra - 2);
+  EXPECT_EQ(logs.back().arg_values[0], kCapacity + kExtra - 1);
   std::uint64_t dropped = 0;
   for (const obs::CounterSnapshot& c : obs::Metrics::global().snapshot().counters)
-    if (c.name == "obs.log_dropped_events") dropped = c.value;
+    if (c.name == "obs.dropped_events") dropped = c.value;
   EXPECT_EQ(dropped, kExtra);
 }
 
@@ -246,13 +257,13 @@ TEST(Log, FlushAppendsAcrossBatches) {
   const TelemetryGuard guard;
   const auto dir = scratch_dir("log_flush");
   const std::string path = (dir / "campaign.log").string();
-  obs::set_default_log_path(path);
+  obs::set_log_enabled(true);
   obs::log_event(obs::LogLevel::kInfo, "first");
   obs::log_event(obs::LogLevel::kInfo, "second");
-  EXPECT_EQ(obs::flush_log(), path);
+  EXPECT_EQ(obs::flush_log(path), path);
   EXPECT_EQ(read_lines(path).size(), 2u);
   obs::log_event(obs::LogLevel::kInfo, "third");
-  EXPECT_EQ(obs::flush_log(), path);  // append, not truncate
+  EXPECT_EQ(obs::flush_log(path), path);  // append, not truncate
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[2].find("\"event\":\"third\""), std::string::npos);
@@ -298,11 +309,10 @@ TEST(Correlation, CampaignRegistryDedupsOrdersAndCaps) {
 // --------------------------------------------------------- status stream ----
 
 TEST(Status, IntervalMustBePositive) {
-  EXPECT_THROW(obs::set_default_status_interval(0.0), UsageError);
-  EXPECT_THROW(obs::set_default_status_interval(-1.0), UsageError);
-  obs::set_default_status_interval(2.5);
-  EXPECT_DOUBLE_EQ(obs::default_status_interval(), 2.5);
-  obs::set_default_status_interval(1.0);
+  EXPECT_THROW(obs::StatusReporter({}, "", 0.0), UsageError);
+  EXPECT_THROW(obs::StatusReporter({}, "", -1.0), UsageError);
+  { const obs::StatusReporter reporter({}, "", 2.5); }  // a positive period runs
+  obs::clear_status();
 }
 
 exec::RunSpec spec_for(const sim::ParallelBroadcastProtocol& proto, std::size_t n) {
@@ -315,18 +325,23 @@ exec::RunSpec spec_for(const sim::ParallelBroadcastProtocol& proto, std::size_t 
   return spec;
 }
 
+/// A RunConfig with a fast heartbeat into `status_path`.
+exec::RunConfig status_config(const std::string& status_path) {
+  exec::RunConfig config;
+  config.status_path = status_path;
+  config.status_interval = 0.002;
+  return config;
+}
+
 TEST(Status, HeartbeatStreamFromRealBatch) {
   const TelemetryGuard guard;
   const auto dir = scratch_dir("status_batch");
   const std::string path = (dir / "status.jsonl").string();
-  obs::set_default_status_path(path);
-  obs::set_default_status_interval(0.002);
 
   const auto proto = core::make_protocol("gennaro");
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 24, 7, 2);
-  obs::set_default_status_interval(1.0);
+  const auto batch = exec::Runner(2, status_config(path)).run_batch(spec, *ens, 24, 7);
   ASSERT_NE(batch.report.campaign, 0u);
 
   const std::vector<std::string> lines = read_lines(path);
@@ -359,15 +374,13 @@ TEST(Status, CompletedIsMonotoneAcrossBatches) {
   const TelemetryGuard guard;
   const auto dir = scratch_dir("status_multi");
   const std::string path = (dir / "status.jsonl").string();
-  obs::set_default_status_path(path);
-  obs::set_default_status_interval(0.002);
 
   const auto proto = core::make_protocol("gennaro");
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  (void)testers::collect_batch(spec, *ens, 10, 7, 1);
-  (void)testers::collect_batch(spec, *ens, 6, 8, 1);
-  obs::set_default_status_interval(1.0);
+  const exec::Runner runner(1, status_config(path));
+  (void)runner.run_batch(spec, *ens, 10, 7);
+  (void)runner.run_batch(spec, *ens, 6, 8);
 
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_FALSE(lines.empty());
@@ -392,7 +405,7 @@ bool same_sample(const exec::Sample& a, const exec::Sample& b) {
 /// The record a driver would emit, stripped of everything that may
 /// legitimately differ between a telemetry-on and a telemetry-off run: the
 /// metrics block entirely (telemetry registers its own counters, e.g.
-/// obs.log_dropped_events and exec.restored_slots, so counter sets differ
+/// obs.dropped_events and exec.restored_slots, so counter sets differ
 /// by construction) and the wall-clock fields.  Every remaining field is
 /// pinned by the never-perturbs contract.
 obs::ExperimentRecord canonical_record(const exec::BatchReport& report) {
@@ -422,23 +435,22 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
   constexpr std::size_t kReps = 16;
 
   ASSERT_FALSE(obs::log_enabled());
-  ASSERT_FALSE(obs::status_enabled());
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 7, 1);
+  const auto baseline = exec::Runner(1, exec::RunConfig{}).run_batch(spec, *ens, kReps, 7);
   ASSERT_NE(baseline.report.campaign, 0u);
   const std::string baseline_json = obs::to_json(canonical_record(baseline.report));
 
-  obs::set_default_log_path((dir / "campaign.log").string());
-  obs::set_default_status_path((dir / "status.jsonl").string());
-  obs::set_default_status_interval(0.002);
+  exec::RunConfig config = status_config((dir / "status.jsonl").string());
+  config.log_path = (dir / "campaign.log").string();
+  obs::set_log_enabled(true);
   std::size_t label = 0;
   for (const net::TransportKind kind : {net::TransportKind::kInProcess,
                                         net::TransportKind::kSocket}) {
-    net::set_default_transport_kind(kind);
+    config.transport = kind;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       const std::string context = std::string(net::transport_kind_name(kind)) +
                                   " threads=" + std::to_string(threads);
 
-      const auto telemetered = testers::collect_batch(spec, *ens, kReps, 7, threads);
+      const auto telemetered = exec::Runner(threads, config).run_batch(spec, *ens, kReps, 7);
       EXPECT_EQ(telemetered.report.campaign, baseline.report.campaign) << context;
       ASSERT_EQ(baseline.samples.size(), telemetered.samples.size()) << context;
       for (std::size_t i = 0; i < kReps; ++i)
@@ -448,15 +460,14 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
 
       // Interrupt at the halfway slot, then resume — still telemetry-on.
       const std::string ckpt = (dir / ("t" + std::to_string(label++) + ".ckpt")).string();
-      exec::BatchOptions options;
-      options.checkpoint_path = ckpt;
-      options.resume = true;
+      exec::RunConfig resumable = config;
+      resumable.batch.checkpoint_path = ckpt;
+      resumable.batch.resume = true;
       exec::clear_shutdown();
       exec::set_stop_after(kReps / 2);
-      (void)exec::Runner(threads).set_options(options).run_batch(spec, *ens, kReps, 7);
+      (void)exec::Runner(threads, resumable).run_batch(spec, *ens, kReps, 7);
       exec::clear_shutdown();
-      const auto resumed =
-          exec::Runner(threads).set_options(options).run_batch(spec, *ens, kReps, 7);
+      const auto resumed = exec::Runner(threads, resumable).run_batch(spec, *ens, kReps, 7);
       EXPECT_EQ(resumed.report.campaign, baseline.report.campaign) << context;
       for (std::size_t i = 0; i < kReps; ++i)
         EXPECT_TRUE(same_sample(baseline.samples[i], resumed.samples[i]))
@@ -464,8 +475,6 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
       EXPECT_EQ(baseline_json, obs::to_json(canonical_record(resumed.report))) << context;
     }
   }
-  net::set_default_transport_kind(net::TransportKind::kInProcess);
-  obs::set_default_status_interval(1.0);
   exec::clear_shutdown();
 }
 
@@ -478,17 +487,14 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   const TelemetryGuard guard;
   const auto dir = scratch_dir("join");
   const std::string status_path = (dir / "status.jsonl").string();
-  obs::set_default_trace_path("trace-on");  // flag only; we drain in-process
-  obs::set_default_log_path((dir / "campaign.log").string());
-  obs::set_default_status_path(status_path);
-  obs::set_default_status_interval(0.002);
+  obs::set_trace_enabled(true);  // we drain in-process
+  obs::set_log_enabled(true);
 
   const auto proto = core::make_protocol("gennaro");
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
   constexpr std::size_t kReps = 8;
-  const auto batch = testers::collect_batch(spec, *ens, kReps, 11, 2);
-  obs::set_default_status_interval(1.0);
+  const auto batch = exec::Runner(2, status_config(status_path)).run_batch(spec, *ens, kReps, 11);
 
   const std::uint64_t campaign = batch.report.campaign;
   ASSERT_NE(campaign, 0u);
@@ -503,7 +509,7 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   // Trace: every rep span names the campaign and one expected exec id, and
   // collectively the spans cover the whole batch.
   std::set<std::uint64_t> traced_execs;
-  for (const obs::TraceEvent& event : obs::drain_trace()) {
+  for (const obs::Event& event : obs::drain_events(obs::EventKind::kTrace)) {
     if (event.name == nullptr || std::string_view(event.name) != "rep") continue;
     std::uint64_t span_campaign = 0;
     std::uint64_t span_exec = 0;
@@ -519,8 +525,8 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
 
   // Log: the batch lifecycle events carry the campaign id.
   bool saw_begin = false;
-  for (const obs::LogRecord& record : obs::drain_log()) {
-    if (std::string_view(record.event) == "batch-begin" && record.campaign == campaign)
+  for (const obs::Event& record : obs::drain_events(obs::EventKind::kLog)) {
+    if (std::string_view(record.name) == "batch-begin" && record.campaign == campaign)
       saw_begin = true;
   }
   EXPECT_TRUE(saw_begin) << "batch-begin must be logged with the campaign id";

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,18 +21,17 @@ namespace {
 // ---------------------------------------------------------------- trace ----
 
 /// Scoped trace state: pins the enabled flag for one test and leaves the
-/// process disabled with empty buffers afterwards, so tests cannot leak
-/// events into each other regardless of the ambient SIMULCAST_TRACE.
+/// process disabled with an empty store afterwards, so tests cannot leak
+/// events into each other.
 class TraceSandbox {
  public:
   explicit TraceSandbox(bool enabled) {
-    unsetenv("SIMULCAST_TRACE");
-    set_default_trace_path(enabled ? "trace-sandbox" : "");
-    clear_trace();
+    set_trace_enabled(enabled);
+    clear_events();
   }
   ~TraceSandbox() {
-    set_default_trace_path("");
-    clear_trace();
+    set_trace_enabled(false);
+    clear_events();
   }
 };
 
@@ -45,7 +43,7 @@ TEST(Trace, DisabledRecordsNothing) {
     span.arg("rounds", 3);
   }
   trace_instant("tick", {{"bytes", 7}});
-  EXPECT_TRUE(drain_trace().empty());
+  EXPECT_TRUE(drain_events(EventKind::kTrace).empty());
 }
 
 TEST(Trace, SpanAndInstantShape) {
@@ -58,20 +56,20 @@ TEST(Trace, SpanAndInstantShape) {
   }
   trace_instant("tick", {{"bytes", 7}});
 
-  const std::vector<TraceEvent> events = drain_trace();
+  const std::vector<Event> events = drain_events(EventKind::kTrace);
   ASSERT_EQ(events.size(), 2u);
 
-  const TraceEvent& span = events[0];
+  const Event& span = events[0];
   EXPECT_STREQ(span.name, "work");
   EXPECT_EQ(span.ph, 'X');
-  EXPECT_EQ(span.tid, 0u);
+  EXPECT_EQ(span.lane, 0u);
   ASSERT_EQ(span.arg_count, 2);
   EXPECT_STREQ(span.arg_keys[0], "rounds");
   EXPECT_EQ(span.arg_values[0], 3u);
   EXPECT_STREQ(span.arg_keys[1], "bytes");
   EXPECT_EQ(span.arg_values[1], 160u);
 
-  const TraceEvent& instant = events[1];
+  const Event& instant = events[1];
   EXPECT_STREQ(instant.name, "tick");
   EXPECT_EQ(instant.ph, 'i');
   ASSERT_EQ(instant.arg_count, 1);
@@ -83,11 +81,11 @@ TEST(Trace, SpanDropsArgsBeyondCapacity) {
   const TraceSandbox sandbox(true);
   {
     TraceSpan span("work");
-    for (std::uint64_t a = 0; a < TraceEvent::kMaxArgs + 2; ++a) span.arg("k", a);
+    for (std::uint64_t a = 0; a < Event::kMaxArgs + 2; ++a) span.arg("k", a);
   }
-  const std::vector<TraceEvent> events = drain_trace();
+  const std::vector<Event> events = drain_events(EventKind::kTrace);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].arg_count, TraceEvent::kMaxArgs);
+  EXPECT_EQ(events[0].arg_count, Event::kMaxArgs);
 }
 
 TEST(Trace, LaneAssignmentTagsEvents) {
@@ -96,18 +94,18 @@ TEST(Trace, LaneAssignmentTagsEvents) {
   set_thread_lane(5);
   trace_instant("tick");
   set_thread_lane(0);
-  const std::vector<TraceEvent> events = drain_trace();
+  const std::vector<Event> events = drain_events(EventKind::kTrace);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].tid, 5u);
+  EXPECT_EQ(events[0].lane, 5u);
 }
 
 /// Hand-built events with fixed timestamps: the deterministic input for
 /// the sort and golden-document tests.
-std::vector<TraceEvent> fixed_events() {
-  TraceEvent span;
+std::vector<Event> fixed_events() {
+  Event span;
   span.name = "round";
   span.ph = 'X';
-  span.tid = 1;
+  span.lane = 1;
   span.ts_us = 10;
   span.dur_us = 25;
   span.arg_keys[0] = "round";
@@ -116,33 +114,33 @@ std::vector<TraceEvent> fixed_events() {
   span.arg_values[1] = 20;
   span.arg_count = 2;
 
-  TraceEvent instant;
+  Event instant;
   instant.name = "round-traffic";
   instant.ph = 'i';
-  instant.tid = 0;
+  instant.lane = 0;
   instant.ts_us = 40;
   instant.arg_keys[0] = "bytes";
   instant.arg_values[0] = 160;
   instant.arg_count = 1;
 
-  TraceEvent bare;
+  Event bare;
   bare.name = "finish_experiment";
   bare.ph = 'i';
-  bare.tid = 0;
+  bare.lane = 0;
   bare.ts_us = 55;
   return {span, instant, bare};
 }
 
 TEST(Trace, DrainMergesAndSortsByTimestamp) {
   const TraceSandbox sandbox(true);
-  for (const TraceEvent& event : {fixed_events()[2], fixed_events()[0], fixed_events()[1]})
+  for (const Event& event : {fixed_events()[2], fixed_events()[0], fixed_events()[1]})
     detail::record_event(event);
-  const std::vector<TraceEvent> events = drain_trace();
+  const std::vector<Event> events = drain_events(EventKind::kTrace);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].ts_us, 10u);
   EXPECT_EQ(events[1].ts_us, 40u);
   EXPECT_EQ(events[2].ts_us, 55u);
-  EXPECT_TRUE(drain_trace().empty()) << "drain must clear the buffers";
+  EXPECT_TRUE(drain_events(EventKind::kTrace).empty()) << "drain must clear the buffers";
 }
 
 std::string data_path(const std::string& name) {
@@ -197,9 +195,12 @@ TEST(Trace, WritesExactFileOrIntoDirectory) {
   fs::remove_all(dir);
 }
 
+// An empty path is "no sink": nothing is written and nothing is drained.
 TEST(Trace, WriteTraceWithoutSinkIsANoop) {
-  const TraceSandbox sandbox(false);
-  EXPECT_EQ(write_trace("E0/golden"), "");
+  const TraceSandbox sandbox(true);
+  trace_instant("tick");
+  EXPECT_EQ(write_trace("E0/golden", ""), "");
+  EXPECT_EQ(drain_events(EventKind::kTrace).size(), 1u);
 }
 
 // -------------------------------------------------------------- metrics ----
