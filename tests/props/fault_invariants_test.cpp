@@ -15,7 +15,11 @@
 // seed) plus the shrunk minimal plan.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "adversary/adversaries.h"
 #include "broadcast/parallel_broadcast.h"
@@ -29,15 +33,27 @@ namespace {
 
 /// One sweep per protocol; seq-broadcast-ds runs n Dolev-Strong instances
 /// with Lamport signatures, so it gets a smaller n to keep the suite fast.
+///
+/// The name is stored inline, not as a std::string: gtest prints a parameter
+/// without operator<< as its raw bytes, and those bytes become part of the
+/// registered test names.  A std::string would put an ASLR-randomized heap
+/// pointer and uninitialized small-buffer bytes there, so the names would
+/// change from one build to the next.
 struct ProtoCase {
-  std::string name;
-  std::size_t n;
+  char name[32] = {};
+  std::size_t n = 0;
 };
 
 std::vector<ProtoCase> proto_cases() {
   std::vector<ProtoCase> cases;
-  for (const std::string& name : core::protocol_names())
-    cases.push_back({name, name == "seq-broadcast-ds" ? std::size_t{3} : std::size_t{4}});
+  for (const std::string& name : core::protocol_names()) {
+    ProtoCase c;
+    if (name.size() >= sizeof c.name)
+      throw std::length_error("protocol name too long for ProtoCase: " + name);
+    name.copy(c.name, name.size());
+    c.n = name == "seq-broadcast-ds" ? 3 : 4;
+    cases.push_back(c);
+  }
   return cases;
 }
 
@@ -184,7 +200,7 @@ constexpr Golden kGolden[] = {
 TEST_P(FaultInvariantsTest, EmptyPlanReproducesGoldenOutputs) {
   const Golden* golden = nullptr;
   for (const Golden& g : kGolden)
-    if (GetParam().name == g.name) golden = &g;
+    if (std::string_view(GetParam().name) == g.name) golden = &g;
   ASSERT_NE(golden, nullptr) << "no golden row for " << GetParam().name
                              << " — a newly registered protocol needs one";
   ASSERT_EQ(golden->n, n_);
