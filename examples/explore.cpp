@@ -146,6 +146,11 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--seed=", 0) == 0)
       seed = count_arg("--seed", arg.substr(7), 0);
   }
+  // Chaos aimed past --n would disturb nothing while the record claimed it
+  // had (the in-process case already exited 2 in exec::configure).
+  if (config.chaos.party != net::ChaosSpec::kAllParties && config.chaos.party >= n)
+    usage("--chaos party:" + std::to_string(config.chaos.party) + " names no party of --n=" +
+          std::to_string(n));
   const sim::FaultPlan& faults = config.faults;
 
   try {

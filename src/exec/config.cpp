@@ -206,6 +206,9 @@ RunConfig parse_run_config(int argc, char** argv,
   }
   if (config.batch.resume && config.batch.checkpoint_path.empty())
     usage_exit("--resume requires --checkpoint=PATH (nowhere to load the checkpoint from)");
+  if (config.chaos.enabled() && config.transport == net::TransportKind::kInProcess)
+    usage_exit("--chaos needs a wire to disturb: add --transport=socket or --transport=process "
+               "(the in-process backend moves no bytes)");
   return config;
 }
 

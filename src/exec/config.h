@@ -94,7 +94,8 @@ struct RunConfig {
 /// malformed value, an unrecognized argument (a silently ignored
 /// "--thread=4" runs the whole experiment serially) or a repeated knob
 /// (which of "--threads=2 --threads=8" ran?) exits 2 with the usage line,
-/// as does --resume without --checkpoint.  Arguments matching one of the
+/// as do --resume without --checkpoint and --chaos on the in-process
+/// backend (no wire to disturb).  Arguments matching one of the
 /// `pass_through` prefixes are left for the caller's own parser (the micro
 /// benches pass {"--benchmark_"}).
 [[nodiscard]] RunConfig parse_run_config(int argc, char** argv,

@@ -551,9 +551,18 @@ Runner::Runner(std::size_t threads, RunConfig config) : config_(std::move(config
   if (threads != 0) config_.threads = threads;
 }
 
+void Runner::validate(const RunSpec& spec) const {
+  if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
+  const net::ChaosSpec& chaos = config_.chaos;
+  if (chaos.enabled() && chaos.party != net::ChaosSpec::kAllParties &&
+      chaos.party >= spec.params.n)
+    throw UsageError("exec::Runner: chaos party:" + std::to_string(chaos.party) +
+                     " names no party of an n=" + std::to_string(spec.params.n) + " execution");
+}
+
 BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& ensemble,
                               std::size_t count, std::uint64_t seed) const {
-  if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
+  validate(spec);
   if (ensemble.bits() != spec.params.n) throw UsageError("exec::Runner: ensemble width != n");
   const stats::Rng master(seed);
   stats::Rng input_rng = master.fork("inputs");
@@ -573,7 +582,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& en
 
 BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::size_t count,
                               std::uint64_t seed) const {
-  if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
+  validate(spec);
   if (input.size() != spec.params.n) throw UsageError("exec::Runner: input width != n");
   return run_prepared(spec, config_, [&input](std::size_t) -> const BitVec& { return input; },
                       fork_seeds(seed, "exec-fixed", count));
@@ -581,7 +590,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::siz
 
 BatchResult Runner::run_batch(const RunSpec& spec, const std::vector<BitVec>& inputs,
                               const std::vector<std::uint64_t>& seeds) const {
-  if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
+  validate(spec);
   if (inputs.size() != seeds.size())
     throw UsageError("exec::Runner: inputs.size() != seeds.size()");
   for (const BitVec& input : inputs)

@@ -221,6 +221,11 @@ class Runner {
                                       const std::vector<std::uint64_t>& seeds) const;
 
  private:
+  /// Usage errors caught before any sampling: a null protocol, or a chaos
+  /// spec whose party:ID names no party of the execution (it would disturb
+  /// nothing while the record claimed it had).
+  void validate(const RunSpec& spec) const;
+
   RunConfig config_;
 };
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -62,6 +64,18 @@ std::string fmt_number(double value) {
   os << value;
   return os.str();
 }
+
+/// Every ChaosStats column with the net.chaos.* counter it feeds.
+constexpr std::pair<std::size_t ChaosStats::*, const char*> kColumns[] = {
+    {&ChaosStats::dropped, "net.chaos.dropped"},
+    {&ChaosStats::duplicated, "net.chaos.duplicated"},
+    {&ChaosStats::reordered, "net.chaos.reordered"},
+    {&ChaosStats::delayed, "net.chaos.delayed"},
+    {&ChaosStats::corrupted, "net.chaos.corrupted"},
+    {&ChaosStats::corrupt_rejected, "net.chaos.corrupt_rejected"},
+    {&ChaosStats::retransmits, "net.chaos.retransmits"},
+    {&ChaosStats::budget_exhausted, "net.chaos.budget_exhausted"},
+};
 
 }  // namespace
 
@@ -179,42 +193,19 @@ ChaosSpec parse_chaos_spec(std::string_view text) {
 }
 
 ChaosStats& ChaosStats::operator+=(const ChaosStats& other) noexcept {
-  dropped += other.dropped;
-  duplicated += other.duplicated;
-  reordered += other.reordered;
-  delayed += other.delayed;
-  corrupted += other.corrupted;
-  corrupt_rejected += other.corrupt_rejected;
-  retransmits += other.retransmits;
-  budget_exhausted += other.budget_exhausted;
+  for (const auto& [column, name] : kColumns) this->*column += other.*column;
   return *this;
 }
 
 bool ChaosStats::any() const noexcept {
-  return dropped != 0 || duplicated != 0 || reordered != 0 || delayed != 0 || corrupted != 0 ||
-         corrupt_rejected != 0 || retransmits != 0 || budget_exhausted != 0;
+  return std::any_of(std::begin(kColumns), std::end(kColumns),
+                     [this](const auto& c) { return this->*c.first != 0; });
 }
 
 void record_chaos_metrics(const ChaosStats& stats) {
   if (!stats.any()) return;
-  static obs::Counter& dropped = obs::Metrics::global().counter("net.chaos.dropped");
-  static obs::Counter& duplicated = obs::Metrics::global().counter("net.chaos.duplicated");
-  static obs::Counter& reordered = obs::Metrics::global().counter("net.chaos.reordered");
-  static obs::Counter& delayed = obs::Metrics::global().counter("net.chaos.delayed");
-  static obs::Counter& corrupted = obs::Metrics::global().counter("net.chaos.corrupted");
-  static obs::Counter& corrupt_rejected =
-      obs::Metrics::global().counter("net.chaos.corrupt_rejected");
-  static obs::Counter& retransmits = obs::Metrics::global().counter("net.chaos.retransmits");
-  static obs::Counter& budget_exhausted =
-      obs::Metrics::global().counter("net.chaos.budget_exhausted");
-  dropped.add(stats.dropped);
-  duplicated.add(stats.duplicated);
-  reordered.add(stats.reordered);
-  delayed.add(stats.delayed);
-  corrupted.add(stats.corrupted);
-  corrupt_rejected.add(stats.corrupt_rejected);
-  retransmits.add(stats.retransmits);
-  budget_exhausted.add(stats.budget_exhausted);
+  for (const auto& [column, name] : kColumns)
+    obs::Metrics::global().counter(name).add(stats.*column);
 }
 
 Chaos::Chaos(const ChaosSpec& spec, std::uint64_t seed, std::string_view channel)

@@ -1,17 +1,18 @@
 // Deterministic wire chaos: a seed-driven, netem-style fault layer applied
-// *below* the transport seam, to the byte streams of net::SocketTransport
-// and net::WorkerChannel.
+// *below* the transport seam, by net::Link (net/link.h) — the one
+// record stream under both the socket and the process backends.
 //
 // Everything sim::FaultPlan injects happens *above* the transport — the
 // scheduler drops or delays whole messages before they reach a backend.
-// Chaos is the complementary regime: frames that left the sender intact
+// Chaos is the complementary regime: records that left the sender intact
 // are lost, duplicated, reordered, delayed or bit-flipped *on the wire*,
-// and the resilience machinery (CRC32C trailers, seq dedup, ack/retransmit
-// with exponential backoff) must recover — or degrade into the same crash
-// bookkeeping a FaultPlan crash uses (DESIGN.md section 15).
+// and the Link's recovery (CRC32C, go-back-N, cumulative acks, the RTO)
+// must absorb it — or degrade into an execution failure (socket backend)
+// or the crash bookkeeping a FaultPlan crash uses (process backend,
+// DESIGN.md section 15).
 //
-// Determinism contract (mirrors PR 4's fault DRBG): every chaos decision
-// is drawn from an HmacDrbg forked from the execution seed with a
+// Determinism contract (mirrors the FaultPlan's fault DRBG): every chaos
+// decision is drawn from an HmacDrbg forked from the execution seed with a
 // "wire-chaos:<channel>" personalization, in first-transmission order.
 // First-transmission order is itself a pure function of the execution, so
 // which frames are lost / duplicated / corrupted is reproducible from
@@ -30,9 +31,9 @@
 //   corrupt:P        per-byte bit-flip probability (headers stay intact:
 //                    chaos corrupts payload regions, packet-granularity
 //                    netem semantics — framing never desynchronizes)
-//   budget:N         clean retransmits allowed per channel before the
-//                    channel is declared dead (degradation path)
-//   party:ID         restrict chaos to party ID's channels
+//   budget:N         charged retransmit bursts allowed per channel before
+//                    the channel is declared dead (degradation path)
+//   party:ID         restrict chaos to party ID's channels (ID < n)
 //   after:K          first K frames per channel ride clean (lets tests pin
 //                    the round where chaos engages)
 //

@@ -48,18 +48,27 @@ void reap_pid(pid_t pid) noexcept {
   }
 }
 
-/// Writes exactly `size` bytes; used only by the deliberately-truncated
-/// handshake tweak, where a lost peer is the expected outcome.
-void send_best_effort(int fd, const std::uint8_t* data, std::size_t size) noexcept {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t rc = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      return;
-    }
-    sent += static_cast<std::size_t>(rc);
-  }
+/// The inbox half of kRound/kFinish bodies: count, then the wire frames.
+void write_inbox(ByteWriter& w, const sim::Inbox& inbox) {
+  Bytes blob;
+  WireWriter frames(blob);
+  for (const sim::Message& m : inbox) frames.message(m);
+  w.u32(static_cast<std::uint32_t>(inbox.size()));
+  w.bytes(blob);
+}
+
+/// A kOut body: count, then the outbox's wire frames in queue order.
+std::vector<sim::Message> decode_outbox(const Bytes& body) {
+  ByteReader r(body);
+  const std::uint32_t count = r.u32();
+  const Bytes blob = r.bytes();
+  if (!r.done()) throw ProtocolError("ProcSupervisor: outbox frame has trailing bytes");
+  std::vector<sim::Message> out;
+  out.reserve(count);
+  WireReader frames(blob);
+  for (std::uint32_t i = 0; i < count; ++i) out.push_back(frames.message());
+  if (!frames.done()) throw ProtocolError("ProcSupervisor: outbox blob has trailing bytes");
+  return out;
 }
 
 }  // namespace
@@ -169,14 +178,14 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   if (tweak == Tweak::kTruncatedHello) {
     // Full length prefix, half the body, then EOF: the worker sees the
     // stream end mid-frame and exits without acking.
-    Bytes header(5);
-    header[0] = static_cast<std::uint8_t>(body.size() + 1);
-    header[1] = static_cast<std::uint8_t>((body.size() + 1) >> 8);
-    header[2] = static_cast<std::uint8_t>((body.size() + 1) >> 16);
-    header[3] = static_cast<std::uint8_t>((body.size() + 1) >> 24);
-    header[4] = static_cast<std::uint8_t>(ProcFrame::kHello);
-    send_best_effort(w.fd, header.data(), header.size());
-    send_best_effort(w.fd, body.data(), body.size() / 2);
+    Bytes partial;
+    put_u32(partial, static_cast<std::uint32_t>(body.size() + 1));
+    partial.push_back(static_cast<std::uint8_t>(ProcFrame::kHello));
+    partial.insert(partial.end(), body.begin(),
+                   body.begin() + static_cast<std::ptrdiff_t>(body.size() / 2));
+    // A blocking send: it writes everything or finds the peer gone, which
+    // is the expected outcome either way.
+    (void)::send(w.fd, partial.data(), partial.size(), MSG_NOSIGNAL);
     ::shutdown(w.fd, SHUT_WR);
   } else if (tweak != Tweak::kMute) {
     try {
@@ -237,87 +246,43 @@ void ProcSupervisor::observe_death(std::size_t id, const char* how) {
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kWarn, "worker-death",
                    {{"party", id}, {"pid", static_cast<std::uint64_t>(pid)}}, how);
-  if (spec_.options.respawn_crashed && !shutting_down_) {
-    try {
-      spawn_into(id, /*input=*/false, /*spectator=*/true);
-      proc_counters().respawned.add(1);
-      if (obs::log_enabled()) obs::log_event(obs::LogLevel::kInfo, "worker-respawn", {{"party", id}});
-    } catch (...) {
-      // A failed respawn only loses the standby, never the execution.
-    }
-  }
+  respawn(id);
   throw WorkerLost("ProcSupervisor: worker for P" + std::to_string(id) + " died (" + how + ")", id);
 }
 
-std::vector<sim::Message> ProcSupervisor::expect_outbox(std::size_t id, ProcFrame type,
-                                                        const Bytes& body) {
+Bytes ProcSupervisor::call(std::size_t id, ProcFrame request, const Bytes& body,
+                           ProcFrame reply) {
+  WorkerChannel& channel = live_channel(id);
+  if (!channel.write_frame(request, body)) observe_death(id, "eof");
+  ProcFrame type{};
+  Bytes out;
+  const auto status = channel.read_frame(type, out, channel.stall_deadline());
+  if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
+  if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
+  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
   if (type == ProcFrame::kFailed)
     throw ProtocolError("ProcSupervisor: P" + std::to_string(id) + " failed in place");
-  if (type != ProcFrame::kOut)
+  if (type != reply)
     throw ProtocolError("ProcSupervisor: P" + std::to_string(id) + " sent an unexpected frame");
-  ByteReader r(body);
-  const std::uint32_t count = r.u32();
-  const Bytes blob = r.bytes();
-  if (!r.done()) throw ProtocolError("ProcSupervisor: outbox frame has trailing bytes");
-  std::vector<sim::Message> out;
-  out.reserve(count);
-  WireReader frames(blob);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(frames.message());
-  if (!frames.done()) throw ProtocolError("ProcSupervisor: outbox blob has trailing bytes");
   return out;
 }
 
 std::vector<sim::Message> ProcSupervisor::begin(std::size_t id) {
-  WorkerChannel& channel = live_channel(id);
-  if (!channel.write_frame(ProcFrame::kBegin, {})) observe_death(id, "eof");
-  ProcFrame type{};
-  Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
-  if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
-  if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
-  return expect_outbox(id, type, reply);
+  return decode_outbox(call(id, ProcFrame::kBegin, {}, ProcFrame::kOut));
 }
 
 std::vector<sim::Message> ProcSupervisor::round(std::size_t id, std::size_t round,
                                                 const sim::Inbox& inbox) {
-  WorkerChannel& channel = live_channel(id);
-  Bytes blob;
-  WireWriter frames(blob);
-  for (const sim::Message& m : inbox) frames.message(m);
   ByteWriter w;
   w.u64(round);
-  w.u32(static_cast<std::uint32_t>(inbox.size()));
-  w.bytes(blob);
-  if (!channel.write_frame(ProcFrame::kRound, w.take())) observe_death(id, "eof");
-  ProcFrame type{};
-  Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
-  if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
-  if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
-  return expect_outbox(id, type, reply);
+  write_inbox(w, inbox);
+  return decode_outbox(call(id, ProcFrame::kRound, w.take(), ProcFrame::kOut));
 }
 
 std::optional<BitVec> ProcSupervisor::finish(std::size_t id, const sim::Inbox& inbox) {
-  WorkerChannel& channel = live_channel(id);
-  Bytes blob;
-  WireWriter frames(blob);
-  for (const sim::Message& m : inbox) frames.message(m);
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(inbox.size()));
-  w.bytes(blob);
-  if (!channel.write_frame(ProcFrame::kFinish, w.take())) observe_death(id, "eof");
-  ProcFrame type{};
-  Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
-  if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
-  if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
-  if (type == ProcFrame::kFailed)
-    throw ProtocolError("ProcSupervisor: P" + std::to_string(id) + " failed in place");
-  if (type != ProcFrame::kOutput)
-    throw ProtocolError("ProcSupervisor: P" + std::to_string(id) + " sent an unexpected frame");
+  write_inbox(w, inbox);
+  const Bytes reply = call(id, ProcFrame::kFinish, w.take(), ProcFrame::kOutput);
   ByteReader r(reply);
   const bool has = r.u8() != 0;
   const std::uint32_t size = r.u32();
@@ -330,7 +295,7 @@ std::optional<BitVec> ProcSupervisor::finish(std::size_t id, const sim::Inbox& i
 void ProcSupervisor::reap(std::size_t id, bool force_kill) noexcept {
   Worker& w = workers_[id];
   if (w.pid < 0) return;
-  if (w.channel != nullptr && w.channel->reliable()) chaos_stats_ += w.channel->chaos_stats();
+  if (w.channel != nullptr) chaos_stats_ += w.channel->chaos_stats();
   if (force_kill) {
     if (::kill(w.pid, SIGKILL) == 0) proc_counters().killed.add(1);
   }
@@ -349,14 +314,17 @@ void ProcSupervisor::retire(std::size_t id) noexcept {
   Worker& w = workers_[id];
   if (w.pid < 0 || w.spectator) return;  // already reaped, or a respawned standby
   reap(id, /*force_kill=*/true);
-  if (spec_.options.respawn_crashed && !shutting_down_) {
-    try {
-      spawn_into(id, /*input=*/false, /*spectator=*/true);
-      proc_counters().respawned.add(1);
-      if (obs::log_enabled()) obs::log_event(obs::LogLevel::kInfo, "worker-respawn", {{"party", id}});
-    } catch (...) {
-      // Losing the standby is acceptable; losing the execution is not.
-    }
+  respawn(id);
+}
+
+void ProcSupervisor::respawn(std::size_t id) noexcept {
+  if (!spec_.options.respawn_crashed || shutting_down_) return;
+  try {
+    spawn_into(id, /*input=*/false, /*spectator=*/true);
+    proc_counters().respawned.add(1);
+    if (obs::log_enabled()) obs::log_event(obs::LogLevel::kInfo, "worker-respawn", {{"party", id}});
+  } catch (...) {
+    // A failed respawn only loses the standby, never the execution.
   }
 }
 
@@ -365,7 +333,7 @@ void ProcSupervisor::shutdown() noexcept {
   // Closing the channel is the shutdown signal: live workers read EOF and
   // exit, finished workers have exited already.
   for (Worker& w : workers_) {
-    if (w.channel != nullptr && w.channel->reliable()) chaos_stats_ += w.channel->chaos_stats();
+    if (w.channel != nullptr) chaos_stats_ += w.channel->chaos_stats();
     if (w.fd >= 0) ::close(w.fd);
     w.fd = -1;
     w.channel.reset();

@@ -167,10 +167,17 @@ class ProcSupervisor {
 
   void spawn_into(std::size_t id, bool input, bool spectator);
   void reap(std::size_t id, bool force_kill) noexcept;
-  void observe_death(std::size_t id, const char* how);
+  /// Reaps a worker observed dead, respawns a standby if asked, and
+  /// throws WorkerLost.
+  [[noreturn]] void observe_death(std::size_t id, const char* how);
+  /// Refills a reaped slot with a spectator when the options ask for it.
+  void respawn(std::size_t id) noexcept;
   [[nodiscard]] WorkerChannel& live_channel(std::size_t id);
-  [[nodiscard]] std::vector<sim::Message> expect_outbox(std::size_t id, ProcFrame type,
-                                                        const Bytes& body);
+  /// One RPC: sends `request` and returns the body of the `reply` frame.
+  /// Every way the worker can fail to answer goes through observe_death;
+  /// a kFailed reply (fail-in-place) or any other type is ProtocolError.
+  [[nodiscard]] Bytes call(std::size_t id, ProcFrame request, const Bytes& body,
+                           ProcFrame reply);
 
   Spec spec_;
   std::vector<Worker> workers_;

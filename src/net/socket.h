@@ -3,19 +3,19 @@
 // open() builds one loopback TCP channel per destination endpoint — one
 // per party, one for the broadcast channel, one for the trusted
 // functionality — by binding an ephemeral 127.0.0.1 listener, connecting,
-// and accepting (n + 2 real kernel connections per execution).  submit()
-// serializes the message as
+// and accepting (n + 2 real kernel connections per execution).  Each end
+// of a channel is a net::Link (net/link.h): submit() hands the sending
+// Link one record
 //
 //   u64 seq | u64 slot | <wire frame (net/wire.h)>
 //
-// and writes it to the destination's channel; collect(slot) runs an epoll
-// event loop — nonblocking reads with stream reassembly, nonblocking
-// writes draining per-channel outboxes — until every frame submitted for
-// `slot` has arrived, then returns the messages ordered by submission
-// sequence number.  The reorder-by-seq step is what keeps party outputs
-// and verdicts identical to the in-process backend (DESIGN.md section 11):
-// the kernel may interleave channels arbitrarily, but delivery order never
-// depends on it.  Wall-clock timing, and only wall-clock timing, differs.
+// and collect(slot) runs one epoll event loop over every Link until each
+// frame submitted for `slot` has been delivered, then returns the
+// messages ordered by submission sequence number.  The reorder-by-seq
+// step is what keeps party outputs and verdicts identical to the
+// in-process backend (DESIGN.md section 11): the kernel may interleave
+// channels arbitrarily, but delivery order never depends on it.
+// Wall-clock timing, and only wall-clock timing, differs.
 //
 // The event loop is single-threaded and owned by one execution, so
 // concurrent exec::Runner workers each drive their own loop with no shared
@@ -24,44 +24,46 @@
 // letting each connection linger in TIME_WAIT would exhaust loopback
 // ephemeral ports within minutes.
 //
+// Chaos (a constructor argument): both Links of each targeted channel
+// switch to reliable records, the sending one drawing its fates from a
+// "wire-chaos:socket:<index>" DRBG.  Recovery is the Link's — go-back-N,
+// cumulative acks riding back on the same connection, the RTO — and the
+// epoll loop sleeps until the next Link timer rather than polling.  A
+// channel whose Link spends its retransmit budget fails the execution at
+// that RTO with a ProtocolError naming the exhaustion: on this backend
+// degradation is an execution failure, not a party crash (that contract
+// belongs to the process transport).
+//
 // Failure modes: syscall failures throw std::system_error (which
 // exec::Runner's retry policy treats as transient — correct for transient
 // port/fd pressure); malformed bytes on a channel throw ProtocolError; a
-// flush that stops making progress for kStallTimeout throws ProtocolError
-// rather than hanging the campaign.
-//
-// Chaos (configure_chaos before open): each targeted channel gets a
-// deterministic net::Chaos engine ("socket:<index>") disturbing first
-// transmissions at submit — drops, duplicates, delay/reorder deferrals,
-// payload bit-flips (the seq|slot prelude and the wire length prefix stay
-// intact, so framing never desynchronizes).  Recovery is sender-driven:
-// the submit path keeps a per-slot ledger of chaos-touched frames, the
-// receive path rejects corrupted frames by CRC (net.chaos.corrupt_rejected)
-// and deduplicates by sequence number, and collect() retransmits the
-// ledger's still-missing frames clean after a no-progress backoff,
-// charging each channel's retransmit budget only for frames chaos actually
-// harmed.  A channel that spends its budget stops retransmitting and the
-// flush stall surfaces as the usual ProtocolError, annotated with the
-// exhaustion — on this backend degradation is an execution failure, not a
-// party crash (that contract belongs to the process transport).
+// flush that stops making progress for the stall timeout throws
+// ProtocolError rather than hanging the campaign.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/chaos.h"
+#include "net/link.h"
 #include "net/transport.h"
 
 namespace simulcast::net {
 
+/// A connected loopback TCP pair {connecting end, accepted end} with
+/// TCP_NODELAY on both, built through an ephemeral 127.0.0.1 listener.
+/// Throws std::system_error.
+[[nodiscard]] std::pair<int, int> loopback_tcp_pair();
+
 class SocketTransport final : public Transport {
  public:
-  /// `stall_timeout` bounds how long collect() may go without progress.
-  explicit SocketTransport(std::chrono::milliseconds stall_timeout = kDefaultNetTimeout)
-      : stall_timeout_(stall_timeout) {}
+  /// `stall_timeout` bounds how long collect() may go without progress;
+  /// `chaos` (inert by default) disturbs the channels it targets, its
+  /// DRBGs forked from `seed`.
+  explicit SocketTransport(std::chrono::milliseconds stall_timeout = kDefaultNetTimeout,
+                           const ChaosSpec& chaos = {}, std::uint64_t seed = 0);
   ~SocketTransport() override;
 
   SocketTransport(const SocketTransport&) = delete;
@@ -74,32 +76,12 @@ class SocketTransport final : public Transport {
   void open(std::size_t n, std::size_t slots) override;
   void submit(sim::Message m, std::size_t slot) override;
   [[nodiscard]] std::vector<sim::Message> collect(std::size_t slot) override;
-  void configure_chaos(const ChaosSpec& spec, std::uint64_t seed) override;
   void close() override;
 
-  [[nodiscard]] const ChaosStats& chaos_stats() const noexcept { return chaos_stats_; }
+  /// This execution's chaos accounting, summed over every Link.
+  [[nodiscard]] ChaosStats chaos_stats() const;
 
  private:
-  // An event loop making no progress for stall_timeout_ (the
-  // --net-timeout=S knob; 30s unless overridden) is a wedged execution;
-  // collect() throws instead of hanging the campaign.
-  std::chrono::milliseconds stall_timeout_;
-
-  /// One loopback TCP channel: the scheduler writes to `send_fd`, the
-  /// event loop reads completed records back from `recv_fd`.
-  struct Channel {
-    int send_fd = -1;
-    int recv_fd = -1;
-    Bytes outbox;             ///< serialized records not yet written
-    std::size_t outbox_head = 0;  ///< first unwritten outbox byte
-    bool want_write = false;  ///< send_fd registered for EPOLLOUT
-    Bytes inbuf;              ///< stream-reassembly buffer
-    std::size_t inbuf_head = 0;   ///< first unparsed inbuf byte
-    std::unique_ptr<Chaos> chaos;     ///< null = clean channel
-    std::size_t budget_used = 0;      ///< charged retransmit bursts
-    bool chaos_dead = false;          ///< budget spent: no more retransmits
-  };
-
   /// A frame parked until its slot is collected, keyed for the
   /// deterministic reorder.
   struct Parked {
@@ -107,53 +89,29 @@ class SocketTransport final : public Transport {
     sim::Message message;
   };
 
-  /// A chaos-touched frame retained (clean) until its slot is collected,
-  /// so collect() can retransmit whatever never arrived.
-  struct LedgerEntry {
-    std::uint64_t seq = 0;
-    std::size_t channel = 0;
-    Bytes bytes;         ///< clean serialized record, prelude included
-    bool harmed = false; ///< dropped or corrupted: retransmitting it
-                         ///< charges the channel's budget
-  };
-
-  /// A first transmission held back by a delay or reorder verdict (bytes
-  /// already carry any corruption).
-  struct DeferredTx {
-    std::uint64_t seq = 0;
-    std::size_t channel = 0;
-    Bytes bytes;
-    bool duplicate = false;
-    std::size_t hold = 0;
-    std::chrono::steady_clock::time_point release;  ///< max() = hold-gated
-  };
-
   [[nodiscard]] std::size_t channel_for(sim::PartyId to) const;
-  void pump_writes();
-  void drain_channel_writes(std::size_t index);
-  void on_readable(std::size_t index);
-  void parse_channel(std::size_t index);
-  void update_write_interest(std::size_t index, bool want);
-  void submit_chaotic(std::size_t index, std::size_t slot);
-  void pump_deferred(std::chrono::steady_clock::time_point now);
-  void retransmit_missing(std::size_t slot);
-  [[nodiscard]] bool any_channel_budget_dead() const noexcept;
+  /// Pumps one Link, parks what it delivered, refreshes its epoll
+  /// interest.  Throws when the channel closed or spent its budget while
+  /// `slot` was being collected.
+  void advance(std::size_t key, Link::Clock::time_point now, std::size_t slot);
+  void park(const Link::Record& record);
+  void watch(std::size_t key);
+
+  std::chrono::milliseconds stall_timeout_;
+  ChaosSpec chaos_;
+  std::uint64_t seed_;
 
   std::size_t n_ = 0;
   int epoll_fd_ = -1;
-  std::vector<Channel> channels_;
+  /// Two Links per loopback channel, indexed by epoll key: links_[2c] is
+  /// channel c's sending end (it reads acks back on a chaotic channel) and
+  /// links_[2c + 1] its receiving end (it delivers frames, writes acks).
+  std::vector<Link> links_;
+  std::vector<std::uint32_t> interest_;  ///< epoll events registered per Link
   std::vector<std::size_t> expected_;       ///< frames submitted per slot
   std::vector<std::vector<Parked>> parked_; ///< frames received per slot
   std::uint64_t next_seq_ = 0;
   Bytes encode_buf_;  ///< reused per submit; steady state allocates nothing
-
-  bool chaos_enabled_ = false;
-  ChaosSpec chaos_spec_;
-  std::uint64_t chaos_seed_ = 0;
-  std::vector<std::vector<LedgerEntry>> ledger_;          ///< per slot
-  std::vector<std::unordered_set<std::uint64_t>> seen_;   ///< per-slot dedup
-  std::vector<DeferredTx> deferred_;
-  ChaosStats chaos_stats_;
 };
 
 }  // namespace simulcast::net

@@ -74,8 +74,10 @@ void set_default_transport_kind(TransportKind kind) noexcept {
 }
 
 std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          std::chrono::milliseconds net_timeout) {
-  if (kind == TransportKind::kSocket) return std::make_unique<SocketTransport>(net_timeout);
+                                          std::chrono::milliseconds net_timeout,
+                                          const ChaosSpec& chaos, std::uint64_t seed) {
+  if (kind == TransportKind::kSocket)
+    return std::make_unique<SocketTransport>(net_timeout, chaos, seed);
   // Process mode moves *party machines* out of process, not the scheduler's
   // slot mailboxes: inter-round traffic still lives with the coordinator,
   // so the mailbox backend is the bit-identical in-process one and the real
@@ -92,11 +94,15 @@ void record_transport_metrics(const WireStats& stats) {
   static obs::Counter& deserialize_us = obs::Metrics::global().counter("net.deserialize_us");
   static obs::Histogram& flush =
       obs::Metrics::global().histogram("net.flush_us_per_execution", 0, 20000, 40);
+  const auto us = [](std::chrono::nanoseconds ns) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(ns).count());
+  };
   frames.add(stats.frames);
   bytes.add(stats.bytes_on_wire);
-  serialize_us.add(stats.serialize_us);
-  deserialize_us.add(stats.deserialize_us);
-  flush.record(stats.flush_us);
+  serialize_us.add(us(stats.serialize));
+  deserialize_us.add(us(stats.deserialize));
+  flush.record(us(stats.flush));
 }
 
 }  // namespace simulcast::net

@@ -21,17 +21,19 @@
 //     pending-delivery vectors: a submit is a vector push, a collect is a
 //     vector move.  Executions are bit-identical to the pre-transport
 //     scheduler — the purity contract, exec::Runner checkpoints and every
-//     golden output are unchanged.
+//     golden output are unchanged.  It has no wire, so it ignores a chaos
+//     spec (the CLI rejects that combination up front).
 //   - SocketTransport (net/socket.h) moves every frame through per-party
-//     loopback TCP endpoints on an epoll event loop.  Frames carry a
-//     submission sequence number and collect() reorders by it, so party
-//     outputs and verdicts are identical to the in-process backend;
-//     only wall-clock timing (and therefore timing metrics) varies.
+//     loopback TCP channels, each a pair of net::Links (net/link.h) on one
+//     epoll loop.  Frames carry a submission sequence number and collect()
+//     reorders by it, so party outputs and verdicts are identical to the
+//     in-process backend even under recoverable chaos; only wall-clock
+//     timing (and therefore timing metrics) varies.
 //
 // Every backend accounts WireStats using the net/wire.h encoding, so
 // "bytes on wire" means the same thing whether or not a kernel was
 // involved: the in-process backend prices frames with encoded_size(),
-// the socket backend counts the bytes it actually wrote.
+// the socket backend counts each frame with its seq/slot prelude.
 #pragma once
 
 #include <chrono>
@@ -40,11 +42,10 @@
 #include <string_view>
 #include <vector>
 
+#include "net/chaos.h"
 #include "sim/message.h"
 
 namespace simulcast::net {
-
-struct ChaosSpec;
 
 enum class TransportKind {
   kInProcess,  ///< slot-indexed in-memory mailboxes (default; bit-identical)
@@ -76,20 +77,22 @@ void set_default_transport_kind(TransportKind kind) noexcept;
 /// without progress.  sim::ExecutionConfig::net_timeout carries the
 /// effective value down to the backends; the --net-timeout=S knob
 /// (fractional seconds accepted) shortens it so tests fail in seconds, not
-/// minutes.  Chaos-resilient channels treat it as a ceiling and derive
-/// tighter adaptive deadlines from observed round-trip times (net/worker.h
-/// stall_deadline()).
+/// minutes.  Under chaos a process channel derives a tighter deadline from
+/// its Link's RTO and remaining budget (net/worker.h stall_deadline()),
+/// and a socket channel that spends its budget fails at that RTO.
 inline constexpr std::chrono::milliseconds kDefaultNetTimeout{30000};
 
 /// Per-execution transport accounting.  Byte/frame counts are
-/// deterministic (pure functions of the traffic); the *_us timings are
-/// wall-clock and vary run to run, like every latency metric.
+/// deterministic (pure functions of the traffic); the timings are
+/// wall-clock and vary run to run, like every latency metric.  They
+/// accumulate in nanoseconds so sub-microsecond encodes are not lost;
+/// record_transport_metrics converts once, to the registry's microseconds.
 struct WireStats {
-  std::size_t frames = 0;           ///< frames moved through the transport
-  std::size_t bytes_on_wire = 0;    ///< serialized frame bytes (wire encoding)
-  std::uint64_t serialize_us = 0;   ///< time spent encoding frames
-  std::uint64_t deserialize_us = 0; ///< time spent decoding frames
-  std::uint64_t flush_us = 0;       ///< cumulative collect() latency
+  std::size_t frames = 0;                    ///< frames moved through the transport
+  std::size_t bytes_on_wire = 0;             ///< serialized frame bytes (wire encoding)
+  std::chrono::nanoseconds serialize{0};     ///< time spent encoding frames
+  std::chrono::nanoseconds deserialize{0};   ///< time spent decoding frames
+  std::chrono::nanoseconds flush{0};         ///< cumulative collect() latency
 };
 
 class Transport {
@@ -109,12 +112,6 @@ class Transport {
   /// Each slot is collected at most once.
   [[nodiscard]] virtual std::vector<sim::Message> collect(std::size_t slot) = 0;
 
-  /// Installs a deterministic wire-fault layer (net/chaos.h) before
-  /// open().  The in-process backend ignores it — there is no wire to
-  /// disturb — which is also why recoverable chaos cannot change results:
-  /// the chaos-free backend defines them.
-  virtual void configure_chaos(const ChaosSpec& /*spec*/, std::uint64_t /*seed*/) {}
-
   /// Releases transport resources (idempotent).
   virtual void close() {}
 
@@ -124,11 +121,15 @@ class Transport {
   WireStats stats_;
 };
 
-/// Backend factory.  The in-process backend is allocation-cheap; the
-/// socket backend opens its endpoints lazily in open() and gives up on a
-/// stalled collect() after `net_timeout`.
+/// Backend factory.  The in-process backend is allocation-cheap and
+/// ignores `chaos` — there is no wire to disturb, which is also why
+/// recoverable chaos cannot change results: the chaos-free backend defines
+/// them.  The socket backend opens its endpoints lazily in open(), gives
+/// up on a stalled collect() after `net_timeout`, and disturbs the
+/// channels `chaos` targets with a DRBG forked from `seed`.
 [[nodiscard]] std::unique_ptr<Transport> make_transport(
-    TransportKind kind, std::chrono::milliseconds net_timeout = kDefaultNetTimeout);
+    TransportKind kind, std::chrono::milliseconds net_timeout = kDefaultNetTimeout,
+    const ChaosSpec& chaos = {}, std::uint64_t seed = 0);
 
 /// Feeds the net.* registry metrics (bytes on wire, frames, serialize /
 /// deserialize time, flush latency) from one execution's stats.  Called by

@@ -42,16 +42,6 @@ std::uint32_t crc32c(const std::uint8_t* data, std::size_t size, std::uint32_t s
   return ~crc;
 }
 
-void WireWriter::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
 void WireWriter::raw(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   out_.insert(out_.end(), bytes, bytes + size);
@@ -86,18 +76,14 @@ std::uint8_t WireReader::u8() {
 
 std::uint32_t WireReader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-  return v;
+  pos_ += 4;
+  return get_u32(data_ + pos_ - 4);
 }
 
 std::uint64_t WireReader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-  return v;
+  pos_ += 8;
+  return get_u64(data_ + pos_ - 8);
 }
 
 sim::Message WireReader::message() {
@@ -112,9 +98,7 @@ sim::Message WireReader::message() {
   // the whole covered region before any field is trusted, so a bit-flipped
   // frame is always a ChecksumError — never a field-level parse of garbage.
   {
-    std::uint32_t stored = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-      stored |= static_cast<std::uint32_t>(data_[frame_end - 4 + i]) << (8 * i);
+    const std::uint32_t stored = get_u32(data_ + frame_end - 4);
     const std::uint32_t computed = crc32c(data_ + pos_, body - 4);
     if (stored != computed)
       throw ChecksumError("wire: frame failed its CRC32C check (stored " +
@@ -163,14 +147,6 @@ sim::Message decode_message(const Bytes& frame) {
   if (!reader.done())
     throw ProtocolError("wire: trailing bytes after a single-frame decode");
   return m;
-}
-
-std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) noexcept {
-  if (size < 4) return 0;
-  std::uint32_t body = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    body |= static_cast<std::uint32_t>(data[shift / 8]) << shift;
-  return 4 + static_cast<std::size_t>(body);
 }
 
 }  // namespace simulcast::net

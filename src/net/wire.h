@@ -16,14 +16,13 @@
 // and frame_len must equal the exact size of the fields it covers —
 // a frame with slack or overrun bytes is rejected, so garbage cannot hide
 // inside a "valid" length prefix.  The CRC32C trailer (version 2) is
-// verified *before* any field is interpreted, so a bit-flipped frame —
-// the chaos layer's corruption model (net/chaos.h) — always surfaces as
-// ChecksumError, never as a field-level parse of garbage; resilient
-// channels catch exactly that type, count the reject and wait for a
-// retransmit.  Commitment and opening payloads need no
-// special casing: protocols already canonicalize them into Message::payload
-// through base/bytes.h's length-prefixed ByteWriter, so the frame treats
-// every payload as opaque bytes.
+// verified *before* any field is interpreted, so a bit-flipped frame
+// always surfaces as ChecksumError, never as a field-level parse of
+// garbage.  (Chaos corruption never reaches this decoder: net::Link's own
+// record CRC discards it first, net/link.h.)  Commitment and opening
+// payloads need no special casing: protocols already canonicalize them
+// into Message::payload through base/bytes.h's length-prefixed
+// ByteWriter, so the frame treats every payload as opaque bytes.
 //
 // Serialization is zero-copy in the sense that matters on the hot path:
 // WireWriter appends frames directly into a caller-owned (reusable) Bytes
@@ -60,6 +59,25 @@ inline constexpr std::size_t kFrameOverhead = 4 + 1 + 3 * 8 + 2 * 4 + 4;
 [[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
                                    std::uint32_t seed = 0) noexcept;
 
+/// Little-endian integers: the one codec behind frames, net::Link records
+/// and the socket backend's seq/slot prelude.
+inline void put_u32(Bytes& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) out.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+inline void put_u64(Bytes& out, std::uint64_t v) {
+  for (int shift = 0; shift < 64; shift += 8) out.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+[[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* p) noexcept {
+  std::uint32_t v = 0;
+  for (int shift = 0; shift < 32; shift += 8) v |= static_cast<std::uint32_t>(p[shift / 8]) << shift;
+  return v;
+}
+[[nodiscard]] inline std::uint64_t get_u64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 8) v |= static_cast<std::uint64_t>(p[shift / 8]) << shift;
+  return v;
+}
+
 /// Exact on-wire size of `m`'s frame, length prefix included.
 [[nodiscard]] inline std::size_t encoded_size(const sim::Message& m) noexcept {
   return kFrameOverhead + m.tag.size() + m.payload.size();
@@ -75,12 +93,10 @@ class WireWriter {
   /// Appends one complete frame for `m`.
   void message(const sim::Message& m);
 
-  [[nodiscard]] const Bytes& data() const noexcept { return out_; }
-
  private:
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { put_u32(out_, v); }
+  void u64(std::uint64_t v) { put_u64(out_, v); }
   void raw(const void* data, std::size_t size);
 
   Bytes& out_;
@@ -116,11 +132,5 @@ class WireReader {
 /// Convenience single-frame helpers built on the writer/reader.
 void encode_message(const sim::Message& m, Bytes& out);
 [[nodiscard]] sim::Message decode_message(const Bytes& frame);
-
-/// Stream-reassembly helper: given the readable prefix of a byte stream,
-/// returns the total size of the first frame (length prefix included) when
-/// the length prefix itself is readable, or 0 when fewer than 4 bytes are
-/// available.  The caller waits for that many bytes before decoding.
-[[nodiscard]] std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) noexcept;
 
 }  // namespace simulcast::net

@@ -39,37 +39,22 @@
 // Malformed or mis-versioned hello frames make the worker exit without
 // acking, which the coordinator surfaces as ProtocolError.
 //
-// Resilient framing (v2): when the hello carries a chaos spec that targets
-// this party (net/chaos.h), both ends call enable_chaos() right after the
-// handshake and every subsequent frame rides a reliability record
-//
-//   u32 rec_len | u8 kind | u64 seq | rest | u32 crc32c
-//
-// with kind 1 (data: rest = u8 type | body) or kind 2 (ack: rest empty,
-// seq = next expected data seq, cumulative).  The CRC covers kind..rest.
-// Chaos disturbs only *first transmissions* of data records (the length
-// prefix stays intact — packet-granularity netem semantics, framing never
-// desynchronizes); acks and retransmissions always ride clean.  The
-// receiver delivers strictly in sequence, discarding gaps and duplicates
-// and re-acking, go-back-N style.  The sender keeps unacked records,
-// retransmits them all after an adaptive RTO (RFC6298-style srtt/rttvar
-// from clean ack round trips, exponential backoff) and charges the chaos
-// budget once per retransmit burst that recovers a frame chaos actually
-// harmed — spurious RTOs on a merely slow peer retransmit for free, so
-// budget exhaustion is a pure function of (seed, spec, traffic).  A spent
-// budget makes the channel report Status::kBudget, which the coordinator
-// books as a worker crash (graceful degradation, DESIGN.md section 15).
+// Both ends speak through one net::Link (net/link.h): plain records on a
+// clean wire, and — when the hello carries a chaos spec that targets this
+// party (net/chaos.h) — reliable records from right after the handshake
+// on, on both ends.  A Link whose retransmit budget is spent makes the
+// channel report Status::kBudget, which the coordinator books as a worker
+// crash (graceful degradation, DESIGN.md section 15).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "base/bytes.h"
 #include "net/chaos.h"
+#include "net/link.h"
 #include "net/transport.h"
 
 namespace simulcast::net {
@@ -82,10 +67,6 @@ inline constexpr std::uint32_t kProcMagic = 0x53504331;
 /// v2: the hello carries the chaos spec and chaos-targeted channels switch
 /// to reliability records after the handshake.
 inline constexpr std::uint8_t kProcVersion = 2;
-
-/// Upper bound on one control-frame body; a length prefix beyond it is
-/// garbage, not a huge message (ProtocolError, never an allocation).
-inline constexpr std::size_t kMaxProcFrame = std::size_t{1} << 26;
 
 /// Control-frame types.  Requests are low, replies have the high bit set.
 enum class ProcFrame : std::uint8_t {
@@ -137,16 +118,12 @@ void encode_worker_hello(const WorkerHello& hello, Bytes& out);
 void encode_worker_ack(const WorkerAck& ack, Bytes& out);
 [[nodiscard]] WorkerAck decode_worker_ack(const Bytes& body);
 
-/// One end of the coordinator<->worker socketpair: blocking-write,
-/// deadline-read control framing with stream reassembly.  Does not own
-/// the descriptor.  Single-threaded, like every per-execution object.
-///
-/// Plain mode (the default, and always the handshake) writes bare
-/// `u32 len | u8 type | body` frames.  After enable_chaos() the channel
-/// speaks the reliability-record protocol documented at the top of this
-/// header: chaotic first transmissions, clean acks and retransmissions,
-/// go-back-N delivery, adaptive RTO, bounded retransmit budget.
-class WorkerChannel {
+/// One end of the coordinator<->worker socketpair: a net::Link plus the
+/// one poll loop that waits on it.  Does not own the descriptor.  The
+/// Link's enable_chaos (call once, right after the handshake, on both
+/// ends, each with its own label), set_label, reliable and chaos_stats are
+/// the channel's own.  Single-threaded, like every per-execution object.
+class WorkerChannel : private Link {
  public:
   enum class Status {
     kOk,
@@ -157,116 +134,46 @@ class WorkerChannel {
 
   /// `net_timeout` is the flat stall deadline (--net-timeout) that
   /// stall_deadline() never exceeds.
-  explicit WorkerChannel(int fd, std::chrono::milliseconds net_timeout = kDefaultNetTimeout)
-      : fd_(fd), net_timeout_(net_timeout) {}
-  WorkerChannel(const WorkerChannel&) = delete;
-  WorkerChannel& operator=(const WorkerChannel&) = delete;
+  explicit WorkerChannel(int fd, std::chrono::milliseconds net_timeout = kDefaultNetTimeout);
 
-  /// Writes one complete frame.  Returns false when the peer is gone
-  /// (EPIPE/ECONNRESET — a dead worker is a crash, not an error); throws
-  /// std::system_error on any other syscall failure.  In reliable mode
-  /// the frame becomes a data record whose first transmission is subject
-  /// to chaos; a chaos-dropped record still returns true (the retransmit
-  /// machinery owns its recovery).
-  bool write_frame(ProcFrame type, const Bytes& body);
+  using Link::chaos_stats;
+  using Link::enable_chaos;
+  using Link::reliable;
+  using Link::set_label;
 
-  /// Reads one complete frame, waiting at most `deadline` for progress.
-  /// kEof when the peer closed mid-stream or cleanly; kTimeout when the
-  /// deadline passed first; kBudget (reliable mode, sticky) when the
-  /// retransmit budget is spent.  The wait loop also pumps the reliable
-  /// machinery: deferred chaotic sends, acks, RTO retransmissions.
-  /// Throws ProtocolError on an oversized length prefix, std::system_error
-  /// on syscall failure.
+  /// Queues one frame and writes what the socket takes; the next wait
+  /// (read_frame or drain) writes the rest.  Returns false when the peer
+  /// is gone (a dead worker is a crash, not an error); throws
+  /// std::system_error on any other syscall failure.  With chaos enabled a
+  /// chaos-dropped frame still returns true (the Link owns its recovery).
+  bool write_frame(ProcFrame type, const Bytes& body) {
+    return send(static_cast<std::uint8_t>(type), body);
+  }
+
+  /// Reads one complete frame, waiting at most `deadline`.  kEof when the
+  /// peer closed; kTimeout when the deadline passed first; kBudget
+  /// (sticky) when the retransmit budget is spent.  Throws ProtocolError
+  /// on an oversized length prefix, std::system_error on syscall failure.
   [[nodiscard]] Status read_frame(ProcFrame& type, Bytes& body,
                                   std::chrono::milliseconds deadline);
 
-  /// Switches to the reliability-record protocol with `spec` disturbing
-  /// this end's first transmissions.  Call exactly once, right after the
-  /// handshake, on both ends (each end passes its own `label`, which
-  /// personalizes the DRBG and prefixes error/log context).  The spec must
-  /// be enabled().
-  void enable_chaos(const ChaosSpec& spec, std::uint64_t seed, std::string_view label);
-
-  /// Names this channel in error messages ("coord:P3") even in plain mode;
-  /// enable_chaos() sets it too.
-  void set_label(std::string_view label) { label_ = label; }
-
   /// The stall deadline a blocking wait on this channel should use: the
-  /// flat net timeout in plain mode, otherwise an adaptive bound
-  /// derived from the observed RTO and the remaining retransmit budget
+  /// flat net timeout on a clean wire, otherwise the Link's recovery bound
   /// (never above the flat knob, never below one second).
   [[nodiscard]] std::chrono::milliseconds stall_deadline() const;
 
-  /// Reliable mode: pumps acks and retransmissions until every data record
-  /// this end wrote has been acknowledged, at most `deadline` long.  A
-  /// worker calls this before exiting so terminal replies survive chaos.
-  /// True when fully acknowledged (trivially true in plain mode).
+  /// Waits, at most `deadline` long, until everything this end wrote is
+  /// on the wire and — with chaos enabled — acknowledged.  A worker calls
+  /// this before exiting so terminal replies survive.  True when settled.
   bool drain(std::chrono::milliseconds deadline);
 
-  [[nodiscard]] bool reliable() const noexcept { return reliable_; }
-  [[nodiscard]] const ChaosStats& chaos_stats() const noexcept { return stats_; }
-  [[nodiscard]] int fd() const noexcept { return fd_; }
-
  private:
-  /// One unacknowledged data record (clean bytes, for retransmission).
-  struct Unacked {
-    std::uint64_t seq = 0;
-    Bytes record;  ///< complete clean record, length prefix included
-    std::chrono::steady_clock::time_point first_sent;
-    bool retransmitted = false;  ///< Karn's rule: no RTT sample once true
-    bool harmed = false;         ///< chaos dropped or corrupted the first tx
-  };
+  /// The one poll loop: pumps the Link until `done()` holds or the Link
+  /// dies, closes or times out.
+  template <class Done>
+  Status wait(std::chrono::milliseconds deadline, Done done);
 
-  /// A first transmission held back by a delay or reorder verdict; the
-  /// bytes already carry any corruption (drawn at verdict time, keeping
-  /// the DRBG stream in first-transmission order).
-  struct Deferred {
-    std::uint64_t seq = 0;
-    Bytes bytes;
-    bool duplicate = false;
-    std::size_t hold = 0;  ///< release after this many later first sends
-    std::chrono::steady_clock::time_point release;  ///< max() = hold-gated
-  };
-
-  bool send_all(const std::uint8_t* data, std::size_t size);
-  bool write_plain(ProcFrame type, const Bytes& body);
-  bool write_reliable(ProcFrame type, const Bytes& body);
-  bool send_ack();
-  /// Sends every deferred record due by `now` (or all of them when
-  /// `flush` — retransmission and drain supersede deferral).
-  bool pump_deferred(std::chrono::steady_clock::time_point now, bool flush);
-  /// Retransmits every unacked record clean; charges the budget when some
-  /// unacked record was chaos-harmed.  False when the budget is spent.
-  bool retransmit_all(std::chrono::steady_clock::time_point now);
-  void on_ack(std::uint64_t next_expected, std::chrono::steady_clock::time_point now);
-  /// Parses one complete reliability record out of inbuf_ if available:
-  /// 1 = data record delivered into (type, body), 0 = nothing complete,
-  /// -1 = record consumed without a delivery (ack, gap, duplicate, CRC
-  /// reject) — caller keeps parsing.
-  int parse_record(ProcFrame& type, Bytes& body);
-  [[nodiscard]] std::size_t budget() const noexcept { return chaos_->spec().budget; }
-  void compact_inbuf();
-
-  int fd_;
   std::chrono::milliseconds net_timeout_;
-  std::string label_ = "unlabeled";
-  Bytes inbuf_;                 ///< stream-reassembly buffer
-  std::size_t inbuf_head_ = 0;  ///< first unparsed inbuf byte
-
-  // Reliable-mode state (untouched in plain mode).
-  bool reliable_ = false;
-  bool budget_dead_ = false;  ///< sticky kBudget
-  std::optional<Chaos> chaos_;
-  std::uint64_t tx_next_ = 0;  ///< next data seq this end assigns
-  std::uint64_t rx_next_ = 0;  ///< next data seq this end delivers
-  std::deque<Unacked> unacked_;
-  std::deque<Deferred> deferred_;
-  std::chrono::milliseconds rto_{0};
-  std::chrono::steady_clock::time_point rto_deadline_;  ///< armed iff unacked_
-  double srtt_ms_ = 0.0;
-  double rttvar_ms_ = 0.0;
-  std::size_t budget_used_ = 0;  ///< charged retransmit bursts
-  ChaosStats stats_;
 };
 
 /// The worker round loop, installed by sim/network.cpp at static-init

@@ -520,8 +520,8 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // in round r is submitted to slot r + 1, exactly the old pending-vector
   // hand-off — the scheduler decides what is delivered when (faults,
   // partitions), the transport decides how the bytes move.
-  std::unique_ptr<net::Transport> transport = net::make_transport(config.transport, config.net_timeout);
-  if (config.chaos.enabled()) transport->configure_chaos(config.chaos, config.seed);
+  std::unique_ptr<net::Transport> transport =
+      net::make_transport(config.transport, config.net_timeout, config.chaos, config.seed);
   transport->open(n, total_rounds + 1);
 
   // Routes one round's outgoing traffic, applying drops and delays.

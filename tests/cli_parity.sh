@@ -55,6 +55,7 @@ check "chaos loss over 1"      --chaos=loss:1.5
 check "chaos bad delay kind"   --chaos=delay:gauss:1
 check "chaos without a wire condition" --chaos=budget:3
 check "repeated chaos"         --chaos=loss:0.1 --chaos=loss:0.1
+check "chaos on the in-process backend" --chaos=loss:0.5
 
 # Explore-only rows: explore's own options (--n, --samples, --seed,
 # --corrupt) and distribution specs go through the run knobs' strict number
@@ -82,6 +83,8 @@ check_explore "negative seed"             gennaro none uniform --seed=-1
 check_explore "malformed corrupt list"    gennaro none uniform --corrupt=a
 check_explore "malformed singleton bits"  gennaro none singleton:10x1
 check_explore "malformed product entry"   gennaro none product:0.5,x
+check_explore "chaos party beyond --n"    gennaro none uniform --n=4 --transport=socket \
+                                          --chaos=loss:0.5,party:9
 
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore

@@ -296,6 +296,15 @@ TEST(Runner, Validation) {
   EXPECT_THROW((void)Runner(2).run_batch(spec, *ens, 1, 1), UsageError);  // width 4 != n 5
   EXPECT_THROW((void)Runner(2).run_batch(spec, BitVec(4), 1, 1), UsageError);
   EXPECT_THROW((void)Runner(2).run_batch(spec, {BitVec(5)}, {1, 2}), UsageError);  // 1 input, 2 seeds
+  // Chaos aimed at a party the execution does not have disturbs nothing:
+  // rejected before sampling, on every batch shape.
+  RunConfig aimed_past_n;
+  aimed_past_n.transport = net::TransportKind::kSocket;
+  aimed_past_n.chaos = net::parse_chaos_spec("loss:0.5,party:9");
+  const RunSpec spec4 = spec_for(*proto, 4);
+  EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, *ens, 1, 1), UsageError);
+  EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, BitVec(4), 1, 1), UsageError);
+  EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, {BitVec(4)}, {1}), UsageError);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -1,10 +1,12 @@
 // The chaos layer (net/chaos.h): spec grammar round-trips and rejects,
 // engine determinism (verdict streams are pure functions of seed, spec
-// and channel personalization), the resilient WorkerChannel protocol
-// (recovery under loss/dup/reorder/corruption, budget exhaustion →
+// and channel personalization), the shared net::Link recovery protocol
+// behind WorkerChannel on both an AF_UNIX socketpair and a loopback TCP
+// pair (recovery under loss/dup/reorder/corruption, budget exhaustion →
 // Status::kBudget, frame-cap error context), and the socket backend's
-// chaos recovery (recoverable chaos is invisible at collect; a spent
-// budget annotates the stall error).
+// chaos recovery on the same Link (recoverable chaos is invisible at
+// collect; frame fates are reproducible; a spent budget fails the
+// execution at the first RTO with an annotated error).
 #include "net/chaos.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +17,9 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "base/error.h"
@@ -176,104 +180,129 @@ TEST(ChaosEngine, DelayIsCappedAtTheValidityBound) {
 
 // -------------------------------------------- resilient WorkerChannel ----
 
-/// A connected socketpair wrapped in two WorkerChannels.
+/// The two stream kinds a Link runs on.  Each ResilientChannel test runs
+/// over both: the recovery protocol must not care which one it is given.
+enum class FdKind { kUnix, kTcp };
+constexpr FdKind kFdKinds[] = {FdKind::kUnix, FdKind::kTcp};
+
+const char* fd_kind_name(FdKind kind) {
+  return kind == FdKind::kUnix ? "AF_UNIX socketpair" : "loopback TCP pair";
+}
+
+/// A connected stream pair of `kind` wrapped in two WorkerChannels.
 struct ChannelPair {
-  ChannelPair() {
-    int fds[2] = {-1, -1};
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) ADD_FAILURE() << "socketpair failed";
-    a.emplace(fds[0]);
-    b.emplace(fds[1]);
-    fd_a = fds[0];
-    fd_b = fds[1];
+  explicit ChannelPair(FdKind kind = FdKind::kUnix) {
+    if (kind == FdKind::kTcp) {
+      std::tie(fd_a, fd_b) = loopback_tcp_pair();
+    } else {
+      int fds[2] = {-1, -1};
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) ADD_FAILURE() << "socketpair failed";
+      fd_a = fds[0];
+      fd_b = fds[1];
+    }
+    a.emplace(fd_a);
+    b.emplace(fd_b);
   }
   ~ChannelPair() {
     ::close(fd_a);
     ::close(fd_b);
   }
-  std::optional<WorkerChannel> a, b;
   int fd_a = -1, fd_b = -1;
+  std::optional<WorkerChannel> a, b;
 };
 
 TEST(ResilientChannel, RecoversUnderHeavyChaos) {
-  ChannelPair pair;
-  const ChaosSpec spec = parse_chaos_spec("loss:0.3,dup:0.2,reorder:0.2:3,corrupt:0.002");
-  pair.a->enable_chaos(spec, kMasterSeed, "test:a");
-  pair.b->enable_chaos(spec, kMasterSeed, "test:b");
+  for (const FdKind kind : kFdKinds) {
+    SCOPED_TRACE(fd_kind_name(kind));
+    ChannelPair pair(kind);
+    const ChaosSpec spec = parse_chaos_spec("loss:0.3,dup:0.2,reorder:0.2:3,corrupt:0.002");
+    pair.a->enable_chaos(spec, kMasterSeed, "test:a");
+    pair.b->enable_chaos(spec, kMasterSeed, "test:b");
 
-  constexpr std::size_t kFrames = 40;
-  // Echo peer: reads each data frame and writes it straight back.
-  std::thread peer([&] {
-    ProcFrame type{};
-    Bytes body;
+    constexpr std::size_t kFrames = 40;
+    // Echo peer: reads each data frame and writes it straight back.  A
+    // jthread, so a failed assertion below still joins it before `pair`
+    // closes the descriptors.
+    std::jthread peer([&] {
+      ProcFrame type{};
+      Bytes body;
+      for (std::size_t i = 0; i < kFrames; ++i) {
+        if (pair.b->read_frame(type, body, std::chrono::seconds(30)) !=
+            WorkerChannel::Status::kOk)
+          return;
+        if (!pair.b->write_frame(type, body)) return;
+      }
+      (void)pair.b->drain(std::chrono::seconds(30));
+    });
+
+    stats::Rng rng = stats::Rng(kMasterSeed).fork("payload", 0);
     for (std::size_t i = 0; i < kFrames; ++i) {
-      if (pair.b->read_frame(type, body, std::chrono::seconds(30)) != WorkerChannel::Status::kOk)
-        return;
-      if (!pair.b->write_frame(type, body)) return;
+      Bytes body;
+      const std::size_t size = 1 + rng.below(256);
+      for (std::size_t j = 0; j < size; ++j)
+        body.push_back(static_cast<std::uint8_t>(rng.below(256)));
+      ASSERT_TRUE(pair.a->write_frame(ProcFrame::kRound, body)) << "frame " << i;
+      ProcFrame type{};
+      Bytes echo;
+      ASSERT_EQ(pair.a->read_frame(type, echo, std::chrono::seconds(30)),
+                WorkerChannel::Status::kOk)
+          << "frame " << i;
+      EXPECT_EQ(type, ProcFrame::kRound) << "frame " << i;
+      // In-order, uncorrupted delivery despite drops, duplicates, reorder
+      // holds and bit flips: the reliability layer absorbed all of it.
+      ASSERT_EQ(echo, body) << "frame " << i;
     }
-    (void)pair.b->drain(std::chrono::seconds(30));
-  });
+    ASSERT_TRUE(pair.a->drain(std::chrono::seconds(30)));
+    peer.join();
 
-  stats::Rng rng = stats::Rng(kMasterSeed).fork("payload", 0);
-  for (std::size_t i = 0; i < kFrames; ++i) {
-    Bytes body;
-    const std::size_t size = 1 + rng.below(256);
-    for (std::size_t j = 0; j < size; ++j)
-      body.push_back(static_cast<std::uint8_t>(rng.below(256)));
-    ASSERT_TRUE(pair.a->write_frame(ProcFrame::kRound, body)) << "frame " << i;
-    ProcFrame type{};
-    Bytes echo;
-    ASSERT_EQ(pair.a->read_frame(type, echo, std::chrono::seconds(30)),
-              WorkerChannel::Status::kOk)
-        << "frame " << i;
-    EXPECT_EQ(type, ProcFrame::kRound) << "frame " << i;
-    // In-order, uncorrupted delivery despite drops, duplicates, reorder
-    // holds and bit flips: the reliability layer absorbed all of it.
-    ASSERT_EQ(echo, body) << "frame " << i;
+    const ChaosStats& stats = pair.a->chaos_stats();
+    EXPECT_GT(stats.dropped, 0u);
+    EXPECT_GT(stats.retransmits, 0u);
+    EXPECT_EQ(stats.budget_exhausted, 0u);
   }
-  ASSERT_TRUE(pair.a->drain(std::chrono::seconds(30)));
-  peer.join();
-
-  const ChaosStats& stats = pair.a->chaos_stats();
-  EXPECT_GT(stats.dropped, 0u);
-  EXPECT_GT(stats.retransmits, 0u);
-  EXPECT_EQ(stats.budget_exhausted, 0u);
 }
 
 TEST(ResilientChannel, BudgetExhaustionSurfacesAsStickyStatus) {
-  ChannelPair pair;
-  pair.a->enable_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed, "test:a");
-  // The write is chaos-dropped (still returns true: the retransmit
-  // machinery owns recovery), and the first RTO burst finds a harmed
-  // record with no budget left.
-  ASSERT_TRUE(pair.a->write_frame(ProcFrame::kBegin, {}));
-  ProcFrame type{};
-  Bytes body;
-  EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(10)),
-            WorkerChannel::Status::kBudget);
-  // Sticky: the channel stays dead.
-  EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(10)),
-            WorkerChannel::Status::kBudget);
-  EXPECT_FALSE(pair.a->drain(std::chrono::milliseconds(10)));
-  EXPECT_EQ(pair.a->chaos_stats().budget_exhausted, 1u);
+  for (const FdKind kind : kFdKinds) {
+    SCOPED_TRACE(fd_kind_name(kind));
+    ChannelPair pair(kind);
+    pair.a->enable_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed, "test:a");
+    // The write is chaos-dropped (still returns true: the retransmit
+    // machinery owns recovery), and the first RTO burst finds a harmed
+    // record with no budget left.
+    ASSERT_TRUE(pair.a->write_frame(ProcFrame::kBegin, {}));
+    ProcFrame type{};
+    Bytes body;
+    EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(10)),
+              WorkerChannel::Status::kBudget);
+    // Sticky: the channel stays dead.
+    EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(10)),
+              WorkerChannel::Status::kBudget);
+    EXPECT_FALSE(pair.a->drain(std::chrono::milliseconds(10)));
+    EXPECT_EQ(pair.a->chaos_stats().budget_exhausted, 1u);
+  }
 }
 
 TEST(ResilientChannel, SpuriousRtoRetransmitsAreFree) {
-  ChannelPair pair;
-  // No loss and no corruption: nothing is ever harmed, so even with a
-  // zero budget a slow peer only ever triggers free retransmits.
-  pair.a->enable_chaos(parse_chaos_spec("dup:0.2,budget:0"), kMasterSeed, "test:a");
-  pair.b->enable_chaos(parse_chaos_spec("dup:0.2,budget:0"), kMasterSeed, "test:b");
-  std::thread peer([&] {
-    // Sleep past several RTO firings before acking anything.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    ProcFrame type{};
-    Bytes body;
-    (void)pair.b->read_frame(type, body, std::chrono::seconds(10));
-  });
-  ASSERT_TRUE(pair.a->write_frame(ProcFrame::kBegin, {}));
-  ASSERT_TRUE(pair.a->drain(std::chrono::seconds(10)));
-  peer.join();
-  EXPECT_EQ(pair.a->chaos_stats().budget_exhausted, 0u);
+  for (const FdKind kind : kFdKinds) {
+    SCOPED_TRACE(fd_kind_name(kind));
+    ChannelPair pair(kind);
+    // No loss and no corruption: nothing is ever harmed, so even with a
+    // zero budget a slow peer only ever triggers free retransmits.
+    pair.a->enable_chaos(parse_chaos_spec("dup:0.2,budget:0"), kMasterSeed, "test:a");
+    pair.b->enable_chaos(parse_chaos_spec("dup:0.2,budget:0"), kMasterSeed, "test:b");
+    std::jthread peer([&] {
+      // Sleep past several RTO firings before acking anything.
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      ProcFrame type{};
+      Bytes body;
+      (void)pair.b->read_frame(type, body, std::chrono::seconds(10));
+    });
+    ASSERT_TRUE(pair.a->write_frame(ProcFrame::kBegin, {}));
+    ASSERT_TRUE(pair.a->drain(std::chrono::seconds(10)));
+    peer.join();
+    EXPECT_EQ(pair.a->chaos_stats().budget_exhausted, 0u);
+  }
 }
 
 TEST(ResilientChannel, EnableChaosRejectsMisuse) {
@@ -331,27 +360,32 @@ bool messages_equal(const sim::Message& a, const sim::Message& b) {
          a.payload == b.payload;
 }
 
-/// Recoverable chaos is invisible: the chaotic socket transport collects
-/// exactly what the clean one does, in the same order, per slot.
-TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
-  constexpr std::size_t kParties = 3;
-  constexpr std::size_t kSlots = 4;
-  SocketTransport clean;
-  SocketTransport chaotic;
-  chaotic.configure_chaos(parse_chaos_spec("loss:0.15,dup:0.1,reorder:0.1:2,corrupt:0.003"),
-                          kMasterSeed);
-  clean.open(kParties, kSlots);
-  chaotic.open(kParties, kSlots);
+/// Submits the same random traffic to every transport in `transports`
+/// (opened with kParties parties and kSlots slots).
+constexpr std::size_t kParties = 3;
+constexpr std::size_t kSlots = 4;
 
-  stats::Rng rng = stats::Rng(kMasterSeed).fork("socket-chaos", 0);
+void submit_random_traffic(const std::vector<Transport*>& transports, std::string_view label) {
+  stats::Rng rng = stats::Rng(kMasterSeed).fork(label, 0);
   for (std::size_t slot = 0; slot < kSlots; ++slot) {
     const std::size_t count = 8 + rng.below(16);
     for (std::size_t i = 0; i < count; ++i) {
       const sim::Message m = random_traffic_message(rng, kParties, slot);
-      clean.submit(m, slot);
-      chaotic.submit(m, slot);
+      for (Transport* t : transports) t->submit(m, slot);
     }
   }
+}
+
+/// Recoverable chaos is invisible: the chaotic socket transport collects
+/// exactly what the clean one does, in the same order, per slot.
+TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
+  SocketTransport clean;
+  SocketTransport chaotic(kDefaultNetTimeout,
+                          parse_chaos_spec("loss:0.15,dup:0.1,reorder:0.1:2,corrupt:0.003"),
+                          kMasterSeed);
+  clean.open(kParties, kSlots);
+  chaotic.open(kParties, kSlots);
+  submit_random_traffic({&clean, &chaotic}, "socket-chaos");
   for (std::size_t slot = 0; slot < kSlots; ++slot) {
     const std::vector<sim::Message> expect = clean.collect(slot);
     const std::vector<sim::Message> got = chaotic.collect(slot);
@@ -359,7 +393,7 @@ TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
     for (std::size_t i = 0; i < expect.size(); ++i)
       ASSERT_TRUE(messages_equal(got[i], expect[i])) << "slot " << slot << " message " << i;
   }
-  const ChaosStats& stats = chaotic.chaos_stats();
+  const ChaosStats stats = chaotic.chaos_stats();
   EXPECT_GT(stats.dropped + stats.corrupted + stats.duplicated + stats.reordered, 0u);
   EXPECT_GT(stats.retransmits, 0u);
   EXPECT_EQ(stats.budget_exhausted, 0u);
@@ -367,10 +401,44 @@ TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
   chaotic.close();
 }
 
+/// Frame fates are drawn per first transmission from each channel's DRBG,
+/// so two transports fed the same seed, spec and traffic report the same
+/// fates, however differently the kernel timed their recoveries.  Delay
+/// and reorder exclude each other per frame, hence two specs.
+TEST(SocketChaos, SameSeedSpecAndTrafficGiveIdenticalFrameFates) {
+  ChaosStats seen;
+  for (const char* text : {"loss:0.15,dup:0.1,reorder:0.2:2,corrupt:0.003",
+                           "delay:uniform:0:1,loss:0.1"}) {
+    SCOPED_TRACE(text);
+    const ChaosSpec spec = parse_chaos_spec(text);
+    SocketTransport first(kDefaultNetTimeout, spec, kMasterSeed);
+    SocketTransport second(kDefaultNetTimeout, spec, kMasterSeed);
+    first.open(kParties, kSlots);
+    second.open(kParties, kSlots);
+    submit_random_traffic({&first, &second}, "socket-chaos-fates");
+    for (std::size_t slot = 0; slot < kSlots; ++slot) {
+      (void)first.collect(slot);
+      (void)second.collect(slot);
+    }
+    const ChaosStats a = first.chaos_stats();
+    const ChaosStats b = second.chaos_stats();
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.duplicated, b.duplicated);
+    EXPECT_EQ(a.reordered, b.reordered);
+    EXPECT_EQ(a.delayed, b.delayed);
+    EXPECT_EQ(a.corrupted, b.corrupted);
+    seen += a;
+  }
+  // Every fate the comparison covers actually happened.
+  EXPECT_GT(seen.dropped, 0u);
+  EXPECT_GT(seen.duplicated, 0u);
+  EXPECT_GT(seen.reordered, 0u);
+  EXPECT_GT(seen.delayed, 0u);
+  EXPECT_GT(seen.corrupted, 0u);
+}
+
 TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
-  constexpr std::size_t kParties = 3;
-  SocketTransport transport;
-  transport.configure_chaos(parse_chaos_spec("loss:1,party:1"), kMasterSeed);
+  SocketTransport transport(kDefaultNetTimeout, parse_chaos_spec("loss:1,party:1"), kMasterSeed);
   transport.open(kParties, 1);
   // Traffic to untargeted parties rides a clean channel: no chaos columns
   // move, and collect returns immediately.
@@ -382,11 +450,15 @@ TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
   transport.close();
 }
 
+/// A spent budget fails the execution at the first RTO, not after the
+/// stall timeout: at the default 30 s net timeout the annotated error must
+/// arrive within seconds.
 TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
-  SocketTransport transport(std::chrono::milliseconds(400));
-  transport.configure_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
+  SocketTransport transport(kDefaultNetTimeout, parse_chaos_spec("loss:1,budget:0"),
+                            kMasterSeed);
   transport.open(2, 1);
   transport.submit(sim::Message{0, 1, 0, "t", {1}}, 0);
+  const auto start = std::chrono::steady_clock::now();
   try {
     (void)transport.collect(0);
     FAIL() << "collect returned despite certain loss and a zero budget";
@@ -395,20 +467,14 @@ TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
   EXPECT_EQ(transport.chaos_stats().budget_exhausted, 1u);
   transport.close();
 }
 
-TEST(SocketChaos, ConfigureAfterOpenIsUsageError) {
-  SocketTransport transport;
-  transport.open(2, 1);
-  EXPECT_THROW(transport.configure_chaos(parse_chaos_spec("loss:0.1"), 1), UsageError);
-  transport.close();
-}
-
 TEST(SocketChaos, InProcessBackendIgnoresChaos) {
-  auto transport = make_transport(TransportKind::kInProcess);
-  transport->configure_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
+  auto transport = make_transport(TransportKind::kInProcess, kDefaultNetTimeout,
+                                  parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
   transport->open(2, 1);
   transport->submit(sim::Message{0, 1, 0, "t", {1}}, 0);
   EXPECT_EQ(transport->collect(0).size(), 1u);  // no wire, no chaos

@@ -106,6 +106,10 @@ TEST(Transport, SocketMatchesInProcessOnRandomTraffic) {
   // wire encoding, so it moves strictly more bytes than the in-process
   // accounting prices.
   EXPECT_GT(socket->stats().bytes_on_wire, inproc->stats().bytes_on_wire);
+  // The wire timers accumulate nanoseconds: 200 encodes and decodes cannot
+  // add up to zero, however fast each one is.
+  EXPECT_GT(socket->stats().serialize.count(), 0);
+  EXPECT_GT(socket->stats().deserialize.count(), 0);
   socket->close();
   socket->close();  // idempotent
 }

@@ -1,6 +1,6 @@
 // Wire-format properties (net/wire.h): round-trip fidelity over random
-// messages with shrinking reproducers, exact-size accounting, stream
-// reassembly, and the decoder's rejection of truncated or garbage input.
+// messages with shrinking reproducers, exact-size accounting, multi-frame
+// streams, and the decoder's rejection of truncated or garbage input.
 #include "net/wire.h"
 
 #include <gtest/gtest.h>
@@ -231,16 +231,6 @@ TEST(Wire, Crc32cKnownVectors) {
   EXPECT_EQ(crc32c(nullptr, 0), 0u);
   // Chained two-part computation equals the one-shot digest.
   EXPECT_EQ(crc32c(digits + 4, 5, crc32c(digits, 4)), 0xE3069283u);
-}
-
-TEST(Wire, FrameSizeHint) {
-  Bytes frame;
-  const sim::Message m{1, 2, 3, "tag", {4, 5}};
-  encode_message(m, frame);
-  EXPECT_EQ(frame_size_hint(frame.data(), frame.size()), encoded_size(m));
-  EXPECT_EQ(frame_size_hint(frame.data(), 4), encoded_size(m));  // prefix alone suffices
-  EXPECT_EQ(frame_size_hint(frame.data(), 3), 0u);               // prefix unreadable
-  EXPECT_EQ(frame_size_hint(frame.data(), 0), 0u);
 }
 
 }  // namespace
