@@ -33,11 +33,12 @@
 #include <optional>
 #include <sstream>
 
+#include "base/parse.h"
 #include "core/registry.h"
 #include "core/report.h"
 #include "exec/runner.h"
 #include "net/transport.h"
-#include "net/worker.h"
+#include "sim/network.h"
 #include "obs/trace.h"
 #include "testers/cr_tester.h"
 #include "testers/g_tester.h"
@@ -63,7 +64,7 @@ using namespace simulcast;
 /// Explore's own numbers go through the run knobs' strict parser: "3x",
 /// "-1" or "abc" is a usage error, never a silent truncation or wrap.
 std::uint64_t count_arg(const std::string& what, const std::string& text, std::uint64_t min) {
-  const std::optional<std::uint64_t> value = exec::parse_uint(text);
+  const std::optional<std::uint64_t> value = parse_uint(text);
   if (!value || *value < min)
     usage(what + " must be " + (min > 0 ? "a positive integer" : "a non-negative integer") +
           ", got '" + text + "'");
@@ -83,7 +84,7 @@ std::vector<double> parse_probs(const std::string& csv) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const std::optional<double> value = exec::parse_real(item);
+    const std::optional<double> value = parse_real(item);
     if (!value || !(*value >= 0.0 && *value <= 1.0))
       usage("product: entries must be probabilities in [0, 1], got '" + item + "'");
     p.push_back(*value);
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   // re-exec'd process-transport worker carries no positionals, only the
   // --simulcast-worker-* flags (exec::configure below never sees them —
   // it is handed argv offset past the positionals).
-  if (const int worker_rc = simulcast::net::maybe_worker_main(argc, argv); worker_rc >= 0)
+  if (const int worker_rc = simulcast::sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
   if (argc >= 2 && std::string(argv[1]) == "list") {
     for (const std::string& name : core::protocol_names()) std::cout << name << "\n";
@@ -146,11 +147,6 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--seed=", 0) == 0)
       seed = count_arg("--seed", arg.substr(7), 0);
   }
-  // Chaos aimed past --n would disturb nothing while the record claimed it
-  // had (the in-process case already exited 2 in exec::configure).
-  if (config.chaos.party != net::ChaosSpec::kAllParties && config.chaos.party >= n)
-    usage("--chaos party:" + std::to_string(config.chaos.party) + " names no party of --n=" +
-          std::to_string(n));
   const sim::FaultPlan& faults = config.faults;
 
   try {
@@ -222,6 +218,9 @@ int main(int argc, char** argv) {
            << core::fmt(consistency);
     rec.detail = detail.str();
     return core::finish_experiment(rec);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

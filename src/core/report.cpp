@@ -149,15 +149,8 @@ exec::BatchReport merge(const exec::BatchReport& a, const exec::BatchReport& b) 
   out.quarantine.insert(out.quarantine.end(), b.quarantine.begin(), b.quarantine.end());
   out.throughput = exec::safe_throughput(out.completed, out.wall_seconds);
   out.total_rounds = a.total_rounds + b.total_rounds;
-  out.traffic.messages = a.traffic.messages + b.traffic.messages;
-  out.traffic.point_to_point = a.traffic.point_to_point + b.traffic.point_to_point;
-  out.traffic.broadcasts = a.traffic.broadcasts + b.traffic.broadcasts;
-  out.traffic.wire_bytes = a.traffic.wire_bytes + b.traffic.wire_bytes;
-  out.traffic.wire_delivered_bytes = a.traffic.wire_delivered_bytes + b.traffic.wire_delivered_bytes;
-  out.traffic.dropped = a.traffic.dropped + b.traffic.dropped;
-  out.traffic.delayed = a.traffic.delayed + b.traffic.delayed;
-  out.traffic.blocked = a.traffic.blocked + b.traffic.blocked;
-  out.traffic.crashed = a.traffic.crashed + b.traffic.crashed;
+  out.traffic = a.traffic;
+  out.traffic += b.traffic;
   out.phases.sampling = a.phases.sampling + b.phases.sampling;
   out.phases.execution = a.phases.execution + b.phases.execution;
   out.phases.evaluation = a.phases.evaluation + b.phases.evaluation;

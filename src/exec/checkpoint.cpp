@@ -9,6 +9,7 @@
 
 #include "base/bytes.h"
 #include "base/error.h"
+#include "base/parse.h"
 
 namespace simulcast::exec {
 namespace {
@@ -177,13 +178,10 @@ void write_checkpoint(const std::string& resolved_path, const CheckpointData& da
     out << "elapsed " << hex16(double_bits(data.elapsed_seconds)) << "\n";
     for (const SlotRecord& record : data.slots) {
       const Sample& s = record.sample;
-      const sim::TrafficStats& t = s.traffic;
       out << "slot " << record.slot << ' ' << bits_token(s.inputs) << ' '
-          << bits_token(s.announced) << ' ' << (s.consistent ? 1 : 0) << ' ' << s.rounds << ' '
-          << t.messages << ' ' << t.point_to_point << ' ' << t.broadcasts << ' '
-          << t.wire_bytes << ' '
-          << t.wire_delivered_bytes << ' ' << t.dropped << ' ' << t.delayed << ' ' << t.blocked
-          << ' ' << t.crashed << ' ' << bytes_token(s.adversary_output) << "\n";
+          << bits_token(s.announced) << ' ' << (s.consistent ? 1 : 0) << ' ' << s.rounds << ' ';
+      for (const auto& [column, name] : sim::kTrafficColumns) out << s.traffic.*column << ' ';
+      out << bytes_token(s.adversary_output) << "\n";
     }
     for (const QuarantineRecord& q : data.quarantined) {
       out << "quarantine " << q.rep << ' ' << q.seed << ' ' << q.reason << "\n";
@@ -226,12 +224,11 @@ std::optional<CheckpointData> load_checkpoint(const std::string& resolved_path) 
         faults_f.rfind("faults=", 0) != 0 || stream_f.rfind("stream=", 0) != 0) {
       corrupt(resolved_path, "malformed identity line");
     }
-    try {
-      data.identity.n = std::stoul(n_f.substr(2));
-      data.identity.count = std::stoul(count_f.substr(6));
-    } catch (const std::exception&) {
-      corrupt(resolved_path, "malformed identity counts");
-    }
+    const std::optional<std::uint64_t> n = parse_uint(std::string_view(n_f).substr(2));
+    const std::optional<std::uint64_t> count = parse_uint(std::string_view(count_f).substr(6));
+    if (!n || !count) corrupt(resolved_path, "malformed identity counts");
+    data.identity.n = *n;
+    data.identity.count = *count;
     data.identity.config_hash = parse_hex16(config_f.substr(7), "config hash");
     data.identity.fault_hash = parse_hex16(faults_f.substr(7), "fault hash");
     data.identity.stream_hash = parse_hex16(stream_f.substr(7), "stream hash");
@@ -255,13 +252,11 @@ std::optional<CheckpointData> load_checkpoint(const std::string& resolved_path) 
     if (tag == "slot") {
       SlotRecord record;
       Sample& s = record.sample;
-      sim::TrafficStats& t = s.traffic;
       std::string inputs_f, announced_f, adversary_f;
       int consistent = 0;
-      fields >> record.slot >> inputs_f >> announced_f >> consistent >> s.rounds >> t.messages >>
-          t.point_to_point >> t.broadcasts >>
-          t.wire_bytes >> t.wire_delivered_bytes >> t.dropped >> t.delayed >> t.blocked >>
-          t.crashed >> adversary_f;
+      fields >> record.slot >> inputs_f >> announced_f >> consistent >> s.rounds;
+      for (const auto& [column, name] : sim::kTrafficColumns) fields >> s.traffic.*column;
+      fields >> adversary_f;
       if (!fields || (consistent != 0 && consistent != 1)) {
         corrupt(resolved_path, "malformed slot line");
       }

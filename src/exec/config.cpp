@@ -1,16 +1,16 @@
 #include "exec/config.h"
 
-#include <charconv>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <set>
 
 #include "base/error.h"
+#include "base/parse.h"
 #include "exec/runner.h"
-#include "net/worker.h"
 #include "obs/events.h"
+#include "sim/network.h"
 
 namespace simulcast::exec {
 
@@ -19,6 +19,26 @@ namespace {
 RunConfig& installed() {
   static RunConfig config;
   return config;
+}
+
+std::terminate_handler g_default_terminate = nullptr;
+
+/// A UsageError nobody caught is still a usage error: "error: <what>" and
+/// exit 2, like a malformed knob.  Everything else keeps the default abort.
+[[noreturn]] void on_terminate() noexcept {
+  if (const std::exception_ptr uncaught = std::current_exception()) {
+    try {
+      std::rethrow_exception(uncaught);
+    } catch (const UsageError& e) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::_Exit(2);
+    } catch (...) {
+      g_default_terminate();
+    }
+  }
+  g_default_terminate();
+  std::abort();
 }
 
 [[noreturn]] void malformed(std::string_view knob, const char* expected, std::string_view text) {
@@ -71,7 +91,7 @@ const Knob kKnobs[] = {
        // suites want sub-second stall detection, and the transports keep
        // the deadline in milliseconds anyway.
        const std::optional<double> seconds = parse_real(v);
-       if (!seconds || !std::isfinite(*seconds) || !(*seconds * 1000.0 >= 1.0))
+       if (!seconds || !(*seconds * 1000.0 >= 1.0))
          malformed(knob, "a positive number of seconds (>= 0.001)", v);
        c.net_timeout = std::chrono::milliseconds(static_cast<long>(*seconds * 1000.0));
      }},
@@ -139,20 +159,6 @@ const Knob kKnobs[] = {
 };
 
 }  // namespace
-
-std::optional<std::uint64_t> parse_uint(std::string_view text) {
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) return std::nullopt;
-  return value;
-}
-
-std::optional<double> parse_real(std::string_view text) {
-  double value = 0.0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) return std::nullopt;
-  return value;
-}
 
 RunConfig parse_run_config(int argc, char** argv,
                            std::initializer_list<std::string_view> pass_through) {
@@ -227,10 +233,11 @@ RunConfig run_config() {
 }
 
 RunConfig configure(int argc, char** argv, std::initializer_list<std::string_view> pass_through) {
-  if (const int worker_rc = net::maybe_worker_main(argc, argv); worker_rc >= 0)
+  if (const int worker_rc = sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     std::exit(worker_rc);
   install_run_config(parse_run_config(argc, argv, pass_through));
   install_signal_handlers();
+  if (g_default_terminate == nullptr) g_default_terminate = std::set_terminate(&on_terminate);
   return run_config();
 }
 

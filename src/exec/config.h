@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -112,17 +111,19 @@ void install_run_config(RunConfig config);
 /// such as the benchmark harness may set directly.
 [[nodiscard]] RunConfig run_config();
 
-/// The driver entry point, first thing in main: dispatches a re-exec'd
-/// process-transport worker (net/worker.h) — which must never fall through
-/// into its own campaign — then parses, installs, arms the SIGINT/SIGTERM
-/// graceful-shutdown handlers and returns the installed value.
+/// The driver entry point, first thing in main.  In order it
+///   - hands a re-exec'd process-transport worker to sim::maybe_worker_main
+///     and exits with its code (a worker must never fall through into a
+///     campaign of its own);
+///   - parses and installs the RunConfig (exit 2 on a bad knob);
+///   - arms the SIGINT/SIGTERM graceful-shutdown handlers;
+///   - installs a terminate handler under which a simulcast::UsageError
+///     escaping main (say a --crash party the campaign's n does not have,
+///     caught by Runner::validate before sampling) flushes stdout, prints
+///     "error: <what>" to stderr and exits 2; any other uncaught exception
+///     still aborts through the default handler.
+/// Returns the installed value.
 RunConfig configure(int argc, char** argv,
                     std::initializer_list<std::string_view> pass_through = {});
-
-/// Strict number parsing shared by every command-line knob: the whole of
-/// `text` must be the number — no whitespace, no trailing junk — and
-/// parse_uint also rejects any sign and overflow.  std::nullopt otherwise.
-[[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view text);
-[[nodiscard]] std::optional<double> parse_real(std::string_view text);
 
 }  // namespace simulcast::exec

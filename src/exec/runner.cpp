@@ -432,15 +432,7 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
   out.report.throughput = safe_throughput(done, out.report.wall_seconds);
   for (const Sample& s : out.samples) {
     out.report.total_rounds += s.rounds;
-    out.report.traffic.messages += s.traffic.messages;
-    out.report.traffic.point_to_point += s.traffic.point_to_point;
-    out.report.traffic.broadcasts += s.traffic.broadcasts;
-    out.report.traffic.wire_bytes += s.traffic.wire_bytes;
-    out.report.traffic.wire_delivered_bytes += s.traffic.wire_delivered_bytes;
-    out.report.traffic.dropped += s.traffic.dropped;
-    out.report.traffic.delayed += s.traffic.delayed;
-    out.report.traffic.blocked += s.traffic.blocked;
-    out.report.traffic.crashed += s.traffic.crashed;
+    out.report.traffic += s.traffic;
   }
 
   if (obs::log_enabled()) {
@@ -553,6 +545,7 @@ Runner::Runner(std::size_t threads, RunConfig config) : config_(std::move(config
 
 void Runner::validate(const RunSpec& spec) const {
   if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
+  (spec.faults.empty() ? config_.faults : spec.faults).validate(spec.params.n);
   const net::ChaosSpec& chaos = config_.chaos;
   if (chaos.enabled() && chaos.party != net::ChaosSpec::kAllParties &&
       chaos.party >= spec.params.n)

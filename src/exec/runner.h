@@ -63,6 +63,8 @@ struct Sample {
   Bytes adversary_output;
   std::size_t rounds = 0;      ///< rounds this execution ran
   sim::TrafficStats traffic;   ///< this execution's traffic
+
+  bool operator==(const Sample&) const = default;
 };
 
 /// Reproducer for one quarantined repetition: everything needed to replay
@@ -221,9 +223,12 @@ class Runner {
                                       const std::vector<std::uint64_t>& seeds) const;
 
  private:
-  /// Usage errors caught before any sampling: a null protocol, or a chaos
-  /// spec whose party:ID names no party of the execution (it would disturb
-  /// nothing while the record claimed it had).
+  /// Usage errors caught before any sampling, so they never surface as a
+  /// failure of every repetition (nor get quarantined as one): a null
+  /// protocol, an effective fault plan (the spec's, else the config's)
+  /// naming a party the execution does not have, or a chaos spec whose
+  /// party:ID names no party (it would disturb nothing while the record
+  /// claimed it had).
   void validate(const RunSpec& spec) const;
 
   RunConfig config_;

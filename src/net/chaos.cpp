@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "base/error.h"
+#include "base/parse.h"
 #include "obs/metrics.h"
 
 namespace simulcast::net {
@@ -32,21 +33,17 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 }
 
 double parse_number(std::string_view text, const std::string& what) {
-  const std::string spelled(text);
-  char* end = nullptr;
-  const double value = std::strtod(spelled.c_str(), &end);
-  if (spelled.empty() || end != spelled.c_str() + spelled.size() || !std::isfinite(value))
-    throw UsageError("chaos: " + what + " must be a number, got '" + spelled + "'");
-  return value;
+  const std::optional<double> value = parse_real(text);
+  if (!value)
+    throw UsageError("chaos: " + what + " must be a number, got '" + std::string(text) + "'");
+  return *value;
 }
 
 std::size_t parse_count(std::string_view text, const std::string& what) {
-  const std::string spelled(text);
-  char* end = nullptr;
-  const long long value = std::strtoll(spelled.c_str(), &end, 10);
-  if (spelled.empty() || end != spelled.c_str() + spelled.size() || value < 0)
-    throw UsageError("chaos: " + what + " must be a count >= 0, got '" + spelled + "'");
-  return static_cast<std::size_t>(value);
+  const std::optional<std::uint64_t> value = parse_uint(text);
+  if (!value)
+    throw UsageError("chaos: " + what + " must be a count >= 0, got '" + std::string(text) + "'");
+  return *value;
 }
 
 double parse_probability(std::string_view text, const std::string& what) {

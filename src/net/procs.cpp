@@ -27,7 +27,6 @@ struct ProcCounters {
   obs::Counter& spawned;
   obs::Counter& reaped;
   obs::Counter& killed;
-  obs::Counter& respawned;
 };
 
 ProcCounters& proc_counters() {
@@ -35,7 +34,6 @@ ProcCounters& proc_counters() {
       obs::Metrics::global().counter("proc.spawned"),
       obs::Metrics::global().counter("proc.reaped"),
       obs::Metrics::global().counter("proc.killed"),
-      obs::Metrics::global().counter("proc.respawned"),
   };
   return counters;
 }
@@ -48,26 +46,11 @@ void reap_pid(pid_t pid) noexcept {
   }
 }
 
-/// The inbox half of kRound/kFinish bodies: count, then the wire frames.
-void write_inbox(ByteWriter& w, const sim::Inbox& inbox) {
-  Bytes blob;
-  WireWriter frames(blob);
-  for (const sim::Message& m : inbox) frames.message(m);
-  w.u32(static_cast<std::uint32_t>(inbox.size()));
-  w.bytes(blob);
-}
-
-/// A kOut body: count, then the outbox's wire frames in queue order.
+/// A kOut body: the machine's outbox as one message batch.
 std::vector<sim::Message> decode_outbox(const Bytes& body) {
   ByteReader r(body);
-  const std::uint32_t count = r.u32();
-  const Bytes blob = r.bytes();
-  if (!r.done()) throw ProtocolError("ProcSupervisor: outbox frame has trailing bytes");
   std::vector<sim::Message> out;
-  out.reserve(count);
-  WireReader frames(blob);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(frames.message());
-  if (!frames.done()) throw ProtocolError("ProcSupervisor: outbox blob has trailing bytes");
+  read_batch(r, out);
   return out;
 }
 
@@ -90,12 +73,7 @@ ProcSupervisor::ProcSupervisor(Spec spec) : spec_(std::move(spec)) {
 
 ProcSupervisor::~ProcSupervisor() { shutdown(); }
 
-void ProcSupervisor::spawn(std::size_t id, bool input) { spawn_into(id, input, /*spectator=*/false); }
-
-void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
-  using Tweak = ProcessOptions::HandshakeTweak;
-  const Tweak tweak = spec_.options.tweak;
-
+void ProcSupervisor::spawn(std::size_t id, bool input) {
   int sv[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) < 0)
     throw std::system_error(errno, std::generic_category(), "ProcSupervisor: socketpair");
@@ -121,7 +99,6 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   argv.push_back(exe);
   argv.push_back(const_cast<char*>(fd_arg.c_str()));
   argv.push_back(const_cast<char*>(timeout_arg.c_str()));
-  if (tweak == Tweak::kMute) argv.push_back(const_cast<char*>(kWorkerMuteFlag));
   argv.push_back(nullptr);
 
   posix_spawn_file_actions_t actions;
@@ -142,81 +119,53 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   w.pid = pid;
   w.fd = sv[0];
   w.channel = std::make_unique<WorkerChannel>(sv[0], spec_.net_timeout);
-  w.spectator = spectator;
   proc_counters().spawned.add(1);
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kInfo, "worker-spawn",
                    {{"party", id}, {"pid", static_cast<std::uint64_t>(pid)}});
 
-  // Handshake.  Any failure below kills and reaps the child before the
-  // throw — a failed handshake must leave no process behind.
-  const auto fail = [&](const std::string& what) -> ProtocolError {
-    reap(id, /*force_kill=*/true);
-    return ProtocolError("ProcSupervisor: P" + std::to_string(id) + " handshake: " + what);
-  };
-
   WorkerHello hello;
   hello.n = spec_.n;
-  hello.slot = tweak == Tweak::kBadSlot ? spec_.n + 17 : id;
+  hello.slot = id;
   hello.k = spec_.k;
   hello.seed = spec_.seed;
   hello.rounds = spec_.rounds;
   hello.input = input;
-  hello.spectator = spectator;
-  hello.kill_enabled = !spectator && spec_.options.kill_party == id;
-  hello.kill_round = spec_.options.kill_round;
   hello.fault_digest = spec_.fault_digest;
   hello.protocol = spec_.protocol;
   hello.commitments = spec_.commitments;
-  hello.chaos = spec_.chaos.enabled() ? spec_.chaos.summary() : "";
+  hello.chaos = spec_.chaos.summary();  // "" for a clean wire
 
-  Bytes body;
-  encode_worker_hello(hello, body);
-  if (tweak == Tweak::kBumpVersion) body[4] += 1;  // version byte follows the u32 magic
-  if (tweak == Tweak::kGarbageHello) body.assign(body.size(), 0xEE);
-
-  if (tweak == Tweak::kTruncatedHello) {
-    // Full length prefix, half the body, then EOF: the worker sees the
-    // stream end mid-frame and exits without acking.
-    Bytes partial;
-    put_u32(partial, static_cast<std::uint32_t>(body.size() + 1));
-    partial.push_back(static_cast<std::uint8_t>(ProcFrame::kHello));
-    partial.insert(partial.end(), body.begin(),
-                   body.begin() + static_cast<std::ptrdiff_t>(body.size() / 2));
-    // A blocking send: it writes everything or finds the peer gone, which
-    // is the expected outcome either way.
-    (void)::send(w.fd, partial.data(), partial.size(), MSG_NOSIGNAL);
-    ::shutdown(w.fd, SHUT_WR);
-  } else if (tweak != Tweak::kMute) {
-    try {
-      if (!w.channel->write_frame(ProcFrame::kHello, body)) throw fail("worker gone before hello");
-    } catch (const std::system_error& e) {
-      throw fail(e.what());
-    }
-  }
-
-  ProcFrame type{};
-  Bytes reply;
-  WorkerChannel::Status status;
+  const auto handshake = [&] {
+    Bytes body;
+    encode_worker_hello(hello, body);
+    if (!w.channel->write_frame(ProcFrame::kHello, body))
+      throw ProtocolError("worker gone before hello");
+    ProcFrame type{};
+    Bytes reply;
+    const WorkerChannel::Status status = w.channel->read_frame(type, reply, spec_.net_timeout);
+    if (status == WorkerChannel::Status::kTimeout)
+      throw ProtocolError("no ack within the stall deadline (--net-timeout)");
+    if (status == WorkerChannel::Status::kEof) throw ProtocolError("worker rejected the hello");
+    if (type != ProcFrame::kAck) throw ProtocolError("expected kAck");
+    const WorkerAck ack = decode_worker_ack(reply);
+    if (ack.slot != id) throw ProtocolError("ack echoed slot " + std::to_string(ack.slot));
+    if (ack.fault_digest != spec_.fault_digest)
+      throw ProtocolError("ack echoed a different fault digest");
+  };
+  // Any handshake failure kills and reaps the child before the throw — a
+  // failed handshake must leave no process behind.
+  const auto fail = [&](const char* what) {
+    reap(id, /*force_kill=*/true);
+    return ProtocolError("ProcSupervisor: P" + std::to_string(id) + " handshake: " + what);
+  };
   try {
-    status = w.channel->read_frame(type, reply, spec_.net_timeout);
+    handshake();
   } catch (const Error& e) {
     throw fail(e.what());
   } catch (const std::system_error& e) {
     throw fail(e.what());
   }
-  if (status == WorkerChannel::Status::kTimeout)
-    throw fail("no ack within the stall deadline (--net-timeout)");
-  if (status == WorkerChannel::Status::kEof) throw fail("worker rejected the hello");
-  if (type != ProcFrame::kAck) throw fail("expected kAck");
-  WorkerAck ack;
-  try {
-    ack = decode_worker_ack(reply);
-  } catch (const Error& e) {
-    throw fail(e.what());
-  }
-  if (ack.slot != id) throw fail("ack echoed slot " + std::to_string(ack.slot));
-  if (ack.fault_digest != spec_.fault_digest) throw fail("ack echoed a different fault digest");
 
   // Handshake complete: a chaos-targeted channel switches to resilient
   // framing from the next frame on (the worker mirrors this right after
@@ -230,7 +179,7 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
 
 WorkerChannel& ProcSupervisor::live_channel(std::size_t id) {
   Worker& w = workers_[id];
-  if (w.pid < 0 || w.channel == nullptr || w.spectator)
+  if (w.pid < 0 || w.channel == nullptr)
     throw UsageError("ProcSupervisor: no live worker for P" + std::to_string(id));
   return *w.channel;
 }
@@ -246,7 +195,6 @@ void ProcSupervisor::observe_death(std::size_t id, const char* how) {
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kWarn, "worker-death",
                    {{"party", id}, {"pid", static_cast<std::uint64_t>(pid)}}, how);
-  respawn(id);
   throw WorkerLost("ProcSupervisor: worker for P" + std::to_string(id) + " died (" + how + ")", id);
 }
 
@@ -275,13 +223,13 @@ std::vector<sim::Message> ProcSupervisor::round(std::size_t id, std::size_t roun
                                                 const sim::Inbox& inbox) {
   ByteWriter w;
   w.u64(round);
-  write_inbox(w, inbox);
+  write_batch(w, inbox);
   return decode_outbox(call(id, ProcFrame::kRound, w.take(), ProcFrame::kOut));
 }
 
 std::optional<BitVec> ProcSupervisor::finish(std::size_t id, const sim::Inbox& inbox) {
   ByteWriter w;
-  write_inbox(w, inbox);
+  write_batch(w, inbox);
   const Bytes reply = call(id, ProcFrame::kFinish, w.take(), ProcFrame::kOutput);
   ByteReader r(reply);
   const bool has = r.u8() != 0;
@@ -310,26 +258,9 @@ void ProcSupervisor::reap(std::size_t id, bool force_kill) noexcept {
   w.channel.reset();
 }
 
-void ProcSupervisor::retire(std::size_t id) noexcept {
-  Worker& w = workers_[id];
-  if (w.pid < 0 || w.spectator) return;  // already reaped, or a respawned standby
-  reap(id, /*force_kill=*/true);
-  respawn(id);
-}
-
-void ProcSupervisor::respawn(std::size_t id) noexcept {
-  if (!spec_.options.respawn_crashed || shutting_down_) return;
-  try {
-    spawn_into(id, /*input=*/false, /*spectator=*/true);
-    proc_counters().respawned.add(1);
-    if (obs::log_enabled()) obs::log_event(obs::LogLevel::kInfo, "worker-respawn", {{"party", id}});
-  } catch (...) {
-    // A failed respawn only loses the standby, never the execution.
-  }
-}
+void ProcSupervisor::retire(std::size_t id) noexcept { reap(id, /*force_kill=*/true); }
 
 void ProcSupervisor::shutdown() noexcept {
-  shutting_down_ = true;
   // Closing the channel is the shutdown signal: live workers read EOF and
   // exit, finished workers have exited already.
   for (Worker& w : workers_) {

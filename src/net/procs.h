@@ -8,31 +8,29 @@
 //
 //   spawn ──handshake──▶ live ──kFinish reply──▶ exited ──shutdown──▶ reaped
 //                          │
-//                          ├─ observed death (EOF / stall) ─▶ reaped,
-//                          │      WorkerLost thrown; the scheduler books
-//                          │      the same crash a sim::FaultPlan entry
-//                          │      would have produced
+//                          ├─ observed death (EOF / stall / spent chaos
+//                          │      budget) ─▶ reaped, WorkerLost thrown; the
+//                          │      scheduler books the same crash a
+//                          │      sim::FaultPlan entry would have produced
 //                          └─ retire() (scheduled crash, fail-in-place)
 //                                 ─▶ SIGKILL + reaped
 //
-// with an optional respawn step: when ProcessOptions::respawn_crashed is
-// set, a reaped slot is refilled with a *spectator* worker (same
-// handshake, spectator flag set) so the lifecycle machinery keeps running
-// without perturbing the surviving parties — the dead party stays dead,
-// exactly as the fault model demands.
+// A reaped slot stays empty: the fault model demands a dead party stay
+// dead.  The supervisor has no crash knob of its own; sim::FaultPlan is
+// the one crash schedule, and tests that need a real `kill -9` wrap their
+// protocol so the worker SIGKILLs itself (DESIGN.md section 14).
 //
 // Every transition feeds proc.* registry metrics and worker-* log events
-// carrying the PR 8 correlation ids.  Handshake failures are
-// ProtocolError (the worker is killed and reaped first — no zombies);
-// spawn syscall failures are std::system_error, which exec::Runner's
-// retry policy treats as transient.
+// carrying the correlation ids of DESIGN.md section 13.  Handshake
+// failures are ProtocolError (the worker is killed and reaped first — no
+// zombies); spawn syscall failures are std::system_error, which
+// exec::Runner's retry policy treats as transient.
 #pragma once
 
 #include <sys/types.h>
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,37 +45,6 @@
 #include "sim/message.h"
 
 namespace simulcast::net {
-
-/// Process-mode knobs carried by sim::ExecutionConfig.  The kill knob and
-/// handshake tweaks exist for the equivalence and negative test suites;
-/// production runs leave everything defaulted.
-struct ProcessOptions {
-  static constexpr std::size_t kNoKill = std::numeric_limits<std::size_t>::max();
-
-  /// SIGKILL this party's worker the moment it receives the round-start
-  /// for kill_round — the deterministic stand-in for `kill -9` mid-round,
-  /// which the contract says must be indistinguishable from a FaultPlan
-  /// crash scheduled at the same round.
-  std::size_t kill_party = kNoKill;
-  std::uint64_t kill_round = 0;
-
-  /// Refill reaped slots with spectator workers (see lifecycle above).
-  bool respawn_crashed = false;
-
-  /// Deliberate handshake corruption, applied to every spawn (negative
-  /// tests): bump the version byte, claim an out-of-range slot, truncate
-  /// the hello mid-frame, replace it with garbage, or spawn a worker that
-  /// never speaks at all.
-  enum class HandshakeTweak : std::uint8_t {
-    kNone,
-    kBumpVersion,
-    kBadSlot,
-    kTruncatedHello,
-    kGarbageHello,
-    kMute,
-  };
-  HandshakeTweak tweak = HandshakeTweak::kNone;
-};
 
 /// A worker died (EOF on its channel, or no reply within the stall
 /// deadline).  The scheduler catches this and books the party as crashed
@@ -112,7 +79,6 @@ class ProcSupervisor {
     std::uint64_t seed = 0;
     std::size_t rounds = 0;
     std::uint64_t fault_digest = 0;
-    ProcessOptions options;
     /// Wire-chaos conditions (net/chaos.h).  Channels of targeted parties
     /// switch to resilient framing after the handshake; a channel whose
     /// retransmit budget runs out surfaces as WorkerLost, bit-for-bit the
@@ -146,8 +112,7 @@ class ProcSupervisor {
   [[nodiscard]] std::optional<BitVec> finish(std::size_t id, const sim::Inbox& inbox);
 
   /// Kills and reaps party `id`'s worker (scheduled crash / fail-in-place
-  /// path; no-op on already-reaped slots and on spectators).  Respawns a
-  /// spectator when the options ask for it.  noexcept: called from
+  /// path; no-op on already-reaped slots).  noexcept: called from
   /// destructors.
   void retire(std::size_t id) noexcept;
 
@@ -162,16 +127,11 @@ class ProcSupervisor {
     pid_t pid = -1;
     int fd = -1;
     std::unique_ptr<WorkerChannel> channel;
-    bool spectator = false;
   };
 
-  void spawn_into(std::size_t id, bool input, bool spectator);
   void reap(std::size_t id, bool force_kill) noexcept;
-  /// Reaps a worker observed dead, respawns a standby if asked, and
-  /// throws WorkerLost.
+  /// Reaps a worker observed dead and throws WorkerLost.
   [[noreturn]] void observe_death(std::size_t id, const char* how);
-  /// Refills a reaped slot with a spectator when the options ask for it.
-  void respawn(std::size_t id) noexcept;
   [[nodiscard]] WorkerChannel& live_channel(std::size_t id);
   /// One RPC: sends `request` and returns the body of the `reply` frame.
   /// Every way the worker can fail to answer goes through observe_death;
@@ -181,7 +141,6 @@ class ProcSupervisor {
 
   Spec spec_;
   std::vector<Worker> workers_;
-  bool shutting_down_ = false;
   /// Coordinator-side chaos accounting, folded into net.chaos.* at
   /// shutdown.  Worker-side counters die with the worker process —
   /// documented asymmetry of the process backend.

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <string>
@@ -147,6 +148,25 @@ sim::Message decode_message(const Bytes& frame) {
   if (!reader.done())
     throw ProtocolError("wire: trailing bytes after a single-frame decode");
   return m;
+}
+
+void write_batch(ByteWriter& w, const sim::Inbox& batch) {
+  Bytes blob;
+  WireWriter frames(blob);
+  for (const sim::Message& m : batch) frames.message(m);
+  w.u32(static_cast<std::uint32_t>(batch.size()));
+  w.bytes(blob);
+}
+
+void read_batch(ByteReader& r, std::vector<sim::Message>& out) {
+  const std::uint32_t count = r.u32();
+  const Bytes blob = r.bytes();
+  if (!r.done()) throw ProtocolError("wire: trailing bytes after a message batch");
+  out.clear();
+  out.reserve(std::min<std::size_t>(count, blob.size() / kFrameOverhead));  // count is untrusted
+  WireReader frames(blob);
+  for (std::uint32_t i = 0; i < count; ++i) out.push_back(frames.message());
+  if (!frames.done()) throw ProtocolError("wire: message batch blob has trailing bytes");
 }
 
 }  // namespace simulcast::net

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "base/bytes.h"
 #include "sim/message.h"
@@ -132,5 +133,13 @@ class WireReader {
 /// Convenience single-frame helpers built on the writer/reader.
 void encode_message(const sim::Message& m, Bytes& out);
 [[nodiscard]] sim::Message decode_message(const Bytes& frame);
+
+/// A message batch, the tail of the process backend's kRound, kFinish and
+/// kOut bodies (net/worker.h): u32 count | u32 blob_len | `count` frames.
+/// read_batch replaces `out` with the batch and, since a batch always ends
+/// its body, throws ProtocolError when `r` holds anything after it (or the
+/// blob anything after its frames).
+void write_batch(ByteWriter& w, const sim::Inbox& batch);
+void read_batch(ByteReader& r, std::vector<sim::Message>& out);
 
 }  // namespace simulcast::net

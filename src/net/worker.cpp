@@ -1,13 +1,9 @@
 #include "net/worker.h"
 
 #include <poll.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
-#include <cstring>
-#include <limits>
 #include <optional>
 #include <string_view>
 #include <system_error>
@@ -18,8 +14,6 @@
 namespace simulcast::net {
 
 namespace {
-
-WorkerLoop g_worker_loop = nullptr;
 
 std::string_view frame_type_name(std::uint8_t type) noexcept {
   return proc_frame_name(static_cast<ProcFrame>(type));
@@ -60,9 +54,6 @@ void encode_worker_hello(const WorkerHello& hello, Bytes& out) {
   w.u64(hello.seed);
   w.u64(hello.rounds);
   w.u8(hello.input ? 1 : 0);
-  w.u8(hello.spectator ? 1 : 0);
-  w.u8(hello.kill_enabled ? 1 : 0);
-  w.u64(hello.kill_round);
   w.u64(hello.fault_digest);
   w.str(hello.protocol);
   w.str(hello.commitments);
@@ -80,9 +71,6 @@ WorkerHello decode_worker_hello(const Bytes& body) {
   hello.seed = r.u64();
   hello.rounds = r.u64();
   hello.input = r.u8() != 0;
-  hello.spectator = r.u8() != 0;
-  hello.kill_enabled = r.u8() != 0;
-  hello.kill_round = r.u64();
   hello.fault_digest = r.u64();
   hello.protocol = r.str();
   hello.commitments = r.str();
@@ -160,65 +148,6 @@ bool WorkerChannel::drain(std::chrono::milliseconds deadline) {
 std::chrono::milliseconds WorkerChannel::stall_deadline() const {
   if (!reliable()) return net_timeout_;
   return std::min(net_timeout_, std::max(std::chrono::milliseconds(1000), recovery_bound()));
-}
-
-void set_worker_loop(WorkerLoop loop) noexcept { g_worker_loop = loop; }
-
-int maybe_worker_main(int argc, char** argv) {
-  // Strict whole-value parse: "--simulcast-worker-fd=abc" must not become
-  // fd 0 (stdin as the coordinator channel), nor a garbage timeout be
-  // silently ignored.
-  const auto parse = [](const char* text, long& out) {
-    const char* const end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, out);
-    return ec == std::errc() && ptr == end && ptr != text;
-  };
-  bool worker = false;
-  bool malformed = false;
-  bool mute = false;
-  long fd = -1;
-  long timeout_ms = kDefaultNetTimeout.count();
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind(kWorkerFdFlag, 0) == 0) {
-      worker = true;
-      malformed = malformed || !parse(argv[i] + std::strlen(kWorkerFdFlag), fd) || fd < 0 ||
-                  fd > std::numeric_limits<int>::max();
-    } else if (arg.rfind(kWorkerTimeoutFlag, 0) == 0) {
-      malformed = malformed || !parse(argv[i] + std::strlen(kWorkerTimeoutFlag), timeout_ms) ||
-                  timeout_ms <= 0;
-    } else if (arg == kWorkerMuteFlag) {
-      mute = true;
-    }
-  }
-  if (!worker) return -1;  // not a worker invocation
-  if (malformed) return 3;
-
-  if (mute) {
-    // The connects-but-never-handshakes negative case: hold the channel
-    // open and say nothing until the coordinator gives up and kills us.
-    for (;;) ::pause();
-  }
-  const std::chrono::milliseconds timeout(timeout_ms);
-
-  try {
-    WorkerChannel channel(static_cast<int>(fd), timeout);
-    ProcFrame type{};
-    Bytes body;
-    const auto status = channel.read_frame(type, body, timeout);
-    if (status != WorkerChannel::Status::kOk) return 3;
-    if (type != ProcFrame::kHello) return 3;
-    const WorkerHello hello = decode_worker_hello(body);
-    // Generic shape checks; exiting without an ack is the rejection
-    // signal the coordinator turns into ProtocolError.
-    if (hello.n == 0 || hello.n > 64 || hello.slot >= hello.n) return 3;
-    if (g_worker_loop == nullptr) return 4;
-    return g_worker_loop(channel, hello);
-  } catch (const ProtocolError&) {
-    return 3;
-  } catch (...) {
-    return 4;
-  }
 }
 
 }  // namespace simulcast::net

@@ -1,17 +1,19 @@
-// Worker side of the process transport (--transport=process): the
-// re-exec'd per-party entrypoint, the control-frame protocol it speaks
-// with the coordinator (net/procs.h), and the handshake codec shared by
-// both ends.
+// The control protocol of the process transport (--transport=process):
+// the frames a coordinator (net/procs.h) and a worker exchange, the
+// handshake codec shared by both ends, and the channel they speak through.
+// The worker itself — argv parsing, hello checks, the party machine and
+// its round loop — is sim::maybe_worker_main (sim/network.h), since it
+// drives sim::Party machines the net layer cannot name.
 //
 // A worker is this very binary re-executed (/proc/self/exe) with its end
 // of a socketpair on a fixed descriptor:
 //
-//   <exe> --simulcast-worker-fd=3 --simulcast-net-timeout=S
+//   <exe> --simulcast-worker-fd=3 --simulcast-net-timeout=MS
 //
-// so every driver and test that calls maybe_worker_main() early in main
-// can host workers without a separate binary — protocol registries,
-// static initializers and test-local protocols are all present in the
-// child for free.
+// so every driver and test that calls sim::maybe_worker_main early in
+// main (drivers through exec::configure) can host workers without a
+// separate binary — protocol registries, static initializers and
+// test-local protocols are all present in the child for free.
 //
 // Control frames ride the channel as
 //
@@ -25,19 +27,19 @@
 //   kHello {version, n, slot, ...}
 //                                    kAck {slot echo, digest echo}
 //   kBegin
-//                                    kOut {begin-outbox frames}
-//   kRound {r, inbox frames}   (xR)
-//                                    kOut {round-outbox frames}
-//   kFinish {inbox frames}
+//                                    kOut {begin-outbox batch}
+//   kRound {r, inbox batch}    (xR)
+//                                    kOut {round-outbox batch}
+//   kFinish {inbox batch}
 //                                    kOutput {has, size, packed} + exit 0
 //
-// Party messages inside kRound/kFinish/kOut bodies use the net/wire.h
-// frame format unchanged.  A machine that throws ProtocolError replies
+// Inboxes and outboxes travel as net/wire.h message batches (a count,
+// then the wire frames).  A machine that throws ProtocolError replies
 // kFailed instead and exits 0 (fail-in-place, mirroring the in-process
 // scheduler).  EOF on the channel is the shutdown signal; a worker that
 // reads EOF (or times out waiting for the coordinator) exits quietly.
-// Malformed or mis-versioned hello frames make the worker exit without
-// acking, which the coordinator surfaces as ProtocolError.
+// A malformed, mis-versioned or unhostable hello makes the worker exit
+// without acking, which the coordinator surfaces as ProtocolError.
 //
 // Both ends speak through one net::Link (net/link.h): plain records on a
 // clean wire, and — when the hello carries a chaos spec that targets this
@@ -65,8 +67,9 @@ inline constexpr std::uint32_t kProcMagic = 0x53504331;
 
 /// Bumped on any control-protocol change; both ends reject other versions.
 /// v2: the hello carries the chaos spec and chaos-targeted channels switch
-/// to reliability records after the handshake.
-inline constexpr std::uint8_t kProcVersion = 2;
+/// to reliability records after the handshake.  v3: the hello carries only
+/// the execution identity (three test-only fields are gone).
+inline constexpr std::uint8_t kProcVersion = 3;
 
 /// Control-frame types.  Requests are low, replies have the high bit set.
 enum class ProcFrame : std::uint8_t {
@@ -94,9 +97,6 @@ struct WorkerHello {
   std::uint64_t seed = 0;          ///< master execution seed
   std::uint64_t rounds = 0;
   bool input = false;              ///< the party's input bit
-  bool spectator = false;          ///< respawned replacement: ack, then drain
-  bool kill_enabled = false;       ///< raise SIGKILL on round kill_round
-  std::uint64_t kill_round = 0;
   std::uint64_t fault_digest = 0;  ///< digest of FaultPlan::summary()
   std::string protocol;            ///< registry name (core/registry.h)
   std::string commitments;         ///< scheme name; "" = no scheme
@@ -176,24 +176,8 @@ class WorkerChannel : private Link {
   std::chrono::milliseconds net_timeout_;
 };
 
-/// The worker round loop, installed by sim/network.cpp at static-init
-/// time (the loop drives sim::Party machines, which the net layer cannot
-/// name).  Receives the validated hello and the channel right after the
-/// generic handshake checks; returns the process exit code.
-using WorkerLoop = int (*)(WorkerChannel& channel, const WorkerHello& hello);
-void set_worker_loop(WorkerLoop loop) noexcept;
-
-/// Worker-process dispatch: call first thing in main (drivers get it via
-/// exec::configure).  Returns -1 when argv carries no worker fd flag — the
-/// caller proceeds as a normal process — otherwise runs the worker to
-/// completion and returns its exit code (callers std::exit it).  A
-/// malformed fd or timeout value returns 3 before any descriptor is
-/// touched.  Never throws; worker-side failures become nonzero exit codes.
-[[nodiscard]] int maybe_worker_main(int argc, char** argv);
-
-/// argv spelling shared by the supervisor and the dispatcher.
+/// argv spelling shared by the supervisor and the worker entry.
 inline constexpr const char* kWorkerFdFlag = "--simulcast-worker-fd=";
 inline constexpr const char* kWorkerTimeoutFlag = "--simulcast-net-timeout=";
-inline constexpr const char* kWorkerMuteFlag = "--simulcast-worker-mute";
 
 }  // namespace simulcast::net

@@ -129,18 +129,10 @@ void append(Json& json, const PerfRecord& p) {
         .object_end();
   }
   json.array_end();
-  json.key("traffic")
-      .object_begin()
-      .member("messages", std::uint64_t{r.traffic.messages})
-      .member("point_to_point", std::uint64_t{r.traffic.point_to_point})
-      .member("broadcasts", std::uint64_t{r.traffic.broadcasts})
-      .member("wire_bytes", std::uint64_t{r.traffic.wire_bytes})
-      .member("wire_delivered_bytes", std::uint64_t{r.traffic.wire_delivered_bytes})
-      .member("dropped", std::uint64_t{r.traffic.dropped})
-      .member("delayed", std::uint64_t{r.traffic.delayed})
-      .member("blocked", std::uint64_t{r.traffic.blocked})
-      .member("crashed", std::uint64_t{r.traffic.crashed})
-      .object_end();
+  json.key("traffic").object_begin();
+  for (const auto& [column, name] : sim::kTrafficColumns)
+    json.member(name, std::uint64_t{r.traffic.*column});
+  json.object_end();
   json.key("phases")
       .object_begin()
       .member("sampling_seconds", r.phases.sampling)

@@ -1,8 +1,10 @@
 #include "sim/faults.h"
 
+#include <optional>
 #include <sstream>
 
 #include "base/error.h"
+#include "base/parse.h"
 
 namespace simulcast::sim {
 
@@ -69,21 +71,12 @@ std::vector<CrashFault> parse_crash_schedule(std::string_view text) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     const std::size_t at = item.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 == item.size())
+    const std::optional<std::uint64_t> party = parse_uint(std::string_view(item).substr(0, at));
+    const std::optional<std::uint64_t> round =
+        at == std::string::npos ? std::nullopt : parse_uint(std::string_view(item).substr(at + 1));
+    if (!party || !round)
       throw UsageError("crash schedule: expected party@round, got '" + item + "'");
-    std::size_t party_end = 0;
-    std::size_t round_end = 0;
-    unsigned long party = 0;
-    unsigned long round = 0;
-    try {
-      party = std::stoul(item.substr(0, at), &party_end);
-      round = std::stoul(item.substr(at + 1), &round_end);
-    } catch (const std::exception&) {
-      throw UsageError("crash schedule: expected party@round, got '" + item + "'");
-    }
-    if (party_end != at || round_end != item.size() - at - 1)
-      throw UsageError("crash schedule: expected party@round, got '" + item + "'");
-    crashes.push_back({static_cast<PartyId>(party), static_cast<Round>(round)});
+    crashes.push_back({static_cast<PartyId>(*party), static_cast<Round>(*round)});
   }
   if (crashes.empty()) throw UsageError("crash schedule: empty");
   return crashes;

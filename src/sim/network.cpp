@@ -1,13 +1,15 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <csignal>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "base/error.h"
+#include "base/parse.h"
 #include "crypto/commitment.h"
 #include "net/chaos.h"
+#include "net/procs.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "net/worker.h"
@@ -114,89 +116,59 @@ class RemoteParty final : public Party {
   std::optional<BitVec> output_;
 };
 
-// --- process transport: worker-side round loop ---------------------------
+// --- process transport: the worker ---------------------------------------
 
 /// Encodes and sends the machine's drained outbox as one kOut frame.
 bool send_outbox(net::WorkerChannel& channel, PartyContext& ctx) {
-  const std::vector<Message> out = ctx.take_outbox();
-  Bytes blob;
-  net::WireWriter frames(blob);
-  for (const Message& m : out) frames.message(m);
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(out.size()));
-  w.bytes(blob);
+  net::write_batch(w, ctx.take_outbox());
   return channel.write_frame(net::ProcFrame::kOut, w.take());
 }
 
-/// Decodes a kRound/kFinish inbox body (count + wire-frame blob past
-/// `reader`'s current position) into `storage`.
-Inbox decode_inbox(ByteReader& reader, std::vector<Message>& storage) {
-  const std::uint32_t count = reader.u32();
-  const Bytes blob = reader.bytes();
-  if (!reader.done()) throw ProtocolError("worker: inbox body has trailing bytes");
-  storage.clear();
-  storage.reserve(count);
-  net::WireReader frames(blob);
-  for (std::uint32_t i = 0; i < count; ++i) storage.push_back(frames.message());
-  if (!frames.done()) throw ProtocolError("worker: inbox blob has trailing bytes");
-  return Inbox(storage);
-}
-
-/// The worker half of the process transport (net/worker.h): reconstructs
-/// this slot's machine from the handshake — same registry protocol, same
-/// "party:<id>"-personalized DRBG, same commitment scheme — then serves
-/// the coordinator's begin/round/finish RPCs until EOF.  The machine code
-/// cannot tell it is running here rather than inside run_execution, which
-/// is the whole point.
-int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hello) {
+/// The worker half of the process transport (net/worker.h): reads the
+/// hello and rebuilds this slot's machine from it — same registry
+/// protocol, same "party:<id>"-personalized DRBG, same commitment scheme —
+/// then acks and serves the coordinator's begin/round/finish RPCs until
+/// EOF.  The machine code cannot tell it is running here rather than
+/// inside run_execution, which is the whole point.  A hello this worker
+/// cannot host (malformed, out of range, unknown protocol or scheme,
+/// rounds mismatch, unparsable chaos spec) is rejected by exiting with 3
+/// before the ack, which the coordinator turns into a ProtocolError.
+int serve_worker(net::WorkerChannel& channel) {
   using Status = net::WorkerChannel::Status;
 
+  net::ProcFrame type{};
+  Bytes body;
+  if (channel.read_frame(type, body, channel.stall_deadline()) != Status::kOk ||
+      type != net::ProcFrame::kHello)
+    return 3;
+  net::WorkerHello hello;
   std::unique_ptr<ParallelBroadcastProtocol> protocol;
-  if (g_worker_protocol_resolver != nullptr) {
-    try {
-      protocol = g_worker_protocol_resolver(hello.protocol);
-    } catch (const Error&) {
-    }
-  }
-  // Exiting before the ack is the rejection signal: the coordinator reads
-  // EOF and raises ProtocolError.
-  if (protocol == nullptr) return 3;
-  if (protocol->rounds(hello.n) != hello.rounds) return 3;
-  ProtocolParams params;
-  params.n = hello.n;
-  params.k = static_cast<std::uint32_t>(hello.k);
   std::unique_ptr<crypto::CommitmentScheme> scheme;
-  if (!hello.commitments.empty()) {
-    try {
+  ProtocolParams params;
+  std::unique_ptr<Party> machine;
+  net::ChaosSpec chaos;
+  try {
+    hello = net::decode_worker_hello(body);
+    if (hello.n == 0 || hello.n > kMaxBits || hello.slot >= hello.n) return 3;
+    if (g_worker_protocol_resolver != nullptr)
+      protocol = g_worker_protocol_resolver(hello.protocol);
+    if (protocol == nullptr || protocol->rounds(hello.n) != hello.rounds) return 3;
+    params.n = hello.n;
+    params.k = static_cast<std::uint32_t>(hello.k);
+    if (!hello.commitments.empty()) {
       scheme = crypto::make_commitment_scheme(hello.commitments);
-    } catch (const Error&) {
-      return 3;
+      params.commitments = scheme.get();
     }
-    params.commitments = scheme.get();
+    machine = protocol->make_party(hello.slot, hello.input, params);
+    // The chaos spec travels as its canonical summary ("" = clean wire).
+    chaos = net::parse_chaos_spec(hello.chaos);
+  } catch (const Error&) {
+    return 3;
   }
   crypto::HmacDrbg drbg(hello.seed, "party:" + std::to_string(hello.slot));
   MessagePool pool;
   PartyContext ctx(hello.slot, hello.n, params.k, drbg, &pool);
-  std::unique_ptr<Party> machine;
-  if (!hello.spectator) {
-    try {
-      machine = protocol->make_party(hello.slot, hello.input, params);
-    } catch (const Error&) {
-      return 3;
-    }
-  }
-
-  // The chaos spec travels in the hello as its canonical summary; a spec
-  // the worker cannot parse is a handshake rejection (exit before the
-  // ack), exactly like an unknown protocol name.
-  std::optional<net::ChaosSpec> chaos;
-  if (!hello.chaos.empty()) {
-    try {
-      chaos = net::parse_chaos_spec(hello.chaos);
-    } catch (const Error&) {
-      return 3;
-    }
-  }
 
   Bytes ack_body;
   net::encode_worker_ack({hello.slot, hello.fault_digest}, ack_body);
@@ -205,20 +177,10 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
   // The handshake rides plain framing on both sides; resilient framing
   // switches on right after the ack, mirroring the coordinator.
   const std::string label = "worker:P" + std::to_string(hello.slot);
-  if (chaos.has_value() && chaos->enabled() && chaos->applies_to(hello.slot))
-    channel.enable_chaos(*chaos, hello.seed, label);
+  if (chaos.enabled() && chaos.applies_to(hello.slot))
+    channel.enable_chaos(chaos, hello.seed, label);
   else
     channel.set_label(label);
-
-  if (hello.spectator) {
-    // A respawned standby holds the channel and discards everything until
-    // the coordinator closes it.
-    net::ProcFrame type{};
-    Bytes body;
-    while (channel.read_frame(type, body, channel.stall_deadline()) == Status::kOk) {
-    }
-    return 0;
-  }
 
   // Fail-in-place, the worker spelling: discard the failing call's queued
   // messages, tell the coordinator, exit cleanly.  The coordinator's
@@ -236,12 +198,11 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
 
   std::vector<Message> inbox_storage;
   for (;;) {
-    net::ProcFrame type{};
-    Bytes body;
     const Status status = channel.read_frame(type, body, channel.stall_deadline());
     if (status == Status::kEof) return 0;      // coordinator shut us down
     if (status == Status::kTimeout) return 5;  // coordinator vanished
     if (status == Status::kBudget) return 5;   // wire too hostile; die quietly
+    ByteReader reader(body);
     switch (type) {
       case net::ProcFrame::kBegin: {
         try {
@@ -253,15 +214,10 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
         break;
       }
       case net::ProcFrame::kRound: {
-        ByteReader reader(body);
         const Round round = static_cast<Round>(reader.u64());
-        // The deterministic kill -9: die on *receiving* the round-start,
-        // before acting — exactly when a FaultPlan crash scheduled for
-        // this round would have destroyed the machine.
-        if (hello.kill_enabled && round == hello.kill_round) (void)::raise(SIGKILL);
-        const Inbox inbox = decode_inbox(reader, inbox_storage);
+        net::read_batch(reader, inbox_storage);
         try {
-          machine->on_round(round, inbox, ctx);
+          machine->on_round(round, Inbox(inbox_storage), ctx);
         } catch (const ProtocolError&) {
           return fail_in_place();
         }
@@ -269,10 +225,9 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
         break;
       }
       case net::ProcFrame::kFinish: {
-        ByteReader reader(body);
-        const Inbox inbox = decode_inbox(reader, inbox_storage);
+        net::read_batch(reader, inbox_storage);
         try {
-          machine->finish(inbox, ctx);
+          machine->finish(Inbox(inbox_storage), ctx);
         } catch (const ProtocolError&) {
           return fail_in_place();
         }
@@ -297,14 +252,50 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
   }
 }
 
-const struct WorkerLoopRegistrar {
-  WorkerLoopRegistrar() noexcept { net::set_worker_loop(&process_worker_loop); }
-} g_worker_loop_registrar;
-
 }  // namespace
 
 void set_worker_protocol_resolver(WorkerProtocolResolver resolver) noexcept {
   g_worker_protocol_resolver = resolver;
+}
+
+int maybe_worker_main(int argc, char** argv) {
+  // Strict whole-value parse: "--simulcast-worker-fd=abc" must not become
+  // fd 0 (stdin as the coordinator channel), nor a garbage timeout be
+  // silently ignored.
+  bool worker = false;
+  bool malformed = false;
+  std::uint64_t fd = 0;
+  std::uint64_t timeout_ms = static_cast<std::uint64_t>(net::kDefaultNetTimeout.count());
+  const auto take = [&](std::string_view text, std::uint64_t& out, std::uint64_t min,
+                        std::uint64_t max) {
+    const std::optional<std::uint64_t> value = parse_uint(text);
+    malformed = malformed || !value || *value < min || *value > max;
+    if (value) out = *value;
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view fd_flag = net::kWorkerFdFlag;
+    const std::string_view timeout_flag = net::kWorkerTimeoutFlag;
+    if (arg.rfind(fd_flag, 0) == 0) {
+      worker = true;
+      take(arg.substr(fd_flag.size()), fd, 0, std::numeric_limits<int>::max());
+    } else if (arg.rfind(timeout_flag, 0) == 0) {
+      take(arg.substr(timeout_flag.size()), timeout_ms, 1,
+           std::numeric_limits<std::int64_t>::max());
+    }
+  }
+  if (!worker) return -1;  // not a worker invocation
+  if (malformed) return 3;
+
+  try {
+    net::WorkerChannel channel(static_cast<int>(fd),
+                               std::chrono::milliseconds(static_cast<std::int64_t>(timeout_ms)));
+    return serve_worker(channel);
+  } catch (const ProtocolError&) {
+    return 3;
+  } catch (...) {
+    return 4;
+  }
 }
 
 void PartyContext::send(PartyId to, Tag tag, Bytes payload) {
@@ -402,7 +393,6 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
     spec.seed = config.seed;
     spec.rounds = total_rounds;
     spec.fault_digest = net::fault_plan_digest(plan.summary());
-    spec.options = config.process;
     spec.chaos = config.chaos;
     spec.net_timeout = config.net_timeout;
     crew = std::make_unique<net::ProcSupervisor>(std::move(spec));

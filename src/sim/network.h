@@ -27,11 +27,11 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/bitvec.h"
 #include "net/chaos.h"
-#include "net/procs.h"
 #include "net/transport.h"
 #include "sim/adversary.h"
 #include "sim/faults.h"
@@ -60,10 +60,6 @@ struct ExecutionConfig {
   /// Samples and verdicts are transport-invariant, so the backend is not
   /// part of a campaign's identity.
   net::TransportKind transport = net::default_transport_kind();
-  /// Process-mode lifecycle knobs (net/procs.h): worker kill/respawn and
-  /// handshake tweaks for the equivalence and negative test suites.
-  /// Ignored unless transport is TransportKind::kProcess.
-  net::ProcessOptions process;
   /// Wire-chaos conditions (net/chaos.h, the --chaos= knob; inert by
   /// default).  Recoverable chaos leaves samples and verdicts bit-identical
   /// to a clean run, so — like the transport backend — the spec is not part
@@ -89,7 +85,31 @@ struct TrafficStats {
   std::size_t delayed = 0;         ///< messages assigned a nonzero delivery delay
   std::size_t blocked = 0;         ///< p2p link-deliveries suppressed by partitions
   std::size_t crashed = 0;         ///< honest parties crashed by the plan
+
+  bool operator==(const TrafficStats&) const = default;
+  TrafficStats& operator+=(const TrafficStats& other) noexcept;
 };
+
+/// Every TrafficStats counter with its name, in declaration order: the
+/// order of the BENCH record's "traffic" object and of a checkpoint slot's
+/// traffic tokens.  Sums, the record writer and the checkpoint codec all
+/// iterate this one table.
+inline constexpr std::pair<std::size_t TrafficStats::*, const char*> kTrafficColumns[] = {
+    {&TrafficStats::messages, "messages"},
+    {&TrafficStats::point_to_point, "point_to_point"},
+    {&TrafficStats::broadcasts, "broadcasts"},
+    {&TrafficStats::wire_bytes, "wire_bytes"},
+    {&TrafficStats::wire_delivered_bytes, "wire_delivered_bytes"},
+    {&TrafficStats::dropped, "dropped"},
+    {&TrafficStats::delayed, "delayed"},
+    {&TrafficStats::blocked, "blocked"},
+    {&TrafficStats::crashed, "crashed"},
+};
+
+inline TrafficStats& TrafficStats::operator+=(const TrafficStats& other) noexcept {
+  for (const auto& [column, name] : kTrafficColumns) this->*column += other.*column;
+  return *this;
+}
 
 struct ExecutionResult {
   /// Party outputs; nullopt for corrupted parties (the adversary has no
@@ -121,15 +141,31 @@ struct ExecutionResult {
                                             const ProtocolParams& params, const BitVec& inputs,
                                             Adversary& adversary, const ExecutionConfig& config);
 
-/// Worker-process protocol resolution: a spawned worker (net/worker.h)
-/// knows its protocol only by registry name, and the sim layer cannot see
-/// the registry (core depends on sim, not the reverse).  core/registry.cpp
+/// Worker-process protocol resolution: a spawned worker knows its
+/// protocol only by registry name, and the sim layer cannot see the
+/// registry (core depends on sim, not the reverse).  core/registry.cpp
 /// installs core::make_protocol here at static-init time; test binaries
 /// with local protocols install a chaining resolver in main() before
-/// net::maybe_worker_main.  The resolver throws (or returns null) on an
-/// unknown name, which the worker turns into a handshake rejection.
+/// maybe_worker_main.  The resolver throws (or returns null) on an unknown
+/// name, which the worker turns into a handshake rejection.  A resolver
+/// is free to hand back a wrapper of a registered protocol — the process
+/// tests kill a worker mid-round that way.
 using WorkerProtocolResolver =
     std::unique_ptr<ParallelBroadcastProtocol> (*)(std::string_view name);
 void set_worker_protocol_resolver(WorkerProtocolResolver resolver) noexcept;
+
+/// The process-transport worker entry (net/worker.h for the control
+/// protocol): call first thing in main — drivers get it through
+/// exec::configure.  Returns -1 when argv carries no
+/// --simulcast-worker-fd flag, and the caller proceeds as a normal
+/// process.  Otherwise this process is a worker: it reads the hello on
+/// that descriptor, checks it, builds the party machine through the
+/// resolver, acks, serves the coordinator's RPCs, and returns the exit
+/// code for the caller to exit with.  Codes: 0 done (or shut down by
+/// EOF); 3 argv or hello rejected — a malformed fd or timeout is refused
+/// before any descriptor is touched, and a rejected hello is never acked;
+/// 4 an unexpected exception; 5 the coordinator went silent or the wire's
+/// retransmit budget ran out; 6 an unexpected frame.  Never throws.
+[[nodiscard]] int maybe_worker_main(int argc, char** argv);
 
 }  // namespace simulcast::sim

@@ -56,6 +56,12 @@ check "chaos bad delay kind"   --chaos=delay:gauss:1
 check "chaos without a wire condition" --chaos=budget:3
 check "repeated chaos"         --chaos=loss:0.1 --chaos=loss:0.1
 check "chaos on the in-process backend" --chaos=loss:0.5
+# Knobs that parse but name a party the campaign does not have: rejected by
+# exec::Runner::validate before sampling, and the UsageError leaves the
+# driver through exec::configure's terminate handler as exit 2.
+check "crash party beyond n"   --crash=9@0
+check "negative crash party"   --crash=-1@0
+check "chaos party beyond n"   --transport=socket --chaos=loss:0.5,party:9
 
 # Explore-only rows: explore's own options (--n, --samples, --seed,
 # --corrupt) and distribution specs go through the run knobs' strict number
@@ -85,6 +91,25 @@ check_explore "malformed singleton bits"  gennaro none singleton:10x1
 check_explore "malformed product entry"   gennaro none product:0.5,x
 check_explore "chaos party beyond --n"    gennaro none uniform --n=4 --transport=socket \
                                           --chaos=loss:0.5,party:9
+check_explore "crash beyond n, quarantine" gennaro none uniform --samples=1 --retries=1 \
+                                           --crash=9@0
+
+# The crash and chaos grammars parse their numbers as strictly as the knobs
+# do (base/parse.h).  explore-only with --samples=1: a lenient grammar lets
+# these run, and a bench driver would run its whole grid.
+check_explore "signed crash party"        gennaro none uniform --samples=1 --crash=+1@0
+check_explore "blank before crash party"  gennaro none uniform --samples=1 "--crash= 1@0"
+check_explore "blank before crash round"  gennaro none uniform --samples=1 "--crash=1@ 0"
+check_explore "signed chaos probability"  gennaro none uniform --samples=1 --transport=socket \
+                                          --chaos=loss:+0.5
+check_explore "blank before chaos party"  gennaro none uniform --samples=1 --transport=socket \
+                                          "--chaos=loss:0.5,party: 1"
+check_explore "hex-float chaos loss"      gennaro none uniform --samples=1 --transport=socket \
+                                          --chaos=loss:0x1p-2
+check_explore "negative chaos warm-up"    gennaro none uniform --samples=1 --transport=socket \
+                                          --chaos=loss:0.5,after:-0
+check_explore "overflowing chaos budget"  gennaro none uniform --samples=1 --transport=socket \
+                                          --chaos=loss:0.5,budget:99999999999999999999999
 
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore

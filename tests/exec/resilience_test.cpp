@@ -31,18 +31,6 @@
 namespace simulcast::exec {
 namespace {
 
-bool same_sample(const Sample& a, const Sample& b) {
-  return a.inputs == b.inputs && a.announced == b.announced && a.consistent == b.consistent &&
-         a.adversary_output == b.adversary_output && a.rounds == b.rounds &&
-         a.traffic.messages == b.traffic.messages &&
-         a.traffic.point_to_point == b.traffic.point_to_point &&
-         a.traffic.broadcasts == b.traffic.broadcasts &&
-         a.traffic.wire_bytes == b.traffic.wire_bytes &&
-         a.traffic.wire_delivered_bytes == b.traffic.wire_delivered_bytes &&
-         a.traffic.dropped == b.traffic.dropped && a.traffic.delayed == b.traffic.delayed &&
-         a.traffic.blocked == b.traffic.blocked && a.traffic.crashed == b.traffic.crashed;
-}
-
 RunSpec spec_for(const sim::ParallelBroadcastProtocol& proto, std::size_t n) {
   static const crypto::HashCommitmentScheme scheme;
   RunSpec spec;
@@ -63,15 +51,7 @@ void expect_same_canonical_report(const BatchReport& a, const BatchReport& b,
   EXPECT_EQ(a.partial, b.partial) << context;
   EXPECT_EQ(a.quarantine.size(), b.quarantine.size()) << context;
   EXPECT_EQ(a.total_rounds, b.total_rounds) << context;
-  EXPECT_EQ(a.traffic.messages, b.traffic.messages) << context;
-  EXPECT_EQ(a.traffic.point_to_point, b.traffic.point_to_point) << context;
-  EXPECT_EQ(a.traffic.broadcasts, b.traffic.broadcasts) << context;
-  EXPECT_EQ(a.traffic.wire_bytes, b.traffic.wire_bytes) << context;
-  EXPECT_EQ(a.traffic.wire_delivered_bytes, b.traffic.wire_delivered_bytes) << context;
-  EXPECT_EQ(a.traffic.dropped, b.traffic.dropped) << context;
-  EXPECT_EQ(a.traffic.delayed, b.traffic.delayed) << context;
-  EXPECT_EQ(a.traffic.blocked, b.traffic.blocked) << context;
-  EXPECT_EQ(a.traffic.crashed, b.traffic.crashed) << context;
+  EXPECT_EQ(a.traffic, b.traffic) << context;
 }
 
 /// Fresh scratch directory per test (gtest's TempDir is per-process).
@@ -134,7 +114,7 @@ TEST(Checkpoint, RoundTripsEveryField) {
   ASSERT_EQ(loaded->slots.size(), data.slots.size());
   for (std::size_t i = 0; i < data.slots.size(); ++i) {
     EXPECT_EQ(loaded->slots[i].slot, data.slots[i].slot);
-    EXPECT_TRUE(same_sample(loaded->slots[i].sample, data.slots[i].sample)) << "slot " << i;
+    EXPECT_TRUE(loaded->slots[i].sample == data.slots[i].sample) << "slot " << i;
   }
   ASSERT_EQ(loaded->quarantined.size(), 2u);
   EXPECT_EQ(loaded->quarantined[0].rep, 5u);
@@ -235,7 +215,7 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
             Runner(threads).set_options(options).run_batch(spec, *ens, count, 7);
         ASSERT_EQ(resumed.samples.size(), baseline.samples.size()) << context;
         for (std::size_t i = 0; i < count; ++i)
-          EXPECT_TRUE(same_sample(baseline.samples[i], resumed.samples[i]))
+          EXPECT_TRUE(baseline.samples[i] == resumed.samples[i])
               << context << " rep " << i;
         expect_same_canonical_report(baseline.report, resumed.report, context);
         EXPECT_FALSE(std::filesystem::exists(ckpt))
@@ -281,7 +261,7 @@ TEST(Resume, SerialInterruptIsDeterministicAndAccountsUnion) {
 
   const BatchResult baseline = Runner(1).run_batch(spec, *ens, 12, 3);
   for (std::size_t i = 0; i < 12; ++i)
-    EXPECT_TRUE(same_sample(baseline.samples[i], resumed.samples[i])) << i;
+    EXPECT_TRUE(baseline.samples[i] == resumed.samples[i]) << i;
   expect_same_canonical_report(baseline.report, resumed.report, "serial resume");
   // The resumed wall clock accounts the interrupted attempt's seconds too.
   EXPECT_GE(resumed.report.wall_seconds, interrupted.report.wall_seconds);
@@ -390,7 +370,7 @@ TEST(Watchdog, GenerousDeadlineKeepsResultsIdentical) {
   EXPECT_EQ(watched.report.completed, 8u);
   EXPECT_TRUE(watched.report.quarantine.empty());
   for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_TRUE(same_sample(baseline.samples[i], watched.samples[i])) << i;
+    EXPECT_TRUE(baseline.samples[i] == watched.samples[i]) << i;
 }
 
 /// Delegates to gennaro but fails the first `failures` make_party calls
@@ -432,7 +412,7 @@ TEST(Retry, TransientFailuresRecoverToIdenticalSamples) {
   EXPECT_EQ(recovered.report.completed, 6u);
   EXPECT_TRUE(recovered.report.quarantine.empty());
   for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_TRUE(same_sample(baseline.samples[i], recovered.samples[i])) << i;
+    EXPECT_TRUE(baseline.samples[i] == recovered.samples[i]) << i;
 }
 
 // Retry exhaustion quarantines with the transient history in the reason.
@@ -560,7 +540,7 @@ TEST(Shutdown, SigintDrainsFlushesCheckpointAndResumes) {
   EXPECT_EQ(resumed.report.completed, 10u);
   EXPECT_FALSE(resumed.report.partial);
   for (std::size_t i = 0; i < 10; ++i)
-    EXPECT_TRUE(same_sample(baseline.samples[i], resumed.samples[i])) << i;
+    EXPECT_TRUE(baseline.samples[i] == resumed.samples[i]) << i;
   EXPECT_FALSE(std::filesystem::exists(ckpt));
 }
 

@@ -24,18 +24,6 @@
 namespace simulcast::exec {
 namespace {
 
-bool same_sample(const Sample& a, const Sample& b) {
-  return a.inputs == b.inputs && a.announced == b.announced && a.consistent == b.consistent &&
-         a.adversary_output == b.adversary_output && a.rounds == b.rounds &&
-         a.traffic.messages == b.traffic.messages &&
-         a.traffic.point_to_point == b.traffic.point_to_point &&
-         a.traffic.broadcasts == b.traffic.broadcasts &&
-         a.traffic.wire_bytes == b.traffic.wire_bytes &&
-         a.traffic.wire_delivered_bytes == b.traffic.wire_delivered_bytes &&
-         a.traffic.dropped == b.traffic.dropped && a.traffic.delayed == b.traffic.delayed &&
-         a.traffic.blocked == b.traffic.blocked && a.traffic.crashed == b.traffic.crashed;
-}
-
 RunSpec spec_for(const sim::ParallelBroadcastProtocol& proto, std::size_t n) {
   static const crypto::HashCommitmentScheme scheme;
   RunSpec spec;
@@ -60,7 +48,7 @@ TEST(Runner, ParallelMatchesSerialForAllProtocols) {
       const auto parallel = testers::collect_samples(spec, *ens, count, 7, threads);
       ASSERT_EQ(serial.size(), parallel.size()) << name;
       for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_TRUE(same_sample(serial[i], parallel[i])) << name << " rep " << i;
+        EXPECT_TRUE(serial[i] == parallel[i]) << name << " rep " << i;
     }
   }
 }
@@ -74,7 +62,7 @@ TEST(Runner, ParallelMatchesSerialFixedInput) {
     const auto parallel = testers::collect_samples_fixed(spec, input, 16, 11, threads);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-      EXPECT_TRUE(same_sample(serial[i], parallel[i])) << "rep " << i;
+      EXPECT_TRUE(serial[i] == parallel[i]) << "rep " << i;
   }
 }
 
@@ -175,7 +163,7 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
     EXPECT_FALSE(events.empty()) << "traced run must actually record spans";
     ASSERT_EQ(baseline.samples.size(), traced.samples.size()) << threads;
     for (std::size_t i = 0; i < baseline.samples.size(); ++i)
-      EXPECT_TRUE(same_sample(baseline.samples[i], traced.samples[i]))
+      EXPECT_TRUE(baseline.samples[i] == traced.samples[i])
           << "threads " << threads << " rep " << i;
     EXPECT_EQ(baseline_json, traced_json) << "threads " << threads;
   }
@@ -212,12 +200,9 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
       const auto rerun = testers::collect_batch(spec, *ens, kReps, 13, threads);
       ASSERT_EQ(baseline.samples.size(), rerun.samples.size());
       for (std::size_t i = 0; i < baseline.samples.size(); ++i)
-        EXPECT_TRUE(same_sample(baseline.samples[i], rerun.samples[i]))
+        EXPECT_TRUE(baseline.samples[i] == rerun.samples[i])
             << "tracing " << tracing << " threads " << threads << " rep " << i;
-      EXPECT_EQ(baseline.report.traffic.dropped, rerun.report.traffic.dropped);
-      EXPECT_EQ(baseline.report.traffic.delayed, rerun.report.traffic.delayed);
-      EXPECT_EQ(baseline.report.traffic.blocked, rerun.report.traffic.blocked);
-      EXPECT_EQ(baseline.report.traffic.crashed, rerun.report.traffic.crashed);
+      EXPECT_EQ(baseline.report.traffic, rerun.report.traffic);
     }
     obs::clear_events();
   }
@@ -305,6 +290,20 @@ TEST(Runner, Validation) {
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, *ens, 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, BitVec(4), 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, {BitVec(4)}, {1}), UsageError);
+  // So is a crash of a party the execution does not have, from the config
+  // or from the spec — also with quarantine on, which must not book it as
+  // every repetition failing.
+  RunConfig crash_past_n;
+  crash_past_n.faults.crashes.push_back({9, 0});
+  crash_past_n.batch.quarantine = true;
+  EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, *ens, 1, 1), UsageError);
+  EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, BitVec(4), 1, 1), UsageError);
+  EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, {BitVec(4)}, {1}), UsageError);
+  RunSpec crash_spec = spec4;
+  crash_spec.faults.crashes.push_back({4, 0});
+  RunConfig quarantining;
+  quarantining.batch.quarantine = true;
+  EXPECT_THROW((void)Runner(1, quarantining).run_batch(crash_spec, *ens, 1, 1), UsageError);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -88,6 +88,17 @@ TEST(ChaosSpec, ParseRejectsMalformedSpecs) {
       "budget:3",                // shapes chaos but sets no wire condition
       "party:1,after:2",         // likewise
       "loss:0.1,,dup:0.1",       // empty item
+      // Numbers are strict (base/parse.h): no sign, whitespace, hex float,
+      // overflow, NaN or infinity.
+      "loss:+0.5",
+      "loss: 0.5",
+      "loss:0x1p-2",
+      "loss:nan",
+      "delay:pareto:1:inf",
+      "loss:0.5,party: 1",
+      "loss:0.5,party:+1",
+      "loss:0.5,after:-0",
+      "loss:0.5,budget:99999999999999999999999",
   };
   for (const char* text : rejects)
     EXPECT_THROW((void)parse_chaos_spec(text), UsageError) << text;

@@ -4,17 +4,21 @@
 // backends for every observable an execution produces, a SIGKILLed worker
 // must be indistinguishable from a sim::FaultPlan crash scheduled at the
 // same round, and every way a handshake can go wrong must surface as a
-// loud ProtocolError within the stall deadline, leaving no zombie behind.
+// loud rejection within the stall deadline, leaving no zombie behind.
 //
 // This binary has a custom main: a re-exec'd worker runs the same
-// executable, so worker dispatch (net::maybe_worker_main) must happen
+// executable, so worker dispatch (sim::maybe_worker_main) must happen
 // before gtest ever sees argv, and the protocol resolver must be chained
-// first so spawned workers can host the file-local chatter protocol.
+// first so spawned workers can host the file-local protocols: chatter,
+// the kill wrapper (kill_protocol.h) and a name whose resolution never
+// returns (the mute worker).
 #include "net/procs.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -25,9 +29,10 @@
 #include "core/registry.h"
 #include "crypto/commitment.h"
 #include "exec/runner.h"
+#include "kill_protocol.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "net/worker.h"
-#include "obs/metrics.h"
 #include "sim/network.h"
 
 namespace simulcast::net {
@@ -76,45 +81,33 @@ class ChatterParty final : public sim::Party {
   std::vector<std::uint8_t> heard_;
 };
 
+/// Hosts ChatterParty under `name`: "chatter" is what the test resolver
+/// serves, "mute" never resolves (its worker stays silent), and any other
+/// name is unknown to every resolver.
 class ChatterProtocol final : public sim::ParallelBroadcastProtocol {
  public:
-  [[nodiscard]] std::string name() const override { return "chatter"; }
+  explicit ChatterProtocol(std::string name = "chatter") : name_(std::move(name)) {}
+  [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::size_t rounds(std::size_t) const override { return 3; }
   [[nodiscard]] std::unique_ptr<sim::Party> make_party(
       sim::PartyId id, bool input, const sim::ProtocolParams&) const override {
     return std::make_unique<ChatterParty>(id, input);
   }
-};
 
-/// A protocol no resolver knows: its workers must be rejected at the
-/// handshake (exit before the ack), never spawned into a live crew.
-class UnresolvableProtocol final : public sim::ParallelBroadcastProtocol {
- public:
-  [[nodiscard]] std::string name() const override { return "not-in-any-registry"; }
-  [[nodiscard]] std::size_t rounds(std::size_t) const override { return 2; }
-  [[nodiscard]] std::unique_ptr<sim::Party> make_party(
-      sim::PartyId id, bool input, const sim::ProtocolParams&) const override {
-    return std::make_unique<ChatterParty>(id, input);
-  }
+ private:
+  std::string name_;
 };
 
 // The chaining resolver installed by main(): file-local protocols first,
 // then the core registry (workers of the every-registered-protocol test).
 std::unique_ptr<sim::ParallelBroadcastProtocol> resolve_test_protocol(std::string_view name) {
   if (name == "chatter") return std::make_unique<ChatterProtocol>();
+  // A worker that connects but never handshakes: it blocks before its ack
+  // until the coordinator's stall deadline kills it.
+  if (name == "mute")
+    for (;;) ::pause();
+  if (auto killer = resolve_kill(name, &resolve_test_protocol)) return killer;
   return core::make_protocol(name);
-}
-
-void expect_same_traffic(const sim::TrafficStats& a, const sim::TrafficStats& b) {
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.point_to_point, b.point_to_point);
-  EXPECT_EQ(a.broadcasts, b.broadcasts);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.wire_delivered_bytes, b.wire_delivered_bytes);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.delayed, b.delayed);
-  EXPECT_EQ(a.blocked, b.blocked);
-  EXPECT_EQ(a.crashed, b.crashed);
 }
 
 void expect_same_result(const sim::ExecutionResult& a, const sim::ExecutionResult& b) {
@@ -122,13 +115,13 @@ void expect_same_result(const sim::ExecutionResult& a, const sim::ExecutionResul
   EXPECT_EQ(a.adversary_output, b.adversary_output);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.crashed, b.crashed);
-  expect_same_traffic(a.traffic, b.traffic);
+  EXPECT_EQ(a.traffic, b.traffic);
 }
 
-sim::ExecutionResult run_chatter(TransportKind kind, const sim::FaultPlan& plan,
-                                 std::uint64_t seed, const ProcessOptions& process = {},
-                                 std::chrono::milliseconds net_timeout = kDefaultNetTimeout) {
-  ChatterProtocol proto;
+/// One five-party execution of `proto` under a silent adversary.
+sim::ExecutionResult run_five(const sim::ParallelBroadcastProtocol& proto, TransportKind kind,
+                              const sim::FaultPlan& plan, std::uint64_t seed,
+                              std::chrono::milliseconds net_timeout = kDefaultNetTimeout) {
   adversary::AdversaryFactory factory = adversary::silent_factory();
   auto adv = factory();
   sim::ProtocolParams params;
@@ -137,12 +130,16 @@ sim::ExecutionResult run_chatter(TransportKind kind, const sim::FaultPlan& plan,
   config.seed = seed;
   config.faults = plan;
   config.transport = kind;
-  config.process = process;
   config.net_timeout = net_timeout;
   BitVec inputs(5);
   inputs.set(1, true);
   inputs.set(3, true);
   return sim::run_execution(proto, params, inputs, *adv, config);
+}
+
+sim::ExecutionResult run_chatter(TransportKind kind, const sim::FaultPlan& plan,
+                                 std::uint64_t seed) {
+  return run_five(ChatterProtocol(), kind, plan, seed);
 }
 
 /// Every handshake-failure test ends with this: a crew that throws must
@@ -172,12 +169,10 @@ TEST(ProcessTransport, HelloCodecRoundTrips) {
   hello.seed = 0xDEADBEEFCAFEF00D;
   hello.rounds = 7;
   hello.input = true;
-  hello.spectator = false;
-  hello.kill_enabled = true;
-  hello.kill_round = 4;
   hello.fault_digest = fault_plan_digest("crash=[2@1]");
   hello.protocol = "gennaro";
   hello.commitments = "hash-sha256";
+  hello.chaos = "loss:0.1";
   Bytes body;
   encode_worker_hello(hello, body);
   const WorkerHello back = decode_worker_hello(body);
@@ -187,12 +182,10 @@ TEST(ProcessTransport, HelloCodecRoundTrips) {
   EXPECT_EQ(back.seed, hello.seed);
   EXPECT_EQ(back.rounds, hello.rounds);
   EXPECT_EQ(back.input, hello.input);
-  EXPECT_EQ(back.spectator, hello.spectator);
-  EXPECT_EQ(back.kill_enabled, hello.kill_enabled);
-  EXPECT_EQ(back.kill_round, hello.kill_round);
   EXPECT_EQ(back.fault_digest, hello.fault_digest);
   EXPECT_EQ(back.protocol, hello.protocol);
   EXPECT_EQ(back.commitments, hello.commitments);
+  EXPECT_EQ(back.chaos, hello.chaos);
 }
 
 TEST(ProcessTransport, MalformedHelloBodiesAreProtocolErrors) {
@@ -287,7 +280,7 @@ TEST(ProcessTransport, EveryRegisteredProtocolIdenticalToInProcess) {
     EXPECT_EQ(results[0].outputs, results[1].outputs) << name;
     EXPECT_EQ(results[0].adversary_output, results[1].adversary_output) << name;
     EXPECT_EQ(results[0].rounds, results[1].rounds) << name;
-    expect_same_traffic(results[0].traffic, results[1].traffic);
+    EXPECT_EQ(results[0].traffic, results[1].traffic) << name;
   }
   expect_no_zombies();
 }
@@ -312,17 +305,9 @@ TEST(ProcessTransport, RunnerBatchIdenticalAcrossThreadCounts) {
     const exec::BatchResult process =
         exec::Runner(threads, config).run_batch(spec, input, 12, kMasterSeed);
     ASSERT_EQ(process.samples.size(), baseline.samples.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < baseline.samples.size(); ++i) {
-      const exec::Sample& a = baseline.samples[i];
-      const exec::Sample& b = process.samples[i];
-      EXPECT_EQ(a.inputs, b.inputs) << "rep " << i;
-      EXPECT_EQ(a.announced, b.announced) << "rep " << i;
-      EXPECT_EQ(a.consistent, b.consistent) << "rep " << i;
-      EXPECT_EQ(a.adversary_output, b.adversary_output) << "rep " << i;
-      EXPECT_EQ(a.rounds, b.rounds) << "rep " << i;
-      expect_same_traffic(a.traffic, b.traffic);
-    }
-    expect_same_traffic(baseline.report.traffic, process.report.traffic);
+    for (std::size_t i = 0; i < baseline.samples.size(); ++i)
+      EXPECT_TRUE(baseline.samples[i] == process.samples[i]) << "threads " << threads << " rep " << i;
+    EXPECT_EQ(baseline.report.traffic, process.report.traffic) << "threads " << threads;
   }
   expect_no_zombies();
 }
@@ -335,19 +320,17 @@ TEST(ProcessTransport, RunnerBatchIdenticalAcrossThreadCounts) {
 TEST(ProcessTransport, KilledWorkerMatchesScheduledCrashBitForBit) {
   struct Case {
     std::size_t party;
-    std::uint64_t round;
+    std::size_t round;
   };
   for (const Case c : {Case{2, 1}, Case{0, 0}, Case{4, 2}}) {
     sim::FaultPlan plan;
-    plan.crashes.push_back({c.party, static_cast<std::size_t>(c.round)});
+    plan.crashes.push_back({c.party, c.round});
     const sim::ExecutionResult scheduled =
         run_chatter(TransportKind::kInProcess, plan, 11 + c.round);
 
-    ProcessOptions kill;
-    kill.kill_party = c.party;
-    kill.kill_round = c.round;
+    const KillProtocol killer(std::make_unique<ChatterProtocol>(), c.party, c.round);
     const sim::ExecutionResult killed =
-        run_chatter(TransportKind::kProcess, {}, 11 + c.round, kill);
+        run_five(killer, TransportKind::kProcess, {}, 11 + c.round);
 
     expect_same_result(scheduled, killed);
     ASSERT_EQ(killed.crashed, (std::vector<sim::PartyId>{c.party}))
@@ -361,63 +344,119 @@ TEST(ProcessTransport, KilledWorkerMatchesScheduledCrashBitForBit) {
   expect_no_zombies();
 }
 
-TEST(ProcessTransport, RespawnRefillsTheSlotWithoutPerturbingSurvivors) {
-  ProcessOptions kill;
-  kill.kill_party = 1;
-  kill.kill_round = 1;
-  const sim::ExecutionResult plain = run_chatter(TransportKind::kProcess, {}, 23, kill);
+// ---------------------------------------------- handshake negatives ----
+//
+// A malformed hello is fed, as raw bytes followed by EOF, to the real
+// worker entry on one end of a socketpair — in this process, since the
+// entry rejects before it builds anything.  Rejection means exit code 3
+// and no ack: the coordinator end reads EOF, which ProcSupervisor reports
+// as a ProtocolError ("worker rejected the hello", see
+// UnknownProtocolIsRejectedAtTheHandshake for that path end to end).
 
-  ProcessOptions respawn = kill;
-  respawn.respawn_crashed = true;
-  obs::Counter& respawned = obs::Metrics::global().counter("proc.respawned");
-  const std::uint64_t before = respawned.value();
-  const sim::ExecutionResult refilled = run_chatter(TransportKind::kProcess, {}, 23, respawn);
-  EXPECT_GT(respawned.value(), before) << "no spectator worker was ever respawned";
+/// A hello a chatter worker would accept.
+WorkerHello chatter_hello() {
+  WorkerHello hello;
+  hello.n = 5;
+  hello.slot = 1;
+  hello.k = 32;
+  hello.seed = 5;
+  hello.rounds = 3;
+  hello.fault_digest = fault_plan_digest(sim::FaultPlan{}.summary());
+  hello.protocol = "chatter";
+  return hello;
+}
 
-  // The standby is a spectator: the dead party stays dead and every
-  // survivor's view is untouched.
-  expect_same_result(plain, refilled);
-  ASSERT_EQ(refilled.crashed, (std::vector<sim::PartyId>{1}));
+/// `u32 len | u8 kHello | body`, cut after `keep` body bytes.
+Bytes hello_record(const Bytes& body, std::size_t keep) {
+  Bytes record;
+  put_u32(record, static_cast<std::uint32_t>(body.size() + 1));
+  record.push_back(static_cast<std::uint8_t>(ProcFrame::kHello));
+  record.insert(record.end(), body.begin(), body.begin() + static_cast<std::ptrdiff_t>(keep));
+  return record;
+}
+
+struct EntryOutcome {
+  int exit_code = -1;
+  bool acked = false;
+};
+
+/// Writes `bytes` and EOF into a socketpair, runs the worker entry on the
+/// other end, and reports its exit code and whether it acked.
+EntryOutcome feed_worker_entry(const Bytes& bytes) {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  EXPECT_EQ(::send(sv[0], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  ::shutdown(sv[0], SHUT_WR);
+  const std::string fd_arg = kWorkerFdFlag + std::to_string(sv[1]);
+  const std::string timeout_arg = std::string(kWorkerTimeoutFlag) + "1000";
+  const char* argv[] = {"worker", fd_arg.c_str(), timeout_arg.c_str()};
+  EntryOutcome outcome;
+  outcome.exit_code = sim::maybe_worker_main(3, const_cast<char**>(argv));
+  ::close(sv[1]);
+  WorkerChannel coordinator(sv[0]);
+  ProcFrame type{};
+  Bytes reply;
+  outcome.acked = coordinator.read_frame(type, reply, std::chrono::seconds(1)) ==
+                      WorkerChannel::Status::kOk &&
+                  type == ProcFrame::kAck;
+  ::close(sv[0]);
+  return outcome;
+}
+
+/// Rejection at the handshake: exit code 3 and no ack.
+void expect_rejected(const Bytes& bytes) {
+  const EntryOutcome outcome = feed_worker_entry(bytes);
+  EXPECT_EQ(outcome.exit_code, 3);
+  EXPECT_FALSE(outcome.acked) << "the worker acked a hello it should have rejected";
   expect_no_zombies();
 }
 
-// ---------------------------------------------- handshake negatives ----
+// The control for the four cases below: the pristine hello is acked, and
+// EOF right after it is a clean shutdown.
+TEST(ProcessTransport, WellFormedHelloIsAckedByTheWorkerEntry) {
+  Bytes body;
+  encode_worker_hello(chatter_hello(), body);
+  const EntryOutcome outcome = feed_worker_entry(hello_record(body, body.size()));
+  EXPECT_EQ(outcome.exit_code, 0);
+  EXPECT_TRUE(outcome.acked);
+  expect_no_zombies();
+}
 
 TEST(ProcessTransport, VersionMismatchIsRejectedAtTheHandshake) {
-  ProcessOptions options;
-  options.tweak = ProcessOptions::HandshakeTweak::kBumpVersion;
-  EXPECT_THROW((void)run_chatter(TransportKind::kProcess, {}, 5, options), ProtocolError);
-  expect_no_zombies();
+  Bytes body;
+  encode_worker_hello(chatter_hello(), body);
+  body[4] = static_cast<std::uint8_t>(body[4] + 1);  // the version byte follows the u32 magic
+  expect_rejected(hello_record(body, body.size()));
 }
 
 TEST(ProcessTransport, OutOfRangeSlotIsRejectedAtTheHandshake) {
-  ProcessOptions options;
-  options.tweak = ProcessOptions::HandshakeTweak::kBadSlot;
-  EXPECT_THROW((void)run_chatter(TransportKind::kProcess, {}, 5, options), ProtocolError);
-  expect_no_zombies();
+  WorkerHello hello = chatter_hello();
+  hello.slot = hello.n + 17;
+  Bytes body;
+  encode_worker_hello(hello, body);
+  expect_rejected(hello_record(body, body.size()));
 }
 
 TEST(ProcessTransport, TruncatedHelloIsRejectedAtTheHandshake) {
-  ProcessOptions options;
-  options.tweak = ProcessOptions::HandshakeTweak::kTruncatedHello;
-  EXPECT_THROW((void)run_chatter(TransportKind::kProcess, {}, 5, options), ProtocolError);
-  expect_no_zombies();
+  // Full length prefix, half the body, then EOF: the stream ends mid-record.
+  Bytes body;
+  encode_worker_hello(chatter_hello(), body);
+  expect_rejected(hello_record(body, body.size() / 2));
 }
 
 TEST(ProcessTransport, GarbageHelloIsRejectedAtTheHandshake) {
-  ProcessOptions options;
-  options.tweak = ProcessOptions::HandshakeTweak::kGarbageHello;
-  EXPECT_THROW((void)run_chatter(TransportKind::kProcess, {}, 5, options), ProtocolError);
-  expect_no_zombies();
+  Bytes body;
+  encode_worker_hello(chatter_hello(), body);
+  body.assign(body.size(), 0xEE);
+  expect_rejected(hello_record(body, body.size()));
 }
 
 TEST(ProcessTransport, WorkerThatNeverHandshakesFailsWithinTheStallDeadline) {
-  ProcessOptions options;
-  options.tweak = ProcessOptions::HandshakeTweak::kMute;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(
-      (void)run_chatter(TransportKind::kProcess, {}, 5, options, std::chrono::seconds(1)),
-      ProtocolError);
+  EXPECT_THROW((void)run_five(ChatterProtocol("mute"), TransportKind::kProcess, {}, 5,
+                              std::chrono::seconds(1)),
+               ProtocolError);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::seconds(20))
       << "a mute worker must trip the 1s stall deadline, not hang";
@@ -427,11 +466,11 @@ TEST(ProcessTransport, WorkerThatNeverHandshakesFailsWithinTheStallDeadline) {
 // Worker argv is parsed strictly: a malformed descriptor must not become fd
 // 0 (stdin as the coordinator channel) and a garbage timeout must not be
 // ignored.  Both are rejected with exit code 3 before any descriptor is
-// touched, which is why maybe_worker_main can run in-process here.
+// touched, which is why the worker entry can run in-process here.
 TEST(ProcessTransport, MalformedWorkerArgvIsRejected) {
   const auto run = [](std::vector<const char*> args) {
     args.insert(args.begin(), "worker");
-    return maybe_worker_main(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+    return sim::maybe_worker_main(static_cast<int>(args.size()), const_cast<char**>(args.data()));
   };
   for (const char* fd :
        {"--simulcast-worker-fd=abc", "--simulcast-worker-fd=", "--simulcast-worker-fd=-1",
@@ -446,16 +485,9 @@ TEST(ProcessTransport, MalformedWorkerArgvIsRejected) {
 TEST(ProcessTransport, UnknownProtocolIsRejectedAtTheHandshake) {
   // The worker resolves the protocol by name before it acks; a name no
   // resolver knows must be a handshake rejection, never a live crew.
-  UnresolvableProtocol proto;
-  adversary::AdversaryFactory factory = adversary::silent_factory();
-  auto adv = factory();
-  sim::ProtocolParams params;
-  params.n = 3;
-  sim::ExecutionConfig config;
-  config.seed = 1;
-  config.transport = TransportKind::kProcess;
-  BitVec inputs(3);
-  EXPECT_THROW((void)sim::run_execution(proto, params, inputs, *adv, config), ProtocolError);
+  EXPECT_THROW((void)run_five(ChatterProtocol("not-in-any-registry"), TransportKind::kProcess,
+                              {}, 1),
+               ProtocolError);
   expect_no_zombies();
 }
 
@@ -468,7 +500,7 @@ TEST(ProcessTransport, UnknownProtocolIsRejectedAtTheHandshake) {
 // the core registry.
 int main(int argc, char** argv) {
   simulcast::sim::set_worker_protocol_resolver(&simulcast::net::resolve_test_protocol);
-  if (const int worker_rc = simulcast::net::maybe_worker_main(argc, argv); worker_rc >= 0)
+  if (const int worker_rc = simulcast::sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
   testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -169,18 +169,6 @@ class ChatterProtocol final : public sim::ParallelBroadcastProtocol {
   }
 };
 
-void expect_same_traffic(const sim::TrafficStats& a, const sim::TrafficStats& b) {
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.point_to_point, b.point_to_point);
-  EXPECT_EQ(a.broadcasts, b.broadcasts);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.wire_delivered_bytes, b.wire_delivered_bytes);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.delayed, b.delayed);
-  EXPECT_EQ(a.blocked, b.blocked);
-  EXPECT_EQ(a.crashed, b.crashed);
-}
-
 sim::ExecutionResult run_chatter(net::TransportKind kind, const sim::FaultPlan& plan,
                                  std::uint64_t seed) {
   ChatterProtocol proto;
@@ -205,7 +193,7 @@ TEST(Transport, ExecutionIdenticalAcrossBackends) {
     EXPECT_EQ(a.outputs, b.outputs) << "seed " << seed;
     EXPECT_EQ(a.adversary_output, b.adversary_output) << "seed " << seed;
     EXPECT_EQ(a.rounds, b.rounds) << "seed " << seed;
-    expect_same_traffic(a.traffic, b.traffic);
+    EXPECT_EQ(a.traffic, b.traffic);
   }
 }
 
@@ -220,7 +208,7 @@ TEST(Transport, ExecutionIdenticalAcrossBackendsUnderFaults) {
   EXPECT_EQ(a.outputs, b.outputs);
   EXPECT_EQ(a.adversary_output, b.adversary_output);
   EXPECT_EQ(a.crashed, b.crashed);
-  expect_same_traffic(a.traffic, b.traffic);
+  EXPECT_EQ(a.traffic, b.traffic);
   EXPECT_GT(a.traffic.dropped + a.traffic.delayed + a.traffic.blocked, 0u)
       << "fault plan exercised nothing; the equivalence check is vacuous";
 }
@@ -247,17 +235,9 @@ TEST(Transport, RunnerBatchIdenticalAcrossBackendsAndThreadCounts) {
     const exec::BatchResult socket =
         exec::Runner(threads, config).run_batch(spec, input, 12, kMasterSeed);
     ASSERT_EQ(socket.samples.size(), baseline.samples.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < baseline.samples.size(); ++i) {
-      const exec::Sample& a = baseline.samples[i];
-      const exec::Sample& b = socket.samples[i];
-      EXPECT_EQ(a.inputs, b.inputs) << "rep " << i;
-      EXPECT_EQ(a.announced, b.announced) << "rep " << i;
-      EXPECT_EQ(a.consistent, b.consistent) << "rep " << i;
-      EXPECT_EQ(a.adversary_output, b.adversary_output) << "rep " << i;
-      EXPECT_EQ(a.rounds, b.rounds) << "rep " << i;
-      expect_same_traffic(a.traffic, b.traffic);
-    }
-    expect_same_traffic(baseline.report.traffic, socket.report.traffic);
+    for (std::size_t i = 0; i < baseline.samples.size(); ++i)
+      EXPECT_TRUE(baseline.samples[i] == socket.samples[i]) << "threads " << threads << " rep " << i;
+    EXPECT_EQ(baseline.report.traffic, socket.report.traffic) << "threads " << threads;
   }
 }
 

@@ -390,18 +390,6 @@ TEST(Status, CompletedIsMonotoneAcrossBatches) {
 
 // ------------------------------------------------- the headline contract ----
 
-bool same_sample(const exec::Sample& a, const exec::Sample& b) {
-  return a.inputs == b.inputs && a.announced == b.announced && a.consistent == b.consistent &&
-         a.adversary_output == b.adversary_output && a.rounds == b.rounds &&
-         a.traffic.messages == b.traffic.messages &&
-         a.traffic.point_to_point == b.traffic.point_to_point &&
-         a.traffic.broadcasts == b.traffic.broadcasts &&
-         a.traffic.wire_bytes == b.traffic.wire_bytes &&
-         a.traffic.wire_delivered_bytes == b.traffic.wire_delivered_bytes &&
-         a.traffic.dropped == b.traffic.dropped && a.traffic.delayed == b.traffic.delayed &&
-         a.traffic.blocked == b.traffic.blocked && a.traffic.crashed == b.traffic.crashed;
-}
-
 /// The record a driver would emit, stripped of everything that may
 /// legitimately differ between a telemetry-on and a telemetry-off run: the
 /// metrics block entirely (telemetry registers its own counters, e.g.
@@ -454,7 +442,7 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
       EXPECT_EQ(telemetered.report.campaign, baseline.report.campaign) << context;
       ASSERT_EQ(baseline.samples.size(), telemetered.samples.size()) << context;
       for (std::size_t i = 0; i < kReps; ++i)
-        EXPECT_TRUE(same_sample(baseline.samples[i], telemetered.samples[i]))
+        EXPECT_TRUE(baseline.samples[i] == telemetered.samples[i])
             << context << " rep " << i;
       EXPECT_EQ(baseline_json, obs::to_json(canonical_record(telemetered.report))) << context;
 
@@ -470,7 +458,7 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
       const auto resumed = exec::Runner(threads, resumable).run_batch(spec, *ens, kReps, 7);
       EXPECT_EQ(resumed.report.campaign, baseline.report.campaign) << context;
       for (std::size_t i = 0; i < kReps; ++i)
-        EXPECT_TRUE(same_sample(baseline.samples[i], resumed.samples[i]))
+        EXPECT_TRUE(baseline.samples[i] == resumed.samples[i])
             << context << " resumed rep " << i;
       EXPECT_EQ(baseline_json, obs::to_json(canonical_record(resumed.report))) << context;
     }

@@ -32,7 +32,7 @@
 #include "core/registry.h"
 #include "crypto/commitment.h"
 #include "net/chaos.h"
-#include "net/worker.h"
+#include "prop.h"
 #include "sim/network.h"
 #include "stats/rng.h"
 
@@ -51,20 +51,6 @@ const char* const kRecoverableSpecs[] = {
     "delay:uniform:0:1,loss:0.05",
     "loss:0.2,dup:0.1,corrupt:0.002",
 };
-
-std::string traffic_diff(const sim::TrafficStats& a, const sim::TrafficStats& b) {
-  if (a.messages != b.messages) return "traffic.messages diverges";
-  if (a.point_to_point != b.point_to_point) return "traffic.point_to_point diverges";
-  if (a.broadcasts != b.broadcasts) return "traffic.broadcasts diverges";
-  if (a.wire_bytes != b.wire_bytes) return "traffic.wire_bytes diverges";
-  if (a.wire_delivered_bytes != b.wire_delivered_bytes)
-    return "traffic.wire_delivered_bytes diverges";
-  if (a.dropped != b.dropped) return "traffic.dropped diverges";
-  if (a.delayed != b.delayed) return "traffic.delayed diverges";
-  if (a.blocked != b.blocked) return "traffic.blocked diverges";
-  if (a.crashed != b.crashed) return "traffic.crashed diverges";
-  return "";
-}
 
 /// Runs one execution of `proto` on `inputs` with a silent adversary.
 sim::ExecutionResult run_one(const sim::ParallelBroadcastProtocol& proto,
@@ -239,7 +225,7 @@ TEST(ChaosProperty, BudgetExhaustionEqualsScheduledCrash) {
 }  // namespace simulcast::props
 
 int main(int argc, char** argv) {
-  if (const int worker_rc = simulcast::net::maybe_worker_main(argc, argv); worker_rc >= 0)
+  if (const int worker_rc = simulcast::sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
   testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

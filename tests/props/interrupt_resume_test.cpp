@@ -23,18 +23,6 @@
 namespace simulcast::props {
 namespace {
 
-bool same_sample(const exec::Sample& a, const exec::Sample& b) {
-  return a.inputs == b.inputs && a.announced == b.announced && a.consistent == b.consistent &&
-         a.adversary_output == b.adversary_output && a.rounds == b.rounds &&
-         a.traffic.messages == b.traffic.messages &&
-         a.traffic.point_to_point == b.traffic.point_to_point &&
-         a.traffic.broadcasts == b.traffic.broadcasts &&
-         a.traffic.wire_bytes == b.traffic.wire_bytes &&
-         a.traffic.wire_delivered_bytes == b.traffic.wire_delivered_bytes &&
-         a.traffic.dropped == b.traffic.dropped && a.traffic.delayed == b.traffic.delayed &&
-         a.traffic.blocked == b.traffic.blocked && a.traffic.crashed == b.traffic.crashed;
-}
-
 TEST(InterruptResumeProperty, ResumeOfInterruptEqualsUninterruptedRun) {
   constexpr std::uint64_t kMasterSeed = 0x1A7E5;
   constexpr std::size_t kTriples = 100;
@@ -98,17 +86,13 @@ TEST(InterruptResumeProperty, ResumeOfInterruptEqualsUninterruptedRun) {
 
     ASSERT_EQ(resumed.samples.size(), baseline.samples.size()) << reproducer;
     for (std::size_t rep = 0; rep < kReps; ++rep) {
-      ASSERT_TRUE(same_sample(baseline.samples[rep], resumed.samples[rep]))
+      ASSERT_TRUE(baseline.samples[rep] == resumed.samples[rep])
           << reproducer << " rep=" << rep;
     }
     ASSERT_EQ(resumed.report.completed, baseline.report.completed) << reproducer;
     ASSERT_EQ(resumed.report.partial, baseline.report.partial) << reproducer;
     ASSERT_EQ(resumed.report.total_rounds, baseline.report.total_rounds) << reproducer;
-    ASSERT_EQ(resumed.report.traffic.messages, baseline.report.traffic.messages) << reproducer;
-    ASSERT_EQ(resumed.report.traffic.dropped, baseline.report.traffic.dropped) << reproducer;
-    ASSERT_EQ(resumed.report.traffic.delayed, baseline.report.traffic.delayed) << reproducer;
-    ASSERT_EQ(resumed.report.traffic.blocked, baseline.report.traffic.blocked) << reproducer;
-    ASSERT_EQ(resumed.report.traffic.crashed, baseline.report.traffic.crashed) << reproducer;
+    ASSERT_EQ(traffic_diff(resumed.report.traffic, baseline.report.traffic), "") << reproducer;
     ASSERT_FALSE(std::filesystem::exists(options.checkpoint_path))
         << reproducer << ": completed batch must remove its checkpoint";
   }

@@ -2,20 +2,21 @@
 //
 // 100 random (execution seed, crash party, kill round) triples across the
 // cheap registered protocols: SIGKILLing a party's worker process the
-// moment it receives its kill round (net::ProcessOptions) must produce an
-// execution bit-identical to the in-process scheduler running the same
-// seed under a sim::FaultPlan crash of the same party at the same round —
-// outputs, crash list, and all nine traffic counters.  On top of the
-// equivalence, the PR 4 fault-layer invariants must keep holding on the
-// process side: the dead party has no output, crash accounting is
-// coherent, and every pair of survivors that produced output agrees.
+// moment its machine starts the kill round (the net::KillProtocol wrapper
+// of kill_protocol.h) must produce an execution bit-identical to the
+// in-process scheduler running the same seed under a sim::FaultPlan crash
+// of the same party at the same round — outputs, crash list, and all nine
+// traffic counters.  On top of the equivalence, the fault-layer invariants
+// (DESIGN.md section 9) must keep holding on the process side: the dead
+// party has no output, crash accounting is coherent, and every pair of
+// survivors that produced output agrees.
 //
 // Failures print a one-line reproducer in the prop.h convention
 // (master_seed / index / exec_seed) so CI failures replay exactly.
 //
 // Custom main: a re-exec'd worker runs this binary, so worker dispatch
-// must precede gtest (the core-registry resolver installed at static init
-// is all these workers need).
+// must precede gtest, after installing a resolver that hosts the kill
+// wrapper in front of the core registry.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -24,10 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "../net/kill_protocol.h"
 #include "adversary/adversaries.h"
 #include "core/registry.h"
 #include "crypto/commitment.h"
-#include "net/worker.h"
+#include "prop.h"
 #include "sim/network.h"
 #include "stats/rng.h"
 
@@ -38,18 +40,9 @@ constexpr std::uint64_t kMasterSeed = 0x9C05;
 constexpr std::size_t kTriples = 100;
 constexpr std::size_t kParties = 4;
 
-std::string traffic_diff(const sim::TrafficStats& a, const sim::TrafficStats& b) {
-  if (a.messages != b.messages) return "traffic.messages diverges";
-  if (a.point_to_point != b.point_to_point) return "traffic.point_to_point diverges";
-  if (a.broadcasts != b.broadcasts) return "traffic.broadcasts diverges";
-  if (a.wire_bytes != b.wire_bytes) return "traffic.wire_bytes diverges";
-  if (a.wire_delivered_bytes != b.wire_delivered_bytes)
-    return "traffic.wire_delivered_bytes diverges";
-  if (a.dropped != b.dropped) return "traffic.dropped diverges";
-  if (a.delayed != b.delayed) return "traffic.delayed diverges";
-  if (a.blocked != b.blocked) return "traffic.blocked diverges";
-  if (a.crashed != b.crashed) return "traffic.crashed diverges";
-  return "";
+std::unique_ptr<sim::ParallelBroadcastProtocol> resolve(std::string_view name) {
+  if (auto killer = net::resolve_kill(name, &core::make_protocol)) return killer;
+  return core::make_protocol(name);
 }
 
 TEST(ProcessCrashProperty, KilledWorkerEqualsScheduledCrash) {
@@ -89,22 +82,20 @@ TEST(ProcessCrashProperty, KilledWorkerEqualsScheduledCrash) {
     const sim::ExecutionResult scheduled =
         sim::run_execution(*proto, params, inputs, scheduled_adv, scheduled_config);
 
+    const net::KillProtocol killer(core::make_protocol(proto->name()), crash_party, kill_round);
     adversary::SilentAdversary killed_adv;
     sim::ExecutionConfig killed_config;
     killed_config.seed = exec_seed;
     killed_config.transport = net::TransportKind::kProcess;
-    killed_config.process.kill_party = crash_party;
-    killed_config.process.kill_round = kill_round;
     const sim::ExecutionResult killed =
-        sim::run_execution(*proto, params, inputs, killed_adv, killed_config);
+        sim::run_execution(killer, params, inputs, killed_adv, killed_config);
 
     // Bit-for-bit equivalence of every observable.
     ASSERT_EQ(killed.outputs, scheduled.outputs) << reproducer;
     ASSERT_EQ(killed.adversary_output, scheduled.adversary_output) << reproducer;
     ASSERT_EQ(killed.rounds, scheduled.rounds) << reproducer;
     ASSERT_EQ(killed.crashed, scheduled.crashed) << reproducer;
-    const std::string diff = traffic_diff(killed.traffic, scheduled.traffic);
-    ASSERT_EQ(diff, "") << reproducer;
+    ASSERT_EQ(traffic_diff(killed.traffic, scheduled.traffic), "") << reproducer;
 
     // PR 4 fault-layer invariants on the process side.
     ASSERT_EQ(killed.crashed, (std::vector<sim::PartyId>{crash_party})) << reproducer;
@@ -133,7 +124,8 @@ TEST(ProcessCrashProperty, KilledWorkerEqualsScheduledCrash) {
 }  // namespace simulcast::props
 
 int main(int argc, char** argv) {
-  if (const int worker_rc = simulcast::net::maybe_worker_main(argc, argv); worker_rc >= 0)
+  simulcast::sim::set_worker_protocol_resolver(&simulcast::props::resolve);
+  if (const int worker_rc = simulcast::sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
   testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -12,6 +12,7 @@
 //
 // A check returns "" on pass and a one-line failure description otherwise;
 // it must be a pure function of (plan, seed) or shrinking is meaningless.
+// traffic_diff() is the shared one-liner for the traffic part of a check.
 #pragma once
 
 #include <functional>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "sim/faults.h"
+#include "sim/network.h"
 #include "stats/rng.h"
 
 namespace simulcast::props {
@@ -155,6 +157,14 @@ inline std::optional<SweepFailure> sweep(std::uint64_t master_seed, std::size_t 
     return failure;
   }
   return std::nullopt;
+}
+
+/// "" when two executions' traffic agrees, else "traffic.<first diverging
+/// counter> diverges" — the one-line form checks and reproducers print.
+inline std::string traffic_diff(const sim::TrafficStats& a, const sim::TrafficStats& b) {
+  for (const auto& [column, name] : sim::kTrafficColumns)
+    if (a.*column != b.*column) return std::string("traffic.") + name + " diverges";
+  return "";
 }
 
 }  // namespace simulcast::props

@@ -472,5 +472,15 @@ TEST(Faults, CrashScheduleParserRoundTrips) {
   EXPECT_THROW((void)parse_crash_schedule("one@2"), UsageError);
 }
 
+// Party and round go through the strict number parser (base/parse.h): a
+// sign, whitespace or overflow is a usage error, never a wrap to 2^64-1
+// nor a silently trimmed blank.
+TEST(Faults, CrashScheduleParserIsStrict) {
+  for (const char* text : {"+1@0", " 1@0", "1 @0", "1@ 0", "1@0 ", "-1@0", "1@-0",
+                           "99999999999999999999@0", "1@0x2", "1"})
+    EXPECT_THROW((void)parse_crash_schedule(text), UsageError) << "'" << text << "'";
+  EXPECT_EQ(parse_crash_schedule("18446744073709551615@0")[0].party, 18446744073709551615u);
+}
+
 }  // namespace
 }  // namespace simulcast::sim
