@@ -79,12 +79,46 @@ void BM_PedersenVssVerifyShare(benchmark::State& state) {
 }
 BENCHMARK(BM_PedersenVssVerifyShare)->Arg(4)->Arg(16)->Arg(64);
 
+// Subgroup membership of a received commitment, cycling over 1024 elements
+// and 1024 non-elements of the standard group.
+void BM_GroupIsElement(benchmark::State& state) {
+  const SchnorrGroup& group = SchnorrGroup::standard();
+  HmacDrbg drbg(8, "bench");
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 1024; ++i) {
+    const std::uint64_t element = group.exp_g(group.sample_exponent(drbg));
+    values.push_back(element);
+    values.push_back(group.p() - element);  // -1 is a non-residue mod a safe prime
+  }
+  std::size_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(group.is_element(values[i++ & 2047]));
+}
+BENCHMARK(BM_GroupIsElement);
+
+// Variable-base exponentiation with full-width exponents in Zq.
+void BM_GroupExp(benchmark::State& state) {
+  const SchnorrGroup& group = SchnorrGroup::standard();
+  HmacDrbg drbg(9, "bench");
+  std::vector<std::uint64_t> bases;
+  std::vector<Zq> exponents;
+  for (int i = 0; i < 1024; ++i) {
+    bases.push_back(group.exp_g(group.sample_exponent(drbg)));
+    exponents.push_back(group.sample_exponent(drbg));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(group.exp(bases[i & 1023], exponents[i & 1023]));
+    ++i;
+  }
+}
+BENCHMARK(BM_GroupExp);
+
 void BM_SigmaProveVerify(benchmark::State& state) {
   const SchnorrGroup& group = SchnorrGroup::standard();
   HmacDrbg drbg(7, "bench");
   const Zq m{1, group.q()};
   const Zq r = group.sample_exponent(drbg);
-  const std::uint64_t statement = group.mul(group.exp_g(m), group.exp_h(r));
+  const std::uint64_t statement = group.exp_gh(m, r);
   for (auto _ : state) {
     const SigmaCommitment commit = sigma_commit(group, drbg);
     const Zq challenge = group.sample_exponent(drbg);

@@ -10,7 +10,7 @@
 //   adversaries   none | passive | silent | copy | parity | abort
 //   distributions uniform | singleton:<bits> | copy | parity-even |
 //                 product:<p0,p1,...>
-//   options       --n=<parties=5> --corrupt=<i,j,...> --samples=<N=2000>
+//   options       --n=<parties=5, at most 32> --corrupt=<i,j,...> --samples=<N=2000>
 //                 --seed=<s=1> --threads=<T=SIMULCAST_THREADS or 1>
 //                 --json=<PATH> --trace=<PATH>
 //                 --drop=<P> --delay=<R> --crash=<party@round,...>
@@ -147,6 +147,10 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--seed=", 0) == 0)
       seed = count_arg("--seed", arg.substr(7), 0);
   }
+  // Every run ends with the Sb tester, so its party limit is explore's.
+  if (n > testers::kSbMaxParties)
+    usage("--n must be at most " + std::to_string(testers::kSbMaxParties) +
+          " (the Sb tester packs x and W into 2n <= 64 bits), got " + std::to_string(n));
   const sim::FaultPlan& faults = config.faults;
 
   try {

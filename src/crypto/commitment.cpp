@@ -92,7 +92,7 @@ Commitment PedersenCommitmentScheme::commit(std::string_view label,
   ByteReader reader(opening.randomness);
   const Zq r{reader.u64(), group_->q()};
   const Zq m = message_exponent(label, opening.message);
-  const std::uint64_t c = group_->mul(group_->exp_g(m), group_->exp_h(r));
+  const std::uint64_t c = group_->exp_gh(m, r);
   ByteWriter w;
   w.u64(c);
   return Commitment{w.take()};

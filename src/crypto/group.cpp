@@ -16,23 +16,23 @@ constexpr std::uint64_t kStandardG = 4ULL;
 
 }  // namespace
 
-FixedBaseTable::FixedBaseTable(std::uint64_t base, std::uint64_t p)
-    : p_(p), table_(kWindows) {
+FixedBaseTable::FixedBaseTable(std::uint64_t base, const Montgomery& mont) : table_(kWindows) {
   // window_base walks base^(256^i); each row is that power's digit ladder.
-  std::uint64_t window_base = base % p;
+  std::uint64_t window_base = mont.to(base);
   for (std::size_t i = 0; i < kWindows; ++i) {
-    table_[i][0] = 1 % p;
-    for (std::size_t d = 1; d < 256; ++d)
-      table_[i][d] = mulmod(table_[i][d - 1], window_base, p);
-    window_base = mulmod(table_[i][255], window_base, p);
+    table_[i][0] = mont.one();
+    for (std::size_t d = 1; d < 256; ++d) table_[i][d] = mont.mul(table_[i][d - 1], window_base);
+    window_base = mont.mul(table_[i][255], window_base);
   }
 }
 
-std::uint64_t FixedBaseTable::exp(std::uint64_t e) const noexcept {
-  std::uint64_t acc = 1 % p_;
-  for (std::size_t i = 0; i < kWindows && e != 0; ++i, e >>= 8) {
+std::uint64_t FixedBaseTable::exp(std::uint64_t e, const Montgomery& mont) const noexcept {
+  // Row 0's entry starts the product (its digit-0 entry is 1), saving the
+  // multiplication by one.
+  std::uint64_t acc = table_[0][e & 0xff];
+  for (std::size_t i = 1; i < kWindows && (e >>= 8) != 0; ++i) {
     const std::uint64_t d = e & 0xff;
-    if (d != 0) acc = mulmod(acc, table_[i][d], p_);
+    if (d != 0) acc = mont.mul(acc, table_[i][d]);
   }
   return acc;
 }
@@ -42,11 +42,12 @@ SchnorrGroup::SchnorrGroup(std::uint64_t p, std::uint64_t q, std::uint64_t g)
   if (!is_prime_u64(p)) throw UsageError("SchnorrGroup: p not prime");
   if (!is_prime_u64(q)) throw UsageError("SchnorrGroup: q not prime");
   if (p != 2 * q + 1) throw UsageError("SchnorrGroup: p != 2q + 1");
+  mont_ = Montgomery(p);  // throws UsageError for p >= 2^63
   if (g <= 1 || g >= p || powmod(g, q, p) != 1)
     throw UsageError("SchnorrGroup: g not an order-q element");
   h_ = hash_to_group("simulcast/pedersen-h/v1");
-  g_table_ = FixedBaseTable(g_, p_);
-  h_table_ = FixedBaseTable(h_, p_);
+  g_table_ = FixedBaseTable(g_, mont_);
+  h_table_ = FixedBaseTable(h_, mont_);
 }
 
 const SchnorrGroup& SchnorrGroup::standard() {
@@ -54,23 +55,42 @@ const SchnorrGroup& SchnorrGroup::standard() {
   return group;
 }
 
-std::uint64_t SchnorrGroup::exp_g(const Zq& e) const {
+void SchnorrGroup::check_exponent(const Zq& e) const {
   if (e.modulus() != q_) throw UsageError("SchnorrGroup::exp: exponent modulus != q");
-  return g_table_.exp(e.value());
+}
+
+std::uint64_t SchnorrGroup::exp_g(const Zq& e) const {
+  check_exponent(e);
+  return mont_.from(g_table_.exp(e.value(), mont_));
 }
 
 std::uint64_t SchnorrGroup::exp_h(const Zq& e) const {
-  if (e.modulus() != q_) throw UsageError("SchnorrGroup::exp: exponent modulus != q");
-  return h_table_.exp(e.value());
+  check_exponent(e);
+  return mont_.from(h_table_.exp(e.value(), mont_));
+}
+
+std::uint64_t SchnorrGroup::exp_gh(const Zq& a, const Zq& b) const {
+  check_exponent(a);
+  check_exponent(b);
+  return mont_.from(mont_.mul(g_table_.exp(a.value(), mont_), h_table_.exp(b.value(), mont_)));
 }
 
 std::uint64_t SchnorrGroup::exp(std::uint64_t base, const Zq& e) const {
-  if (e.modulus() != q_) throw UsageError("SchnorrGroup::exp: exponent modulus != q");
-  return powmod(base, e.value(), p_);
+  check_exponent(e);
+  return mont_.from(mont_.pow(mont_.to(base), e.value()));
+}
+
+std::uint64_t SchnorrGroup::horner(std::span<const std::uint64_t> c, const Zq& x) const {
+  check_exponent(x);
+  std::uint64_t acc = mont_.one();
+  for (auto it = c.rbegin(); it != c.rend(); ++it)
+    acc = mont_.mul(mont_.pow(acc, x.value()), mont_.to(*it));
+  return mont_.from(acc);
 }
 
 std::uint64_t SchnorrGroup::mul(std::uint64_t a, std::uint64_t b) const {
-  return mulmod(a, b, p_);
+  // to(a) < p, so one more reduction of to(a) * b leaves exactly ab mod p.
+  return mont_.mul(mont_.to(a), b);
 }
 
 std::uint64_t SchnorrGroup::inv(std::uint64_t a) const {
@@ -78,7 +98,10 @@ std::uint64_t SchnorrGroup::inv(std::uint64_t a) const {
 }
 
 bool SchnorrGroup::is_element(std::uint64_t a) const {
-  return a != 0 && a < p_ && powmod(a, q_, p_) == 1;
+  // The subgroup of order q = (p - 1)/2 is the quadratic residues, and by
+  // Euler's criterion a^q = (a/p) mod p for 0 < a < p, so a^q = 1 exactly
+  // when the Legendre symbol (a/p) is 1.
+  return a != 0 && a < p_ && jacobi(a, p_) == 1;
 }
 
 std::uint64_t SchnorrGroup::hash_to_group(std::string_view label) const {

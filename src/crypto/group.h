@@ -12,37 +12,45 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/field.h"
 #include "crypto/hmac.h"
+#include "crypto/modmath.h"
 
 namespace simulcast::crypto {
 
 /// Fixed-base windowed exponentiation: for a known base, precomputes
 /// table[i][d] = base^(d * 256^i) mod p for the eight radix-256 digit
 /// positions of a 64-bit exponent, so base^e costs at most seven modular
-/// multiplications instead of the ~90 of square-and-multiply.  32 KiB per
-/// table; built once per (base, p) in the SchnorrGroup constructor.
+/// multiplications instead of the ~90 of square-and-multiply.  Entries are
+/// held in the Montgomery domain of the modulus passed in, and every call
+/// takes that context rather than pointing at it, so the owning
+/// SchnorrGroup stays copyable.  8 x 256 x 8 B = 16 KiB per table; built
+/// once per (base, p) in the SchnorrGroup constructor.
 class FixedBaseTable {
  public:
   FixedBaseTable() = default;
-  FixedBaseTable(std::uint64_t base, std::uint64_t p);
+  FixedBaseTable(std::uint64_t base, const Montgomery& mont);
 
-  /// base^e mod p.  Bit-identical to powmod(base, e, p).
-  [[nodiscard]] std::uint64_t exp(std::uint64_t e) const noexcept;
+  /// base^e in the Montgomery domain of `mont`, which must be the context
+  /// the table was built with: mont.from(exp(e, mont)) == powmod(base, e, p).
+  [[nodiscard]] std::uint64_t exp(std::uint64_t e, const Montgomery& mont) const noexcept;
 
  private:
   static constexpr std::size_t kWindows = 8;
-  std::uint64_t p_ = 0;
   std::vector<std::array<std::uint64_t, 256>> table_;
 };
 
 /// Group description.  Elements are canonical representatives in [1, p).
+/// Every operation below runs on one Montgomery context for p and returns
+/// exactly the value the mulmod/powmod formula in its comment gives.
 class SchnorrGroup {
  public:
-  /// Constructs and validates: p, q prime, p = 2q + 1, g a generator of the
-  /// order-q subgroup.  Throws UsageError on invalid parameters.
+  /// Constructs and validates: p, q prime, p = 2q + 1, p < 2^63 (the
+  /// Montgomery bound), g a generator of the order-q subgroup.  Throws
+  /// UsageError on invalid parameters.
   SchnorrGroup(std::uint64_t p, std::uint64_t q, std::uint64_t g);
 
   /// The library-wide default group (62-bit safe prime, g = 4) with a
@@ -59,14 +67,22 @@ class SchnorrGroup {
   [[nodiscard]] std::uint64_t exp_g(const Zq& e) const;
   /// h^e mod p.
   [[nodiscard]] std::uint64_t exp_h(const Zq& e) const;
-  /// base^e mod p for a group element base.
+  /// g^a h^b mod p: mul(exp_g(a), exp_h(b)) with one conversion out.
+  [[nodiscard]] std::uint64_t exp_gh(const Zq& a, const Zq& b) const;
+  /// base^e mod p, i.e. powmod(base, e, p), for any 64-bit base.
   [[nodiscard]] std::uint64_t exp(std::uint64_t base, const Zq& e) const;
-  /// Product of two group elements.
+  /// prod_j c_j^(x^j) mod p by Horner's rule in the exponent,
+  /// acc <- acc^x * c_j from the last coefficient down, starting at 1.
+  /// Values c_j >= p are reduced mod p, as mulmod would.
+  [[nodiscard]] std::uint64_t horner(std::span<const std::uint64_t> c, const Zq& x) const;
+  /// a * b mod p, i.e. mulmod(a, b, p), for any 64-bit a and b.
   [[nodiscard]] std::uint64_t mul(std::uint64_t a, std::uint64_t b) const;
   /// Inverse of a group element.
   [[nodiscard]] std::uint64_t inv(std::uint64_t a) const;
 
-  /// True when `a` lies in the order-q subgroup (i.e. a^q = 1, a != 0).
+  /// True when `a` lies in the order-q subgroup, i.e. a != 0, a < p and
+  /// a^q = 1 mod p.  Decided by the Jacobi symbol (a/p) == 1, which Euler's
+  /// criterion makes the same boolean (see the definition).
   [[nodiscard]] bool is_element(std::uint64_t a) const;
 
   /// Uniform exponent in Zq.
@@ -77,10 +93,13 @@ class SchnorrGroup {
   [[nodiscard]] std::uint64_t hash_to_group(std::string_view label) const;
 
  private:
+  void check_exponent(const Zq& e) const;
+
   std::uint64_t p_;
   std::uint64_t q_;
   std::uint64_t g_;
   std::uint64_t h_ = 0;
+  Montgomery mont_;
   FixedBaseTable g_table_;
   FixedBaseTable h_table_;
 };

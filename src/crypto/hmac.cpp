@@ -16,7 +16,7 @@ void HmacSha256::set_key(const std::uint8_t* key, std::size_t len) noexcept {
     key = hashed.data();
     len = hashed.size();
   }
-  std::memcpy(block, key, len);
+  if (len != 0) std::memcpy(block, key, len);  // an empty key may be a null pointer
 
   for (std::size_t i = 0; i < kSha256BlockSize; ++i)
     block[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);

@@ -1,5 +1,7 @@
 #include "crypto/modmath.h"
 
+#include <bit>
+
 #include "base/error.h"
 
 namespace simulcast::crypto {
@@ -67,6 +69,41 @@ bool is_prime_u64(std::uint64_t n) noexcept {
     if (witness) return false;
   }
   return true;
+}
+
+int jacobi(std::uint64_t a, std::uint64_t n) noexcept {
+  // Invariant: the answer is (-1)^(sign & 1) * (a/n), with a and n odd in
+  // the loop.  Each step uses three rules: reciprocity (a/n) = -(n/a) iff
+  // a = n = 3 mod 4, then (a/n) = ((a - n)/n), then (2/n) = -1 iff
+  // n = 3, 5 mod 8 for every factor 2 shifted out.  The swap is done with
+  // masks: its outcome is a coin flip, so a branch would mispredict half
+  // the time.
+  if (a == 0) return n == 1 ? 1 : 0;
+  const int shift = std::countr_zero(a);
+  a >>= shift;
+  std::uint64_t sign = static_cast<std::uint64_t>(shift) & ((n >> 1) ^ (n >> 2));
+  while (a != n) {
+    const std::uint64_t d = a - n;
+    const int zeros = std::countr_zero(d);
+    const std::uint64_t swap = 0 - static_cast<std::uint64_t>(a < n);  // all ones iff a < n
+    sign ^= (a & n & swap) >> 1;
+    n += d & swap;                          // min(a, n)
+    a = ((d ^ swap) - swap) >> zeros;       // |a - n| with its factors 2 removed
+    sign ^= static_cast<std::uint64_t>(zeros) & ((n >> 1) ^ (n >> 2));
+  }
+  if (n != 1) return 0;
+  return (sign & 1) != 0 ? -1 : 1;
+}
+
+Montgomery::Montgomery(std::uint64_t m) : m_(m) {
+  if (m % 2 == 0 || m >= (std::uint64_t{1} << 63))
+    throw UsageError("Montgomery: modulus must be odd and below 2^63");
+  // Newton's iteration doubles the correct low bits of m^-1 mod 2^64 each
+  // step, starting from m itself (m * m = 1 mod 8 for odd m): 3 -> 96 bits.
+  inv_ = m;
+  for (int i = 0; i < 5; ++i) inv_ *= 2 - m * inv_;
+  one_ = (0 - m) % m;  // 2^64 - m = R mod m
+  r2_ = mulmod(one_, one_, m);
 }
 
 }  // namespace simulcast::crypto

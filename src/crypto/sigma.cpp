@@ -6,7 +6,7 @@ SigmaCommitment sigma_commit(const SchnorrGroup& group, HmacDrbg& drbg) {
   SigmaCommitment c;
   c.u = group.sample_exponent(drbg);
   c.v = group.sample_exponent(drbg);
-  c.a = group.mul(group.exp_g(c.u), group.exp_h(c.v));
+  c.a = group.exp_gh(c.u, c.v);
   return c;
 }
 
@@ -24,7 +24,7 @@ bool sigma_verify(const SchnorrGroup& group, std::uint64_t statement_c, const Zq
   if (!group.is_element(statement_c) || !group.is_element(response.a)) return false;
   if (!response.z1.valid() || response.z1.modulus() != group.q()) return false;
   if (!response.z2.valid() || response.z2.modulus() != group.q()) return false;
-  const std::uint64_t lhs = group.mul(group.exp_g(response.z1), group.exp_h(response.z2));
+  const std::uint64_t lhs = group.exp_gh(response.z1, response.z2);
   const std::uint64_t rhs = group.mul(response.a, group.exp(statement_c, challenge));
   return lhs == rhs;
 }

@@ -1,7 +1,6 @@
 #include "crypto/vss.h"
 
 #include "base/error.h"
-#include "crypto/modmath.h"
 
 namespace simulcast::crypto {
 
@@ -25,15 +24,8 @@ bool FeldmanVss::verify_share(const FeldmanCommitments& commitments,
                               const Share<Zq>& share) const {
   if (commitments.coefficients.empty()) return false;
   if (share.y.modulus() != group_->q()) return false;
-  const std::uint64_t lhs = group_->exp_g(share.y);
-  // rhs = prod_j A_j^{x^j}; evaluate with Horner in the exponent:
-  // prod_j A_j^{x^j} = A_0 * (A_1 * (A_2 * ...)^x)^x
-  std::uint64_t rhs = 1;
-  const Zq x{share.x, group_->q()};
-  for (std::size_t j = commitments.coefficients.size(); j-- > 0;) {
-    rhs = group_->mul(group_->exp(rhs, x), commitments.coefficients[j] % group_->p());
-  }
-  return lhs == rhs;
+  return group_->exp_g(share.y) ==
+         group_->horner(commitments.coefficients, Zq{share.x, group_->q()});
 }
 
 bool FeldmanVss::verify_commitments(const FeldmanCommitments& commitments,
@@ -63,8 +55,7 @@ PedersenDeal PedersenVss::deal(const Zq& secret, std::size_t threshold, std::siz
   PedersenDeal deal;
   deal.commitments.reserve(threshold + 1);
   for (std::size_t j = 0; j <= threshold; ++j)
-    deal.commitments.push_back(
-        group_->mul(group_->exp_g(f.coefficients()[j]), group_->exp_h(fb.coefficients()[j])));
+    deal.commitments.push_back(group_->exp_gh(f.coefficients()[j], fb.coefficients()[j]));
 
   deal.shares.reserve(n);
   for (std::size_t i = 1; i <= n; ++i) {
@@ -80,13 +71,8 @@ bool PedersenVss::verify_share(const std::vector<std::uint64_t>& commitments,
   if (share.x == 0) return false;
   if (!share.value.valid() || share.value.modulus() != group_->q()) return false;
   if (!share.blinding.valid() || share.blinding.modulus() != group_->q()) return false;
-  const std::uint64_t lhs =
-      group_->mul(group_->exp_g(share.value), group_->exp_h(share.blinding));
-  std::uint64_t rhs = 1;
-  const Zq x{share.x, group_->q()};
-  for (std::size_t j = commitments.size(); j-- > 0;)
-    rhs = group_->mul(group_->exp(rhs, x), commitments[j]);
-  return lhs == rhs;
+  return group_->exp_gh(share.value, share.blinding) ==
+         group_->horner(commitments, Zq{share.x, group_->q()});
 }
 
 bool PedersenVss::verify_commitments(const std::vector<std::uint64_t>& commitments,

@@ -49,6 +49,9 @@ SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
                   const SbOptions& options, std::uint64_t seed) {
   if (spec.protocol == nullptr) throw UsageError("test_sb: null protocol");
   const std::size_t n = spec.params.n;
+  if (n > kSbMaxParties)
+    throw UsageError("test_sb: n = " + std::to_string(n) + " exceeds " +
+                     std::to_string(kSbMaxParties) + " parties (the joint (x, W) takes 2n bits)");
   const std::vector<std::size_t> honest = honest_indices(n, spec.corrupted);
 
   stats::Rng master(seed);

@@ -58,7 +58,12 @@ struct SbOptions {
   double margin = 0.05;  ///< max distinguisher gap must clear radius + margin
 };
 
+/// The joint (x, W) histogram packs 2n bits into one BitVec, so test_sb
+/// takes at most kMaxBits / 2 parties.
+inline constexpr std::size_t kSbMaxParties = kMaxBits / 2;
+
 /// Runs real and simulated ensembles over `ensemble` and compares them.
+/// Throws UsageError, before sampling anything, when n > kSbMaxParties.
 [[nodiscard]] SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
                                 const SbOptions& options, std::uint64_t seed);
 

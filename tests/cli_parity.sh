@@ -93,6 +93,10 @@ check_explore "chaos party beyond --n"    gennaro none uniform --n=4 --transport
                                           --chaos=loss:0.5,party:9
 check_explore "crash beyond n, quarantine" gennaro none uniform --samples=1 --retries=1 \
                                            --crash=9@0
+# Every explore run ends with the Sb tester, whose joint (x, W) histogram
+# takes 2n <= 64 bits: n = 33 is refused before the first batch instead of
+# aborting in the histogram after sampling.
+check_explore "Sb tester beyond 32 parties" gennaro none uniform --n=33 --samples=1
 
 # The crash and chaos grammars parse their numbers as strictly as the knobs
 # do (base/parse.h).  explore-only with --samples=1: a lenient grammar lets

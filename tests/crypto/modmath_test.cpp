@@ -2,11 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/error.h"
 #include "stats/rng.h"
 
 namespace simulcast::crypto {
 namespace {
+
+// Odd primes the Montgomery and Jacobi kernels are checked on: the smallest,
+// the toy group's p = 23, the standard group's p and q, the Mersenne prime
+// 2^61 - 1, and the largest prime below 2^63 (the Montgomery bound).
+constexpr std::uint64_t kOddPrimes[] = {3ULL,
+                                        23ULL,
+                                        3599462771108323727ULL,
+                                        1799731385554161863ULL,
+                                        2305843009213693951ULL,
+                                        9223372036854775783ULL};
+
+std::vector<std::uint64_t> edge_values(std::uint64_t m) {
+  return {0, 1, m - 1, m, m + 1, std::uint64_t{1} << 63, ~std::uint64_t{0}};
+}
+
+// Euler's criterion a^((n-1)/2) mod n, read as 1, -1 or 0, for odd prime n.
+int euler_criterion(std::uint64_t a, std::uint64_t n) {
+  const std::uint64_t r = powmod(a, (n - 1) / 2, n);
+  if (r == 0) return 0;
+  if (r == 1) return 1;
+  EXPECT_EQ(r, n - 1) << "a=" << a << " n=" << n;
+  return -1;
+}
 
 TEST(MulMod, SmallValues) {
   EXPECT_EQ(mulmod(3, 4, 5), 2u);
@@ -54,6 +79,83 @@ TEST(InvMod, NonInvertibleThrows) {
 
 TEST(InvMod, CompositeModulusCoprimeWorks) {
   EXPECT_EQ(mulmod(7, invmod(7, 9), 9), 1u);
+}
+
+TEST(Montgomery, EdgeValuesMatchMulmodAndPowmod) {
+  for (const std::uint64_t m : kOddPrimes) {
+    const Montgomery mont(m);
+    EXPECT_EQ(mont.from(mont.one()), 1u) << "m=" << m;
+    for (const std::uint64_t a : edge_values(m)) {
+      EXPECT_EQ(mont.from(mont.to(a)), a % m) << "m=" << m << " a=" << a;
+      for (const std::uint64_t b : edge_values(m)) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " a=" << a << " b=" << b);
+        EXPECT_EQ(mont.from(mont.mul(mont.to(a), mont.to(b))), mulmod(a, b, m));
+        EXPECT_EQ(mont.mul(mont.to(a), b), mulmod(a, b, m));
+        EXPECT_EQ(mont.from(mont.pow(mont.to(a), b)), powmod(a, b, m));
+      }
+    }
+  }
+}
+
+TEST(Montgomery, RandomTriplesMatchMulmodAndPowmod) {
+  stats::Rng rng(15);
+  for (const std::uint64_t m : kOddPrimes) {
+    const Montgomery mont(m);
+    int mismatches = 0;
+    for (int i = 0; i < 100000 && mismatches < 5; ++i) {
+      const std::uint64_t a = rng();
+      const std::uint64_t b = rng();
+      const std::uint64_t e = rng();
+      const bool ok = mont.from(mont.to(a)) == a % m &&
+                      mont.from(mont.mul(mont.to(a), mont.to(b))) == mulmod(a, b, m) &&
+                      mont.mul(mont.to(a), b) == mulmod(a, b, m) &&
+                      mont.from(mont.pow(mont.to(a), e)) == powmod(a, e, m);
+      if (!ok) {
+        ++mismatches;
+        ADD_FAILURE() << "m=" << m << " a=" << a << " b=" << b << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(Montgomery, RejectsEvenAndOversizedModuli) {
+  EXPECT_THROW(Montgomery(0), UsageError);
+  EXPECT_THROW(Montgomery(24), UsageError);
+  EXPECT_THROW(Montgomery(std::uint64_t{1} << 63), UsageError);
+  EXPECT_THROW(Montgomery(0xFFFFFFFFFFFFFFC5ULL), UsageError);  // prime, but >= 2^63
+  EXPECT_NO_THROW(Montgomery((std::uint64_t{1} << 63) - 1));
+}
+
+TEST(Jacobi, MatchesEulerCriterionForOddPrimes) {
+  stats::Rng rng(16);
+  for (const std::uint64_t n : kOddPrimes) {
+    for (const std::uint64_t a : edge_values(n))
+      EXPECT_EQ(jacobi(a, n), euler_criterion(a, n)) << "a=" << a << " n=" << n;
+    int mismatches = 0;
+    for (int i = 0; i < 100000 && mismatches < 5; ++i) {
+      const std::uint64_t a = rng();
+      if (jacobi(a, n) != euler_criterion(a, n)) {
+        ++mismatches;
+        ADD_FAILURE() << "a=" << a << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Jacobi, IsTheProductOfLegendreSymbolsForSmallOddModuli) {
+  // The binary algorithm passes through composite moduli even when n is
+  // prime, so check the definition on them directly: (a/n) is the product
+  // of (a/p) over the prime factors p of n, with multiplicity, and (a/1) = 1.
+  for (std::uint64_t n = 1; n < 256; n += 2) {
+    for (std::uint64_t a = 0; a < 600; ++a) {
+      int expected = 1;
+      std::uint64_t rest = n;
+      for (std::uint64_t p = 3; rest > 1; p += 2) {
+        for (; rest % p == 0; rest /= p) expected *= euler_criterion(a, p);
+      }
+      EXPECT_EQ(jacobi(a, n), expected) << "a=" << a << " n=" << n;
+    }
+  }
 }
 
 TEST(IsPrime, SmallNumbers) {

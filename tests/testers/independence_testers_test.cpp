@@ -198,5 +198,19 @@ TEST(SbTester, FlawedPiGUnderParityAdversaryIsViolated) {
   EXPECT_FALSE(v.secure) << core::describe(v);
 }
 
+TEST(SbTester, PartyLimitIsCheckedBeforeSampling) {
+  // The joint (x, W) takes 2n bits: n = 32 is the largest that fits one
+  // BitVec, and n = 33 is refused up front instead of failing in the
+  // histogram after every execution has run.
+  const auto proto = core::make_protocol("seq-broadcast");
+  SbOptions options;
+  options.samples = 2;
+  const auto at_limit = make_spec(*proto, kSbMaxParties, {}, adversary::silent_factory());
+  EXPECT_NO_THROW((void)test_sb(at_limit, *dist::make_uniform(kSbMaxParties), options, kSeed));
+  const auto beyond = make_spec(*proto, kSbMaxParties + 1, {}, adversary::silent_factory());
+  EXPECT_THROW((void)test_sb(beyond, *dist::make_uniform(kSbMaxParties + 1), options, kSeed),
+               UsageError);
+}
+
 }  // namespace
 }  // namespace simulcast::testers
