@@ -12,7 +12,8 @@
 //       on uniform, and proportionally for biased products;
 //   (e) the honest-execution control: without A*, Π_G passes everything.
 // A second table repeats (b)+(d) with the Θ backend swapped from the ideal
-// functionality to the BGW-style MPC (theta-mpc), the DESIGN.md ablation.
+// functionality to the message-level MPC over Pedersen VSS (theta-mpc), the
+// DESIGN.md ablation.
 #include <iostream>
 
 #include "core/registry.h"

@@ -147,54 +147,6 @@ void SelectiveAbortAdversary::on_round(sim::Round round, const sim::AdversaryVie
   }
 }
 
-void FuzzAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) {
-  corrupted_ = info.corrupted;
-  n_ = info.n;
-  drbg_ = &drbg;
-}
-
-void FuzzAdversary::on_round(sim::Round /*round*/, const sim::AdversaryView& /*view*/,
-                             sim::AdversarySender& sender) {
-  for (const sim::PartyId from : corrupted_) {
-    const std::uint64_t count = drbg_->below(max_per_round_ + 1);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      // Tag: mostly protocol tags, sometimes junk.
-      sim::Tag tag;
-      if (!tags_.empty() && drbg_->below(4) != 0)
-        tag = tags_[drbg_->below(tags_.size())];
-      else
-        tag = sim::Tag("fuzz-" + std::to_string(drbg_->below(1000)));
-      // Destination: a party, the broadcast channel, or the functionality.
-      const std::uint64_t dest_kind = drbg_->below(4);
-      const Bytes payload = drbg_->generate(drbg_->below(65));
-      if (dest_kind == 0)
-        sender.broadcast(from, tag, payload);
-      else if (dest_kind == 1)
-        sender.send(from, sim::kFunctionality, tag, payload);
-      else
-        sender.send(from, drbg_->below(n_), tag, payload);
-    }
-  }
-}
-
-void ReplayAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& /*drbg*/) {
-  corrupted_ = info.corrupted;
-}
-
-void ReplayAdversary::on_round(sim::Round /*round*/, const sim::AdversaryView& view,
-                               sim::AdversarySender& sender) {
-  const auto replay = [&](const sim::Message& m) {
-    for (const sim::PartyId from : corrupted_) {
-      if (m.to == sim::kBroadcast)
-        sender.broadcast(from, m.tag, m.payload);
-      else
-        sender.send(from, m.to, m.tag, m.payload);
-    }
-  };
-  for (const sim::Message& m : view.rushed) replay(m);
-  for (const sim::Message& m : view.delivered) replay(m);
-}
-
 void ShareSnoopAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) {
   if (info.corrupted.empty()) throw UsageError("ShareSnoopAdversary: needs a corruption");
   corrupted_ = info.corrupted;

@@ -112,44 +112,6 @@ class SelectiveAbortAdversary final : public sim::Adversary {
   std::map<sim::PartyId, crypto::Opening> openings_;
 };
 
-/// Protocol fuzzer: every round, each corrupted party sprays a random
-/// number of messages with tags drawn from the target protocol's tag set
-/// (plus junk tags), random destinations (parties, broadcast, the
-/// functionality) and random payloads of random length.  Used by the
-/// robustness suite: no garbage may ever break consistency or honest-party
-/// correctness, and nothing may crash.
-class FuzzAdversary final : public sim::Adversary {
- public:
-  /// `tags` should include the victim protocol's message tags;
-  /// `max_messages_per_round` bounds the per-party spray.
-  FuzzAdversary(std::vector<sim::Tag> tags, std::size_t max_messages_per_round = 4)
-      : tags_(std::move(tags)), max_per_round_(max_messages_per_round) {}
-
-  void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override;
-  void on_round(sim::Round round, const sim::AdversaryView& view,
-                sim::AdversarySender& sender) override;
-
- private:
-  std::vector<sim::Tag> tags_;
-  std::size_t max_per_round_;
-  std::vector<sim::PartyId> corrupted_;
-  std::size_t n_ = 0;
-  crypto::HmacDrbg* drbg_ = nullptr;
-};
-
-/// Replayer: re-sends, verbatim under its own identities, every honest
-/// message it is allowed to observe (broadcasts and messages to corrupted
-/// parties).  Catches missing origin/label binding in protocol messages.
-class ReplayAdversary final : public sim::Adversary {
- public:
-  void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override;
-  void on_round(sim::Round round, const sim::AdversaryView& view,
-                sim::AdversarySender& sender) override;
-
- private:
-  std::vector<sim::PartyId> corrupted_;
-};
-
 /// The share-snooping attack of experiment E12, validating the model's
 /// private-channel choice: against the *sequential-deal* CGMA protocol with
 /// channels configured public (private_channels = false), the adversary

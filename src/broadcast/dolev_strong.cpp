@@ -141,7 +141,9 @@ std::optional<DecodedChain> decode_chain(const Bytes& data) {
   try {
     ByteReader r(data);
     DecodedChain dc;
-    dc.bit = r.u8() != 0;
+    const std::uint8_t bit = r.u8();
+    if (bit > 1) return std::nullopt;  // one encoding per bit, as encode_chain writes
+    dc.bit = bit == 1;
     const std::uint32_t count = r.u32();
     if (count > 256) return std::nullopt;
     dc.chain.reserve(count);

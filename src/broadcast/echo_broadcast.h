@@ -9,8 +9,8 @@
 // sender it is correct and consistent, but an equivocating corrupted sender
 // can drive different honest parties to different outputs when echo
 // quorums overlap (demonstrated in tests/broadcast/echo_broadcast_test.cpp).
-// It exists as the negative control for the consistency property of
-// Definition 3.1 and as the cheap-path ablation in the E9 cost benchmarks.
+// That test is its only user: no protocol, driver or benchmark builds on
+// it, so no product binary links it.
 #pragma once
 
 #include "sim/protocol.h"

@@ -107,10 +107,6 @@ std::string describe(const obs::PerfRecord& p) {
   return os.str();
 }
 
-std::string describe(const exec::BatchReport& r) {
-  return describe(obs::PerfRecord{r});
-}
-
 std::string describe(const obs::MetricsSnapshot& m) {
   std::ostringstream os;
   bool first_line = true;

@@ -50,9 +50,8 @@ class Table {
 
 /// Engine accounting line: executions, pool width, wall clock, throughput,
 /// aggregate traffic and per-phase breakdown of a batch (what the "[exec]"
-/// bench lines print).  The BatchReport overload wraps the record one.
+/// bench lines print).
 [[nodiscard]] std::string describe(const obs::PerfRecord& r);
-[[nodiscard]] std::string describe(const exec::BatchReport& r);
 
 /// Metrics registry lines ("[metrics] ..."): one line for the counters,
 /// one per histogram (count / mean / tails).  Rendered from the same

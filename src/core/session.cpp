@@ -12,14 +12,6 @@ Session::Session(std::string protocol, std::size_t n, exec::RunConfig config)
   params_.n = n;
 }
 
-Session::~Session() = default;
-Session::Session(Session&&) noexcept = default;
-Session& Session::operator=(Session&&) noexcept = default;
-
-std::size_t Session::rounds() const {
-  return protocol_->rounds(params_.n);
-}
-
 std::size_t Session::max_corruptions() const {
   return protocol_->max_corruptions(params_.n);
 }
@@ -58,21 +50,6 @@ SessionResult Session::run_with_adversary(const BitVec& inputs,
   result.rounds = exec.rounds;
   result.traffic = exec.traffic;
   return result;
-}
-
-SessionBatch Session::run_batch(const std::vector<BitVec>& inputs, std::uint64_t seed,
-                                std::size_t threads) const {
-  return run_batch_with_adversary(inputs, {}, adversary::silent_factory(), seed, threads);
-}
-
-SessionBatch Session::run_batch_with_adversary(const std::vector<BitVec>& inputs,
-                                               const std::vector<sim::PartyId>& corrupted,
-                                               const adversary::AdversaryFactory& adversary,
-                                               std::uint64_t seed, std::size_t threads) const {
-  const stats::Rng master(seed);
-  std::vector<std::uint64_t> seeds(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) seeds[i] = master.fork("session", i)();
-  return run_batch_seeded(inputs, seeds, corrupted, adversary, threads);
 }
 
 SessionBatch Session::run_batch_seeded(const std::vector<BitVec>& inputs,

@@ -43,12 +43,6 @@ class Session {
   /// timeout and fault plan, and for batches its pool width and resilience
   /// options.
   Session(std::string protocol, std::size_t n, exec::RunConfig config = exec::run_config());
-  ~Session();
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
-
-  /// Number of rounds this session's protocol needs.
-  [[nodiscard]] std::size_t rounds() const;
 
   /// Largest corruption count the protocol tolerates.
   [[nodiscard]] std::size_t max_corruptions() const;
@@ -61,22 +55,10 @@ class Session {
       const BitVec& inputs, const std::vector<sim::PartyId>& corrupted,
       const adversary::AdversaryFactory& adversary, std::uint64_t seed) const;
 
-  /// Repetition sweep: runs one all-honest session per input vector, with
-  /// per-session seeds `master(seed).fork("session", i)`, sharded across
-  /// `threads` workers (0 = the config's width).  Results are ordered
-  /// and bit-identical for every thread count.
-  [[nodiscard]] SessionBatch run_batch(const std::vector<BitVec>& inputs, std::uint64_t seed,
-                                       std::size_t threads = 0) const;
-
-  /// Adversarial repetition sweep with the same seeding contract.
-  [[nodiscard]] SessionBatch run_batch_with_adversary(
-      const std::vector<BitVec>& inputs, const std::vector<sim::PartyId>& corrupted,
-      const adversary::AdversaryFactory& adversary, std::uint64_t seed,
-      std::size_t threads = 0) const;
-
-  /// Sweep with caller-derived per-session seeds (how ValueBroadcast's
-  /// per-bit sessions and seed-compatible callers ride the engine without
-  /// changing their historical seed derivation).
+  /// Repetition sweep over caller-derived per-session seeds (ValueBroadcast's
+  /// per-bit sessions, the election example), sharded across `threads`
+  /// workers (0 = the config's width).  Results are ordered and
+  /// bit-identical for every thread count.
   [[nodiscard]] SessionBatch run_batch_seeded(
       const std::vector<BitVec>& inputs, const std::vector<std::uint64_t>& seeds,
       const std::vector<sim::PartyId>& corrupted, const adversary::AdversaryFactory& adversary,

@@ -1,11 +1,15 @@
 // Prime fields used by the secret-sharing substrates.
 //
-// Fp61 is GF(2^61 - 1), the fast fixed-modulus field used by Shamir sharing
-// and the BGW-style MPC in protocols/theta_mpc.  Zq is a runtime-modulus
-// field used for exponent arithmetic of the Schnorr group (crypto/group.h),
-// where the modulus is the group order q.  Both satisfy the FieldElement
-// shape expected by the Shamir template (crypto/shamir.h): +, -, *, inverse,
-// value(), and a static sample() from a DRBG.
+// Zq is a runtime-modulus field used for exponent arithmetic of the Schnorr
+// group (crypto/group.h), where the modulus is the group order q: Pedersen
+// commitments, sigma proofs and the polynomials PedersenVss (crypto/vss.h)
+// shares with, which is the sharing every VSS-based protocol and the
+// Theta-MPC backend (protocols/theta_mpc.h) run.  Fp61 is GF(2^61 - 1), a
+// fast fixed-modulus field; only the Shamir micro-benchmarks and the BGW
+// engine (mpc/bgw.h, which no product binary links) use it.  Both satisfy
+// the FieldElement shape expected by the Shamir template
+// (crypto/shamir.h): +, -, *, inverse, value(), and a static sample() from
+// a DRBG.
 #pragma once
 
 #include <cstdint>

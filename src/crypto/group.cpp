@@ -64,11 +64,6 @@ std::uint64_t SchnorrGroup::exp_g(const Zq& e) const {
   return mont_.from(g_table_.exp(e.value(), mont_));
 }
 
-std::uint64_t SchnorrGroup::exp_h(const Zq& e) const {
-  check_exponent(e);
-  return mont_.from(h_table_.exp(e.value(), mont_));
-}
-
 std::uint64_t SchnorrGroup::exp_gh(const Zq& a, const Zq& b) const {
   check_exponent(a);
   check_exponent(b);
@@ -91,10 +86,6 @@ std::uint64_t SchnorrGroup::horner(std::span<const std::uint64_t> c, const Zq& x
 std::uint64_t SchnorrGroup::mul(std::uint64_t a, std::uint64_t b) const {
   // to(a) < p, so one more reduction of to(a) * b leaves exactly ab mod p.
   return mont_.mul(mont_.to(a), b);
-}
-
-std::uint64_t SchnorrGroup::inv(std::uint64_t a) const {
-  return invmod(a, p_);
 }
 
 bool SchnorrGroup::is_element(std::uint64_t a) const {

@@ -65,9 +65,8 @@ class SchnorrGroup {
 
   /// g^e mod p for an exponent in Zq.
   [[nodiscard]] std::uint64_t exp_g(const Zq& e) const;
-  /// h^e mod p.
-  [[nodiscard]] std::uint64_t exp_h(const Zq& e) const;
-  /// g^a h^b mod p: mul(exp_g(a), exp_h(b)) with one conversion out.
+  /// g^a h^b mod p: the product of both fixed-base powers with one
+  /// conversion out.
   [[nodiscard]] std::uint64_t exp_gh(const Zq& a, const Zq& b) const;
   /// base^e mod p, i.e. powmod(base, e, p), for any 64-bit base.
   [[nodiscard]] std::uint64_t exp(std::uint64_t base, const Zq& e) const;
@@ -77,8 +76,6 @@ class SchnorrGroup {
   [[nodiscard]] std::uint64_t horner(std::span<const std::uint64_t> c, const Zq& x) const;
   /// a * b mod p, i.e. mulmod(a, b, p), for any 64-bit a and b.
   [[nodiscard]] std::uint64_t mul(std::uint64_t a, std::uint64_t b) const;
-  /// Inverse of a group element.
-  [[nodiscard]] std::uint64_t inv(std::uint64_t a) const;
 
   /// True when `a` lies in the order-q subgroup, i.e. a != 0, a < p and
   /// a^q = 1 mod p.  Decided by the Jacobi symbol (a/p) == 1, which Euler's

@@ -135,8 +135,4 @@ std::uint64_t HmacDrbg::below(std::uint64_t bound) {
   }
 }
 
-void HmacDrbg::reseed(const Bytes& material) {
-  update(material.data(), material.size());
-}
-
 }  // namespace simulcast::crypto

@@ -53,7 +53,7 @@ class HmacSha256 {
                          std::size_t length);
 
 /// Deterministic random bit generator per SP 800-90A (HMAC variant, no
-/// prediction-resistance calls — reseeding is explicit).
+/// prediction resistance and no reseeding: one seed per stream).
 class HmacDrbg {
  public:
   /// Instantiates from entropy || nonce || personalization.
@@ -70,9 +70,6 @@ class HmacDrbg {
 
   /// Uniform value in [0, bound) by rejection sampling.  bound > 0.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound);
-
-  /// Mixes extra entropy into the state.
-  void reseed(const Bytes& material);
 
  private:
   void update(const std::uint8_t* material, std::size_t len);

@@ -347,15 +347,6 @@ void HashWriter::u32(std::uint32_t v) noexcept {
   ctx_.update(b, sizeof b);
 }
 
-void HashWriter::u64(std::uint64_t v) noexcept {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<std::uint8_t>(v & 0xff);
-    v >>= 8;
-  }
-  ctx_.update(b, sizeof b);
-}
-
 Digest sha256(const Bytes& data) noexcept {
   Sha256 ctx;
   ctx.update(data);

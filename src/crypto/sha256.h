@@ -68,7 +68,6 @@ class HashWriter {
  public:
   void u8(std::uint8_t v) noexcept { ctx_.update(&v, 1); }
   void u32(std::uint32_t v) noexcept;
-  void u64(std::uint64_t v) noexcept;
   /// Length-prefixed raw bytes.
   void bytes(const Bytes& data) noexcept {
     u32(static_cast<std::uint32_t>(data.size()));

@@ -1,9 +1,13 @@
 // Shamir secret sharing over a prime field (header-only template).
 //
-// Works with both Fp61 (fast path: BGW MPC in protocols/theta_mpc) and Zq
-// (Schnorr-group exponents: Feldman VSS in crypto/vss.h).  A (t, n) sharing
-// uses a degree-t polynomial, so any t+1 shares reconstruct and any t reveal
-// nothing.  Share points are x = 1..n (party index + 1, never 0).
+// Works with Zq (crypto/field.h): PedersenVss (crypto/vss.h) deals its
+// secret and blinding polynomials with Polynomial<Zq> and reconstructs with
+// shamir_reconstruct, which every VSS-based protocol's reveal phase and the
+// Theta-MPC backend (protocols/theta_mpc.h) run through.  It also works
+// with Fp61, which the Shamir micro-benchmarks and the unlinked BGW engine
+// (mpc/bgw.h) use.  A (t, n) sharing uses a degree-t polynomial, so any t+1
+// shares reconstruct and any t reveal nothing.  Share points are x = 1..n
+// (party index + 1, never 0).
 #pragma once
 
 #include <cstddef>

@@ -1,19 +1,21 @@
-// Feldman verifiable secret sharing over the Schnorr group.
+// Verifiable secret sharing over the Schnorr group.
 //
-// The CGMA simultaneous-broadcast protocol (protocols/cgma.h) follows the
-// structure of [7]: every party *verifiably* shares its input before anyone
-// reveals anything, so by the time reveals start, all inputs - including
-// corrupted parties' - are information-theoretically fixed and extractable
-// by the honest majority.  Feldman VSS is the classic instantiation: the
-// dealer shares s with a degree-t polynomial f over Zq and broadcasts
-// commitments A_j = g^{f_j}; the share for party i is f(i+1), publicly
-// checkable against the A_j.
+// The VSS-based simultaneous-broadcast protocols (protocols/vss_core.h:
+// CGMA, Chor-Rabin, Gennaro) and the Theta-MPC backend
+// (protocols/theta_mpc.h) follow the structure of [7]: every party
+// *verifiably* shares its input before anyone reveals anything, so by the
+// time reveals start, all inputs - including corrupted parties' - are
+// fixed and extractable by the honest majority.  They all deal with
+// PedersenVss: the dealer shares s with a degree-t polynomial f over Zq
+// and a blinding polynomial f', and broadcasts the coefficient commitments
+// C_j = g^{f_j} h^{f'_j}; the share for party i is (f(i+1), f'(i+1)),
+// publicly checkable against the C_j.  The commitments are perfectly
+// hiding (not even g^s leaks), so a one-bit secret can be dealt as it is.
 //
-// Feldman commitments leak g^s; for a one-bit secret that would leak the
-// bit, so dealers share a *masked* secret: the protocol layer samples a
-// random pad and deals s' = s + pad with the pad dealt separately, or (what
-// CgmaProtocol does) deals a uniform field element whose low bit is the
-// input XOR a published mask.  This file only provides the VSS mechanics.
+// FeldmanVss, the unblinded variant (A_j = g^{f_j}, which leaks g^s), and
+// its codecs are still here with their tests, but no protocol deals with
+// them and no product binary links them.  This file only provides the VSS
+// mechanics and their wire codecs.
 #pragma once
 
 #include <cstdint>

@@ -168,35 +168,6 @@ std::optional<stats::ExactDist> PrfCorrelatedEnsemble::exact() const {
   return stats::ExactDist(n_, std::move(pmf));
 }
 
-SpliceEnsemble::SpliceEnsemble(std::shared_ptr<const InputEnsemble> d,
-                               std::shared_ptr<const InputEnsemble> r,
-                               std::vector<std::size_t> b_set)
-    : d_(std::move(d)), r_(std::move(r)), b_set_(std::move(b_set)) {
-  if (!d_ || !r_) throw UsageError("SpliceEnsemble: null component");
-  if (d_->bits() != r_->bits()) throw UsageError("SpliceEnsemble: width mismatch");
-  (void)complement(d_->bits(), b_set_);  // validates the index set
-}
-
-std::string SpliceEnsemble::name() const {
-  std::ostringstream os;
-  os << "splice:(" << d_->name() << ")B(" << r_->name() << ")";
-  return os.str();
-}
-
-BitVec SpliceEnsemble::sample(stats::Rng& rng) const {
-  const BitVec from_d = d_->sample(rng);
-  const BitVec from_r = r_->sample(rng);
-  const auto rest = complement(bits(), b_set_);
-  return BitVec::splice(bits(), b_set_, from_d.select(b_set_), from_r.select(rest));
-}
-
-std::optional<stats::ExactDist> SpliceEnsemble::exact() const {
-  const auto ed = d_->exact();
-  const auto er = r_->exact();
-  if (!ed || !er) return std::nullopt;
-  return ed->splice(b_set_, *er);
-}
-
 PinnedCoordinateEnsemble::PinnedCoordinateEnsemble(std::size_t n, std::size_t ell, double p_ell,
                                                    BitVec rest)
     : n_(n), ell_(ell), p_ell_(p_ell), rest_(std::move(rest)) {

@@ -145,24 +145,6 @@ class PrfCorrelatedEnsemble final : public InputEnsemble {
   std::uint64_t key_;
 };
 
-/// The paper's splice D_B ⊔ R_B̄ as an ensemble: coordinates in `b_set` come
-/// from `d`, the rest from `r`, independently.
-class SpliceEnsemble final : public InputEnsemble {
- public:
-  SpliceEnsemble(std::shared_ptr<const InputEnsemble> d,
-                 std::shared_ptr<const InputEnsemble> r, std::vector<std::size_t> b_set);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::size_t bits() const override { return d_->bits(); }
-  [[nodiscard]] BitVec sample(stats::Rng& rng) const override;
-  [[nodiscard]] std::optional<stats::ExactDist> exact() const override;
-
- private:
-  std::shared_ptr<const InputEnsemble> d_;
-  std::shared_ptr<const InputEnsemble> r_;
-  std::vector<std::size_t> b_set_;
-};
-
 /// The distribution D' built in the proof of Lemma 6.2 (Appendix A.2):
 /// coordinate `ell` is Bernoulli(p_ell) and every other coordinate is
 /// pinned to the corresponding bit of `rest` (which has n-1 bits, indexed

@@ -11,9 +11,10 @@
 // BgwEngine models the n parties' share vectors directly (a "lock-step"
 // execution of the arithmetic phase); the message-level, adversary-exposed
 // instantiation of Θ lives in protocols/theta_mpc.h and uses Pedersen VSS
-// for the dealing phase.  The engine is what tests and the completeness
-// argument exercise: any arithmetic circuit over the field can be evaluated
-// on shares, which is the [2]-style completeness the paper cites.
+// for the dealing phase, with no multiplication gates, so it does not use
+// this engine.  Only tests/mpc exercises it: any arithmetic circuit over
+// the field can be evaluated on shares, which is the [2]-style
+// completeness the paper cites.  No product binary links it.
 #pragma once
 
 #include <cstdint>

@@ -187,9 +187,4 @@ void clear_status() {
   g_completed_prior.store(0, std::memory_order_relaxed);
 }
 
-std::vector<std::string> status_lines() {
-  const std::lock_guard<std::mutex> lock(stream_mutex());
-  return stream_lines();
-}
-
 }  // namespace simulcast::obs

@@ -92,7 +92,4 @@ std::string flush_status(const std::string& path);
 /// empty anyway).
 void clear_status();
 
-/// The heartbeat lines accumulated so far (tests).
-[[nodiscard]] std::vector<std::string> status_lines();
-
 }  // namespace simulcast::obs

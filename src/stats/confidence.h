@@ -3,9 +3,10 @@
 // The paper's definitional quantities are all of the form "|p - q| is
 // negligible in k".  Our Monte-Carlo testers estimate p and q from N
 // executions and must decide whether an observed gap is real or noise.  We
-// use Hoeffding's inequality for distribution-free two-sided bounds, plus a
-// Wilson score interval for reporting.  Verdict rules live in the testers;
-// this header supplies only the mathematics.
+// use Hoeffding's inequality for distribution-free two-sided bounds.
+// Verdict rules live in the testers; this header supplies only the
+// mathematics.  The Wilson interval, normal quantile and sample-count
+// helpers below it have no caller outside their own tests.
 #pragma once
 
 #include <cstddef>

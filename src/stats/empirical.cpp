@@ -139,15 +139,4 @@ double ExactDist::tv_distance(const ExactDist& other) const {
   return sum / 2.0;
 }
 
-ExactDist ExactDist::splice(const std::vector<std::size_t>& b_set, const ExactDist& other) const {
-  if (other.bits_ != bits_) throw UsageError("splice: bit widths differ");
-  const auto rest = complement(bits_, b_set);
-  std::vector<double> pmf(pmf_.size(), 0.0);
-  for (std::size_t v = 0; v < pmf_.size(); ++v) {
-    const BitVec full(bits_, v);
-    pmf[v] = marginal(b_set, full.select(b_set)) * other.marginal(rest, full.select(rest));
-  }
-  return {bits_, std::move(pmf)};
-}
-
 }  // namespace simulcast::stats

@@ -1,11 +1,12 @@
 // Empirical distributions over n-bit vectors.
 //
-// The independence testers (src/testers) reduce every definitional quantity
-// of the paper to probabilities of events over the announced vector W
-// (Definition 3.1).  EmpiricalDist accumulates samples and answers marginal,
-// joint and conditional queries; ExactDist holds an explicit pmf over
-// {0,1}^n (n small) for the distribution-class computations of Section 5,
-// where exact arithmetic avoids any sampling noise.
+// EmpiricalDist accumulates sampled n-bit vectors into per-value counts;
+// the Sb tester (testers/sb_tester.h) compares the real and ideal joint
+// laws of (x, W) by their total-variation distance.  Its event queries
+// (prob, joint, conditional, marginal_one) have no caller outside their
+// own tests.  ExactDist holds an explicit pmf over {0,1}^n (n small) for
+// the distribution-class computations of Section 5, where exact arithmetic
+// avoids any sampling noise.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +92,6 @@ class ExactDist {
 
   /// Total-variation distance to another exact distribution.
   [[nodiscard]] double tv_distance(const ExactDist& other) const;
-
-  /// The paper's D_B ⊔ R_B̄ on exact distributions: sample the coordinates in
-  /// `b_set` from `this` and the rest from `other`, independently.
-  [[nodiscard]] ExactDist splice(const std::vector<std::size_t>& b_set,
-                                 const ExactDist& other) const;
 
  private:
   std::size_t bits_;

@@ -1,6 +1,7 @@
 #include "stats/hypothesis.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "base/error.h"
@@ -125,6 +126,9 @@ TestResult chi2_goodness_of_fit(const EmpiricalDist& dist, const ExactDist& mode
   if (dist.bits() != model.bits()) throw UsageError("goodness_of_fit: widths differ");
   const double n = static_cast<double>(dist.count());
   if (n == 0.0) return {0.0, 0.0, 1.0};
+  for (const auto& [value, count] : dist.counts())
+    if (model.raw_pmf()[value.packed()] <= 0.0)
+      return {std::numeric_limits<double>::infinity(), 0.0, 0.0};
   double stat = 0.0;
   std::size_t cells = 0;
   for (std::size_t v = 0; v < model.raw_pmf().size(); ++v) {

@@ -1,5 +1,7 @@
-// Classical hypothesis tests used by the distribution-class testers
-// (Section 5) and as secondary evidence in the independence testers.
+// Classical hypothesis tests.  No tester or driver calls them:
+// chi2_goodness_of_fit is the exact-law oracle of the distributional test
+// suite (tests/testers/distributional_test.cpp), and the independence tests
+// have no caller outside their own tests.
 //
 // chi2_independence tests H0: "bit i and the remaining bits are independent"
 // on a 2 x m contingency table built from samples; the G-test is the
@@ -39,7 +41,10 @@ struct TestResult {
 /// Likelihood-ratio (G) test of the same hypothesis.
 [[nodiscard]] TestResult g_test_independence(const EmpiricalDist& dist, std::size_t i);
 
-/// Pearson goodness-of-fit of empirical samples against an exact pmf.
+/// Pearson goodness-of-fit of empirical samples against an exact pmf, over
+/// the cells the model gives positive probability.  A sample on a cell the
+/// model gives probability 0 is impossible under it, so it rejects outright
+/// (p = 0).
 [[nodiscard]] TestResult chi2_goodness_of_fit(const EmpiricalDist& dist, const ExactDist& model);
 
 }  // namespace simulcast::stats

@@ -4,7 +4,7 @@
 // and breaks consistency.
 #include <gtest/gtest.h>
 
-#include "adversary/adversaries.h"
+#include "fuzz_adversaries.h"
 #include "broadcast/parallel_broadcast.h"
 #include "core/registry.h"
 #include "protocols/gennaro.h"

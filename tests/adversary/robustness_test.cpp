@@ -5,7 +5,7 @@
 // anywhere in {0, 1}; only the honest ones are pinned.)
 #include <gtest/gtest.h>
 
-#include "adversary/adversaries.h"
+#include "fuzz_adversaries.h"
 #include "broadcast/parallel_broadcast.h"
 #include "core/registry.h"
 #include "protocols/naive_commit_reveal.h"

@@ -35,7 +35,7 @@ TEST(Session, HonestRunAnnouncesInputs) {
     EXPECT_TRUE(result.consistent) << name;
     EXPECT_TRUE(result.correct) << name;
     EXPECT_EQ(result.announced, inputs) << name;
-    EXPECT_EQ(result.rounds, session.rounds()) << name;
+    EXPECT_EQ(result.rounds, session.protocol().rounds(4)) << name;
     EXPECT_GT(result.messages(), 0u) << name;
     // Serial runs carry the full TrafficStats the batch path reports.
     EXPECT_GE(result.traffic.messages,

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "base/error.h"
+#include "broadcast/dolev_strong.h"
 #include "crypto/lamport.h"
 #include "crypto/vss.h"
+#include "protocols/theta.h"
 #include "stats/rng.h"
 
 namespace simulcast::crypto {
@@ -52,6 +54,57 @@ TEST_P(DecoderFuzzTest, FeldmanCommitmentsDecoderNeverCrashes) {
     } catch (const Error&) {
     }
   }
+}
+
+// The Dolev-Strong relay payload (seq-broadcast-ds): a bit byte, a link
+// count and that many (signer, Merkle signature) links, all adversary
+// controlled.  Half the inputs are uniform garbage, half a header (bit byte
+// 0..3, link count 0..2) with a short random tail, so the accepting path
+// is reached too.
+TEST_P(DecoderFuzzTest, SignatureChainDecoderNeverCrashes) {
+  int accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    Bytes payload;
+    if (i % 2 == 0) {
+      payload = random_payload();
+    } else {
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(rng_.below(4)));
+      w.u32(static_cast<std::uint32_t>(rng_.below(3)));
+      payload = w.take();
+      const Bytes tail = rng_.bytes(rng_.below(3) == 0 ? 0 : rng_.below(64));
+      payload.insert(payload.end(), tail.begin(), tail.end());
+    }
+    const auto decoded = broadcast::decode_chain(payload);
+    // If it parsed, re-encoding must reproduce the payload exactly.
+    if (decoded.has_value()) {
+      ++accepted;
+      EXPECT_EQ(broadcast::encode_chain(decoded->bit, decoded->chain), payload);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+// The Theta functionality's input payload (flawed-pi-g): two bytes, each
+// 0 or 1.  Short payloads over a small alphabet hit every accept and
+// reject branch.
+TEST_P(DecoderFuzzTest, ThetaInputDecoderNeverCrashes) {
+  int accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    Bytes payload;
+    if (i % 2 == 0) {
+      payload = random_payload();
+    } else {
+      for (std::uint64_t k = rng_.below(4); k > 0; --k)
+        payload.push_back(static_cast<std::uint8_t>(rng_.below(3)));
+    }
+    const auto decoded = protocols::decode_theta_input(payload);
+    if (decoded.has_value()) {
+      ++accepted;
+      EXPECT_EQ(protocols::encode_theta_input(*decoded), payload);
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST_P(DecoderFuzzTest, MerkleSignatureDecoderNeverCrashes) {

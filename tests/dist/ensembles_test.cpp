@@ -126,19 +126,6 @@ TEST(PrfCorrelatedEnsemble, KeyChangesFunction) {
   EXPECT_TRUE(differs);
 }
 
-TEST(SpliceEnsemble, BreaksCorrelationAcrossTheCut) {
-  // Splicing the copy distribution with itself on B = {0} must produce
-  // independent coordinates 0 and 3 (the paper's remark in Section 2).
-  const auto copy = std::make_shared<NoisyCopyEnsemble>(4, 0.0);
-  const SpliceEnsemble spliced(copy, copy, {0});
-  const auto exact = spliced.exact();
-  ASSERT_TRUE(exact.has_value());
-  const auto cond =
-      exact->conditional({3}, BitVec(1, 1), {0}, BitVec(1, 1));
-  ASSERT_TRUE(cond.has_value());
-  EXPECT_NEAR(*cond, 0.5, 1e-9);
-}
-
 TEST(PinnedCoordinateEnsemble, OnlyEllVaries) {
   const PinnedCoordinateEnsemble ens(4, 1, 0.3, BitVec::from_string("101"));
   stats::Rng rng(8);

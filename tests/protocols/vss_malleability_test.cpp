@@ -116,7 +116,7 @@ TEST(ChorRabinPok, ForgedResponseWithoutWitnessFails) {
         std::vector<std::uint64_t> commitments;
         const auto schedule = protocols::ChorRabinProtocol::schedule(4);
         for (std::size_t j = 0; j <= schedule.threshold; ++j)
-          commitments.push_back(group.exp_h(group.sample_exponent(*drbg_)));
+          commitments.push_back(group.exp(group.h(), group.sample_exponent(*drbg_)));
         sender.broadcast(me, kVssCommitTag, crypto::encode_group_elements(commitments));
       }
       // Sends random sigma messages in its PoK rounds - they cannot verify.

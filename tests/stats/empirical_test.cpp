@@ -110,15 +110,6 @@ TEST(ExactDist, ProductOfMarginalsOnCopyIsFar) {
   EXPECT_NEAR(copy.tv_distance(prod), 0.5, 1e-12);
 }
 
-TEST(ExactDist, SpliceBreaksCorrelation) {
-  // The paper's note: D_B ⊔ D_B̄ need not equal D.  For the copy
-  // distribution, splicing coordinate {0} with itself yields the uniform
-  // product.
-  const ExactDist copy(2, {0.5, 0.0, 0.0, 0.5});
-  const ExactDist spliced = copy.splice({0}, copy);
-  EXPECT_NEAR(spliced.tv_distance(ExactDist::uniform(2)), 0.0, 1e-12);
-}
-
 TEST(ExactDist, EmpiricalSamplesMatchExact) {
   // Sample from a product distribution and compare the empirical histogram.
   const ExactDist model = ExactDist::product({0.25, 0.5});

@@ -129,5 +129,23 @@ TEST(GoodnessOfFit, WidthMismatchThrows) {
   EXPECT_THROW((void)chi2_goodness_of_fit(d, ExactDist::uniform(3)), UsageError);
 }
 
+TEST(GoodnessOfFit, ObservationOnZeroProbabilityCellRejects) {
+  // The even-parity law over 5 bits puts mass 1/16 on each even-parity
+  // vector and none on the odd ones.  62 samples on each of the 16 even
+  // vectors fit it almost exactly; 8 odd-parity samples are impossible
+  // under it, however small a share of the 1000 they are.
+  std::vector<double> pmf(32, 0.0);
+  EmpiricalDist d(5);
+  for (std::size_t v = 0; v < 32; ++v) {
+    if (BitVec(5, v).parity()) continue;
+    pmf[v] = 1.0 / 16.0;
+    for (int i = 0; i < 62; ++i) d.add(BitVec(5, v));
+  }
+  for (int i = 0; i < 8; ++i) d.add(BitVec(5, 1));
+  const TestResult r = chi2_goodness_of_fit(d, ExactDist(5, std::move(pmf)));
+  EXPECT_EQ(r.p_value, 0.0) << "stat=" << r.statistic;
+  EXPECT_TRUE(r.rejects(1e-12));
+}
+
 }  // namespace
 }  // namespace simulcast::stats
