@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   rec.setup = "composes the four arrows from dedicated measurements (n = 4..5)";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   const auto uniform4 = dist::make_uniform(4);
   const auto uniform5 = dist::make_uniform(5);
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
   bool arrow1 = false;
   {
     const auto proto = core::make_protocol("gennaro");
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.corrupted = {2};
@@ -53,11 +52,8 @@ int main(int argc, char** argv) {
     testers::SbOptions sb_options;
     sb_options.samples = 900;
     const auto sb = testers::test_sb(spec, *uniform4, sb_options, kSeed);
-    const auto batch = testers::collect_batch(spec, *uniform4, 2500, kSeed + 1);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, *uniform4, 2500, kSeed + 1);
+    const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     arrow1 = sb.secure && cr.independent;
     rec.cells.push_back(
         {"Sb => CR (gennaro/passive, uniform)",
@@ -72,17 +68,14 @@ int main(int argc, char** argv) {
   bool arrow2 = false;
   {
     const auto proto = core::make_protocol("seq-broadcast");
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.corrupted = {3};
     spec.adversary = adversary::copy_last_factory(0);
     const dist::SingletonEnsemble singleton(BitVec::from_string("1011"));
-    const auto batch = testers::collect_batch(spec, singleton, 800, kSeed + 2);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, singleton, 800, kSeed + 2);
+    const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     testers::SbOptions sb_options;
     sb_options.samples = 600;
     const auto sb = testers::test_sb(spec, singleton, sb_options, kSeed + 3);
@@ -101,19 +94,14 @@ int main(int argc, char** argv) {
   bool arrow3 = false;
   {
     const auto proto = core::make_protocol("gennaro");
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.corrupted = {1};
     spec.adversary = adversary::passive_factory(*proto, spec.params);
-    const auto batch = testers::collect_batch(spec, *uniform4, 3000, kSeed + 4);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
-    const auto g = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_g(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, *uniform4, 3000, kSeed + 4);
+    const auto cr = testers::test_cr(batch.samples, spec.corrupted);
+    const auto g = testers::test_g(batch.samples, spec.corrupted);
     arrow3 = cr.independent && g.independent;
     rec.cells.push_back(
         {"CR => G (gennaro/passive, uniform)",
@@ -128,19 +116,14 @@ int main(int argc, char** argv) {
   bool arrow4 = false;
   {
     const auto proto = core::make_protocol("flawed-pi-g");
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 5;
     spec.corrupted = {1, 3};
     spec.adversary = adversary::parity_factory();
-    const auto batch = testers::collect_batch(spec, *uniform5, 4000, kSeed + 5);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const auto g = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_g(batch.samples, spec.corrupted); });
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, *uniform5, 4000, kSeed + 5);
+    const auto g = testers::test_g(batch.samples, spec.corrupted);
+    const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     arrow4 = g.independent && !cr.independent;
     rec.cells.push_back(
         {"G =/=> CR (flawed-pi-g/A*, uniform)",
@@ -159,7 +142,6 @@ int main(int argc, char** argv) {
             << "]=== CR       CR <===[" << (arrow4 ? "broken-as-claimed" : "??")
             << "]=== G\n        (Singleton)                  (uniform in D(G))\n\n";
 
-  rec.perf.report = sweep_report;
   rec.reproduced = arrow1 && arrow2 && arrow3 && arrow4;
   rec.detail = "all four arrows of Figure 1 reproduced from measurements";
   return core::finish_experiment(rec);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   bool public_violated = false;
   bool private_safe = false;
   for (const bool private_channels : {true, false}) {
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 5;
     spec.corrupted = {4};

@@ -35,10 +35,9 @@ int main(int argc, char** argv) {
       "singleton input distributions; 400 executions per singleton";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   const auto proto = core::make_protocol("seq-broadcast");
-  testers::RunSpec spec;
+  exec::RunSpec spec;
   spec.protocol = proto.get();
   spec.params.n = 4;
   spec.corrupted = {3};
@@ -52,11 +51,8 @@ int main(int argc, char** argv) {
 
   for (std::uint64_t bits = 0; bits < 16; ++bits) {
     const dist::SingletonEnsemble ens(BitVec(4, bits));
-    const auto batch = testers::collect_batch(spec, ens, 400, kSeed + bits);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const testers::CrVerdict cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, ens, 400, kSeed + bits);
+    const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
 
     testers::SbOptions sb_options;
     sb_options.samples = 400;
@@ -73,7 +69,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
 
-  rec.perf.report = sweep_report;
   rec.reproduced = cr_trivial && sb_fails_somewhere;
   rec.detail = std::string("CR vacuous on all 16 singletons: ") + (cr_trivial ? "yes" : "NO") +
                "; Sb class-simulation broken (worst distinguisher advantage " +

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       "passive); then the A.2 pinned distribution on seq-broadcast + copy";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   std::vector<std::shared_ptr<dist::InputEnsemble>> grid;
   grid.push_back(dist::make_uniform(4));
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
   bool implication_holds = true;
   for (const char* name : {"cgma", "chor-rabin", "gennaro", "flawed-pi-g"}) {
     const auto proto = core::make_protocol(name);
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.corrupted = {3};
@@ -56,13 +55,9 @@ int main(int argc, char** argv) {
     bool cr_all = true;
     bool g_all = true;
     for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-      const auto batch = testers::collect_batch(spec, *grid[gi], 2500, kSeed + gi);
-      sweep_report = core::merge(sweep_report, batch.report);
-      exec::timed_phase(sweep_report.phases.evaluation, [&] {
-        cr_all = cr_all && testers::test_cr(batch.samples, spec.corrupted).independent;
-        g_all = g_all && testers::test_g(batch.samples, spec.corrupted).independent;
-        return 0;
-      });
+      const auto batch = exec::Runner().run_batch(spec, *grid[gi], 2500, kSeed + gi);
+      cr_all = cr_all && testers::test_cr(batch.samples, spec.corrupted).independent;
+      g_all = g_all && testers::test_g(batch.samples, spec.corrupted).independent;
     }
     const bool consistent = !(cr_all && !g_all);
     implication_holds = implication_holds && consistent;
@@ -80,7 +75,7 @@ int main(int argc, char** argv) {
   // D' pinned at ell = 0 with p = 0.3; the CR quantity on D' must be
   // ~ p(1-p) * 1 = 0.21.
   const auto seq = core::make_protocol("seq-broadcast");
-  testers::RunSpec spec;
+  exec::RunSpec spec;
   spec.protocol = seq.get();
   spec.params.n = 4;
   spec.corrupted = {3};
@@ -93,11 +88,8 @@ int main(int argc, char** argv) {
 
   const double p_ell = 0.3;
   const dist::PinnedCoordinateEnsemble d_prime(4, 0, p_ell, BitVec::from_string("110"));
-  const auto batch = testers::collect_batch(spec, d_prime, 4000, kSeed + 51);
-  sweep_report = core::merge(sweep_report, batch.report);
-  const testers::CrVerdict cr = exec::timed_phase(
-      sweep_report.phases.evaluation,
-      [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+  const auto batch = exec::Runner().run_batch(spec, d_prime, 4000, kSeed + 51);
+  const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
   const double predicted = p_ell * (1.0 - p_ell) * gss.max_gap;
   std::cout << "CR on D' (pinned, p = " << p_ell << "): " << core::describe(cr) << "\n"
             << "predicted CR gap = p(1-p) * G** gap = " << core::fmt(predicted) << "\n";
@@ -111,7 +103,6 @@ int main(int argc, char** argv) {
                                   "measured CR gap " + core::fmt(cr.max_gap) +
                                       " vs predicted p(1-p) * G** gap " + core::fmt(predicted))});
 
-  rec.perf.report = sweep_report;
   rec.reproduced = implication_holds && construction_matches;
   rec.detail = std::string("no (CR pass, G fail) cell observed: ") +
                (implication_holds ? "yes" : "NO") + "; A.2 construction: measured CR gap " +

@@ -43,27 +43,27 @@ BENCHMARK(BM_ExecFlawedPiG)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_CrTester(benchmark::State& state) {
   const auto proto = core::make_protocol("gennaro");
-  testers::RunSpec spec;
+  exec::RunSpec spec;
   spec.protocol = proto.get();
   spec.params.n = 4;
   spec.adversary = adversary::silent_factory();
   const auto uniform = dist::make_uniform(4);
   const auto samples =
-      testers::collect_samples(spec, *uniform, static_cast<std::size_t>(state.range(0)), 1);
+      exec::Runner().run_batch(spec, *uniform, static_cast<std::size_t>(state.range(0)), 1).samples;
   for (auto _ : state) benchmark::DoNotOptimize(testers::test_cr(samples, spec.corrupted));
 }
 BENCHMARK(BM_CrTester)->Arg(500)->Arg(2000);
 
 void BM_SampleCollection(benchmark::State& state) {
   const auto proto = core::make_protocol("gennaro");
-  testers::RunSpec spec;
+  exec::RunSpec spec;
   spec.protocol = proto.get();
   spec.params.n = 4;
   spec.adversary = adversary::silent_factory();
   const auto uniform = dist::make_uniform(4);
   std::uint64_t seed = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(testers::collect_samples(spec, *uniform, 10, seed++));
+    benchmark::DoNotOptimize(exec::Runner().run_batch(spec, *uniform, 10, seed++).samples);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_SampleCollection);

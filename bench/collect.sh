@@ -16,7 +16,8 @@
 # flip a paper verdict, so a nonzero driver exit is tolerated; what must
 # hold instead is record honesty: the driver still writes a parseable
 # BENCH_*.json whose "faults" object carries the requested drop rate, whose
-# traffic section carries the fault counters, and whose "reproduced" field
+# perf section counts the executions that ran under it (nonzero) and the
+# messages the plan really dropped (nonzero), and whose "reproduced" field
 # is an explicit true/false verdict.
 #
 # With --resume, each driver instead exercises the interrupt/resume story
@@ -126,8 +127,8 @@ check_trace() {
 
 # Faulted-record honesty: the record parses, its faults object carries the
 # requested drop rate, the traffic block carries all four fault counters,
-# and "reproduced" is an explicit verdict.  Without python3, a grep-shaped
-# approximation of the same checks.
+# executions ran and messages were dropped, and "reproduced" is an explicit
+# verdict.  Without python3, a grep-shaped approximation of the same checks.
 check_faulted_record() {
   if command -v python3 >/dev/null 2>&1; then
     python3 - "$1" "$drop_rate" 2>/dev/null <<'EOF'
@@ -137,6 +138,8 @@ assert rec["reproduced"] in (True, False)
 assert rec["faults"]["drop_probability"] == float(sys.argv[2])
 traffic = rec["perf"]["traffic"]
 assert all(k in traffic for k in ("dropped", "delayed", "blocked", "crashed"))
+assert rec["perf"]["executions"] > 0
+assert traffic["dropped"] > 0
 EOF
   else
     grep -q '"drop_probability": ' "$1" &&

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     if (ensemble->bits() != n) usage("distribution width != --n");
 
     static const crypto::HashCommitmentScheme scheme;
-    testers::RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = n;
     spec.params.commitments = &scheme;
@@ -192,9 +192,8 @@ int main(int argc, char** argv) {
     rec.setup = setup.str();
     rec.seed = seed;
 
-    const auto batch = testers::collect_batch(spec, *ensemble, samples, seed);
-    const auto& sample_set = batch.samples;
-    rec.perf.report = batch.report;
+    const std::vector<exec::Sample> sample_set =
+        exec::Runner().run_batch(spec, *ensemble, samples, seed).samples;
     const double consistency = testers::consistency_rate(sample_set);
     std::cout << "consistency rate: " << core::fmt(consistency) << "\n";
     rec.cells.push_back({"consistency",

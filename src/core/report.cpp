@@ -134,28 +134,6 @@ std::string describe(const obs::MetricsSnapshot& m) {
   return os.str();
 }
 
-exec::BatchReport merge(const exec::BatchReport& a, const exec::BatchReport& b) {
-  exec::BatchReport out;
-  out.executions = a.executions + b.executions;
-  out.threads = std::max(a.threads, b.threads);
-  out.wall_seconds = a.wall_seconds + b.wall_seconds;
-  out.completed = a.completed + b.completed;
-  out.partial = a.partial || b.partial;
-  out.quarantine = a.quarantine;
-  out.quarantine.insert(out.quarantine.end(), b.quarantine.begin(), b.quarantine.end());
-  out.throughput = exec::safe_throughput(out.completed, out.wall_seconds);
-  out.total_rounds = a.total_rounds + b.total_rounds;
-  out.traffic = a.traffic;
-  out.traffic += b.traffic;
-  out.phases.sampling = a.phases.sampling + b.phases.sampling;
-  out.phases.execution = a.phases.execution + b.phases.execution;
-  out.phases.evaluation = a.phases.evaluation + b.phases.evaluation;
-  // A merged report spans several campaigns; keep the first batch's id as
-  // the representative (metadata.campaigns in the record lists them all).
-  out.campaign = a.campaign != 0 ? a.campaign : b.campaign;
-  return out;
-}
-
 void print_banner(const std::string& experiment_id, const std::string& paper_claim,
                   const std::string& setup) {
   std::cout << "\n=== " << experiment_id << " ===\n"
@@ -176,7 +154,9 @@ void print_verdict_line(const std::string& experiment_id, bool reproduced,
 int finish_experiment(const obs::ExperimentRecord& record) {
   obs::trace_instant("finish_experiment");
   const exec::RunConfig config = exec::run_config();
+  const exec::Ledger ledger = exec::ledger();
   obs::ExperimentRecord full = record;
+  full.perf.report = ledger.report;
   if (full.metrics.empty()) full.metrics = obs::Metrics::global().snapshot();
   // Records state the conditions they were measured under: drivers that
   // didn't set a plan inherit whatever --drop/--delay/--crash installed.
@@ -185,11 +165,10 @@ int finish_experiment(const obs::ExperimentRecord& record) {
     full.transport = std::string(net::transport_kind_name(config.transport));
   if (full.chaos.empty()) full.chaos = config.chaos.summary();
   // Campaign correlation ids (schema v7): every batch that ran in this
-  // process, in batch order — the join key between this record and its
+  // process, in launch order — the join key between this record and its
   // trace/log/status artifacts.
-  if (full.campaigns.empty())
-    for (const std::uint64_t id : obs::campaigns_seen())
-      full.campaigns.push_back(obs::correlation_hex(id));
+  full.campaigns.clear();
+  for (const std::uint64_t id : ledger.campaigns) full.campaigns.push_back(obs::correlation_hex(id));
   // A graceful stop (SIGINT/SIGTERM or --stop-after) flushes the record in
   // whatever state the drain left it; flag it so consumers know the
   // verdicts rest on fewer samples than the setup advertises.

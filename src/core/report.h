@@ -58,10 +58,6 @@ class Table {
 /// snapshot the JSON serializes, like every other describe().
 [[nodiscard]] std::string describe(const obs::MetricsSnapshot& m);
 
-/// Sums batch reports of one sweep into a single aggregate (wall clocks
-/// and phase breakdowns add; throughput is recomputed from the sums).
-[[nodiscard]] exec::BatchReport merge(const exec::BatchReport& a, const exec::BatchReport& b);
-
 /// Experiment banner: id, paper claim, and what is being run.
 void print_banner(const std::string& experiment_id, const std::string& paper_claim,
                   const std::string& setup);
@@ -73,10 +69,12 @@ void print_banner(const obs::ExperimentRecord& record);
 void print_verdict_line(const std::string& experiment_id, bool reproduced,
                         const std::string& detail);
 
-/// The uniform bench epilogue: prints the record's [exec] accounting line
-/// (when any batch ran), its [metrics] registry lines, and its verdict
-/// line; fills record.metrics from obs::Metrics::global() when the driver
-/// left it empty; emits BENCH_<id>.json when a JSON sink is configured
+/// The uniform bench epilogue: sets record.perf and record.campaigns from
+/// the exec ledger (every batch and tester call of the process; whatever the
+/// driver put there is replaced) and fills record.metrics from
+/// obs::Metrics::global() when the driver left it empty; prints the [exec] accounting line (when any batch ran), the
+/// [metrics] registry lines and the verdict line; emits BENCH_<id>.json
+/// when a JSON sink is configured
 /// (--json= / SIMULCAST_JSON) and TRACE_<id>.json when a trace sink is
 /// (--trace= / SIMULCAST_TRACE); returns the driver's exit code (0 iff
 /// reproduced).

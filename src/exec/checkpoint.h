@@ -44,7 +44,7 @@ struct CampaignIdentity {
   std::string protocol;           ///< ParallelBroadcastProtocol::name()
   std::size_t n = 0;              ///< party count
   std::size_t count = 0;          ///< repetitions in the batch
-  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, k
+  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, k, commitment scheme
   std::uint64_t fault_hash = 0;   ///< the effective sim::FaultPlan
   std::uint64_t stream_hash = 0;  ///< every (input, seed) pair, slot order
 

@@ -29,6 +29,11 @@ std::atomic<bool> g_shutdown{false};
 std::atomic<std::size_t> g_stop_after{0};
 std::atomic<std::size_t> g_stop_after_completed{0};
 
+// The process ledger (runner.h).  One mutex-guarded sum per batch and per
+// tester call: nothing on the per-execution path touches it.
+std::mutex g_ledger_mutex;
+Ledger g_ledger;
+
 void shutdown_signal_handler(int sig) {
   g_shutdown.store(true, std::memory_order_relaxed);
   // Restore the default disposition so an insistent second ^C kills the
@@ -110,6 +115,8 @@ CampaignIdentity compute_identity(const RunSpec& spec, const sim::FaultPlan& pla
   for (const sim::PartyId id : spec.corrupted) config_hash.mix(static_cast<std::uint64_t>(id));
   config_hash.mix(spec.auxiliary_input);
   config_hash.mix(static_cast<std::uint64_t>(spec.private_channels ? 1 : 0));
+  // A null scheme mixes nothing, so batches without one keep their ids.
+  if (spec.params.commitments != nullptr) config_hash.mix(spec.params.commitments->name());
   identity.config_hash = config_hash.value();
 
   IdentityHash fault_hash;
@@ -196,20 +203,22 @@ bool attempt_repetition(const RunSpec& spec, const RunConfig& run, const BitVec&
   return false;
 }
 
-/// Shards the prepared repetitions, fills the slots, and accounts the batch.
+/// Shards the prepared repetitions, fills the slots, and accounts the batch
+/// (its report, `sampling_seconds` included, lands in the ledger).
 /// With default BatchOptions this is the legacy engine bit for bit; the
 /// resilience features (checkpoint/resume, watchdog, retry/quarantine,
 /// graceful-stop drain) each activate only when their knob is set — except
 /// the stop flag, which always drains so ^C works for every driver.
 BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
                          const std::function<const BitVec&(std::size_t)>& input_for,
-                         const std::vector<std::uint64_t>& seeds) {
+                         const std::vector<std::uint64_t>& seeds, double sampling_seconds) {
   const BatchOptions& options = run.batch;
   const std::size_t threads = run.threads;
   const std::size_t count = seeds.size();
   BatchResult out;
   out.samples.resize(count);
   out.report.executions = count;
+  out.report.phases.sampling = sampling_seconds;
   // parallel_for clamps the pool to the batch size; report the worker count
   // that actually ran, not the requested width (a 4-rep batch at
   // --threads=16 runs 4-wide).
@@ -240,7 +249,6 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
   const std::uint64_t campaign = identity.digest();
   out.report.campaign = campaign;
   obs::set_current_campaign(campaign);
-  obs::note_campaign(campaign);
 
   // Live progress published for the status reporter (and the heartbeat's
   // retry totals).  Relaxed is enough: heartbeats are approximate, the
@@ -459,6 +467,7 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
     (void)obs::flush_status(run.status_path);
   }
   obs::set_current_campaign(0);
+  ledger_add(out.report);
   return out;
 }
 
@@ -501,6 +510,48 @@ void set_stop_after(std::size_t completed) {
 
 double safe_throughput(std::size_t executions, double wall_seconds) {
   return wall_seconds > 0.0 ? static_cast<double>(executions) / wall_seconds : 0.0;
+}
+
+BatchReport& BatchReport::operator+=(const BatchReport& other) {
+  executions += other.executions;
+  threads = std::max(threads, other.threads);
+  wall_seconds += other.wall_seconds;
+  total_rounds += other.total_rounds;
+  traffic += other.traffic;
+  phases.sampling += other.phases.sampling;
+  phases.execution += other.phases.execution;
+  phases.evaluation += other.phases.evaluation;
+  completed += other.completed;
+  partial = partial || other.partial;
+  quarantine.insert(quarantine.end(), other.quarantine.begin(), other.quarantine.end());
+  throughput = safe_throughput(completed, wall_seconds);
+  if (campaign == 0) campaign = other.campaign;
+  return *this;
+}
+
+void ledger_add(const BatchReport& report) {
+  const std::lock_guard<std::mutex> lock(g_ledger_mutex);
+  g_ledger.report += report;
+  std::vector<std::uint64_t>& ids = g_ledger.campaigns;
+  if (report.campaign != 0 && ids.size() < kCampaignListCap &&
+      std::find(ids.begin(), ids.end(), report.campaign) == ids.end())
+    ids.push_back(report.campaign);
+}
+
+Ledger ledger() {
+  const std::lock_guard<std::mutex> lock(g_ledger_mutex);
+  return g_ledger;
+}
+
+void clear_ledger() {
+  const std::lock_guard<std::mutex> lock(g_ledger_mutex);
+  g_ledger = Ledger{};
+}
+
+EvaluationTimer::Sink::~Sink() {
+  BatchReport report;
+  report.phases.evaluation = seconds;
+  ledger_add(report);
 }
 
 void parallel_for(std::size_t count, std::size_t threads,
@@ -566,11 +617,9 @@ BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& en
     const ScopedPhase timer(sampling_seconds, "sampling");
     for (std::size_t rep = 0; rep < count; ++rep) inputs.push_back(ensemble.sample(input_rng));
   }
-  BatchResult out = run_prepared(spec, config_,
-                                 [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; },
-                                 fork_seeds(seed, "exec", count));
-  out.report.phases.sampling = sampling_seconds;
-  return out;
+  return run_prepared(spec, config_,
+                      [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; },
+                      fork_seeds(seed, "exec", count), sampling_seconds);
 }
 
 BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::size_t count,
@@ -578,7 +627,7 @@ BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::siz
   validate(spec);
   if (input.size() != spec.params.n) throw UsageError("exec::Runner: input width != n");
   return run_prepared(spec, config_, [&input](std::size_t) -> const BitVec& { return input; },
-                      fork_seeds(seed, "exec-fixed", count));
+                      fork_seeds(seed, "exec-fixed", count), 0.0);
 }
 
 BatchResult Runner::run_batch(const RunSpec& spec, const std::vector<BitVec>& inputs,
@@ -589,7 +638,8 @@ BatchResult Runner::run_batch(const RunSpec& spec, const std::vector<BitVec>& in
   for (const BitVec& input : inputs)
     if (input.size() != spec.params.n) throw UsageError("exec::Runner: input width != n");
   return run_prepared(spec, config_,
-                      [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; }, seeds);
+                      [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; }, seeds,
+                      0.0);
 }
 
 }  // namespace simulcast::exec

@@ -41,7 +41,6 @@
 namespace simulcast::exec {
 
 /// Everything needed to run one (protocol, adversary, corruption) triple.
-/// (Exposed to testers as testers::RunSpec; the fields predate the engine.)
 struct RunSpec {
   const sim::ParallelBroadcastProtocol* protocol = nullptr;
   sim::ProtocolParams params;
@@ -109,13 +108,14 @@ void set_stop_after(std::size_t completed);
 /// Executions-per-second with the 0/0 guard: tiny batches on coarse clocks
 /// can measure wall_seconds == 0.0, and inf/NaN would poison the JSON sink
 /// (non-finite doubles serialize as null).  Shared by the engine and
-/// core::merge so no throughput is ever computed unguarded.
+/// BatchReport::operator+= so no throughput is ever computed unguarded.
 [[nodiscard]] double safe_throughput(std::size_t executions, double wall_seconds);
 
 /// Per-phase wall-clock breakdown of a batch: where the time actually went.
-/// `sampling` and `execution` are stamped by the Runner; `evaluation` is
-/// accumulated by whoever runs a tester over the samples (the bench drivers
-/// wrap their tester calls in timed_phase).
+/// `sampling` and `execution` are stamped by the Runner into each batch's
+/// report; `evaluation` stays 0 there and accrues only in the ledger, where
+/// every tester call stamps the time it spent over its samples
+/// (EvaluationTimer).
 struct PhaseSeconds {
   double sampling = 0.0;    ///< drawing inputs from the ensemble (serial)
   double execution = 0.0;   ///< the sharded protocol-execution region
@@ -143,6 +143,12 @@ struct BatchReport {
   /// processes.  The same id rides trace spans, log events, status
   /// heartbeats and record metadata (obs/log.h).
   std::uint64_t campaign = 0;
+
+  /// Adds `other` into this report: counts, clocks, phases and traffic sum,
+  /// `threads` keeps the widest pool, `partial` ORs, the quarantine lists
+  /// concatenate, throughput is recomputed from the sums, and `campaign`
+  /// keeps the first nonzero id.
+  BatchReport& operator+=(const BatchReport& other);
 };
 
 struct BatchResult {
@@ -171,16 +177,46 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Runs `body`, accumulating its wall-clock time into `slot`, and returns
-/// the body's result — the one-liner the bench drivers wrap tester calls in
-/// to attribute evaluation time: `timed_phase(report.phases.evaluation, ...)`.
-/// The default trace name matches that use; pass another name (or nullptr)
-/// when timing a different phase.
-template <typename Body>
-auto timed_phase(double& slot, Body&& body, const char* trace_name = "evaluation") {
-  const ScopedPhase timer(slot, trace_name);
-  return std::forward<Body>(body)();
-}
+/// ---- the process ledger ------------------------------------------------
+/// The one place executions are accounted.  Every batch a Runner runs adds
+/// its report and its campaign id here, every tester call adds the time it
+/// spent evaluating samples, and core::finish_experiment reads a record's
+/// `perf` and `metadata.campaigns` from it.  Batches run one after another,
+/// so the ids land in launch order at every thread count.  A batch that
+/// repeats an earlier one (same spec, inputs and seeds) has its id and is
+/// listed once.
+
+/// Upper bound on the campaign ids the ledger keeps for record metadata.
+/// Only the first kCampaignListCap distinct ids (in launch order) make it
+/// into metadata.campaigns, so the correlation list cannot dwarf the record.
+inline constexpr std::size_t kCampaignListCap = 32;
+
+struct Ledger {
+  BatchReport report;                    ///< the sum of every batch and evaluation
+  std::vector<std::uint64_t> campaigns;  ///< distinct nonzero ids, launch order, capped
+};
+
+/// Adds one report to the ledger (the Runner calls it once per batch).
+void ledger_add(const BatchReport& report);
+
+/// A copy of the ledger as it stands.
+[[nodiscard]] Ledger ledger();
+
+/// Empties the ledger (tests; a product process starts with an empty one).
+void clear_ledger();
+
+/// Scoped tester timer: a ScopedPhase named "evaluation" whose seconds go
+/// to the ledger's evaluation phase.
+class EvaluationTimer {
+ private:
+  /// Destroyed after `phase_` has added its seconds: hands them to the ledger.
+  struct Sink {
+    double seconds = 0.0;
+    ~Sink();
+  };
+  Sink sink_;
+  ScopedPhase phase_{sink_.seconds, "evaluation"};
+};
 
 /// Runs body(i) for every i in [0, count) on up to `threads` workers and
 /// returns once all indices completed.  If any body throws, remaining
@@ -192,6 +228,7 @@ void parallel_for(std::size_t count, std::size_t threads,
 
 /// The engine.  A Runner is a configuration object (a RunConfig), cheap to
 /// construct; threads are spawned per batch so idle Runners hold nothing.
+/// Every batch it runs, complete or drained, lands in the process ledger.
 class Runner {
  public:
   /// Runs batches under `config` — by default the installed run_config() —

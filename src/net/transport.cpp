@@ -86,10 +86,14 @@ std::unique_ptr<Transport> make_transport(TransportKind kind,
   return std::make_unique<InProcessTransport>();
 }
 
-void record_transport_metrics(const WireStats& stats) {
+void record_transport_metrics(const Transport& transport) {
+  const WireStats& stats = transport.stats();
   if (stats.frames == 0) return;
   static obs::Counter& frames = obs::Metrics::global().counter("net.frames");
   static obs::Counter& bytes = obs::Metrics::global().counter("net.bytes_on_wire");
+  frames.add(stats.frames);
+  bytes.add(stats.bytes_on_wire);
+  if (transport.kind() != TransportKind::kSocket) return;
   static obs::Counter& serialize_us = obs::Metrics::global().counter("net.serialize_us");
   static obs::Counter& deserialize_us = obs::Metrics::global().counter("net.deserialize_us");
   static obs::Histogram& flush =
@@ -98,8 +102,6 @@ void record_transport_metrics(const WireStats& stats) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(ns).count());
   };
-  frames.add(stats.frames);
-  bytes.add(stats.bytes_on_wire);
   serialize_us.add(us(stats.serialize));
   deserialize_us.add(us(stats.deserialize));
   flush.record(us(stats.flush));

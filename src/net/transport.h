@@ -84,9 +84,11 @@ inline constexpr std::chrono::milliseconds kDefaultNetTimeout{30000};
 
 /// Per-execution transport accounting.  Byte/frame counts are
 /// deterministic (pure functions of the traffic); the timings are
-/// wall-clock and vary run to run, like every latency metric.  They
-/// accumulate in nanoseconds so sub-microsecond encodes are not lost;
-/// record_transport_metrics converts once, to the registry's microseconds.
+/// wall-clock and vary run to run, like every latency metric.  Only the
+/// socket backend measures them (the in-process mailboxes encode nothing
+/// and leave them 0).  They accumulate in nanoseconds so sub-microsecond
+/// encodes are not lost; record_transport_metrics converts once, to the
+/// registry's microseconds.
 struct WireStats {
   std::size_t frames = 0;                    ///< frames moved through the transport
   std::size_t bytes_on_wire = 0;             ///< serialized frame bytes (wire encoding)
@@ -131,10 +133,11 @@ class Transport {
     TransportKind kind, std::chrono::milliseconds net_timeout = kDefaultNetTimeout,
     const ChaosSpec& chaos = {}, std::uint64_t seed = 0);
 
-/// Feeds the net.* registry metrics (bytes on wire, frames, serialize /
-/// deserialize time, flush latency) from one execution's stats.  Called by
-/// the scheduler once per execution; a transport that moved no frames
+/// Feeds the net.* registry metrics from one execution's stats: frames and
+/// bytes on wire for every backend, serialize / deserialize time and flush
+/// latency only for the socket backend, the one that times them.  Called
+/// by the scheduler once per execution; a transport that moved no frames
 /// records nothing.
-void record_transport_metrics(const WireStats& stats);
+void record_transport_metrics(const Transport& transport);
 
 }  // namespace simulcast::net

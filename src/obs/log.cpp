@@ -1,11 +1,10 @@
 #include "obs/log.h"
 
-#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "base/error.h"
 #include "obs/json.h"
@@ -16,16 +15,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_current_campaign{0};
 thread_local std::uint64_t t_current_exec = 0;
-
-std::mutex& campaigns_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::vector<std::uint64_t>& campaigns_list() {
-  static std::vector<std::uint64_t> ids;
-  return ids;
-}
 
 }  // namespace
 
@@ -89,28 +78,6 @@ std::string correlation_hex(std::uint64_t id) {
   std::string out(16, '0');
   for (std::size_t i = 0; i < 16; ++i) out[15 - i] = digits[(id >> (4 * i)) & 0xf];
   return out;
-}
-
-void note_campaign(std::uint64_t id) {
-  if (id == 0) return;
-  const std::lock_guard<std::mutex> lock(campaigns_mutex());
-  auto& ids = campaigns_list();
-  // Tester sweeps can launch thousands of tiny probe batches; listing each
-  // in record metadata would dwarf the record itself.  Keep the first
-  // kCampaignListCap ids (batch order is deterministic, so capped lists
-  // still compare bit-identical across runs).
-  if (ids.size() >= kCampaignListCap) return;
-  if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
-}
-
-std::vector<std::uint64_t> campaigns_seen() {
-  const std::lock_guard<std::mutex> lock(campaigns_mutex());
-  return campaigns_list();
-}
-
-void clear_campaigns() {
-  const std::lock_guard<std::mutex> lock(campaigns_mutex());
-  campaigns_list().clear();
 }
 
 std::string log_line(const Event& record) {

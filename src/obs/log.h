@@ -24,7 +24,6 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/events.h"
 
@@ -59,19 +58,6 @@ void set_current_exec(std::uint64_t id);
 /// Fixed-width lower-case 16-hex rendering — the wire form of an id
 /// (matches exec::CampaignIdentity::digest()'s checkpoint filename form).
 [[nodiscard]] std::string correlation_hex(std::uint64_t id);
-
-/// Upper bound on the campaigns kept for record metadata.  Tester sweeps
-/// launch thousands of tiny probe batches; only the first
-/// kCampaignListCap ids (in deterministic batch order) make it into
-/// metadata.campaigns so the correlation list cannot dwarf the record.
-inline constexpr std::size_t kCampaignListCap = 32;
-
-/// Registers a campaign id for the experiment record's metadata.campaigns
-/// list.  Deduplicated, order-preserving (first-seen order = batch order),
-/// capped at kCampaignListCap entries.
-void note_campaign(std::uint64_t id);
-[[nodiscard]] std::vector<std::uint64_t> campaigns_seen();
-void clear_campaigns();
 
 // --- rendering ---------------------------------------------------------
 

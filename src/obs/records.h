@@ -101,7 +101,10 @@ struct ExperimentRecord {
   bool reproduced = false;
   std::string detail;       ///< the verdict line's free-text evidence
   std::uint64_t seed = 0;   ///< master seed compiled into the driver
-  PerfRecord perf;          ///< merged engine accounting of every batch run
+  /// Engine accounting of every batch and tester call the process ran.
+  /// Not set by drivers: core::finish_experiment always overwrites it with
+  /// the exec ledger (exec/runner.h).
+  PerfRecord perf;
   /// Registry snapshot (schema v2).  Left empty by drivers:
   /// core::finish_experiment fills it from obs::Metrics::global().
   MetricsSnapshot metrics;
@@ -112,7 +115,7 @@ struct ExperimentRecord {
   /// Schema v4: true when the record was flushed by a graceful stop before
   /// every repetition finished — verdicts then rest on fewer samples than
   /// the setup line advertises.  Left false by drivers:
-  /// core::finish_experiment derives it from the merged perf report and the
+  /// core::finish_experiment derives it from the ledger's perf report and the
   /// process stop flag.
   bool partial = false;
   /// Transport backend the record was measured under (schema v5,
@@ -123,9 +126,10 @@ struct ExperimentRecord {
   /// net/chaos.h summary; "" = clean wire).  Left empty by drivers:
   /// core::finish_experiment fills it from exec::run_config().chaos.
   std::string chaos;
-  /// Campaign correlation ids (schema v7): the 16-hex identity digest of
-  /// every batch that fed this record, in batch order.  Left empty by
-  /// drivers: core::finish_experiment fills it from obs::campaigns_seen().
+  /// Campaign correlation ids (schema v7): the distinct 16-hex identity
+  /// digests of the batches that fed this record, in launch order, capped
+  /// at exec::kCampaignListCap.  Not set by drivers:
+  /// core::finish_experiment always overwrites it with the exec ledger's.
   std::vector<std::string> campaigns;
 };
 

@@ -735,7 +735,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // Worker deaths count as crashes even under an empty plan.
   if (!plan.empty() || result.traffic.crashed > 0) record_fault_metrics(result.traffic);
   record_alloc_metrics(payload_pool.stats());
-  net::record_transport_metrics(transport->stats());
+  net::record_transport_metrics(*transport);
   transport->close();
   return result;
 }

@@ -28,8 +28,9 @@ std::vector<CrPredicate> default_cr_predicates(std::size_t reduced_bits) {
   return lib;
 }
 
-CrVerdict test_cr(const std::vector<Sample>& samples,
+CrVerdict test_cr(const std::vector<exec::Sample>& samples,
                   const std::vector<sim::PartyId>& corrupted, const CrOptions& options) {
+  const exec::EvaluationTimer timer;
   if (samples.empty()) throw UsageError("test_cr: no samples");
   const std::size_t n = samples.front().announced.size();
   const std::vector<std::size_t> honest = honest_indices(n, corrupted);
@@ -55,7 +56,7 @@ CrVerdict test_cr(const std::vector<Sample>& samples,
       double wi_zero = 0.0;
       double pred_true = 0.0;
       double joint = 0.0;
-      for (const Sample& s : samples) {
+      for (const exec::Sample& s : samples) {
         const bool zero = !s.announced.get(i);
         const bool r = pred.eval(s.announced.select(others));
         wi_zero += zero ? 1.0 : 0.0;

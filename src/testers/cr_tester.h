@@ -57,7 +57,7 @@ struct CrOptions {
 
 /// Tests the sample set; `corrupted` identifies which coordinates belong to
 /// corrupted parties (honest ones are tested as P_i).
-[[nodiscard]] CrVerdict test_cr(const std::vector<Sample>& samples,
+[[nodiscard]] CrVerdict test_cr(const std::vector<exec::Sample>& samples,
                                 const std::vector<sim::PartyId>& corrupted,
                                 const CrOptions& options = {});
 

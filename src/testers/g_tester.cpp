@@ -8,8 +8,9 @@
 
 namespace simulcast::testers {
 
-GVerdict test_g(const std::vector<Sample>& samples,
+GVerdict test_g(const std::vector<exec::Sample>& samples,
                 const std::vector<sim::PartyId>& corrupted, const GOptions& options) {
+  const exec::EvaluationTimer timer;
   if (samples.empty()) throw UsageError("test_g: no samples");
   if (corrupted.empty()) throw UsageError("test_g: no corrupted party to test");
   const std::size_t n = samples.front().announced.size();
@@ -26,7 +27,7 @@ GVerdict test_g(const std::vector<Sample>& samples,
       std::size_t ones = 0;  // W_i == 1
     };
     std::map<BitVec, Bucket> buckets;
-    for (const Sample& s : samples) {
+    for (const exec::Sample& s : samples) {
       Bucket& b = buckets[s.announced.select(honest)];
       ++b.total;
       if (s.announced.get(i)) ++b.ones;

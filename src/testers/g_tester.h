@@ -42,7 +42,7 @@ struct GOptions {
   std::size_t min_conditioning_count = 50;   ///< floor for usable conditionings
 };
 
-[[nodiscard]] GVerdict test_g(const std::vector<Sample>& samples,
+[[nodiscard]] GVerdict test_g(const std::vector<exec::Sample>& samples,
                               const std::vector<sim::PartyId>& corrupted,
                               const GOptions& options = {});
 

@@ -10,8 +10,9 @@
 // technically robust variant (Props. B.3/B.4 relate it to G and G*).
 //
 // The tester enumerates all honest-input vectors (n - t small) for each
-// configured corrupted-input vector, runs a fixed-input Monte-Carlo batch
-// per input, and reports the worst pairwise gap per corrupted party.
+// configured corrupted-input vector, estimates each input's probabilities
+// from samples_per_input fixed-input executions, and reports the worst
+// pairwise gap per corrupted party.
 #pragma once
 
 #include "testers/monte_carlo.h"
@@ -42,7 +43,16 @@ struct GssOptions {
   std::vector<BitVec> corrupted_inputs;
 };
 
-[[nodiscard]] GssVerdict test_gstarstar(const RunSpec& spec, const GssOptions& options,
+/// Largest honest-party count the sweep enumerates.  The sweep is one
+/// batch, so all |w| x 2^honest x samples_per_input of its Samples are in
+/// memory at once (about 170 bytes each with their input and seed, plus
+/// any adversary output): at this limit, with the default two w vectors
+/// and 400 samples per input, 51 200 Samples, under 10 MB.
+inline constexpr std::size_t kGssMaxHonestParties = 6;
+
+/// Runs every fixed input of the sweep as one exec::Runner batch, then
+/// evaluates the gaps.  Throws UsageError above kGssMaxHonestParties.
+[[nodiscard]] GssVerdict test_gstarstar(const exec::RunSpec& spec, const GssOptions& options,
                                         std::uint64_t seed);
 
 }  // namespace simulcast::testers

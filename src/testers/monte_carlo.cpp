@@ -4,31 +4,10 @@
 
 namespace simulcast::testers {
 
-std::vector<Sample> collect_samples(const RunSpec& spec, const dist::InputEnsemble& ensemble,
-                                    std::size_t count, std::uint64_t seed, std::size_t threads) {
-  return collect_batch(spec, ensemble, count, seed, threads).samples;
-}
-
-std::vector<Sample> collect_samples_fixed(const RunSpec& spec, const BitVec& input,
-                                          std::size_t count, std::uint64_t seed,
-                                          std::size_t threads) {
-  return collect_batch_fixed(spec, input, count, seed, threads).samples;
-}
-
-exec::BatchResult collect_batch(const RunSpec& spec, const dist::InputEnsemble& ensemble,
-                                std::size_t count, std::uint64_t seed, std::size_t threads) {
-  return exec::Runner(threads).run_batch(spec, ensemble, count, seed);
-}
-
-exec::BatchResult collect_batch_fixed(const RunSpec& spec, const BitVec& input, std::size_t count,
-                                      std::uint64_t seed, std::size_t threads) {
-  return exec::Runner(threads).run_batch(spec, input, count, seed);
-}
-
-double consistency_rate(const std::vector<Sample>& samples) {
+double consistency_rate(const std::vector<exec::Sample>& samples) {
   if (samples.empty()) throw UsageError("consistency_rate: empty sample set");
   std::size_t ok = 0;
-  for (const Sample& s : samples) ok += s.consistent ? 1 : 0;
+  for (const exec::Sample& s : samples) ok += s.consistent ? 1 : 0;
   return static_cast<double>(ok) / static_cast<double>(samples.size());
 }
 

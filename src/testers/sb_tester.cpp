@@ -45,7 +45,7 @@ std::vector<SbDistinguisher> default_sb_distinguishers(
   return lib;
 }
 
-SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
+SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble,
                   const SbOptions& options, std::uint64_t seed) {
   if (spec.protocol == nullptr) throw UsageError("test_sb: null protocol");
   const std::size_t n = spec.params.n;
@@ -57,45 +57,35 @@ SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
   stats::Rng master(seed);
   stats::Rng input_rng = master.fork("sb-inputs");
 
-  // Inputs and per-repetition seeds are derived serially, exactly as the
-  // historical loop consumed them; the 2*samples executions then shard
-  // across the exec engine and land in repetition-indexed slots, so the
-  // verdict is bit-identical for every thread count.
-  std::vector<BitVec> xs;
-  xs.reserve(options.samples);
-  std::vector<std::uint64_t> real_seeds(options.samples);
-  std::vector<std::uint64_t> ideal_seeds(options.samples);
-  for (std::size_t rep = 0; rep < options.samples; ++rep) {
-    xs.push_back(ensemble.sample(input_rng));
-    real_seeds[rep] = master.fork("sb-real", rep)();
-    ideal_seeds[rep] = master.fork("sb-ideal", rep)();
+  // Inputs and seeds are derived serially, so the verdict is bit-identical
+  // for every thread count.  Slot rep of the one batch is the real
+  // execution on x_rep, with seed Rng(fork("sb-real", rep)()).fork(
+  // "exec-fixed", 0)(); slot samples + rep is the ideal world's sandbox,
+  // where the dummy-input simulator runs the adversary on x_rep with the
+  // honest inputs pinned to 0, with the same seed over "sb-ideal".
+  const std::size_t samples = options.samples;
+  std::vector<BitVec> inputs(2 * samples);
+  std::vector<std::uint64_t> seeds(2 * samples);
+  for (std::size_t rep = 0; rep < samples; ++rep) {
+    inputs[rep] = ensemble.sample(input_rng);
+    inputs[samples + rep] = inputs[rep];
+    for (std::size_t j : honest) inputs[samples + rep].set(j, false);
+    seeds[rep] = stats::Rng(master.fork("sb-real", rep)()).fork("exec-fixed", 0)();
+    seeds[samples + rep] = stats::Rng(master.fork("sb-ideal", rep)()).fork("exec-fixed", 0)();
   }
+  const std::vector<exec::Sample> runs = exec::Runner().run_batch(spec, inputs, seeds).samples;
 
-  std::vector<std::pair<BitVec, BitVec>> real_pairs(options.samples);
-  std::vector<std::pair<BitVec, BitVec>> ideal_pairs(options.samples);
-  exec::parallel_for(options.samples, exec::run_config().threads, [&](std::size_t rep) {
-    const BitVec& x = xs[rep];
-
-    // Real world.
-    {
-      const std::vector<Sample> s = collect_samples_fixed(spec, x, 1, real_seeds[rep], 1);
-      real_pairs[rep] = {x, s.front().announced};
-    }
-    // Ideal world with the dummy-input simulator: sandbox the adversary on
-    // honest inputs pinned to 0 and read off the corrupted announced values.
-    {
-      BitVec dummy = x;
-      for (std::size_t j : honest) dummy.set(j, false);
-      const std::vector<Sample> s = collect_samples_fixed(spec, dummy, 1, ideal_seeds[rep], 1);
-      BitVec w_ideal = x;  // f_SB hands honest inputs through verbatim
-      for (std::size_t c : spec.corrupted) w_ideal.set(c, s.front().announced.get(c));
-      ideal_pairs[rep] = {x, w_ideal};
-    }
-  });
-
+  const exec::EvaluationTimer timer;
+  std::vector<std::pair<BitVec, BitVec>> real_pairs(samples);
+  std::vector<std::pair<BitVec, BitVec>> ideal_pairs(samples);
   stats::EmpiricalDist real_joint(2 * n);
   stats::EmpiricalDist ideal_joint(2 * n);
-  for (std::size_t rep = 0; rep < options.samples; ++rep) {
+  for (std::size_t rep = 0; rep < samples; ++rep) {
+    const BitVec& x = inputs[rep];
+    real_pairs[rep] = {x, runs[rep].announced};
+    BitVec w_ideal = x;  // f_SB hands honest inputs through verbatim
+    for (std::size_t c : spec.corrupted) w_ideal.set(c, runs[samples + rep].announced.get(c));
+    ideal_pairs[rep] = {x, w_ideal};
     real_joint.add(pack_pair(real_pairs[rep].first, real_pairs[rep].second));
     ideal_joint.add(pack_pair(ideal_pairs[rep].first, ideal_pairs[rep].second));
   }

@@ -62,9 +62,10 @@ struct SbOptions {
 /// takes at most kMaxBits / 2 parties.
 inline constexpr std::size_t kSbMaxParties = kMaxBits / 2;
 
-/// Runs real and simulated ensembles over `ensemble` and compares them.
+/// Runs the real and simulated ensembles over `ensemble` as one
+/// exec::Runner batch of 2 * samples executions and compares them.
 /// Throws UsageError, before sampling anything, when n > kSbMaxParties.
-[[nodiscard]] SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
+[[nodiscard]] SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble,
                                 const SbOptions& options, std::uint64_t seed);
 
 }  // namespace simulcast::testers

@@ -13,13 +13,15 @@
 
 #include "base/error.h"
 #include "core/registry.h"
-#include "core/report.h"
 #include "core/session.h"
 #include "crypto/commitment.h"
 #include "obs/metrics.h"
 #include "obs/records.h"
 #include "obs/trace.h"
-#include "testers/monte_carlo.h"
+#include "testers/cr_tester.h"
+#include "testers/g_tester.h"
+#include "testers/gstarstar_tester.h"
+#include "testers/sb_tester.h"
 
 namespace simulcast::exec {
 namespace {
@@ -43,9 +45,9 @@ TEST(Runner, ParallelMatchesSerialForAllProtocols) {
     const RunSpec spec = spec_for(*proto, 4);
     // seq-broadcast-ds signs everything; a handful of executions suffices.
     const std::size_t count = name == "seq-broadcast-ds" ? 3 : 10;
-    const auto serial = testers::collect_samples(spec, *ens, count, 7, 1);
+    const auto serial = Runner(1).run_batch(spec, *ens, count, 7).samples;
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const auto parallel = testers::collect_samples(spec, *ens, count, 7, threads);
+      const auto parallel = Runner(threads).run_batch(spec, *ens, count, 7).samples;
       ASSERT_EQ(serial.size(), parallel.size()) << name;
       for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(serial[i] == parallel[i]) << name << " rep " << i;
@@ -57,9 +59,9 @@ TEST(Runner, ParallelMatchesSerialFixedInput) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const BitVec input = BitVec::from_string("1010");
-  const auto serial = testers::collect_samples_fixed(spec, input, 16, 11, 1);
+  const auto serial = Runner(1).run_batch(spec, input, 16, 11).samples;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto parallel = testers::collect_samples_fixed(spec, input, 16, 11, threads);
+    const auto parallel = Runner(threads).run_batch(spec, input, 16, 11).samples;
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
       EXPECT_TRUE(serial[i] == parallel[i]) << "rep " << i;
@@ -70,7 +72,7 @@ TEST(Runner, BatchReportAggregatesTraffic) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 12, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 12, 3);
   EXPECT_EQ(batch.report.executions, 12u);
   EXPECT_EQ(batch.report.threads, 2u);
   EXPECT_GT(batch.report.wall_seconds, 0.0);
@@ -92,9 +94,9 @@ TEST(Runner, BatchReportThreadsRecordsActualWorkers) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto clamped = testers::collect_batch(spec, *ens, 4, 3, 16);
+  const auto clamped = Runner(16).run_batch(spec, *ens, 4, 3);
   EXPECT_EQ(clamped.report.threads, 4u);  // 16 requested, only 4 executions
-  const auto serial = testers::collect_batch(spec, *ens, 4, 3, 1);
+  const auto serial = Runner(1).run_batch(spec, *ens, 4, 3);
   EXPECT_EQ(serial.report.threads, 1u);
 }
 
@@ -105,7 +107,7 @@ TEST(Runner, BatchReportCarriesPhaseBreakdown) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 16, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 16, 3);
   EXPECT_GT(batch.report.phases.sampling, 0.0);
   EXPECT_GT(batch.report.phases.execution, 0.0);
   EXPECT_DOUBLE_EQ(batch.report.phases.execution, batch.report.wall_seconds);
@@ -148,14 +150,14 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
   obs::set_trace_enabled(false);
   obs::clear_events();
   obs::Metrics::global().reset();
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 7, 1);
+  const auto baseline = Runner(1).run_batch(spec, *ens, kReps, 7);
   const std::string baseline_json = obs::to_json(canonical_record(baseline.report));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     obs::set_trace_enabled(true);
     obs::clear_events();
     obs::Metrics::global().reset();
-    const auto traced = testers::collect_batch(spec, *ens, kReps, 7, threads);
+    const auto traced = Runner(threads).run_batch(spec, *ens, kReps, 7);
     const std::string traced_json = obs::to_json(canonical_record(traced.report));
     const std::vector<obs::Event> events = obs::drain_events(obs::EventKind::kTrace);
     obs::set_trace_enabled(false);
@@ -187,7 +189,7 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
 
   obs::set_trace_enabled(false);
   obs::clear_events();
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 13, 1);
+  const auto baseline = Runner(1).run_batch(spec, *ens, kReps, 13);
   std::size_t faults_seen = 0;
   for (const Sample& s : baseline.samples)
     faults_seen += s.traffic.dropped + s.traffic.delayed + s.traffic.blocked + s.traffic.crashed;
@@ -197,7 +199,7 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
     obs::set_trace_enabled(tracing);
     obs::clear_events();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const auto rerun = testers::collect_batch(spec, *ens, kReps, 13, threads);
+      const auto rerun = Runner(threads).run_batch(spec, *ens, kReps, 13);
       ASSERT_EQ(baseline.samples.size(), rerun.samples.size());
       for (std::size_t i = 0; i < baseline.samples.size(); ++i)
         EXPECT_TRUE(baseline.samples[i] == rerun.samples[i])
@@ -267,8 +269,7 @@ TEST(Runner, ExceptionPropagatesWithoutDeadlock) {
   spec.adversary = adversary::silent_factory();
   const BitVec input(4);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EXPECT_THROW((void)testers::collect_samples_fixed(spec, input, 64, 1, threads),
-                 ProtocolError);
+    EXPECT_THROW((void)Runner(threads).run_batch(spec, input, 64, 1), ProtocolError);
   }
 }
 
@@ -363,7 +364,7 @@ TEST(Runner, LegacyBatchReportsFullCompletion) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 6, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 6, 3);
   EXPECT_EQ(batch.report.completed, batch.report.executions);
   EXPECT_FALSE(batch.report.partial);
   EXPECT_TRUE(batch.report.quarantine.empty());
@@ -371,8 +372,8 @@ TEST(Runner, LegacyBatchReportsFullCompletion) {
 
 // Throughput's 0/0 guard: coarse clocks can measure wall_seconds == 0.0 for
 // a tiny batch, and inf/NaN would poison the JSON sink (non-finite doubles
-// serialize as null).  Both the engine's helper and core::merge must report
-// 0, never a non-finite value.
+// serialize as null).  Both the engine's helper and BatchReport::operator+=
+// must report 0, never a non-finite value.
 TEST(SafeThroughput, ZeroWallClockReportsZeroNotInf) {
   EXPECT_DOUBLE_EQ(safe_throughput(100, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(safe_throughput(0, 0.0), 0.0);
@@ -387,14 +388,15 @@ TEST(SafeThroughput, ZeroWallClockReportsZeroNotInf) {
   b.executions = 50;
   b.completed = 50;
   b.wall_seconds = 0.0;
-  const BatchReport merged = core::merge(a, b);
+  BatchReport merged = a;
+  merged += b;
   EXPECT_EQ(merged.executions, 100u);
   EXPECT_DOUBLE_EQ(merged.throughput, 0.0);
   EXPECT_TRUE(std::isfinite(merged.throughput));
 }
 
-// merge() must combine the v4 resilience accounting, not drop it: completed
-// adds, partial ORs, quarantine concatenates.
+// operator+= must combine the v4 resilience accounting, not drop it:
+// completed adds, partial ORs, quarantine concatenates.
 TEST(Merge, CombinesResilienceAccounting) {
   BatchReport a;
   a.executions = 10;
@@ -405,7 +407,8 @@ TEST(Merge, CombinesResilienceAccounting) {
   b.executions = 10;
   b.completed = 6;
   b.partial = true;
-  const BatchReport merged = core::merge(a, b);
+  BatchReport merged = a;
+  merged += b;
   EXPECT_EQ(merged.completed, 15u);
   EXPECT_TRUE(merged.partial);
   ASSERT_EQ(merged.quarantine.size(), 1u);
@@ -471,6 +474,102 @@ TEST(ScopedPhase, AccumulatesElapsedWhenBodyThrows) {
       },
       std::runtime_error);
   EXPECT_GT(slot, 0.0);
+}
+
+// ---------------------------------------------------------- the ledger ----
+
+/// RAII: an empty ledger on both sides of a test.
+struct LedgerGuard {
+  LedgerGuard() { clear_ledger(); }
+  ~LedgerGuard() { clear_ledger(); }
+};
+
+// The Sb tester runs its real and ideal executions as one batch: one
+// campaign id and 2 x samples executions per call.
+TEST(Ledger, SbTesterCallIsOneBatch) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("seq-broadcast");
+  RunSpec spec = spec_for(*proto, 4);
+  spec.corrupted = {3};
+  spec.adversary = adversary::copy_last_factory(0);
+  testers::SbOptions options;
+  options.samples = 50;
+  (void)testers::test_sb(spec, *dist::make_uniform(4), options, 5);
+  const Ledger books = ledger();
+  EXPECT_EQ(books.campaigns.size(), 1u);
+  EXPECT_EQ(books.report.executions, 100u);
+  EXPECT_GT(books.report.phases.evaluation, 0.0);
+}
+
+// The G** tester runs every fixed input of its sweep as one batch.
+TEST(Ledger, GStarStarTesterCallIsOneBatch) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("seq-broadcast");
+  RunSpec spec = spec_for(*proto, 4);
+  spec.corrupted = {3};
+  spec.adversary = adversary::copy_last_factory(0);
+  testers::GssOptions options;
+  options.samples_per_input = 10;
+  const testers::GssVerdict verdict = testers::test_gstarstar(spec, options, 5);
+  const Ledger books = ledger();
+  EXPECT_EQ(books.campaigns.size(), 1u);
+  EXPECT_EQ(books.report.executions, verdict.executions);
+  EXPECT_EQ(verdict.executions, 2u * 8u * 10u);
+}
+
+// The ledger holds each batch's report as the batch returned it, sampling
+// time included.
+TEST(Ledger, EnsembleBatchCarriesSamplingTime) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("gennaro");
+  const auto batch = Runner(2).run_batch(spec_for(*proto, 4), *dist::make_uniform(4), 16, 3);
+  const Ledger books = ledger();
+  EXPECT_GT(books.report.phases.sampling, 0.0);
+  EXPECT_DOUBLE_EQ(books.report.phases.sampling, batch.report.phases.sampling);
+  EXPECT_DOUBLE_EQ(books.report.phases.execution, batch.report.phases.execution);
+  EXPECT_EQ(books.report.executions, 16u);
+}
+
+// The commitment scheme is part of a batch's identity: the same inputs and
+// seeds under another scheme are another campaign, while a repeated batch
+// keeps its id and is listed once.
+TEST(Ledger, CommitmentSchemeSeparatesCampaignIds) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("naive-commit-reveal");
+  const crypto::HashCommitmentScheme hash_scheme;
+  const crypto::PedersenCommitmentScheme pedersen_scheme;
+  RunSpec spec = spec_for(*proto, 4);
+  const BitVec input(4);
+  std::vector<std::uint64_t> ids;
+  for (const crypto::CommitmentScheme* scheme :
+       {static_cast<const crypto::CommitmentScheme*>(nullptr),
+        static_cast<const crypto::CommitmentScheme*>(&hash_scheme),
+        static_cast<const crypto::CommitmentScheme*>(&pedersen_scheme)}) {
+    spec.params.commitments = scheme;
+    ids.push_back(Runner(1).run_batch(spec, {input}, {7}).report.campaign);
+  }
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_NE(ids[0], ids[2]);
+  EXPECT_NE(ids[1], ids[2]);
+  EXPECT_EQ(Runner(1).run_batch(spec, {input}, {7}).report.campaign, ids[2]);
+  EXPECT_EQ(ledger().campaigns, ids);
+  EXPECT_EQ(ledger().report.executions, 4u);
+}
+
+// test_cr and test_g stamp their own evaluation time; they run nothing.
+TEST(Ledger, TestersStampEvaluationTime) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("gennaro");
+  RunSpec spec = spec_for(*proto, 4);
+  spec.corrupted = {2};
+  const auto batch = Runner(1).run_batch(spec, *dist::make_uniform(4), 200, 9);
+  const double before = ledger().report.phases.evaluation;
+  (void)testers::test_cr(batch.samples, spec.corrupted);
+  (void)testers::test_g(batch.samples, spec.corrupted);
+  const Ledger books = ledger();
+  EXPECT_GT(books.report.phases.evaluation, before);
+  EXPECT_EQ(books.report.executions, 200u);
+  EXPECT_EQ(books.campaigns.size(), 1u);
 }
 
 }  // namespace

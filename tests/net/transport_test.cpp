@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/error.h"
 #include "crypto/commitment.h"
 #include "exec/runner.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "sim/network.h"
 #include "stats/rng.h"
 
@@ -239,6 +241,34 @@ TEST(Transport, RunnerBatchIdenticalAcrossBackendsAndThreadCounts) {
       EXPECT_TRUE(baseline.samples[i] == socket.samples[i]) << "threads " << threads << " rep " << i;
     EXPECT_EQ(baseline.report.traffic, socket.report.traffic) << "threads " << threads;
   }
+}
+
+/// The count of the registry histogram `name`; 0 before its first record.
+std::uint64_t histogram_count(std::string_view name) {
+  for (const obs::HistogramSnapshot& h : obs::Metrics::global().snapshot().histograms)
+    if (h.name == name) return h.count;
+  return 0;
+}
+
+// The in-process mailboxes time no encode, decode or collect, so an
+// in-process batch must not feed the socket backend's timing metrics: a
+// flush histogram of all-zero samples would print percentiles nobody
+// measured.
+TEST(Transport, InProcessBatchRecordsNoFlushTimings) {
+  ChatterProtocol proto;
+  static const crypto::HashCommitmentScheme scheme;
+  exec::RunSpec spec;
+  spec.protocol = &proto;
+  spec.params.n = 5;
+  spec.params.commitments = &scheme;
+  spec.adversary = adversary::silent_factory();
+
+  const std::uint64_t before = histogram_count("net.flush_us_per_execution");
+  exec::RunConfig config;
+  config.transport = TransportKind::kInProcess;
+  const exec::BatchResult batch = exec::Runner(1, config).run_batch(spec, BitVec(5), 8, 3);
+  EXPECT_GT(batch.report.traffic.messages, 0u) << "no frame moved; the check is vacuous";
+  EXPECT_EQ(histogram_count("net.flush_us_per_execution"), before);
 }
 
 // Embedders that never parse a command line (the benchmark harness) pick

@@ -143,7 +143,7 @@ struct TelemetryGuard {
     obs::set_current_exec(0);
     obs::clear_events();
     obs::clear_status();
-    obs::clear_campaigns();
+    exec::clear_ledger();
   }
 };
 
@@ -292,17 +292,21 @@ TEST(Correlation, ExecIdsAreDeterministicDistinctAndNonzero) {
 
 TEST(Correlation, CampaignRegistryDedupsOrdersAndCaps) {
   const TelemetryGuard guard;
-  obs::note_campaign(0);  // ignored: 0 means "no batch"
-  obs::note_campaign(7);
-  obs::note_campaign(9);
-  obs::note_campaign(7);
-  const std::vector<std::uint64_t> seen = obs::campaigns_seen();
+  const auto note_campaign = [](std::uint64_t id) {
+    exec::BatchReport report;
+    report.campaign = id;
+    exec::ledger_add(report);
+  };
+  note_campaign(0);  // ignored: 0 means "no batch"
+  note_campaign(7);
+  note_campaign(9);
+  note_campaign(7);
+  const std::vector<std::uint64_t> seen = exec::ledger().campaigns;
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], 7u);
   EXPECT_EQ(seen[1], 9u);
-  for (std::uint64_t id = 100; id < 100 + 2 * obs::kCampaignListCap; ++id)
-    obs::note_campaign(id);
-  EXPECT_EQ(obs::campaigns_seen().size(), obs::kCampaignListCap)
+  for (std::uint64_t id = 100; id < 100 + 2 * exec::kCampaignListCap; ++id) note_campaign(id);
+  EXPECT_EQ(exec::ledger().campaigns.size(), exec::kCampaignListCap)
       << "sweeps with thousands of probe batches must not bloat the record";
 }
 
@@ -470,7 +474,7 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
 
 // One run, three artifacts: the trace spans, the log events and the status
 // heartbeats all carry the SAME campaign id as the batch report (and the
-// record metadata via campaigns_seen), and the same per-rep execution ids.
+// record metadata via the exec ledger), and the same per-rep execution ids.
 TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   const TelemetryGuard guard;
   const auto dir = scratch_dir("join");
@@ -490,8 +494,8 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   for (std::uint64_t rep = 0; rep < kReps; ++rep)
     expected_execs.insert(obs::exec_correlation_id(campaign, rep));
 
-  // Record metadata: finish_experiment fills campaigns from this registry.
-  const std::vector<std::uint64_t> noted = obs::campaigns_seen();
+  // Record metadata: finish_experiment fills campaigns from the ledger.
+  const std::vector<std::uint64_t> noted = exec::ledger().campaigns;
   EXPECT_NE(std::find(noted.begin(), noted.end(), campaign), noted.end());
 
   // Trace: every rep span names the campaign and one expected exec id, and

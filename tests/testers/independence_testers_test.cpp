@@ -15,9 +15,9 @@ namespace {
 
 constexpr std::uint64_t kSeed = 20260706;
 
-RunSpec make_spec(const sim::ParallelBroadcastProtocol& proto, std::size_t n,
-                  std::vector<sim::PartyId> corrupted, adversary::AdversaryFactory factory) {
-  RunSpec spec;
+exec::RunSpec make_spec(const sim::ParallelBroadcastProtocol& proto, std::size_t n,
+                        std::vector<sim::PartyId> corrupted, adversary::AdversaryFactory factory) {
+  exec::RunSpec spec;
   spec.protocol = &proto;
   spec.params.n = n;
   spec.corrupted = std::move(corrupted);
@@ -33,7 +33,7 @@ TEST(CrTester, GennaroUnderPassiveIsIndependent) {
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {2}, adversary::passive_factory(*proto, params));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 1500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 1500, kSeed).samples;
   EXPECT_DOUBLE_EQ(consistency_rate(samples), 1.0);
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << v.max_gap << " at predicate " << v.worst.predicate;
@@ -44,7 +44,7 @@ TEST(CrTester, FlawedPiGUnderParityAdversaryIsViolated) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 2000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 2000, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_FALSE(v.independent);
   EXPECT_NEAR(v.max_gap, 0.25, 0.05);
@@ -55,7 +55,7 @@ TEST(CrTester, SeqBroadcastUnderCopyIsViolated) {
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 1500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 1500, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_FALSE(v.independent);
   EXPECT_GT(v.max_gap, 0.2);
@@ -67,14 +67,14 @@ TEST(CrTester, SingletonDistributionIsVacuouslyIndependent) {
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
   const dist::SingletonEnsemble ens(BitVec::from_string("1011"));
-  const auto samples = collect_samples(spec, ens, 800, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, ens, 800, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
 
 TEST(CrTester, RequiresSamplesAndHonestParties) {
   EXPECT_THROW((void)test_cr({}, {}), UsageError);
-  std::vector<Sample> one(1);
+  std::vector<exec::Sample> one(1);
   one[0].announced = BitVec(2);
   EXPECT_THROW((void)test_cr(one, {0, 1}), UsageError);
 }
@@ -87,7 +87,7 @@ TEST(GTester, FlawedPiGUnderParityAdversaryIsIndependent) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 4000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 4000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
   EXPECT_GT(v.pairs_tested, 0u);
@@ -99,7 +99,7 @@ TEST(GTester, SelectiveAbortOnNaiveCommitRevealIsViolated) {
   auto spec = make_spec(*proto, 4, {3}, adversary::selective_abort_factory(0, scheme));
   spec.params.commitments = &scheme;
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 3000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 3000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_FALSE(v.independent) << core::describe(v);
   EXPECT_GT(v.worst.gap, 0.8);  // W_3 tracks the victim's bit exactly
@@ -111,13 +111,13 @@ TEST(GTester, GennaroUnderPassiveIsIndependent) {
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {1}, adversary::passive_factory(*proto, params));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 3000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 3000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
 
 TEST(GTester, RequiresCorruptedParties) {
-  std::vector<Sample> s(1);
+  std::vector<exec::Sample> s(1);
   s[0].announced = BitVec(3);
   EXPECT_THROW((void)test_g(s, {}), UsageError);
 }
@@ -156,6 +156,20 @@ TEST(GssTester, PassiveGennaroIsIndependent) {
   options.samples_per_input = 150;
   const GssVerdict v = test_gstarstar(spec, options, kSeed);
   EXPECT_TRUE(v.independent) << core::describe(v);
+}
+
+// The sweep holds all its Samples at once, so its width is capped: the
+// limit runs, one more honest party is refused before anything runs.
+TEST(GssTester, HonestPartyLimitBoundsTheSweep) {
+  const auto proto = core::make_protocol("seq-broadcast");
+  GssOptions options;
+  options.samples_per_input = 1;
+  const auto at_limit =
+      make_spec(*proto, kGssMaxHonestParties + 1, {0}, adversary::silent_factory());
+  EXPECT_EQ(test_gstarstar(at_limit, options, kSeed).executions,
+            2u << kGssMaxHonestParties);
+  const auto above = make_spec(*proto, kGssMaxHonestParties + 2, {0}, adversary::silent_factory());
+  EXPECT_THROW((void)test_gstarstar(above, options, kSeed), UsageError);
 }
 
 // ---------------------------------------------------------------- Sb tester

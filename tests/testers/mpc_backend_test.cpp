@@ -14,8 +14,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0xABBA;
 
-RunSpec mpc_spec(const sim::ParallelBroadcastProtocol& proto) {
-  RunSpec spec;
+exec::RunSpec mpc_spec(const sim::ParallelBroadcastProtocol& proto) {
+  exec::RunSpec spec;
   spec.protocol = &proto;
   spec.params.n = 5;
   spec.corrupted = {1, 3};
@@ -28,16 +28,16 @@ TEST(MpcBackend, ParityAttackForcesZeroXorOnUniform) {
   const auto proto = core::make_protocol("flawed-pi-g-mpc");
   const auto spec = mpc_spec(*proto);
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 600, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 600, kSeed).samples;
   EXPECT_DOUBLE_EQ(consistency_rate(samples), 1.0);
-  for (const Sample& s : samples) EXPECT_FALSE(s.announced.parity());
+  for (const exec::Sample& s : samples) EXPECT_FALSE(s.announced.parity());
 }
 
 TEST(MpcBackend, GIndependentUnderAttack) {
   const auto proto = core::make_protocol("flawed-pi-g-mpc");
   const auto spec = mpc_spec(*proto);
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 2500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 2500, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
@@ -46,7 +46,7 @@ TEST(MpcBackend, CrViolatedUnderAttackWithQuarterGap) {
   const auto proto = core::make_protocol("flawed-pi-g-mpc");
   const auto spec = mpc_spec(*proto);
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 2500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 2500, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_FALSE(v.independent);
   EXPECT_NEAR(v.max_gap, 0.25, 0.05);
@@ -57,7 +57,7 @@ TEST(MpcBackend, VerdictsMatchIdealBackend) {
   // Same adversary intent, same distribution, both backends: identical
   // qualitative verdicts and quantitatively close CR gaps.
   const auto ideal = core::make_protocol("flawed-pi-g");
-  RunSpec ideal_spec;
+  exec::RunSpec ideal_spec;
   ideal_spec.protocol = ideal.get();
   ideal_spec.params.n = 5;
   ideal_spec.corrupted = {1, 3};
@@ -67,8 +67,8 @@ TEST(MpcBackend, VerdictsMatchIdealBackend) {
   const auto m_spec = mpc_spec(*mpc);
 
   const auto ens = dist::make_uniform(5);
-  const auto ideal_samples = collect_samples(ideal_spec, *ens, 2500, kSeed);
-  const auto mpc_samples = collect_samples(m_spec, *ens, 2500, kSeed + 1);
+  const auto ideal_samples = exec::Runner().run_batch(ideal_spec, *ens, 2500, kSeed).samples;
+  const auto mpc_samples = exec::Runner().run_batch(m_spec, *ens, 2500, kSeed + 1).samples;
 
   const CrVerdict cr_ideal = test_cr(ideal_samples, ideal_spec.corrupted);
   const CrVerdict cr_mpc = test_cr(mpc_samples, m_spec.corrupted);
@@ -85,13 +85,13 @@ TEST(MpcBackend, HonestDistributionsMatchAcrossBackends) {
   // input distribution).
   for (const char* name : {"flawed-pi-g", "flawed-pi-g-mpc"}) {
     const auto proto = core::make_protocol(name);
-    RunSpec spec;
+    exec::RunSpec spec;
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.adversary = adversary::silent_factory();
     const auto ens = dist::make_uniform(4);
-    const auto samples = collect_samples(spec, *ens, 400, kSeed + 2);
-    for (const Sample& s : samples) EXPECT_EQ(s.announced, s.inputs) << name;
+    const auto samples = exec::Runner().run_batch(spec, *ens, 400, kSeed + 2).samples;
+    for (const exec::Sample& s : samples) EXPECT_EQ(s.announced, s.inputs) << name;
   }
 }
 
