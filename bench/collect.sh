@@ -11,6 +11,12 @@
 # loadable).  Exits non-zero if any driver fails, emits no JSON, reports
 # "reproduced": false, or (under --trace) writes a malformed trace.
 #
+# In the default and --faults modes every histogram in every record must
+# also agree with its own buckets (check_histograms): the bucket counts sum
+# to "count", p50 <= p95 <= p99, and each p_q lies within [first, last] of
+# the bucket holding rank ceil(q * count).  A printed percentile outside
+# its bucket's data fails the run.
+#
 # With --faults, every driver additionally runs under a small message-drop
 # rate (--drop=$FAULT_DROP, default 0.05).  A lossy network may legitimately
 # flip a paper verdict, so a nonzero driver exit is tolerated; what must
@@ -146,6 +152,48 @@ EOF
       grep -q '"dropped": ' "$1" &&
       grep -q '"reproduced": ' "$1"
   fi
+}
+
+# Histogram honesty (schema v9): each histogram's "buckets" are
+# [first, last, count] triples whose counts sum to "count", its
+# percentiles are ordered, and every p_q lies in the bucket that holds
+# rank ceil(q * count) (clamped to [1, count]); an empty histogram has
+# null percentiles and no buckets.
+check_histograms() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "  check_histograms needs python3" >&2
+    return 1
+  fi
+  python3 - "$1" 2>&1 <<'EOF'
+import json, math, sys
+rec = json.load(open(sys.argv[1]))
+bad = []
+for name, h in rec["metrics"]["histograms"].items():
+    count, buckets = h["count"], h["buckets"]
+    bucketed = sum(b[2] for b in buckets)
+    if bucketed != count:
+        bad.append(f"{name}: bucket counts sum to {bucketed}, count is {count}")
+        continue
+    if count == 0:
+        if any(h[p] is not None for p in ("p50", "p95", "p99")):
+            bad.append(f"{name}: empty histogram with non-null percentiles")
+        continue
+    if not h["p50"] <= h["p95"] <= h["p99"]:
+        bad.append(f"{name}: p50 {h['p50']} p95 {h['p95']} p99 {h['p99']} out of order")
+    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        rank = min(max(math.ceil(q * count), 1), count)
+        seen = 0
+        for first, last, n in buckets:
+            seen += n
+            if rank <= seen:
+                break
+        if not first <= h[key] <= last:
+            bad.append(f"{name}: {key} = {h[key]} outside [{first}, {last}], "
+                       f"the bucket holding rank {rank} of {count}")
+for line in bad:
+    print("  " + line)
+sys.exit(1 if bad else 0)
+EOF
 }
 
 # Record identity modulo wall clock: strip the keys that legitimately
@@ -482,6 +530,15 @@ for driver in "${drivers[@]}"; do
     fi
   elif [ -z "$written" ] || ! grep -q '"reproduced": true' $written; then
     echo "collect.sh: FAIL $name (no JSON with \"reproduced\": true in $out_dir)" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  histograms_ok=1
+  for rec in $written; do
+    check_histograms "$rec" || histograms_ok=0
+  done
+  if [ "$histograms_ok" -eq 0 ]; then
+    echo "collect.sh: FAIL $name (a histogram in $written disagrees with its buckets)" >&2
     failures=$((failures + 1))
     continue
   fi

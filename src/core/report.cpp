@@ -81,8 +81,7 @@ std::string describe(const testers::SbVerdict& v) {
   return describe(obs::record(v));
 }
 
-std::string describe(const obs::PerfRecord& p) {
-  const exec::BatchReport& r = p.report;
+std::string describe(const exec::BatchReport& r) {
   std::ostringstream os;
   os << "[exec] executions=" << r.executions << " threads=" << r.threads << " wall="
      << fmt(r.wall_seconds, 3) << "s throughput=" << fmt(r.throughput, 1)
@@ -121,9 +120,7 @@ std::string describe(const obs::MetricsSnapshot& m) {
   }
   for (const obs::HistogramSnapshot& h : m.histograms) {
     newline();
-    os << "[metrics] " << h.name << ": count=" << h.count << " mean=" << fmt(h.mean(), 1)
-       << " range=[" << h.lo << "," << h.hi << ") underflow=" << h.underflow
-       << " overflow=" << h.overflow;
+    os << "[metrics] " << h.name << ": count=" << h.count << " mean=" << fmt(h.mean(), 1);
     // Percentiles are undefined (NaN) for an empty histogram; printing
     // them would be noise, so the tail appears only with data.
     if (h.count > 0) {
@@ -156,7 +153,7 @@ int finish_experiment(const obs::ExperimentRecord& record) {
   const exec::RunConfig config = exec::run_config();
   const exec::Ledger ledger = exec::ledger();
   obs::ExperimentRecord full = record;
-  full.perf.report = ledger.report;
+  full.perf = ledger.report;
   if (full.metrics.empty()) full.metrics = obs::Metrics::global().snapshot();
   // Records state the conditions they were measured under: drivers that
   // didn't set a plan inherit whatever --drop/--delay/--crash installed.
@@ -172,11 +169,11 @@ int finish_experiment(const obs::ExperimentRecord& record) {
   // A graceful stop (SIGINT/SIGTERM or --stop-after) flushes the record in
   // whatever state the drain left it; flag it so consumers know the
   // verdicts rest on fewer samples than the setup advertises.
-  full.partial = full.partial || full.perf.report.partial || exec::shutdown_requested();
-  if (full.perf.report.executions > 0)
+  full.partial = full.partial || full.perf.partial || exec::shutdown_requested();
+  if (full.perf.executions > 0)
     std::cout << describe(full.perf) << "\n";
   if (!full.metrics.empty()) std::cout << describe(full.metrics) << "\n";
-  if (full.perf.report.executions > 0 || !full.metrics.empty()) std::cout << "\n";
+  if (full.perf.executions > 0 || !full.metrics.empty()) std::cout << "\n";
   print_verdict_line(full.id, full.reproduced, full.detail);
   for (const std::string& written :
        {obs::write_record(full, config.json_path), obs::write_trace(full.id, config.trace_path),

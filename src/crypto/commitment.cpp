@@ -21,14 +21,8 @@ class CommitTimer {
   CommitTimer() : start_(std::chrono::steady_clock::now()) {}
   ~CommitTimer() {
     static obs::Counter& commit_us = obs::Metrics::global().counter("crypto.commit_us");
-    thread_local std::uint64_t ns_remainder = 0;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    ns_remainder += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    if (ns_remainder >= 1000) {
-      commit_us.add(ns_remainder / 1000);
-      ns_remainder %= 1000;
-    }
+    thread_local std::uint64_t carry_ns = 0;
+    obs::add_microseconds(commit_us, std::chrono::steady_clock::now() - start_, carry_ns);
   }
 
  private:

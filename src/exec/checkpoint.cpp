@@ -1,6 +1,5 @@
 #include "exec/checkpoint.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +9,7 @@
 #include "base/bytes.h"
 #include "base/error.h"
 #include "base/parse.h"
+#include "obs/file.h"
 
 namespace simulcast::exec {
 namespace {
@@ -147,56 +147,30 @@ std::string checkpoint_filename(const CampaignIdentity& identity) {
 }
 
 std::string resolve_checkpoint_path(const std::string& path, const CampaignIdentity& identity) {
-  constexpr std::string_view kSuffix = ".ckpt";
-  if (path.size() >= kSuffix.size() &&
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) == 0) {
-    return path;
-  }
-  return (std::filesystem::path(path) / checkpoint_filename(identity)).string();
+  return obs::resolve_sink_path(path, ".ckpt", checkpoint_filename(identity));
 }
 
 void write_checkpoint(const std::string& resolved_path, const CheckpointData& data) {
-  const std::filesystem::path target(resolved_path);
-  std::error_code ec;
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-    // An EEXIST-style race is fine; a real failure surfaces on open below.
+  std::ostringstream out;
+  out << kMagic << "\n";
+  out << "protocol " << data.identity.protocol << "\n";
+  out << "identity n=" << data.identity.n << " count=" << data.identity.count
+      << " config=" << hex16(data.identity.config_hash)
+      << " faults=" << hex16(data.identity.fault_hash)
+      << " stream=" << hex16(data.identity.stream_hash) << "\n";
+  out << "elapsed " << hex16(double_bits(data.elapsed_seconds)) << "\n";
+  for (const SlotRecord& record : data.slots) {
+    const Sample& s = record.sample;
+    out << "slot " << record.slot << ' ' << bits_token(s.inputs) << ' '
+        << bits_token(s.announced) << ' ' << (s.consistent ? 1 : 0) << ' ' << s.rounds << ' ';
+    for (const auto& [column, name] : sim::kTrafficColumns) out << s.traffic.*column << ' ';
+    out << bytes_token(s.adversary_output) << "\n";
   }
-  const std::filesystem::path temp = target.string() + ".tmp";
-  {
-    std::ofstream out(temp, std::ios::trunc);
-    if (!out) {
-      throw UsageError("checkpoint: cannot write '" + temp.string() +
-                       "': " + std::strerror(errno));
-    }
-    out << kMagic << "\n";
-    out << "protocol " << data.identity.protocol << "\n";
-    out << "identity n=" << data.identity.n << " count=" << data.identity.count
-        << " config=" << hex16(data.identity.config_hash)
-        << " faults=" << hex16(data.identity.fault_hash)
-        << " stream=" << hex16(data.identity.stream_hash) << "\n";
-    out << "elapsed " << hex16(double_bits(data.elapsed_seconds)) << "\n";
-    for (const SlotRecord& record : data.slots) {
-      const Sample& s = record.sample;
-      out << "slot " << record.slot << ' ' << bits_token(s.inputs) << ' '
-          << bits_token(s.announced) << ' ' << (s.consistent ? 1 : 0) << ' ' << s.rounds << ' ';
-      for (const auto& [column, name] : sim::kTrafficColumns) out << s.traffic.*column << ' ';
-      out << bytes_token(s.adversary_output) << "\n";
-    }
-    for (const QuarantineRecord& q : data.quarantined) {
-      out << "quarantine " << q.rep << ' ' << q.seed << ' ' << q.reason << "\n";
-    }
-    out << "end " << data.slots.size() << ' ' << data.quarantined.size() << "\n";
-    out.flush();
-    if (!out) {
-      throw UsageError("checkpoint: short write to '" + temp.string() + "'");
-    }
+  for (const QuarantineRecord& q : data.quarantined) {
+    out << "quarantine " << q.rep << ' ' << q.seed << ' ' << q.reason << "\n";
   }
-  std::filesystem::rename(temp, target, ec);
-  if (ec) {
-    throw UsageError("checkpoint: cannot rename '" + temp.string() + "' to '" + target.string() +
-                     "': " + ec.message());
-  }
+  out << "end " << data.slots.size() << ' ' << data.quarantined.size() << "\n";
+  obs::write_file(resolved_path, out.str());
 }
 
 std::optional<CheckpointData> load_checkpoint(const std::string& resolved_path) {

@@ -87,10 +87,8 @@ Sample run_one(const RunSpec& spec, const RunConfig& run, const BitVec& input,
 void record_repetition_metrics(const Sample& s, std::uint64_t elapsed_us) {
   static obs::Counter& executions = obs::Metrics::global().counter("exec.executions");
   static obs::Counter& inconsistent = obs::Metrics::global().counter("exec.inconsistent");
-  static obs::Histogram& rounds =
-      obs::Metrics::global().histogram("exec.rounds_per_execution", 0, 64, 64);
-  static obs::Histogram& latency =
-      obs::Metrics::global().histogram("exec.repetition_us", 0, 20000, 40);
+  static obs::Histogram& rounds = obs::Metrics::global().histogram("exec.rounds_per_execution");
+  static obs::Histogram& latency = obs::Metrics::global().histogram("exec.repetition_us");
   executions.add(1);
   if (!s.consistent) inconsistent.add(1);
   rounds.record(s.rounds);
@@ -332,6 +330,7 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
     info.campaign = campaign;
     info.total = count;
     info.restored = restored;
+    info.completed_before = ledger().report.completed;
     info.completed = &completed_count;
     info.attempted = &finished_this_run;
     info.quarantined = &quarantined_count;

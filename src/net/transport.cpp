@@ -96,15 +96,13 @@ void record_transport_metrics(const Transport& transport) {
   if (transport.kind() != TransportKind::kSocket) return;
   static obs::Counter& serialize_us = obs::Metrics::global().counter("net.serialize_us");
   static obs::Counter& deserialize_us = obs::Metrics::global().counter("net.deserialize_us");
-  static obs::Histogram& flush =
-      obs::Metrics::global().histogram("net.flush_us_per_execution", 0, 20000, 40);
-  const auto us = [](std::chrono::nanoseconds ns) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(ns).count());
-  };
-  serialize_us.add(us(stats.serialize));
-  deserialize_us.add(us(stats.deserialize));
-  flush.record(us(stats.flush));
+  static obs::Histogram& flush = obs::Metrics::global().histogram("net.flush_us_per_execution");
+  thread_local std::uint64_t serialize_carry_ns = 0;
+  thread_local std::uint64_t deserialize_carry_ns = 0;
+  obs::add_microseconds(serialize_us, stats.serialize, serialize_carry_ns);
+  obs::add_microseconds(deserialize_us, stats.deserialize, deserialize_carry_ns);
+  flush.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(stats.flush).count()));
 }
 
 }  // namespace simulcast::net

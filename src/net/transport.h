@@ -87,8 +87,9 @@ inline constexpr std::chrono::milliseconds kDefaultNetTimeout{30000};
 /// wall-clock and vary run to run, like every latency metric.  Only the
 /// socket backend measures them (the in-process mailboxes encode nothing
 /// and leave them 0).  They accumulate in nanoseconds so sub-microsecond
-/// encodes are not lost; record_transport_metrics converts once, to the
-/// registry's microseconds.
+/// encodes are not lost; record_transport_metrics adds them to the
+/// registry's microsecond counters with the remainder carried per thread
+/// (obs::add_microseconds).
 struct WireStats {
   std::size_t frames = 0;                    ///< frames moved through the transport
   std::size_t bytes_on_wire = 0;             ///< serialized frame bytes (wire encoding)

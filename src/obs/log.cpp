@@ -1,12 +1,10 @@
 #include "obs/log.h"
 
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
-#include "base/error.h"
+#include "obs/file.h"
 #include "obs/json.h"
 
 namespace simulcast::obs {
@@ -98,16 +96,9 @@ std::string log_line(const Event& record) {
 
 std::string flush_log(const std::string& path) {
   if (path.empty()) return {};
-  const std::vector<Event> records = drain_events(EventKind::kLog);
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  if (ec) throw UsageError("obs::flush_log: cannot create '" + path + "': " + ec.message());
-  std::ofstream out(target, std::ios::app);
-  for (const Event& record : records) out << log_line(record) << '\n';
-  out.flush();
-  if (!out) throw UsageError("obs::flush_log: cannot write '" + path + "'");
+  std::string lines;
+  for (const Event& record : drain_events(EventKind::kLog)) lines += log_line(record) + '\n';
+  write_file(path, lines, WriteMode::kAppend);
   return path;
 }
 

@@ -6,46 +6,23 @@
 #include <memory>
 #include <mutex>
 
-#include "base/error.h"
-
 namespace simulcast::obs {
 
-Histogram::Histogram(std::uint64_t lo, std::uint64_t hi, std::size_t bucket_count)
-    : lo_(lo), hi_(hi), buckets_(bucket_count) {
-  if (hi <= lo) throw UsageError("obs::Histogram: hi must exceed lo");
-  if (bucket_count == 0) throw UsageError("obs::Histogram: need at least one bucket");
+void add_microseconds(Counter& us, std::chrono::nanoseconds elapsed, std::uint64_t& carry_ns) {
+  carry_ns += static_cast<std::uint64_t>(elapsed.count());
+  if (carry_ns < 1000) return;
+  us.add(carry_ns / 1000);
+  carry_ns %= 1000;
 }
 
 void Histogram::record(std::uint64_t value) {
-  count_.fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  if (value < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (value >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Index by proportion of the range so non-divisible ranges still map
-  // every in-range value to exactly one bucket.  Tracked quantities are
-  // far below 2^32, so the product cannot overflow.
-  const std::size_t index =
-      static_cast<std::size_t>((value - lo_) * buckets_.size() / (hi_ - lo_));
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  if (i >= buckets_.size()) throw UsageError("obs::Histogram::bucket: index out of range");
-  return buckets_[i].load(std::memory_order_relaxed);
 }
 
 double HistogramSnapshot::mean() const {
@@ -61,27 +38,35 @@ double HistogramSnapshot::percentile(double q) const {
   std::uint64_t target = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
   if (target == 0) target = 1;
   if (target > count) target = count;
-  std::uint64_t cumulative = underflow;
-  if (target <= cumulative) return static_cast<double>(lo);
-  const double width = (static_cast<double>(hi) - static_cast<double>(lo)) /
-                       static_cast<double>(buckets.size());
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const std::uint64_t in_bucket = buckets[i];
-    if (in_bucket != 0 && target <= cumulative + in_bucket) {
-      const double within = static_cast<double>(target - cumulative);
-      const double bucket_lo = static_cast<double>(lo) + width * static_cast<double>(i);
-      return bucket_lo + width * (within / static_cast<double>(in_bucket));
-    }
-    cumulative += in_bucket;
+  std::uint64_t cumulative = 0;
+  for (const HistogramBucket& bucket : buckets) {
+    cumulative += bucket.count;
+    if (target <= cumulative)
+      return (static_cast<double>(bucket.first) + static_cast<double>(bucket.last)) / 2.0;
   }
-  return static_cast<double>(hi);
+  // Only a hand-built snapshot whose count exceeds its buckets gets here.
+  return std::numeric_limits<double>::quiet_NaN();
 }
+
+namespace {
+
+// Node-based maps: references handed out stay valid across registration.
+template <typename Metric>
+using Registry = std::map<std::string, std::unique_ptr<Metric>, std::less<>>;
+
+template <typename Metric>
+Metric& find_or_create(Registry<Metric>& registry, std::string_view name) {
+  const auto it = registry.find(name);
+  if (it != registry.end()) return *it->second;
+  return *registry.emplace(std::string(name), std::make_unique<Metric>()).first->second;
+}
+
+}  // namespace
 
 struct Metrics::Impl {
   mutable std::mutex mutex;
-  // node-based maps: references handed out stay valid across registration.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
+  Registry<Counter> counters;
+  Registry<Histogram> histograms;
 };
 
 Metrics::Impl& Metrics::impl() const {
@@ -97,26 +82,13 @@ Metrics& Metrics::global() {
 Counter& Metrics::counter(std::string_view name) {
   Impl& state = impl();
   const std::lock_guard<std::mutex> lock(state.mutex);
-  const auto it = state.counters.find(name);
-  if (it != state.counters.end()) return *it->second;
-  return *state.counters.emplace(std::string(name), std::make_unique<Counter>()).first->second;
+  return find_or_create(state.counters, name);
 }
 
-Histogram& Metrics::histogram(std::string_view name, std::uint64_t lo, std::uint64_t hi,
-                              std::size_t bucket_count) {
+Histogram& Metrics::histogram(std::string_view name) {
   Impl& state = impl();
   const std::lock_guard<std::mutex> lock(state.mutex);
-  const auto it = state.histograms.find(name);
-  if (it != state.histograms.end()) {
-    Histogram& existing = *it->second;
-    if (existing.lo() != lo || existing.hi() != hi || existing.bucket_count() != bucket_count)
-      throw UsageError("obs::Metrics: histogram '" + std::string(name) +
-                       "' re-registered with different bucket layout");
-    return existing;
-  }
-  return *state.histograms
-              .emplace(std::string(name), std::make_unique<Histogram>(lo, hi, bucket_count))
-              .first->second;
+  return find_or_create(state.histograms, name);
 }
 
 MetricsSnapshot Metrics::snapshot() const {
@@ -130,15 +102,13 @@ MetricsSnapshot Metrics::snapshot() const {
   for (const auto& [name, histogram] : state.histograms) {
     HistogramSnapshot h;
     h.name = name;
-    h.lo = histogram->lo();
-    h.hi = histogram->hi();
-    h.buckets.reserve(histogram->bucket_count());
-    for (std::size_t i = 0; i < histogram->bucket_count(); ++i)
-      h.buckets.push_back(histogram->bucket(i));
-    h.underflow = histogram->underflow();
-    h.overflow = histogram->overflow();
-    h.count = histogram->count();
     h.sum = histogram->sum();
+    for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
+      const std::uint64_t in_bucket = histogram->bucket(i);
+      if (in_bucket == 0) continue;
+      h.buckets.push_back({Histogram::bucket_first(i), Histogram::bucket_last(i), in_bucket});
+      h.count += in_bucket;
+    }
     out.histograms.push_back(std::move(h));
   }
   return out;

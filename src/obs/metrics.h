@@ -1,5 +1,5 @@
 // Process-wide metrics registry (obs::Metrics): named counters and
-// fixed-bucket histograms the engine, the simulator and the protocols feed
+// log-linear histograms the engine, the simulator and the protocols feed
 // while a batch runs.
 //
 // Recording is lock-free (relaxed atomic adds), so worker threads update
@@ -7,8 +7,8 @@
 // mutex but happen outside the hot path (a caller registers once, keeps
 // the reference — function-local statics are the intended idiom — and the
 // snapshot runs at experiment end).  Values are std::uint64_t: every
-// tracked quantity (rounds, bytes, microseconds) is a small nonnegative
-// integer, and integer sums stay exact.
+// tracked quantity (rounds, bytes, microseconds) is a nonnegative integer,
+// and integer sums stay exact.
 //
 // Like tracing, metrics only observe: no RNG, seed or sample value is
 // touched, so outputs are bit-identical whether or not anyone reads the
@@ -17,7 +17,10 @@
 // histograms vary run to run.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -36,34 +39,56 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// A histogram over [lo, hi) with `bucket_count` equal-width buckets plus
-/// explicit underflow (< lo) and overflow (>= hi) tails, so no recorded
-/// value is ever silently discarded.
+/// Adds `elapsed` to the microsecond counter `us`.  The sub-microsecond
+/// remainder stays in `carry_ns` — the caller's thread_local, one per
+/// counter — so many short intervals add up instead of each rounding down
+/// to zero.
+void add_microseconds(Counter& us, std::chrono::nanoseconds elapsed, std::uint64_t& carry_ns);
+
+/// A histogram over all of u64 with one fixed log-linear layout, so no
+/// call site chooses a range and no value falls outside one.  Every value
+/// below 32 has a bucket of its own; each power-of-two range
+/// [2^e, 2^(e+1)) from 32 up is split into 16 equal buckets of width
+/// 2^(e-4).  A bucket [first, last] above 32 is thus narrower than
+/// first/16, and its midpoint lies within 1/32 of every value it holds.
 class Histogram {
  public:
-  Histogram(std::uint64_t lo, std::uint64_t hi, std::size_t bucket_count);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
+  /// 32 single-value buckets plus 16 for each of the 59 octaves 2^5..2^63.
+  static constexpr std::size_t kBucketCount = 32 + 16 * 59;
+
+  /// The bucket holding `value`.
+  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t value) {
+    if (value < 32) return static_cast<std::size_t>(value);
+    // shift = floor(log2 value) - 4, so value >> shift is in [16, 32).
+    const int shift = 59 - std::countl_zero(value);
+    return static_cast<std::size_t>(shift) * 16 + static_cast<std::size_t>(value >> shift);
+  }
+  /// The smallest and largest value bucket `index` holds.
+  [[nodiscard]] static constexpr std::uint64_t bucket_first(std::size_t index) {
+    if (index < 32) return index;
+    return (std::uint64_t{16} + index % 16) << (index / 16 - 1);
+  }
+  [[nodiscard]] static constexpr std::uint64_t bucket_last(std::size_t index) {
+    if (index < 32) return index;
+    return bucket_first(index) + ((std::uint64_t{1} << (index / 16 - 1)) - 1);
+  }
 
   void record(std::uint64_t value);
   void reset();
 
-  [[nodiscard]] std::uint64_t lo() const { return lo_; }
-  [[nodiscard]] std::uint64_t hi() const { return hi_; }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t bucket(std::size_t index) const {
+    return buckets_.at(index).load(std::memory_order_relaxed);
+  }
+  /// The number of recorded values: the sum of the bucket counts.
+  [[nodiscard]] std::uint64_t count() const {
+    std::uint64_t total = 0;
+    for (const auto& bucket : buckets_) total += bucket.load(std::memory_order_relaxed);
+    return total;
+  }
   [[nodiscard]] std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
-  std::uint64_t lo_;
-  std::uint64_t hi_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
-  std::atomic<std::uint64_t> count_{0};
+  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
 };
 
@@ -72,24 +97,27 @@ struct CounterSnapshot {
   std::uint64_t value = 0;
 };
 
+/// One non-empty bucket of a histogram snapshot: `count` recorded values
+/// in [first, last].
+struct HistogramBucket {
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+  std::uint64_t count = 0;
+};
+
 struct HistogramSnapshot {
   std::string name;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t underflow = 0;
-  std::uint64_t overflow = 0;
-  std::uint64_t count = 0;
+  std::uint64_t count = 0;  ///< the sum of the bucket counts
   std::uint64_t sum = 0;
+  std::vector<HistogramBucket> buckets;  ///< non-empty buckets, ascending
 
   /// sum/count; 0 for an empty histogram.
   [[nodiscard]] double mean() const;
 
-  /// The q-quantile (q in [0,1]) estimated from the bucket counts with
-  /// linear interpolation inside the target bucket.  Ranks that land in
-  /// the underflow tail clamp to lo, ranks past the last bucket (overflow
-  /// tail) clamp to hi — the tails have no width to interpolate over.
-  /// Returns NaN for an empty histogram (serialized as JSON null).
+  /// The q-quantile (q clamped to [0,1]): the midpoint of the bucket that
+  /// holds rank ceil(q * count), clamped to [1, count].  Exact below 32 and
+  /// within 1/32 of the exact order statistic above that.  NaN for an
+  /// empty histogram (serialized as JSON null).
   [[nodiscard]] double percentile(double q) const;
 };
 
@@ -108,14 +136,9 @@ class Metrics {
  public:
   static Metrics& global();
 
-  /// Finds or creates the named counter.
+  /// Find or create the named metric.
   Counter& counter(std::string_view name);
-
-  /// Finds or creates the named histogram.  Re-registering with different
-  /// bounds throws UsageError: two call sites disagreeing on the bucket
-  /// layout would corrupt each other's data.
-  Histogram& histogram(std::string_view name, std::uint64_t lo, std::uint64_t hi,
-                       std::size_t bucket_count);
+  Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

@@ -110,8 +110,7 @@ void append(Json& json, const VerdictRecord& v) {
       .object_end();
 }
 
-void append(Json& json, const PerfRecord& p) {
-  const exec::BatchReport& r = p.report;
+void append(Json& json, const exec::BatchReport& r) {
   json.object_begin()
       .member("executions", std::uint64_t{r.executions})
       .member("threads", std::uint64_t{r.threads})
@@ -151,17 +150,14 @@ void append(Json& json, const MetricsSnapshot& m) {
   for (const HistogramSnapshot& h : m.histograms) {
     json.key(h.name)
         .object_begin()
-        .member("lo", h.lo)
-        .member("hi", h.hi)
         .member("count", h.count)
         .member("sum", h.sum)
-        .member("underflow", h.underflow)
-        .member("overflow", h.overflow)
         .member("p50", h.percentile(0.50))
         .member("p95", h.percentile(0.95))
         .member("p99", h.percentile(0.99));
     json.key("buckets").array_begin();
-    for (const std::uint64_t b : h.buckets) json.value(b);
+    for (const HistogramBucket& b : h.buckets)
+      json.array_begin().value(b.first).value(b.last).value(b.count).array_end();
     json.array_end().object_end();
   }
   json.object_end();
@@ -180,7 +176,7 @@ void append(Json& json, const ExperimentRecord& r) {
   json.key("metadata")
       .object_begin()
       .member("seed", r.seed)
-      .member("threads", std::uint64_t{r.perf.report.threads})
+      .member("threads", std::uint64_t{r.perf.threads})
       .member("transport", r.transport)
       .member("chaos", r.chaos)
       .member("compiler", kCompiler)

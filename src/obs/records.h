@@ -51,7 +51,12 @@ namespace simulcast::obs {
 /// spec summary the record was measured under ("" for clean runs).
 /// Recoverable chaos leaves verdicts bit-identical, so the field states
 /// conditions without entering any checkpoint identity.
-inline constexpr std::uint64_t kSchemaVersion = 8;
+/// v9: log-linear histograms — each histogram in "metrics" is count, sum,
+/// p50/p95/p99 and "buckets": [[first, last, count], ...] over its
+/// non-empty buckets (obs::Histogram's one layout); the lo/hi range and
+/// the underflow/overflow tails are gone, and every percentile is the
+/// midpoint of the bucket holding its rank.
+inline constexpr std::uint64_t kSchemaVersion = 9;
 
 /// Fixed-precision decimal formatting shared by tables and detail strings
 /// (core::fmt delegates here so text and records agree digit for digit).
@@ -77,12 +82,6 @@ struct VerdictRecord {
 /// A boolean check row with no statistic attached.
 [[nodiscard]] VerdictRecord check(bool pass, std::string detail);
 
-/// Engine accounting as a record: wraps exec::BatchReport (wall clock,
-/// throughput, traffic, per-phase breakdown).
-struct PerfRecord {
-  exec::BatchReport report;
-};
-
 /// One row of an experiment: a labelled verdict (protocol x ensemble cell,
 /// sweep row, arrow of Figure 1, ...).
 struct ExperimentCell {
@@ -101,10 +100,11 @@ struct ExperimentRecord {
   bool reproduced = false;
   std::string detail;       ///< the verdict line's free-text evidence
   std::uint64_t seed = 0;   ///< master seed compiled into the driver
-  /// Engine accounting of every batch and tester call the process ran.
-  /// Not set by drivers: core::finish_experiment always overwrites it with
-  /// the exec ledger (exec/runner.h).
-  PerfRecord perf;
+  /// Engine accounting of every batch and tester call the process ran
+  /// (wall clock, throughput, traffic, per-phase breakdown).  Not set by
+  /// drivers: core::finish_experiment always overwrites it with the exec
+  /// ledger's report (exec/runner.h).
+  exec::BatchReport perf;
   /// Registry snapshot (schema v2).  Left empty by drivers:
   /// core::finish_experiment fills it from obs::Metrics::global().
   MetricsSnapshot metrics;
@@ -136,7 +136,7 @@ struct ExperimentRecord {
 /// Serializers.  append() writes the record as the next JSON value (the
 /// caller positions the writer); to_json renders a whole document.
 void append(Json& json, const VerdictRecord& v);
-void append(Json& json, const PerfRecord& p);
+void append(Json& json, const exec::BatchReport& r);
 void append(Json& json, const MetricsSnapshot& m);
 void append(Json& json, const ExperimentRecord& r);
 [[nodiscard]] std::string to_json(const ExperimentRecord& r);

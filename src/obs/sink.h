@@ -22,10 +22,12 @@ namespace simulcast::obs {
 /// would silently collide on one "BENCH_.json" file.
 [[nodiscard]] std::string bench_filename(std::string_view id);
 
-/// Writes the record under `path` (file-or-directory semantics above) and
-/// returns the full path written, or "" when `path` is empty — no sink, the
-/// default: printing-only runs pay nothing for the observability layer.
-/// Throws UsageError when the path cannot be created or written.
+/// Writes the record under `path` (file-or-directory semantics above)
+/// atomically (obs/file.h: a killed driver never leaves a truncated
+/// record) and returns the full path written, or "" when `path` is empty —
+/// no sink, the default: printing-only runs pay nothing for the
+/// observability layer.  Throws UsageError when the path cannot be created
+/// or written.
 std::string write_record(const ExperimentRecord& record, const std::string& path);
 
 }  // namespace simulcast::obs

@@ -4,12 +4,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string_view>
 
 #include "base/error.h"
+#include "obs/file.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -32,30 +31,12 @@ std::vector<std::string>& stream_lines() {
   return lines;
 }
 
-/// Process-wide repetitions completed by already-finished batches — keeps
-/// the heartbeat's `completed` field monotone across a multi-batch driver.
-std::atomic<std::uint64_t> g_completed_prior{0};
-
-/// Rewrites `path` with the full stream via temp+rename (the checkpoint
-/// idiom): a reader never sees a torn or truncated line.
+/// Rewrites `path` with the full stream (obs::write_file replaces it
+/// atomically): a reader never sees a torn or truncated line.
 void write_stream_locked(const std::string& path) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  if (ec)
-    throw UsageError("obs::Status: cannot create '" + path + "': " + ec.message());
-  const fs::path temp(path + ".tmp");
-  {
-    std::ofstream out(temp, std::ios::trunc);
-    for (const std::string& line : stream_lines()) out << line << '\n';
-    out.flush();
-    if (!out) throw UsageError("obs::Status: cannot write '" + temp.string() + "'");
-  }
-  fs::rename(temp, target, ec);
-  if (ec)
-    throw UsageError("obs::Status: cannot rename '" + temp.string() + "' into place: " +
-                     ec.message());
+  std::string stream;
+  for (const std::string& line : stream_lines()) stream += line + '\n';
+  write_file(path, stream);
 }
 
 bool counter_is_live(std::string_view name) {
@@ -69,7 +50,6 @@ StatusReporter::StatusReporter(StatusBatchInfo info, std::string path, double in
     : info_(info),
       path_(std::move(path)),
       interval_(interval_seconds),
-      completed_prior_(g_completed_prior.load(std::memory_order_relaxed)),
       start_(std::chrono::steady_clock::now()) {
   if (!(interval_seconds > 0.0))
     throw UsageError("obs::Status: heartbeat interval must be positive");
@@ -86,9 +66,6 @@ StatusReporter::~StatusReporter() {
   cv_.notify_all();
   thread_.join();
   emit(true);
-  const std::size_t completed =
-      info_.completed == nullptr ? 0 : info_.completed->load(std::memory_order_relaxed);
-  g_completed_prior.store(completed_prior_ + completed, std::memory_order_relaxed);
   if (::isatty(STDERR_FILENO)) std::fprintf(stderr, "\r\x1b[K");
 }
 
@@ -132,7 +109,7 @@ void StatusReporter::emit(bool final_beat) {
   line += ",\"total\":" + Json::number(std::uint64_t{info_.total});
   line += ",\"restored\":" + Json::number(std::uint64_t{info_.restored});
   line += ",\"batch_completed\":" + Json::number(std::uint64_t{completed});
-  line += ",\"completed\":" + Json::number(completed_prior_ + completed);
+  line += ",\"completed\":" + Json::number(info_.completed_before + completed);
   line += ",\"quarantined\":" + Json::number(std::uint64_t{quarantined});
   line += ",\"retried\":" + Json::number(std::uint64_t{retried});
   line += ",\"exec_per_sec\":" + Json::number(rate);
@@ -184,7 +161,6 @@ std::string flush_status(const std::string& path) {
 void clear_status() {
   const std::lock_guard<std::mutex> lock(stream_mutex());
   stream_lines().clear();
-  g_completed_prior.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace simulcast::obs

@@ -7,7 +7,7 @@
 // period from its exec::RunConfig.  A dedicated reporter
 // thread wakes every interval (--status-interval=S, default 1s) and emits
 // one heartbeat: a JSONL record appended to the in-process stream and the
-// whole stream rewritten to PATH via the checkpoint temp+rename idiom, so
+// whole stream rewritten to PATH by obs::write_file's temp + rename, so
 // a reader (`tail -F`, a scheduler, a dashboard) never observes a torn
 // line.  When stderr is a TTY the reporter also renders a single live
 // status line (overwritten in place, cleared when the batch ends).
@@ -15,8 +15,8 @@
 // Each heartbeat carries: the campaign correlation id, the latest
 // execution id a worker finished, repetition progress (total / restored /
 // completed / quarantined / retried, plus a process-monotone `completed`
-// that survives multi-batch drivers), the batch throughput through the
-// exec::safe_throughput guard (injected as a function pointer — obs sits
+// that counts every batch in the exec ledger), the batch throughput
+// through the exec::safe_throughput guard (injected as a function pointer — obs sits
 // below exec), an ETA, and the exec.*/net.*/sim.* counter deltas since
 // the previous heartbeat of this batch.
 //
@@ -45,6 +45,10 @@ struct StatusBatchInfo {
   std::uint64_t campaign = 0;  ///< correlation id of this batch
   std::size_t total = 0;       ///< repetitions in the batch
   std::size_t restored = 0;    ///< slots restored from a checkpoint
+  /// Repetitions the process completed before this batch (the exec
+  /// ledger's count), so `completed` stays monotone across batches and
+  /// ends equal to the record's perf.completed.
+  std::uint64_t completed_before = 0;
   const std::atomic<std::size_t>* completed = nullptr;    ///< done slots incl. restored
   const std::atomic<std::size_t>* attempted = nullptr;    ///< finished this run (done + quarantined)
   const std::atomic<std::size_t>* quarantined = nullptr;  ///< quarantined slots incl. restored
@@ -73,7 +77,6 @@ class StatusReporter {
   StatusBatchInfo info_;
   std::string path_;
   double interval_;
-  std::uint64_t completed_prior_;        ///< process-wide reps before this batch
   std::vector<std::pair<std::string, std::uint64_t>> last_counters_;
   std::chrono::steady_clock::time_point start_;
   std::mutex mutex_;

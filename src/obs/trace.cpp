@@ -2,20 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
 
 #include "base/error.h"
+#include "obs/file.h"
 #include "obs/json.h"
 
 namespace simulcast::obs {
 
 namespace {
-
-bool ends_with_json(std::string_view path) {
-  constexpr std::string_view suffix = ".json";
-  return path.size() >= suffix.size() && path.substr(path.size() - suffix.size()) == suffix;
-}
 
 void append_event(Json& json, const Event& event) {
   json.object_begin()
@@ -99,22 +93,9 @@ std::string trace_filename(std::string_view id) {
 
 std::string write_trace(std::string_view experiment_id, const std::string& path) {
   if (path.empty()) return {};
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::path target(path);
-  if (ends_with_json(path)) {
-    if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  } else {
-    fs::create_directories(target, ec);
-    target /= trace_filename(experiment_id);
-  }
-  if (ec) throw UsageError("obs::write_trace: cannot create '" + path + "': " + ec.message());
-  const std::string document = trace_document(drain_events(EventKind::kTrace));
-  std::ofstream out(target, std::ios::trunc);
-  out << document;
-  out.flush();
-  if (!out) throw UsageError("obs::write_trace: cannot write '" + target.string() + "'");
-  return target.string();
+  const std::string target = resolve_sink_path(path, ".json", trace_filename(experiment_id));
+  write_file(target, trace_document(drain_events(EventKind::kTrace)));
+  return target;
 }
 
 }  // namespace simulcast::obs

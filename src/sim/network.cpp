@@ -34,10 +34,8 @@ bool is_corrupted(const std::vector<PartyId>& corrupted, PartyId id) {
 /// wire bytes (net::encoded_size) since the payload-only counters left
 /// with schema v6.
 void record_round_metrics(std::size_t messages, std::size_t wire_bytes) {
-  static obs::Histogram& bytes =
-      obs::Metrics::global().histogram("sim.bytes_per_round", 0, 4096, 64);
-  static obs::Histogram& msgs =
-      obs::Metrics::global().histogram("sim.messages_per_round", 0, 256, 64);
+  static obs::Histogram& bytes = obs::Metrics::global().histogram("sim.bytes_per_round");
+  static obs::Histogram& msgs = obs::Metrics::global().histogram("sim.messages_per_round");
   bytes.record(wire_bytes);
   msgs.record(messages);
 }

@@ -121,11 +121,11 @@ obs::ExperimentRecord canonical_record(const BatchReport& report) {
   obs::ExperimentRecord rec;
   rec.id = "test/trace-determinism";
   rec.reproduced = true;
-  rec.perf.report = report;
-  rec.perf.report.threads = 1;  // the pool width is allowed to differ
-  rec.perf.report.wall_seconds = 0.0;
-  rec.perf.report.throughput = 0.0;
-  rec.perf.report.phases = {};
+  rec.perf = report;
+  rec.perf.threads = 1;  // the pool width is allowed to differ
+  rec.perf.wall_seconds = 0.0;
+  rec.perf.throughput = 0.0;
+  rec.perf.phases = {};
   rec.metrics = obs::Metrics::global().snapshot();
   auto& hists = rec.metrics.histograms;
   hists.erase(std::remove_if(hists.begin(), hists.end(),

@@ -271,6 +271,31 @@ TEST(Transport, InProcessBatchRecordsNoFlushTimings) {
   EXPECT_EQ(histogram_count("net.flush_us_per_execution"), before);
 }
 
+/// A socket-kind transport that moves nothing itself: its stats are set by
+/// the test, as if one execution had encoded a frame in `serialize` time.
+class TimedSocketStub final : public Transport {
+ public:
+  explicit TimedSocketStub(std::chrono::nanoseconds serialize) {
+    stats_.frames = 1;
+    stats_.serialize = serialize;
+  }
+  [[nodiscard]] TransportKind kind() const noexcept override { return TransportKind::kSocket; }
+  void open(std::size_t, std::size_t) override {}
+  void submit(sim::Message, std::size_t) override {}
+  [[nodiscard]] std::vector<sim::Message> collect(std::size_t) override { return {}; }
+};
+
+// Socket executions encode in well under a microsecond, so the wire timers
+// carry the sub-µs remainder across executions instead of rounding each
+// one down: 1000 executions of 999 ns add 999 µs, not 0.
+TEST(Transport, WireTimersKeepTheSubMicrosecondRemainder) {
+  obs::Counter& serialize_us = obs::Metrics::global().counter("net.serialize_us");
+  const TimedSocketStub transport(std::chrono::nanoseconds(999));
+  const std::uint64_t before = serialize_us.value();
+  for (int i = 0; i < 1000; ++i) record_transport_metrics(transport);
+  EXPECT_EQ(serialize_us.value() - before, 999u);
+}
+
 // Embedders that never parse a command line (the benchmark harness) pick
 // the backend with net::set_default_transport_kind before constructing a
 // Runner, whose default config is exec::run_config(): it must report the

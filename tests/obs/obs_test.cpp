@@ -104,7 +104,7 @@ TEST(Json, BuilderRejectsMalformedDocuments) {
 ExperimentRecord golden_record() {
   ExperimentRecord rec;
   rec.id = "E0/golden";
-  rec.paper_claim = "schema fixture: field layout of record schema v8";
+  rec.paper_claim = "schema fixture: field layout of record schema v9";
   rec.setup = "hand-built record with \"quotes\", back\\slash and tab\there";
   rec.reproduced = true;
   rec.detail = "2 cells, 1 statistic + 1 check";
@@ -125,44 +125,43 @@ ExperimentRecord golden_record() {
   shape.verdict.gap = std::numeric_limits<double>::quiet_NaN();
   rec.cells.push_back(shape);
 
-  rec.perf.report.executions = 32;
-  rec.perf.report.threads = 4;
-  rec.perf.report.wall_seconds = 0.5;
-  rec.perf.report.throughput = 64.0;
-  rec.perf.report.total_rounds = 96;
-  rec.perf.report.traffic.messages = 448;
-  rec.perf.report.traffic.point_to_point = 384;
-  rec.perf.report.traffic.broadcasts = 64;
+  rec.perf.executions = 32;
+  rec.perf.threads = 4;
+  rec.perf.wall_seconds = 0.5;
+  rec.perf.throughput = 64.0;
+  rec.perf.total_rounds = 96;
+  rec.perf.traffic.messages = 448;
+  rec.perf.traffic.point_to_point = 384;
+  rec.perf.traffic.broadcasts = 64;
   // Wire accounting: serialized frame bytes are the only byte counts since
   // schema v6 dropped the payload-only counters.
-  rec.perf.report.traffic.wire_bytes = 17600;
-  rec.perf.report.traffic.wire_delivered_bytes = 23040;
-  rec.perf.report.traffic.dropped = 7;
-  rec.perf.report.traffic.delayed = 3;
-  rec.perf.report.traffic.blocked = 2;
-  rec.perf.report.traffic.crashed = 1;
-  rec.perf.report.phases.sampling = 0.125;
-  rec.perf.report.phases.execution = 0.25;
-  rec.perf.report.phases.evaluation = 0.0625;
+  rec.perf.traffic.wire_bytes = 17600;
+  rec.perf.traffic.wire_delivered_bytes = 23040;
+  rec.perf.traffic.dropped = 7;
+  rec.perf.traffic.delayed = 3;
+  rec.perf.traffic.blocked = 2;
+  rec.perf.traffic.crashed = 1;
+  rec.perf.phases.sampling = 0.125;
+  rec.perf.phases.execution = 0.25;
+  rec.perf.phases.evaluation = 0.0625;
   // Campaign resilience (schema v4): an interrupted batch — 30 of 32 slots
   // done, one quarantined with its reproducer seed, one left pending.
-  rec.perf.report.completed = 30;
-  rec.perf.report.partial = true;
-  rec.perf.report.quarantine.push_back(
+  rec.perf.completed = 30;
+  rec.perf.partial = true;
+  rec.perf.quarantine.push_back(
       {17, 0xDEADBEEFULL, "timeout: run_execution: watchdog deadline expired"});
   rec.partial = true;
 
-  // Hand-built registry snapshot (schema v2): 32 executions of 3 rounds
-  // each, matching the perf block above.
+  // Hand-built registry snapshot (schema v2; buckets as [first, last,
+  // count] since v9): 32 executions of 3 rounds each, matching the perf
+  // block above.
   rec.metrics.counters.push_back({"exec.executions", 32});
   rec.metrics.counters.push_back({"exec.inconsistent", 0});
   HistogramSnapshot rounds;
   rounds.name = "exec.rounds_per_execution";
-  rounds.lo = 0;
-  rounds.hi = 8;
-  rounds.buckets = {0, 0, 0, 32, 0, 0, 0, 0};
   rounds.count = 32;
   rounds.sum = 96;
+  rounds.buckets = {{3, 3, 32}};
   rec.metrics.histograms.push_back(rounds);
 
   // Fault plan (schema v3): exercises every serialized field, including a
@@ -265,7 +264,7 @@ TEST(Records, DescribeAndJsonRenderFromSameRecord) {
 // Same guarantee for the engine accounting: the [exec] line and the perf
 // object are rendered from the same BatchReport.
 TEST(Records, PerfLineAndJsonAgree) {
-  const PerfRecord perf = golden_record().perf;
+  const exec::BatchReport perf = golden_record().perf;
   const std::string line = core::describe(perf);
   EXPECT_NE(line.find("executions=32"), std::string::npos) << line;
   EXPECT_NE(line.find("threads=4"), std::string::npos) << line;

@@ -1,5 +1,5 @@
 // Live-telemetry suite (DESIGN.md section 13): percentile math on the
-// fixed-bucket histograms, the structured event log, the heartbeat status
+// log-linear histograms, the structured event log, the heartbeat status
 // stream, and the correlation ids that join the three artifacts of one run
 // (trace spans, log events, status heartbeats) to the experiment record.
 //
@@ -16,9 +16,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -39,69 +41,91 @@ namespace {
 
 // ---------------------------------------------------------- percentiles ----
 
+/// The golden file's histogram: 32 executions of 3 rounds each.
 obs::HistogramSnapshot histogram_fixture() {
   obs::HistogramSnapshot h;
   h.name = "exec.rounds_per_execution";
-  h.lo = 0;
-  h.hi = 8;
-  h.buckets = {0, 0, 0, 32, 0, 0, 0, 0};
   h.count = 32;
   h.sum = 96;
+  h.buckets = {{3, 3, 32}};
   return h;
 }
 
-// The golden-file values: all 32 observations in bucket [3,4), linearly
-// interpolated by rank.  p50 = 3 + 16/32, p95 = 3 + 31/32, p99 = 3 + 32/32.
+// The golden-file values: every observation is 3, so every quantile is 3.
 TEST(Percentile, GoldenFixtureValues) {
   const obs::HistogramSnapshot h = histogram_fixture();
-  EXPECT_DOUBLE_EQ(h.percentile(0.50), 3.5);
-  EXPECT_DOUBLE_EQ(h.percentile(0.95), 3.96875);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 4.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-  // Rank clamps to 1 at the bottom: the first observation's interpolated
-  // position, not the bucket edge.
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.03125);
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) EXPECT_DOUBLE_EQ(h.percentile(q), 3.0) << q;
   // Out-of-range q clamps rather than extrapolating.
   EXPECT_DOUBLE_EQ(h.percentile(-1.0), h.percentile(0.0));
   EXPECT_DOUBLE_EQ(h.percentile(2.0), h.percentile(1.0));
 }
 
-// Observations below `lo` have no position inside the range; any rank that
-// lands in the underflow mass reports the range floor.
-TEST(Percentile, UnderflowTailReportsLo) {
-  obs::HistogramSnapshot h;
-  h.lo = 10;
-  h.hi = 20;
-  h.buckets = {0, 0, 5, 0, 0};
-  h.underflow = 5;
-  h.count = 10;
-  EXPECT_DOUBLE_EQ(h.percentile(0.1), 10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);  // rank 5 is the last underflow
-  // Rank 6 is the first in-bucket observation: bucket [14,16).
-  EXPECT_DOUBLE_EQ(h.percentile(0.6), 14.4);
+/// Records `values` into the fresh registry histogram `name` and returns
+/// its snapshot.
+obs::HistogramSnapshot recorded(const std::string& name, const std::vector<std::uint64_t>& values) {
+  obs::Histogram& hist = obs::Metrics::global().histogram(name);
+  hist.reset();
+  for (const std::uint64_t v : values) hist.record(v);
+  for (const obs::HistogramSnapshot& h : obs::Metrics::global().snapshot().histograms)
+    if (h.name == name) return h;
+  ADD_FAILURE() << name << " not in snapshot";
+  return {};
 }
 
-// Observations at or above `hi` likewise: ranks past the bucketed mass
-// report the range ceiling, never read past the bucket array.
-TEST(Percentile, OverflowTailReportsHi) {
-  obs::HistogramSnapshot h;
-  h.lo = 0;
-  h.hi = 10;
-  h.buckets = {5, 0, 0, 0, 0};
-  h.overflow = 5;
-  h.count = 10;
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.6), 10.0);  // rank 6 is overflow mass
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);   // rank 5 closes bucket [0,2)
+const std::vector<double> kQuantileGrid = {0.0,  0.001, 0.01, 0.05, 0.1,   0.25, 0.5,
+                                           0.75, 0.9,   0.95, 0.99, 0.999, 1.0};
+
+// The stated bound, against exact quantiles: at every q the reported
+// percentile is the exact order statistic of rank ceil(q * count) when
+// that is below 32, and within value/32 of it above.
+TEST(Percentile, WithinOneThirtySecondOfExactQuantiles) {
+  std::mt19937_64 rng(0x5eed);
+  std::vector<std::pair<std::string, std::vector<std::uint64_t>>> streams(4);
+  streams[0].first = "small";       // uniform over [0, 40): both sides of 32
+  streams[1].first = "heavy_tail";  // log-uniform-ish: every octave of u64
+  streams[2].first = "uniform_2_40";
+  streams[3].first = "constant";
+  for (int i = 0; i < 5000; ++i) {
+    streams[0].second.push_back(rng() % 40);
+    const std::uint64_t raw = rng();
+    streams[1].second.push_back(raw >> (rng() % 64));
+    streams[2].second.push_back(rng() >> 24);
+    streams[3].second.push_back(1000);
+  }
+  for (auto& [name, values] : streams) {
+    const obs::HistogramSnapshot h = recorded("telemetry.property." + name, values);
+    ASSERT_EQ(h.count, values.size());
+    std::sort(values.begin(), values.end());
+    for (const double q : kQuantileGrid) {
+      auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(values.size())));
+      rank = std::clamp<std::size_t>(rank, 1, values.size());
+      const std::uint64_t exact = values[rank - 1];
+      const double reported = h.percentile(q);
+      if (exact < 32)
+        EXPECT_EQ(reported, static_cast<double>(exact)) << name << " q=" << q;
+      else
+        EXPECT_LE(std::abs(reported - static_cast<double>(exact)),
+                  static_cast<double>(exact) / 32.0)
+            << name << " q=" << q << " exact=" << exact;
+    }
+  }
+}
+
+// A constant stream below 32 reports the constant at every q: no
+// interpolation inside a bucket moves it.
+TEST(Percentile, ConstantStreamReportsTheConstant) {
+  for (const std::uint64_t c : {0u, 4u, 31u}) {
+    const obs::HistogramSnapshot h =
+        recorded("telemetry.constant", std::vector<std::uint64_t>(100, c));
+    for (const double q : kQuantileGrid)
+      EXPECT_EQ(h.percentile(q), static_cast<double>(c)) << "c=" << c << " q=" << q;
+  }
 }
 
 // An empty histogram has no quantiles: NaN in memory, null on the wire —
 // never 0 (a lie) and never "nan" (invalid JSON).
 TEST(Percentile, EmptyHistogramIsNaNAndSerializesNull) {
   obs::HistogramSnapshot h;
-  h.lo = 0;
-  h.hi = 8;
-  h.buckets = {0, 0, 0, 0};
   EXPECT_TRUE(std::isnan(h.percentile(0.5)));
   EXPECT_EQ(obs::Json::number(h.percentile(0.5)), "null");
 
@@ -117,13 +141,18 @@ TEST(Percentile, EmptyHistogramIsNaNAndSerializesNull) {
 // The live registry path: record through obs::Metrics, snapshot, quantile.
 TEST(Percentile, RegistryHistogramRoundTrip) {
   obs::Metrics::global().reset();
-  auto& hist = obs::Metrics::global().histogram("telemetry.test_values", 0, 100, 10);
+  auto& hist = obs::Metrics::global().histogram("telemetry.test_values");
   for (std::uint64_t v = 0; v < 100; ++v) hist.record(v);
   const obs::MetricsSnapshot snap = obs::Metrics::global().snapshot();
   for (const obs::HistogramSnapshot& h : snap.histograms) {
     if (h.name != "telemetry.test_values") continue;
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 50.0);  // rank 50 closes [40,50)
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 99.0);
+    EXPECT_EQ(h.count, 100u);
+    EXPECT_DOUBLE_EQ(h.percentile(0.20), 19.0);  // rank 20 is 19: exact below 32
+    EXPECT_DOUBLE_EQ(h.percentile(0.50), 48.5);  // rank 50 is 49, in bucket [48, 49]
+    EXPECT_DOUBLE_EQ(h.percentile(0.99), 97.5);  // rank 99 is 98, in bucket [96, 99]
+    std::uint64_t bucketed = 0;
+    for (const obs::HistogramBucket& b : h.buckets) bucketed += b.count;
+    EXPECT_EQ(bucketed, h.count);
     return;
   }
   FAIL() << "telemetry.test_values not in snapshot";
@@ -392,6 +421,27 @@ TEST(Status, CompletedIsMonotoneAcrossBatches) {
   EXPECT_NE(lines.back().find("\"batch_completed\":6"), std::string::npos);
 }
 
+// The process-wide `completed` comes from the exec ledger, which counts
+// every batch: one that ran with no status sink still counts, so the final
+// beat agrees with the record's perf.completed.
+TEST(Status, CompletedCountsBatchesRunWithoutASink) {
+  const TelemetryGuard guard;
+  const auto dir = scratch_dir("status_unwatched");
+  const std::string path = (dir / "status.jsonl").string();
+
+  const auto proto = core::make_protocol("gennaro");
+  const exec::RunSpec spec = spec_for(*proto, 4);
+  const auto ens = dist::make_uniform(4);
+  (void)exec::Runner(1, exec::RunConfig{}).run_batch(spec, *ens, 10, 7);
+  (void)exec::Runner(1, status_config(path)).run_batch(spec, *ens, 6, 8);
+
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(exec::ledger().report.completed, 16u);
+  EXPECT_NE(lines.back().find("\"completed\":16"), std::string::npos) << lines.back();
+  EXPECT_NE(lines.back().find("\"batch_completed\":6"), std::string::npos);
+}
+
 // ------------------------------------------------- the headline contract ----
 
 /// The record a driver would emit, stripped of everything that may
@@ -404,11 +454,11 @@ obs::ExperimentRecord canonical_record(const exec::BatchReport& report) {
   obs::ExperimentRecord rec;
   rec.id = "test/telemetry-determinism";
   rec.reproduced = true;
-  rec.perf.report = report;
-  rec.perf.report.threads = 1;  // the pool width is allowed to differ
-  rec.perf.report.wall_seconds = 0.0;
-  rec.perf.report.throughput = 0.0;
-  rec.perf.report.phases = {};
+  rec.perf = report;
+  rec.perf.threads = 1;  // the pool width is allowed to differ
+  rec.perf.wall_seconds = 0.0;
+  rec.perf.throughput = 0.0;
+  rec.perf.phases = {};
   return rec;
 }
 

@@ -8,8 +8,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "base/error.h"
 #include "core/report.h"
@@ -216,7 +218,7 @@ TEST(Metrics, CounterAccumulatesAndResets) {
 }
 
 TEST(Metrics, EmptyHistogramHasZeroMean) {
-  const Histogram h(0, 10, 5);
+  const Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
   HistogramSnapshot snap;
@@ -224,52 +226,88 @@ TEST(Metrics, EmptyHistogramHasZeroMean) {
 }
 
 TEST(Metrics, SingleValueLandsInItsBucket) {
-  Histogram h(0, 10, 5);  // buckets of width 2
-  h.record(5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum(), 5u);
-  EXPECT_EQ(h.bucket(2), 1u);  // [4, 6)
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
+  Histogram h;
+  h.record(5);   // below 32: a bucket of its own
+  h.record(54);  // [54, 55]: two values wide
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), 59u);
+  EXPECT_EQ(h.bucket(5), 1u);
+  const std::size_t index = Histogram::bucket_index(54);
+  EXPECT_EQ(h.bucket(index), 1u);
+  EXPECT_EQ(Histogram::bucket_first(index), 54u);
+  EXPECT_EQ(Histogram::bucket_last(index), 55u);
 }
 
+// No value falls outside the layout: the extremes and every power of two
+// land in a bucket that contains them, and every one is counted.
 TEST(Metrics, BoundaryValuesUnderflowAndOverflow) {
-  Histogram h(10, 20, 5);
-  h.record(9);    // < lo: underflow
-  h.record(10);   // first bucket
-  h.record(19);   // last bucket
-  h.record(20);   // >= hi: overflow
-  h.record(100);  // far overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(), 5u);  // tails count too: nothing silently discarded
-  EXPECT_EQ(h.sum(), 9u + 10u + 19u + 20u + 100u);
+  std::vector<std::uint64_t> values = {0, 31, 32, std::numeric_limits<std::uint64_t>::max()};
+  for (int e = 0; e < 64; ++e) values.push_back(std::uint64_t{1} << e);
+  Histogram h;
+  for (const std::uint64_t v : values) {
+    h.record(v);
+    const std::size_t index = Histogram::bucket_index(v);
+    ASSERT_LT(index, Histogram::kBucketCount) << v;
+    EXPECT_LE(Histogram::bucket_first(index), v);
+    EXPECT_GE(Histogram::bucket_last(index), v);
+    EXPECT_GE(h.bucket(index), 1u) << v;
+  }
+  EXPECT_EQ(h.count(), values.size());
+  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<std::uint64_t>::max()),
+            Histogram::kBucketCount - 1);
 }
 
-TEST(Metrics, DegenerateLayoutsThrow) {
-  EXPECT_THROW(Histogram(10, 10, 5), UsageError);  // empty range
-  EXPECT_THROW(Histogram(20, 10, 5), UsageError);  // inverted range
-  EXPECT_THROW(Histogram(0, 10, 0), UsageError);   // no buckets
-}
-
-TEST(Metrics, ReregisteringWithDifferentLayoutThrows) {
-  Histogram& h = Metrics::global().histogram("test.layout", 0, 100, 10);
-  EXPECT_EQ(&Metrics::global().histogram("test.layout", 0, 100, 10), &h);
-  EXPECT_THROW((void)Metrics::global().histogram("test.layout", 0, 200, 10), UsageError);
-  EXPECT_THROW((void)Metrics::global().histogram("test.layout", 0, 100, 20), UsageError);
+// The bucket bounds tile u64: bucket i + 1 starts right after bucket i
+// ends, from 0 to 2^64 - 1, and bucket_index agrees with the bounds —
+// exhaustively below 2^16 and around every power of two up to 2^63.
+TEST(Metrics, BucketBoundsTileTheU64Range) {
+  EXPECT_EQ(Histogram::bucket_first(0), 0u);
+  EXPECT_EQ(Histogram::bucket_last(Histogram::kBucketCount - 1),
+            std::numeric_limits<std::uint64_t>::max());
+  for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
+    const std::uint64_t first = Histogram::bucket_first(i);
+    const std::uint64_t last = Histogram::bucket_last(i);
+    ASSERT_LE(first, last) << "bucket " << i;
+    if (i + 1 < Histogram::kBucketCount) {
+      ASSERT_EQ(Histogram::bucket_first(i + 1), last + 1) << "gap or overlap after bucket " << i;
+    }
+    ASSERT_EQ(Histogram::bucket_index(first), i);
+    ASSERT_EQ(Histogram::bucket_index(last), i);
+    // Below 32 a bucket is one value wide; above, narrower than first/16.
+    if (i < 32) {
+      ASSERT_EQ(first, last);
+    } else {
+      ASSERT_LT(last - first, first / 16) << "bucket " << i;
+    }
+  }
+  const auto holds = [](std::uint64_t v) {
+    const std::size_t index = Histogram::bucket_index(v);
+    return index < Histogram::kBucketCount && Histogram::bucket_first(index) <= v &&
+           v <= Histogram::bucket_last(index);
+  };
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << 16); ++v) {
+    ASSERT_TRUE(holds(v)) << v;
+    if (v > 0) {
+      ASSERT_LE(Histogram::bucket_index(v - 1), Histogram::bucket_index(v)) << v;
+    }
+  }
+  for (int e = 1; e < 64; ++e) {
+    const std::uint64_t p = std::uint64_t{1} << e;
+    for (const std::uint64_t v : {p - 2, p - 1, p, p + 1, p + 2}) ASSERT_TRUE(holds(v)) << v;
+    ASSERT_EQ(Histogram::bucket_index(p - 1) + 1, Histogram::bucket_index(p)) << "2^" << e;
+  }
 }
 
 TEST(Metrics, ResetKeepsRegistrationsAndReferences) {
   Counter& c = Metrics::global().counter("test.reset");
-  Histogram& h = Metrics::global().histogram("test.reset_hist", 0, 10, 5);
+  Histogram& h = Metrics::global().histogram("test.reset_hist");
+  EXPECT_EQ(&Metrics::global().histogram("test.reset_hist"), &h);
   c.add(7);
   h.record(3);
   Metrics::global().reset();
   EXPECT_EQ(c.value(), 0u);  // same reference, zeroed value
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket(1), 0u);
+  EXPECT_EQ(h.bucket(3), 0u);
   c.add(1);
   EXPECT_EQ(Metrics::global().counter("test.reset").value(), 1u);
 }
@@ -290,18 +328,16 @@ TEST(Metrics, DescribeAndJsonRenderFromSameSnapshot) {
   snap.counters.push_back({"exec.executions", 32});
   HistogramSnapshot h;
   h.name = "exec.rounds_per_execution";
-  h.lo = 0;
-  h.hi = 8;
-  h.buckets = {0, 0, 0, 32, 0, 0, 0, 0};
   h.count = 32;
   h.sum = 96;
+  h.buckets = {{3, 3, 32}};
   snap.histograms.push_back(h);
 
   const std::string text = core::describe(snap);
   EXPECT_NE(text.find("exec.executions=32"), std::string::npos) << text;
-  EXPECT_NE(text.find("exec.rounds_per_execution: count=32 mean=3.0"), std::string::npos)
+  EXPECT_NE(text.find("exec.rounds_per_execution: count=32 mean=3.0 p50=3.0 p95=3.0 p99=3.0"),
+            std::string::npos)
       << text;
-  EXPECT_NE(text.find("range=[0,8)"), std::string::npos) << text;
 
   Json json;
   append(json, snap);
@@ -309,7 +345,7 @@ TEST(Metrics, DescribeAndJsonRenderFromSameSnapshot) {
   EXPECT_NE(doc.find("\"exec.executions\": 32"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"count\": 32"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"sum\": 96"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"lo\": 0"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"p50\": 3,"), std::string::npos) << doc;
 }
 
 }  // namespace
