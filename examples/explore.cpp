@@ -27,6 +27,7 @@
 //
 // Examples:
 //   explore flawed-pi-g parity uniform --corrupt=1,3
+//   explore flawed-pi-g-mpc parity uniform --corrupt=1,3
 //   explore seq-broadcast copy singleton:1011 --n=4 --corrupt=3
 //   explore gennaro passive product:0.3,0.7,0.5,0.8 --n=4 --corrupt=2
 #include <iostream>
@@ -40,6 +41,7 @@
 #include "net/transport.h"
 #include "sim/network.h"
 #include "obs/trace.h"
+#include "protocols/theta_mpc.h"
 #include "testers/cr_tester.h"
 #include "testers/g_tester.h"
 #include "testers/sb_tester.h"
@@ -155,6 +157,7 @@ int main(int argc, char** argv) {
 
   try {
     const auto proto = core::make_protocol(protocol_name);
+    const auto* mpc = dynamic_cast<const protocols::ThetaMpcProtocol*>(proto.get());
     const auto ensemble = make_ensemble(dist_spec, n);
     if (ensemble->bits() != n) usage("distribution width != --n");
 
@@ -170,8 +173,9 @@ int main(int argc, char** argv) {
       spec.adversary = adversary::passive_factory(*proto, spec.params);
     else if (adversary_name == "copy")
       spec.adversary = adversary::copy_last_factory(0);
-    else if (adversary_name == "parity")
-      spec.adversary = adversary::parity_factory();
+    else if (adversary_name == "parity")  // Claim 6.6's A*, on either Θ backend
+      spec.adversary = mpc ? adversary::theta_mpc_parity_factory(*mpc, spec.params)
+                           : adversary::parity_factory();
     else if (adversary_name == "abort")
       spec.adversary = adversary::selective_abort_factory(0, scheme);
     else

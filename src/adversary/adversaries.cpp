@@ -22,11 +22,17 @@ std::vector<sim::Message> inbox_for(const sim::Inbox& delivered,
 
 }  // namespace
 
+PassiveAdversary::PassiveAdversary(const sim::ParallelBroadcastProtocol& protocol,
+                                   const sim::ProtocolParams& params)
+    : PassiveAdversary([&protocol, params](std::size_t /*j*/, sim::PartyId id, bool input) {
+        return protocol.make_party(id, input, params);
+      }) {}
+
 void PassiveAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) {
   corrupted_ = info.corrupted;
   for (std::size_t j = 0; j < corrupted_.size(); ++j) {
     const sim::PartyId id = corrupted_[j];
-    machines_.push_back(protocol_->make_party(id, info.corrupted_inputs.get(j), params_));
+    machines_.push_back(make_machine_(j, id, info.corrupted_inputs.get(j)));
     drbgs_.emplace_back(drbg.generate(32));
     contexts_.emplace_back(id, info.n, info.k, drbgs_.back());
     machines_.back()->begin(contexts_.back());
@@ -147,86 +153,57 @@ void SelectiveAbortAdversary::on_round(sim::Round round, const sim::AdversaryVie
   }
 }
 
+ShareSnoopAdversary::ShareSnoopAdversary(sim::PartyId victim, protocols::VssSchedule schedule)
+    : PassiveAdversary([schedule](std::size_t j, sim::PartyId /*id*/, bool input) {
+        // The copier's input is overwritten with the stolen bit before its
+        // deal round.
+        return std::make_unique<protocols::VssProtocolParty>(schedule, j == 0 ? false : input);
+      }),
+      victim_(victim),
+      schedule_(std::move(schedule)) {}
+
 void ShareSnoopAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) {
   if (info.corrupted.empty()) throw UsageError("ShareSnoopAdversary: needs a corruption");
-  corrupted_ = info.corrupted;
-  for (sim::PartyId id : corrupted_) {
+  for (sim::PartyId id : info.corrupted) {
     if (schedule_.deal_round[id] <= schedule_.deal_round[victim_])
       throw UsageError("ShareSnoopAdversary: corrupted dealer must deal after the victim");
   }
-  for (std::size_t j = 0; j < corrupted_.size(); ++j) {
-    const sim::PartyId id = corrupted_[j];
-    // Honest machine; the first corrupted dealer's input is overwritten
-    // with the stolen bit just before its deal round.
-    machines_.push_back(std::make_unique<protocols::VssProtocolParty>(
-        schedule_, j == 0 ? false : info.corrupted_inputs.get(j)));
-    drbgs_.emplace_back(drbg.generate(32));
-    contexts_.emplace_back(id, info.n, info.k, drbgs_.back());
-    machines_.back()->begin(contexts_.back());
-  }
+  PassiveAdversary::setup(info, drbg);
 }
 
 void ShareSnoopAdversary::on_round(sim::Round round, const sim::AdversaryView& view,
                                    sim::AdversarySender& sender) {
-  // Snoop: with public channels, the victim's round-deal share messages
-  // appear in the rushed view; collect and reconstruct.
+  // Snoop: every share the victim deals that the adversary may read shows
+  // up in the rushed view of the round it is sent (all of them on public
+  // channels, only those to corrupted parties on private ones).
   if (!stolen_bit_.has_value()) {
     const crypto::PedersenVss vss;
-    const std::uint64_t q = vss.group().q();
-    const auto scan = [&](const sim::Inbox& pool) {
-      for (const sim::Message& m : pool) {
-        if (m.tag != protocols::kVssShareTag || m.from != victim_) continue;
-        try {
-          snooped_.push_back(crypto::decode_pedersen_share(m.payload, q));
-        } catch (const Error&) {
-        }
+    for (const sim::Message& m : view.rushed) {
+      if (m.tag != protocols::kVssShareTag || m.from != victim_) continue;
+      try {
+        snooped_.push_back(crypto::decode_pedersen_share(m.payload, vss.group().q()));
+      } catch (const Error&) {
       }
-    };
-    scan(view.rushed);
-    scan(view.delivered);
+    }
     if (snooped_.size() >= schedule_.threshold + 1) {
-      std::vector<crypto::PedersenShare> pool = snooped_;
-      pool.resize(schedule_.threshold + 1);
-      stolen_bit_ = vss.reconstruct(pool).value() == 1;
-      machines_.front()->set_input(*stolen_bit_);
+      snooped_.resize(schedule_.threshold + 1);
+      stolen_bit_ = vss.reconstruct(snooped_).value() == 1;
+      static_cast<protocols::VssProtocolParty&>(machine(0)).set_input(*stolen_bit_);
     }
   }
-  for (std::size_t j = 0; j < corrupted_.size(); ++j) {
-    machines_[j]->on_round(round, inbox_for(view.delivered, corrupted_[j]), contexts_[j]);
-    for (sim::Message& m : contexts_[j].take_outbox()) {
-      if (m.to == sim::kBroadcast)
-        sender.broadcast(corrupted_[j], m.tag, m.payload);
-      else
-        sender.send(corrupted_[j], m.to, m.tag, m.payload);
-    }
-  }
+  PassiveAdversary::on_round(round, view, sender);
 }
+
+ThetaMpcParityAdversary::ThetaMpcParityAdversary(const protocols::ThetaMpcProtocol& protocol,
+                                                 const sim::ProtocolParams& params)
+    : PassiveAdversary([&protocol, params](std::size_t j, sim::PartyId id, bool input) {
+        return protocol.make_attack_party(id, input, /*lit=*/j < 2, params);
+      }) {}
 
 void ThetaMpcParityAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) {
   if (info.corrupted.size() < 2)
     throw UsageError("ThetaMpcParityAdversary: needs >= 2 corruptions");
-  corrupted_ = info.corrupted;
-  for (std::size_t j = 0; j < corrupted_.size(); ++j) {
-    const sim::PartyId id = corrupted_[j];
-    machines_.push_back(
-        protocol_->make_attack_party(id, info.corrupted_inputs.get(j), /*lit=*/j < 2, params_));
-    drbgs_.emplace_back(drbg.generate(32));
-    contexts_.emplace_back(id, info.n, info.k, drbgs_.back());
-    machines_.back()->begin(contexts_.back());
-  }
-}
-
-void ThetaMpcParityAdversary::on_round(sim::Round round, const sim::AdversaryView& view,
-                                       sim::AdversarySender& sender) {
-  for (std::size_t j = 0; j < corrupted_.size(); ++j) {
-    machines_[j]->on_round(round, inbox_for(view.delivered, corrupted_[j]), contexts_[j]);
-    for (sim::Message& m : contexts_[j].take_outbox()) {
-      if (m.to == sim::kBroadcast)
-        sender.broadcast(corrupted_[j], m.tag, m.payload);
-      else
-        sender.send(corrupted_[j], m.to, m.tag, m.payload);
-    }
-  }
+  PassiveAdversary::setup(info, drbg);
 }
 
 AdversaryFactory passive_factory(const sim::ParallelBroadcastProtocol& protocol,

@@ -4,7 +4,9 @@
 // folklore around it; experiments compose them with protocols and input
 // distributions.  All of them are rushing (they exploit the scheduler's
 // adversary-last ordering) and all are deterministic given the execution
-// seed.
+// seed.  The ones that run honest protocol code - the passive baseline,
+// the Θ-MPC parity attack and the share snooper - share one machine
+// driver, PassiveAdversary.
 #pragma once
 
 #include <deque>
@@ -21,22 +23,36 @@
 
 namespace simulcast::adversary {
 
-/// Runs the honest protocol machine for every corrupted party - the
-/// "semi-honest" baseline.  Every protocol must look identical under this
-/// adversary and under no corruption at all.
-class PassiveAdversary final : public sim::Adversary {
+/// The honest-machine driver: runs one protocol machine per corrupted
+/// party - each with its own DRBG drawn from the adversary's and its own
+/// context - feeds it the inbox that party would have received, and
+/// forwards everything it sends.  Built from the protocol, it runs the
+/// honest machines: the "semi-honest" baseline, under which every protocol
+/// must look identical to an execution with no corruption at all.  The
+/// attacks that run honest code (ThetaMpcParityAdversary,
+/// ShareSnoopAdversary) are this driver with machines of their choosing.
+class PassiveAdversary : public sim::Adversary {
  public:
+  /// Builds the machine of corrupted party `id`, the j-th of the corrupted
+  /// set, whose input is `input`.
+  using MachineFactory =
+      std::function<std::unique_ptr<sim::Party>(std::size_t j, sim::PartyId id, bool input)>;
+
   PassiveAdversary(const sim::ParallelBroadcastProtocol& protocol,
-                   const sim::ProtocolParams& params)
-      : protocol_(&protocol), params_(params) {}
+                   const sim::ProtocolParams& params);
+  explicit PassiveAdversary(MachineFactory make_machine)
+      : make_machine_(std::move(make_machine)) {}
 
   void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override;
   void on_round(sim::Round round, const sim::AdversaryView& view,
                 sim::AdversarySender& sender) override;
 
+ protected:
+  /// The machine of the j-th corrupted party (after setup).
+  [[nodiscard]] sim::Party& machine(std::size_t j) { return *machines_[j]; }
+
  private:
-  const sim::ParallelBroadcastProtocol* protocol_;
-  sim::ProtocolParams params_;
+  MachineFactory make_machine_;
   std::vector<sim::PartyId> corrupted_;
   std::vector<std::unique_ptr<sim::Party>> machines_;
   std::deque<crypto::HmacDrbg> drbgs_;
@@ -115,17 +131,17 @@ class SelectiveAbortAdversary final : public sim::Adversary {
 /// The share-snooping attack of experiment E12, validating the model's
 /// private-channel choice: against the *sequential-deal* CGMA protocol with
 /// channels configured public (private_channels = false), the adversary
-/// reads the honest victim dealer's round-0 shares off the wire,
-/// reconstructs the victim's input bit, and has its corrupted dealer - who
-/// deals later in the sequential schedule - commit to a copy.  The
-/// corrupted machine is otherwise the honest VssProtocolParty, so the copy
-/// is indistinguishable from an honest deal.  With private channels the
-/// same adversary learns nothing and falls back to dealing 0.
-class ShareSnoopAdversary final : public sim::Adversary {
+/// reads the honest victim dealer's shares off the wire in the victim's
+/// deal round, reconstructs the victim's input bit, and has its first
+/// corrupted dealer - who deals later in the sequential schedule - commit
+/// to a copy.  Every corrupted machine is the honest VssProtocolParty run
+/// by the PassiveAdversary driver, so the copy is indistinguishable from an
+/// honest deal.  With private channels the same adversary sees too few
+/// shares and its copier deals 0.
+class ShareSnoopAdversary final : public PassiveAdversary {
  public:
   /// `victim` must deal strictly before every corrupted party.
-  ShareSnoopAdversary(sim::PartyId victim, protocols::VssSchedule schedule)
-      : victim_(victim), schedule_(std::move(schedule)) {}
+  ShareSnoopAdversary(sim::PartyId victim, protocols::VssSchedule schedule);
 
   void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override;
   void on_round(sim::Round round, const sim::AdversaryView& view,
@@ -134,34 +150,20 @@ class ShareSnoopAdversary final : public sim::Adversary {
  private:
   sim::PartyId victim_;
   protocols::VssSchedule schedule_;
-  std::vector<sim::PartyId> corrupted_;
   std::vector<crypto::PedersenShare> snooped_;
   std::optional<bool> stolen_bit_;
-  std::vector<std::unique_ptr<protocols::VssProtocolParty>> machines_;
-  std::deque<crypto::HmacDrbg> drbgs_;
-  std::deque<sim::PartyContext> contexts_;
 };
 
-/// A* against the real-MPC Θ backend (protocols/theta_mpc.h): the first two
-/// corrupted parties run the honest machine with the auxiliary bit forced
-/// to 1; the rest run it honestly.  Message-level twin of ParityAdversary.
-class ThetaMpcParityAdversary final : public sim::Adversary {
+/// A* against the real-MPC Θ backend (protocols/theta_mpc.h): the
+/// PassiveAdversary driver whose first two machines run with the auxiliary
+/// bit forced to 1; the rest run honestly.  Message-level twin of
+/// ParityAdversary.  Requires >= 2 corrupted parties.
+class ThetaMpcParityAdversary final : public PassiveAdversary {
  public:
   ThetaMpcParityAdversary(const protocols::ThetaMpcProtocol& protocol,
-                          const sim::ProtocolParams& params)
-      : protocol_(&protocol), params_(params) {}
+                          const sim::ProtocolParams& params);
 
   void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override;
-  void on_round(sim::Round round, const sim::AdversaryView& view,
-                sim::AdversarySender& sender) override;
-
- private:
-  const protocols::ThetaMpcProtocol* protocol_;
-  sim::ProtocolParams params_;
-  std::vector<sim::PartyId> corrupted_;
-  std::vector<std::unique_ptr<sim::Party>> machines_;
-  std::deque<crypto::HmacDrbg> drbgs_;
-  std::deque<sim::PartyContext> contexts_;
 };
 
 /// Wraps any adversary factory into the std::function shape the testers

@@ -44,31 +44,6 @@ Digest HmacSha256::mac(const std::uint8_t* data, std::size_t len) const noexcept
   return finish(inner);
 }
 
-Digest hmac_sha256(const Bytes& key, const Bytes& data) {
-  HmacSha256 ctx(key);
-  return ctx.mac(data.data(), data.size());
-}
-
-Bytes hkdf(const Bytes& salt, const Bytes& ikm, std::string_view info, std::size_t length) {
-  if (length > 255 * kSha256DigestSize) throw UsageError("hkdf: output too long");
-  const Digest prk = hmac_sha256(salt, ikm);
-  const Bytes prk_bytes = digest_bytes(prk);
-
-  Bytes out;
-  out.reserve(length);
-  Bytes t;
-  std::uint8_t counter = 1;
-  while (out.size() < length) {
-    Bytes block = t;
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    t = digest_bytes(hmac_sha256(prk_bytes, block));
-    const std::size_t take = std::min(t.size(), length - out.size());
-    out.insert(out.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(take));
-  }
-  return out;
-}
-
 HmacDrbg::HmacDrbg(const Bytes& seed_material) {
   key_.fill(0x00);
   value_.fill(0x01);

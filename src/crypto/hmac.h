@@ -1,4 +1,4 @@
-// HMAC-SHA256 (RFC 2104), HKDF (RFC 5869) and HMAC-DRBG (NIST SP 800-90A).
+// HMAC-SHA256 (RFC 2104) and HMAC-DRBG (NIST SP 800-90A).
 //
 // HMAC-DRBG supplies protocol randomness wherever a party needs bytes that
 // must be unpredictable to the adversary (commitment blinding, VSS
@@ -13,14 +13,10 @@
 
 namespace simulcast::crypto {
 
-/// HMAC-SHA256 of `data` under `key`.
-[[nodiscard]] Digest hmac_sha256(const Bytes& key, const Bytes& data);
-
 /// Precomputed-key HMAC-SHA256.  set_key() compresses the ipad/opad blocks
 /// once and caches the midstates, so every subsequent MAC under the same
 /// key skips both pad compressions — for the 32-byte keys HMAC-DRBG uses,
-/// that halves the SHA-256 work per invocation.  Output is bit-identical
-/// to hmac_sha256().
+/// that halves the SHA-256 work per invocation.
 class HmacSha256 {
  public:
   HmacSha256() = default;
@@ -47,10 +43,6 @@ class HmacSha256 {
   Sha256Midstate inner_mid_{};
   Sha256Midstate outer_mid_{};
 };
-
-/// HKDF-Extract-then-Expand producing `length` bytes (length <= 255*32).
-[[nodiscard]] Bytes hkdf(const Bytes& salt, const Bytes& ikm, std::string_view info,
-                         std::size_t length);
 
 /// Deterministic random bit generator per SP 800-90A (HMAC variant, no
 /// prediction resistance and no reseeding: one seed per stream).

@@ -49,10 +49,10 @@ PedersenDeal PedersenVss::deal(const Zq& secret, std::size_t threshold, std::siz
                                HmacDrbg& drbg) const {
   if (secret.modulus() != group_->q()) throw UsageError("PedersenVss::deal: secret not in Zq");
   const Polynomial<Zq> f = Polynomial<Zq>::random(secret, threshold, drbg);
-  const Polynomial<Zq> fb =
-      Polynomial<Zq>::random(Zq::sample(drbg, group_->q()), threshold, drbg);
-
   PedersenDeal deal;
+  deal.blinding = Zq::sample(drbg, group_->q());
+  const Polynomial<Zq> fb = Polynomial<Zq>::random(deal.blinding, threshold, drbg);
+
   deal.commitments.reserve(threshold + 1);
   for (std::size_t j = 0; j <= threshold; ++j)
     deal.commitments.push_back(group_->exp_gh(f.coefficients()[j], fb.coefficients()[j]));

@@ -11,6 +11,9 @@
 // C_j = g^{f_j} h^{f'_j}; the share for party i is (f(i+1), f'(i+1)),
 // publicly checkable against the C_j.  The commitments are perfectly
 // hiding (not even g^s leaks), so a one-bit secret can be dealt as it is.
+// The deal keeps f'(0), the opening of C_0 that Chor-Rabin's proof of
+// knowledge needs.  The receiving side - share checks, public shares,
+// reconstruction - is protocols/vss_core.h's ShareLedger, for all four.
 //
 // FeldmanVss, the unblinded variant (A_j = g^{f_j}, which leaks g^s), and
 // its codecs are still here with their tests, but no protocol deals with
@@ -87,6 +90,7 @@ struct PedersenShare {
 struct PedersenDeal {
   std::vector<std::uint64_t> commitments;  ///< C_j = g^{f_j} h^{f'_j}
   std::vector<PedersenShare> shares;       ///< shares[i] for party i
+  Zq blinding;                             ///< f'(0), the opening of C_0 with the secret
 };
 
 class PedersenVss {

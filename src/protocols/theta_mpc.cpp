@@ -1,10 +1,9 @@
 #include "protocols/theta_mpc.h"
 
-#include <map>
 #include <optional>
-#include <set>
 
 #include "base/error.h"
+#include "protocols/vss_core.h"
 
 namespace simulcast::protocols {
 
@@ -43,8 +42,8 @@ class ThetaMpcParty final : public sim::Party {
 
   void begin(sim::PartyContext& ctx) override {
     me_ = ctx.id();
-    dealers_.assign(n_, DealerState{});
-    bits_.assign(n_, false);
+    dealers_.assign(n_, Dealer{});
+    complaints_ = ComplaintBook(n_);
     result_ = BitVec(n_);
   }
 
@@ -74,24 +73,24 @@ class ThetaMpcParty final : public sim::Party {
  private:
   enum class Kind : std::uint8_t { kX = 0, kRho = 1 };
 
-  struct DealerState {
-    bool bit_seen = false;                   ///< a round-0 b broadcast arrived
-    std::optional<std::vector<std::uint64_t>> commit_x;
-    std::optional<std::vector<std::uint64_t>> commit_rho;
-    std::optional<TwinShares> my_shares;
-    std::vector<PedersenShare> public_x;
-    std::vector<PedersenShare> public_rho;
-    std::set<std::uint64_t> points_x;
-    std::set<std::uint64_t> points_rho;
-    std::map<sim::PartyId, bool> complaints;
-    bool disqualified = false;
+  /// Per dealer: its two sharings and its round-0 auxiliary bit.
+  struct Dealer {
+    ShareLedger x;
+    ShareLedger rho;
+    std::optional<bool> bit;  ///< first broadcast wins
+
+    ShareLedger& sharing(Kind kind) { return kind == Kind::kX ? x : rho; }
+    /// Both of my shares are in and verify.
+    [[nodiscard]] bool shares_ok() const {
+      return x.my_share_verifies() && rho.my_share_verifies();
+    }
   };
 
   void deal(sim::PartyContext& ctx) {
     // Auxiliary bit in the clear.
-    bits_[me_] = lit_;
     ctx.broadcast(kTmpcBitTag, Bytes{lit_ ? std::uint8_t{1} : std::uint8_t{0}});
-    dealers_[me_].bit_seen = true;
+    Dealer& self = dealers_[me_];
+    self.bit = lit_;
 
     const Zq x{input_ ? std::uint64_t{1} : std::uint64_t{0}, group_->q()};
     const Zq rho{ctx.drbg().below(2), group_->q()};
@@ -107,27 +106,17 @@ class ThetaMpcParty final : public sim::Party {
       ctx.send(j, kTmpcShareTag,
                encode_twin({my_deal_x_->shares[j], my_deal_rho_->shares[j]}));
     }
-    DealerState& self = dealers_[me_];
-    self.commit_x = my_deal_x_->commitments;
-    self.commit_rho = my_deal_rho_->commitments;
-    self.my_shares = TwinShares{my_deal_x_->shares[me_], my_deal_rho_->shares[me_]};
-  }
-
-  [[nodiscard]] bool shares_ok(const DealerState& d) const {
-    if (!d.commit_x.has_value() || !d.commit_rho.has_value() || !d.my_shares.has_value())
-      return false;
-    return vss_.verify_share(*d.commit_x, d.my_shares->x) &&
-           vss_.verify_share(*d.commit_rho, d.my_shares->rho);
+    self.x.set_commitments(my_deal_x_->commitments);
+    self.rho.set_commitments(my_deal_rho_->commitments);
+    self.x.set_my_share(my_deal_x_->shares[me_]);
+    self.rho.set_my_share(my_deal_rho_->shares[me_]);
   }
 
   void complain(sim::PartyContext& ctx) {
     std::uint64_t mask = 0;
-    for (std::size_t d = 0; d < n_; ++d) {
-      if (d == me_) continue;
-      if (!shares_ok(dealers_[d])) mask |= (std::uint64_t{1} << d);
-    }
     for (std::size_t d = 0; d < n_; ++d)
-      if ((mask >> d) & 1u) dealers_[d].complaints.emplace(me_, false);
+      if (d != me_ && !dealers_[d].shares_ok()) mask |= std::uint64_t{1} << d;
+    complaints_.file(me_, mask);
     ByteWriter w = ctx.writer();
     w.u64(mask);
     ctx.broadcast(kTmpcComplainTag, w.take());
@@ -135,31 +124,16 @@ class ThetaMpcParty final : public sim::Party {
 
   void justify(sim::PartyContext& ctx) {
     if (!my_deal_x_.has_value()) return;
-    for (auto& [complainer, justified] : dealers_[me_].complaints) {
-      if (complainer >= n_) continue;
+    Dealer& self = dealers_[me_];
+    for (sim::PartyId complainer = 0; complainer < n_; ++complainer) {
+      if (!complaints_.filed(me_, complainer)) continue;
       ByteWriter w = ctx.writer();
       w.u64(complainer);
       w.bytes(encode_twin({my_deal_x_->shares[complainer], my_deal_rho_->shares[complainer]}));
       ctx.broadcast(kTmpcJustifyTag, w.take());
-      justified = true;
-      add_public(dealers_[me_], Kind::kX, my_deal_x_->shares[complainer]);
-      add_public(dealers_[me_], Kind::kRho, my_deal_rho_->shares[complainer]);
-    }
-  }
-
-  void decide_disqualifications() {
-    for (std::size_t d = 0; d < n_; ++d) {
-      DealerState& dealer = dealers_[d];
-      if (!dealer.commit_x.has_value() || !dealer.commit_rho.has_value()) {
-        dealer.disqualified = true;
-        continue;
-      }
-      for (const auto& [complainer, justified] : dealer.complaints) {
-        if (!justified) {
-          dealer.disqualified = true;
-          break;
-        }
-      }
+      complaints_.justify(me_, complainer);
+      self.x.publish(my_deal_x_->shares[complainer]);
+      self.rho.publish(my_deal_rho_->shares[complainer]);
     }
   }
 
@@ -167,22 +141,23 @@ class ThetaMpcParty final : public sim::Party {
   [[nodiscard]] std::vector<std::size_t> lit_set() const {
     std::vector<std::size_t> lit;
     for (std::size_t d = 0; d < n_; ++d)
-      if (bits_[d]) lit.push_back(d);
+      if (dealers_[d].bit.value_or(false)) lit.push_back(d);
     return lit;
   }
 
-  [[nodiscard]] bool x_is_output(std::size_t dealer) const {
-    const auto lit = lit_set();
-    if (lit.size() != 2) return true;
-    return dealer != lit[0] && dealer != lit[1];
+  /// Whether x_d is output as it is: always, except for the two lit
+  /// dealers when |L| == 2.
+  [[nodiscard]] static bool x_is_output(std::size_t dealer, const std::vector<std::size_t>& lit) {
+    return lit.size() != 2 || (dealer != lit[0] && dealer != lit[1]);
   }
 
   void reveal(sim::PartyContext& ctx) {
-    decide_disqualifications();
+    for (std::size_t d = 0; d < n_; ++d)
+      complaints_.decide(d, dealers_[d].x.has_commitments() && dealers_[d].rho.has_commitments());
+    const auto lit = lit_set();
     for (std::size_t d = 0; d < n_; ++d) {
-      const DealerState& dealer = dealers_[d];
-      if (dealer.disqualified || !dealer.my_shares.has_value()) continue;
-      if (!shares_ok(dealer)) continue;
+      const Dealer& dealer = dealers_[d];
+      if (complaints_.disqualified(d) || !dealer.shares_ok()) continue;
       const auto send_reveal = [&](Kind kind, const PedersenShare& share) {
         ByteWriter w = ctx.writer();
         w.u64(d);
@@ -190,18 +165,9 @@ class ThetaMpcParty final : public sim::Party {
         w.bytes(crypto::encode_pedersen_share(share));
         ctx.broadcast(kTmpcRevealTag, w.take());
       };
-      send_reveal(Kind::kRho, dealer.my_shares->rho);
-      if (x_is_output(d)) send_reveal(Kind::kX, dealer.my_shares->x);
+      send_reveal(Kind::kRho, dealer.rho.my_share());
+      if (x_is_output(d, lit)) send_reveal(Kind::kX, dealer.x.my_share());
     }
-  }
-
-  void add_public(DealerState& dealer, Kind kind, const PedersenShare& share) {
-    const auto& commitments = kind == Kind::kX ? dealer.commit_x : dealer.commit_rho;
-    if (!commitments.has_value()) return;
-    if (!vss_.verify_share(*commitments, share)) return;
-    auto& points = kind == Kind::kX ? dealer.points_x : dealer.points_rho;
-    if (!points.insert(share.x).second) return;
-    (kind == Kind::kX ? dealer.public_x : dealer.public_rho).push_back(share);
   }
 
   void record(const sim::Inbox& inbox) {
@@ -213,49 +179,44 @@ class ThetaMpcParty final : public sim::Party {
         if (m.tag != kTmpcShareTag && m.to != sim::kBroadcast) continue;
         if (m.tag == kTmpcBitTag) {
           if (m.from >= n_ || m.round != 0 || m.payload.size() != 1) continue;
-          DealerState& d = dealers_[m.from];
-          if (d.bit_seen) continue;
-          d.bit_seen = true;
-          bits_[m.from] = m.payload[0] != 0;
+          Dealer& d = dealers_[m.from];
+          if (!d.bit.has_value()) d.bit = m.payload[0] != 0;
         } else if (m.tag == kTmpcCommitTag) {
           if (m.from >= n_ || m.round != 0) continue;
-          DealerState& d = dealers_[m.from];
-          if (d.commit_x.has_value()) continue;
+          Dealer& d = dealers_[m.from];
+          if (d.x.has_commitments()) continue;
           ByteReader r(m.payload);
           auto cx = crypto::decode_group_elements(r.bytes());
           auto cr = crypto::decode_group_elements(r.bytes());
           if (!vss_.verify_commitments(cx, t_) || !vss_.verify_commitments(cr, t_)) continue;
-          d.commit_x = std::move(cx);
-          d.commit_rho = std::move(cr);
+          d.x.set_commitments(std::move(cx));
+          d.rho.set_commitments(std::move(cr));
         } else if (m.tag == kTmpcShareTag) {
           if (m.from >= n_ || m.round != 0 || m.to != me_) continue;
-          DealerState& d = dealers_[m.from];
-          if (d.my_shares.has_value()) continue;
           const TwinShares tw = decode_twin(m.payload, group_->q());
           if (tw.x.x != me_ + 1 || tw.rho.x != me_ + 1) continue;
-          d.my_shares = tw;
+          dealers_[m.from].x.set_my_share(tw.x);
+          dealers_[m.from].rho.set_my_share(tw.rho);
         } else if (m.tag == kTmpcComplainTag) {
           if (m.from >= n_ || m.round != 1 || m.payload.size() != 8) continue;
           ByteReader r(m.payload);
-          const std::uint64_t mask = r.u64();
-          for (std::size_t d = 0; d < n_; ++d)
-            if ((mask >> d) & 1u) dealers_[d].complaints.emplace(m.from, false);
+          complaints_.file(m.from, r.u64());
         } else if (m.tag == kTmpcJustifyTag) {
           if (m.from >= n_ || m.round != 2) continue;
-          DealerState& d = dealers_[m.from];
+          Dealer& d = dealers_[m.from];
           ByteReader r(m.payload);
           const sim::PartyId complainer = r.u64();
           const TwinShares tw = decode_twin(r.bytes(), group_->q());
           if (tw.x.x != complainer + 1 || tw.rho.x != complainer + 1) continue;
-          auto it = d.complaints.find(complainer);
-          if (it == d.complaints.end()) continue;
-          if (!d.commit_x.has_value() || !vss_.verify_share(*d.commit_x, tw.x) ||
-              !vss_.verify_share(*d.commit_rho, tw.rho))
-            continue;
-          it->second = true;
-          add_public(d, Kind::kX, tw.x);
-          add_public(d, Kind::kRho, tw.rho);
-          if (complainer == me_ && !d.my_shares.has_value()) d.my_shares = tw;
+          if (!complaints_.filed(m.from, complainer)) continue;
+          if (!d.x.verifies(tw.x) || !d.rho.verifies(tw.rho)) continue;
+          complaints_.justify(m.from, complainer);
+          d.x.publish(tw.x);
+          d.rho.publish(tw.rho);
+          if (complainer == me_) {
+            d.x.set_my_share(tw.x);
+            d.rho.set_my_share(tw.rho);
+          }
         } else if (m.tag == kTmpcRevealTag) {
           if (m.from >= n_ || m.round != 3) continue;
           ByteReader r(m.payload);
@@ -264,7 +225,7 @@ class ThetaMpcParty final : public sim::Party {
           if (dealer_id >= n_ || (kind != Kind::kX && kind != Kind::kRho)) continue;
           const PedersenShare share = crypto::decode_pedersen_share(r.bytes(), group_->q());
           if (share.x != m.from + 1) continue;
-          add_public(dealers_[dealer_id], kind, share);
+          dealers_[dealer_id].sharing(kind).publish(share);
         }
       } catch (const Error&) {
         // Malformed adversarial message: ignore.
@@ -272,44 +233,23 @@ class ThetaMpcParty final : public sim::Party {
     }
   }
 
-  /// Reconstructs a dealer's secret of the given kind; nullopt when fewer
-  /// than t+1 verifying shares are available.
-  [[nodiscard]] std::optional<Zq> reconstruct(const DealerState& dealer, Kind kind) const {
-    std::vector<PedersenShare> pool =
-        kind == Kind::kX ? dealer.public_x : dealer.public_rho;
-    const auto& points = kind == Kind::kX ? dealer.points_x : dealer.points_rho;
-    if (dealer.my_shares.has_value() && !points.contains(me_ + 1)) {
-      const PedersenShare& mine =
-          kind == Kind::kX ? dealer.my_shares->x : dealer.my_shares->rho;
-      const auto& commitments = kind == Kind::kX ? dealer.commit_x : dealer.commit_rho;
-      if (commitments.has_value() && vss_.verify_share(*commitments, mine))
-        pool.push_back(mine);
-    }
-    if (pool.size() < t_ + 1) return std::nullopt;
-    pool.resize(t_ + 1);
-    return vss_.reconstruct(pool);
-  }
-
   void compute_output() {
-    // r = parity of the sum of all qualified dealers' rho values.
+    // r = parity of the sum of all qualified dealers' rho values; every
+    // other unreconstructable value is announced 0.
     Zq rho_sum{0, group_->q()};
-    std::vector<bool> xbit(n_, false);
-    for (std::size_t d = 0; d < n_; ++d) {
-      const DealerState& dealer = dealers_[d];
-      if (dealer.disqualified) continue;
-      if (const auto rho = reconstruct(dealer, Kind::kRho)) rho_sum += *rho;
-      if (x_is_output(d)) {
-        if (const auto x = reconstruct(dealer, Kind::kX)) xbit[d] = x->value() == 1;
-      }
-    }
-    const bool r = (rho_sum.value() & 1u) != 0;
-
     const auto lit = lit_set();
-    for (std::size_t d = 0; d < n_; ++d) result_.set(d, xbit[d]);
+    for (std::size_t d = 0; d < n_; ++d) {
+      if (complaints_.disqualified(d)) continue;
+      if (const auto rho = dealers_[d].rho.reconstruct(t_)) rho_sum += *rho;
+      if (!x_is_output(d, lit)) continue;
+      if (const auto x = dealers_[d].x.reconstruct(t_)) result_.set(d, x->value() == 1);
+    }
     if (lit.size() == 2) {
+      // w_l1 = r, w_l2 = r XOR y with y the XOR of everyone else's output.
       bool y = false;
       for (std::size_t d = 0; d < n_; ++d)
-        if (d != lit[0] && d != lit[1]) y = y != xbit[d];
+        if (d != lit[0] && d != lit[1]) y = y != result_.get(d);
+      const bool r = (rho_sum.value() & 1u) != 0;
       result_.set(lit[0], r);
       result_.set(lit[1], r != y);
     }
@@ -324,8 +264,8 @@ class ThetaMpcParty final : public sim::Party {
   sim::PartyId me_ = 0;
   std::optional<crypto::PedersenDeal> my_deal_x_;
   std::optional<crypto::PedersenDeal> my_deal_rho_;
-  std::vector<DealerState> dealers_;
-  std::vector<bool> bits_;
+  std::vector<Dealer> dealers_;
+  ComplaintBook complaints_;
   BitVec result_;
   bool decided_ = false;
 };

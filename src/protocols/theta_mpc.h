@@ -25,6 +25,11 @@
 // (protocols/theta.h) execution for execution - the ablation measured in
 // bench_e4 - because r is uniform whenever one honest rho is, and all
 // committed values are fixed before any reveal.
+//
+// Rounds 0-3 are the commit-complain-justify-reveal skeleton of the VSS
+// protocols, and the receiving side is theirs (protocols/vss_core.h): two
+// ShareLedgers per dealer (x and rho) and one ComplaintBook.  This file
+// keeps Θ-MPC's own tags, twin-share codecs, round checks and DRBG draws.
 #pragma once
 
 #include "crypto/vss.h"

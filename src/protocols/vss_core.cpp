@@ -8,6 +8,12 @@ namespace simulcast::protocols {
 
 namespace {
 
+/// The share checks and the reconstruction of every ledger.
+const crypto::PedersenVss& pedersen() {
+  static const crypto::PedersenVss vss;
+  return vss;
+}
+
 Bytes encode_justify(sim::PartyId complainer, const crypto::PedersenShare& share) {
   ByteWriter w;
   w.u64(complainer);
@@ -44,6 +50,55 @@ void VssSchedule::validate() const {
     throw UsageError("VssSchedule: phases out of order");
 }
 
+void ShareLedger::set_commitments(std::vector<std::uint64_t> commitments) {
+  if (!commitments_) commitments_ = std::move(commitments);
+}
+
+void ShareLedger::set_my_share(const crypto::PedersenShare& share) {
+  if (!my_share_) my_share_ = share;
+}
+
+bool ShareLedger::verifies(const crypto::PedersenShare& share) const {
+  return commitments_ && pedersen().verify_share(*commitments_, share);
+}
+
+bool ShareLedger::is_public(std::uint64_t point) const {
+  return std::any_of(public_.begin(), public_.end(),
+                     [point](const crypto::PedersenShare& s) { return s.x == point; });
+}
+
+void ShareLedger::publish(const crypto::PedersenShare& share) {
+  if (!is_public(share.x) && verifies(share)) public_.push_back(share);
+}
+
+std::optional<crypto::Zq> ShareLedger::reconstruct(std::size_t threshold) const {
+  std::vector<crypto::PedersenShare> pool(
+      public_.begin(), public_.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(public_.size(), threshold + 1)));
+  if (pool.size() <= threshold && my_share_verifies() && !is_public(my_share_->x))
+    pool.push_back(*my_share_);
+  if (pool.size() <= threshold) return std::nullopt;
+  return pedersen().reconstruct(pool);
+}
+
+void ComplaintBook::file(sim::PartyId complainer, std::uint64_t mask) noexcept {
+  for (std::size_t d = 0; d < pages_.size(); ++d)
+    if ((mask >> d) & 1u) pages_[d].filed |= std::uint64_t{1} << complainer;
+}
+
+bool ComplaintBook::filed(sim::PartyId dealer, sim::PartyId complainer) const noexcept {
+  return complainer < kMaxBits && ((pages_[dealer].filed >> complainer) & 1u) != 0;
+}
+
+void ComplaintBook::justify(sim::PartyId dealer, sim::PartyId complainer) noexcept {
+  pages_[dealer].justified |= std::uint64_t{1} << complainer;
+}
+
+void ComplaintBook::decide(sim::PartyId dealer, bool dealt) noexcept {
+  Page& page = pages_[dealer];
+  page.disqualified = !dealt || (page.filed & ~page.justified) != 0;
+}
+
 VssProtocolParty::VssProtocolParty(VssSchedule schedule, bool input)
     : schedule_(std::move(schedule)), input_(input), group_(&crypto::SchnorrGroup::standard()) {
   schedule_.validate();
@@ -51,42 +106,26 @@ VssProtocolParty::VssProtocolParty(VssSchedule schedule, bool input)
 
 void VssProtocolParty::begin(sim::PartyContext& ctx) {
   me_ = ctx.id();
-  dealers_.assign(schedule_.n, DealerState{});
+  dealers_.assign(schedule_.n, Dealer{});
+  complaints_ = ComplaintBook(schedule_.n);
   result_ = BitVec(schedule_.n);
 }
 
 void VssProtocolParty::deal(sim::PartyContext& ctx) {
   const crypto::Zq secret{input_ ? std::uint64_t{1} : std::uint64_t{0}, group_->q()};
   my_deal_ = vss_.deal(secret, schedule_.threshold, schedule_.n, ctx.drbg());
-  my_secret_ = secret;
-  // The blinding constant term f'(0) is recoverable from the blinding
-  // polynomial; PedersenVss does not expose it, so recompute it from the
-  // dealt shares via Lagrange on the blinding coordinates.
-  std::vector<crypto::Share<crypto::Zq>> blind_shares;
-  blind_shares.reserve(schedule_.threshold + 1);
-  for (std::size_t i = 0; i <= schedule_.threshold; ++i)
-    blind_shares.push_back({my_deal_->shares[i].x, my_deal_->shares[i].blinding});
-  my_secret_blinding_ = crypto::shamir_reconstruct(blind_shares);
-
   ctx.broadcast(kVssCommitTag, crypto::encode_group_elements(my_deal_->commitments));
   for (std::size_t j = 0; j < schedule_.n; ++j) {
     if (j == me_) continue;
     ctx.send(j, kVssShareTag, crypto::encode_pedersen_share(my_deal_->shares[j]));
   }
   // My own share and commitments, recorded directly.
-  DealerState& self = dealers_[me_];
-  self.commitments = my_deal_->commitments;
-  self.my_share = my_deal_->shares[me_];
+  ShareLedger& self = dealers_[me_].shares;
+  self.set_commitments(my_deal_->commitments);
+  self.set_my_share(my_deal_->shares[me_]);
 }
 
-void VssProtocolParty::add_public_share(DealerState& state, const crypto::PedersenShare& share) {
-  if (!state.commitments.has_value()) return;
-  if (!vss_.verify_share(*state.commitments, share)) return;
-  if (!state.public_share_points.insert(share.x).second) return;
-  state.public_shares.push_back(share);
-}
-
-void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
+void VssProtocolParty::record(const sim::Inbox& inbox) {
   for (const sim::Message& m : inbox) {
     try {
       // Channel binding: every tag except the private share transfer is a
@@ -97,25 +136,21 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
       if (m.tag != kVssShareTag && m.to != sim::kBroadcast) continue;
       if (m.tag == kVssCommitTag) {
         if (m.from >= schedule_.n || m.round != schedule_.deal_round[m.from]) continue;
-        DealerState& dealer = dealers_[m.from];
-        if (dealer.commitments.has_value()) continue;  // first wins
+        ShareLedger& dealer = dealers_[m.from].shares;
+        if (dealer.has_commitments()) continue;  // first wins
         auto elems = crypto::decode_group_elements(m.payload);
         if (!vss_.verify_commitments(elems, schedule_.threshold)) continue;
-        dealer.commitments = std::move(elems);
+        dealer.set_commitments(std::move(elems));
       } else if (m.tag == kVssShareTag) {
         if (m.from >= schedule_.n || m.round != schedule_.deal_round[m.from] || m.to != me_)
           continue;
-        DealerState& dealer = dealers_[m.from];
-        if (dealer.my_share.has_value()) continue;
         const auto share = crypto::decode_pedersen_share(m.payload, group_->q());
         if (share.x != me_ + 1) continue;
-        // Stored even before the commitments arrive in the same round's
-        // batch: validity is checked where the share is used.
-        dealer.my_share = share;
+        dealers_[m.from].shares.set_my_share(share);
       } else if (m.tag == kPokCommitTag) {
         if (!schedule_.pok.has_value() || m.from >= schedule_.n) continue;
         if (m.round != (*schedule_.pok)[m.from].commit) continue;
-        DealerState& dealer = dealers_[m.from];
+        Dealer& dealer = dealers_[m.from];
         if (dealer.pok_a.has_value() || m.payload.size() != 8) continue;
         ByteReader r(m.payload);
         dealer.pok_a = r.u64();
@@ -127,7 +162,7 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
       } else if (m.tag == kPokResponseTag) {
         if (!schedule_.pok.has_value() || m.from >= schedule_.n) continue;
         if (m.round != (*schedule_.pok)[m.from].response) continue;
-        DealerState& dealer = dealers_[m.from];
+        Dealer& dealer = dealers_[m.from];
         if (dealer.pok_response.has_value() || m.payload.size() != 24) continue;
         ByteReader r(m.payload);
         crypto::SigmaResponse resp;
@@ -139,24 +174,18 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
         if (m.from >= schedule_.n || m.round != schedule_.complaint_round) continue;
         if (m.payload.size() != 8) continue;
         ByteReader r(m.payload);
-        const std::uint64_t mask = r.u64();
-        for (std::size_t d = 0; d < schedule_.n; ++d) {
-          if ((mask >> d) & 1u) dealers_[d].complaints.emplace(m.from, false);
-        }
+        complaints_.file(m.from, r.u64());
       } else if (m.tag == kVssJustifyTag) {
         if (m.from >= schedule_.n || m.round != schedule_.justify_round) continue;
-        DealerState& dealer = dealers_[m.from];  // dealers justify themselves
+        ShareLedger& dealer = dealers_[m.from].shares;  // dealers justify themselves
         ByteReader r(m.payload);
         const sim::PartyId complainer = r.u64();
         const auto share = crypto::decode_pedersen_share(r.bytes(), group_->q());
         if (share.x != complainer + 1) continue;
-        auto it = dealer.complaints.find(complainer);
-        if (it == dealer.complaints.end()) continue;
-        if (!dealer.commitments.has_value()) continue;
-        if (!vss_.verify_share(*dealer.commitments, share)) continue;
-        it->second = true;
-        add_public_share(dealer, share);
-        if (complainer == me_ && !dealer.my_share.has_value()) dealer.my_share = share;
+        if (!complaints_.filed(m.from, complainer) || !dealer.verifies(share)) continue;
+        complaints_.justify(m.from, complainer);
+        dealer.publish(share);
+        if (complainer == me_) dealer.set_my_share(share);
       } else if (m.tag == kVssRevealTag) {
         if (m.from >= schedule_.n || m.round != schedule_.reconstruct_round) continue;
         ByteReader r(m.payload);
@@ -164,14 +193,13 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
         if (dealer_id >= schedule_.n) continue;
         const auto share = crypto::decode_pedersen_share(r.bytes(), group_->q());
         if (share.x != m.from + 1) continue;  // a party reveals only its own share
-        add_public_share(dealers_[dealer_id], share);
+        dealers_[dealer_id].shares.publish(share);
       }
     } catch (const Error&) {
       // Malformed adversarial message: ignored; the sender's coordinate
       // degrades toward the default 0 on its own.
     }
   }
-  (void)ctx;
 }
 
 crypto::Zq VssProtocolParty::joint_challenge(sim::Round challenge_round) const {
@@ -185,41 +213,26 @@ crypto::Zq VssProtocolParty::joint_challenge(sim::Round challenge_round) const {
   return c;
 }
 
-void VssProtocolParty::decide_disqualifications() {
-  for (std::size_t d = 0; d < schedule_.n; ++d) {
-    DealerState& dealer = dealers_[d];
-    if (!dealer.commitments.has_value()) {
-      dealer.disqualified = true;
-      continue;
-    }
-    if (schedule_.pok.has_value()) {
-      const PokRounds& rounds = (*schedule_.pok)[d];
-      if (!dealer.pok_a.has_value() || !dealer.pok_response.has_value() ||
-          dealer.pok_response->a != *dealer.pok_a ||
-          !crypto::sigma_verify(*group_, dealer.commitments->front(),
-                                joint_challenge(rounds.challenge), *dealer.pok_response)) {
-        dealer.disqualified = true;
-        continue;
-      }
-    }
-    for (const auto& [complainer, justified] : dealer.complaints) {
-      if (!justified) {
-        dealer.disqualified = true;
-        break;
-      }
-    }
-  }
+bool VssProtocolParty::dealt(std::size_t d) const {
+  const Dealer& dealer = dealers_[d];
+  if (!dealer.shares.has_commitments()) return false;
+  if (!schedule_.pok.has_value()) return true;
+  return dealer.pok_a.has_value() && dealer.pok_response.has_value() &&
+         dealer.pok_response->a == *dealer.pok_a &&
+         crypto::sigma_verify(*group_, dealer.shares.commitments().front(),
+                              joint_challenge((*schedule_.pok)[d].challenge),
+                              *dealer.pok_response);
 }
 
 void VssProtocolParty::on_round(sim::Round round, const sim::Inbox& inbox,
                                 sim::PartyContext& ctx) {
-  record(inbox, ctx);
+  record(inbox);
 
   if (round == schedule_.deal_round[me_]) deal(ctx);
 
   if (schedule_.pok.has_value()) {
     const PokRounds& mine = (*schedule_.pok)[me_];
-    if (round == mine.commit && my_secret_.has_value()) {
+    if (round == mine.commit && my_deal_.has_value()) {
       my_pok_ = crypto::sigma_commit(*group_, ctx.drbg());
       ByteWriter w = ctx.writer();
       w.u64(my_pok_->a);
@@ -240,8 +253,9 @@ void VssProtocolParty::on_round(sim::Round round, const sim::Inbox& inbox,
     }
     if (round == mine.response && my_pok_.has_value()) {
       const crypto::Zq c = joint_challenge(mine.challenge);
+      const crypto::Zq secret{input_ ? std::uint64_t{1} : std::uint64_t{0}, group_->q()};
       const crypto::SigmaResponse resp =
-          crypto::sigma_respond(*my_pok_, c, *my_secret_, *my_secret_blinding_);
+          crypto::sigma_respond(*my_pok_, c, secret, my_deal_->blinding);
       ByteWriter w = ctx.writer();
       w.u64(resp.a);
       w.u64(resp.z1.value());
@@ -253,60 +267,42 @@ void VssProtocolParty::on_round(sim::Round round, const sim::Inbox& inbox,
 
   if (round == schedule_.complaint_round) {
     std::uint64_t mask = 0;
-    for (std::size_t d = 0; d < schedule_.n; ++d) {
-      if (d == me_) continue;
-      const DealerState& dealer = dealers_[d];
-      const bool bad_commit = !dealer.commitments.has_value();
-      const bool bad_share = !dealer.my_share.has_value() ||
-                             (dealer.commitments.has_value() &&
-                              !vss_.verify_share(*dealer.commitments, *dealer.my_share));
-      if (bad_commit || bad_share) mask |= (std::uint64_t{1} << d);
-    }
-    // Broadcasts are not self-delivered, so register my own complaints
-    // locally too - every party must evaluate the same complaint set.
     for (std::size_t d = 0; d < schedule_.n; ++d)
-      if ((mask >> d) & 1u) dealers_[d].complaints.emplace(me_, false);
+      if (d != me_ && !dealers_[d].shares.my_share_verifies()) mask |= std::uint64_t{1} << d;
+    // Broadcasts are not self-delivered, so file my own complaints locally
+    // too - every party must evaluate the same complaint set.
+    complaints_.file(me_, mask);
     ByteWriter w = ctx.writer();
     w.u64(mask);
     ctx.broadcast(kVssComplainTag, w.take());
   }
 
   if (round == schedule_.justify_round && my_deal_.has_value()) {
-    for (auto& [complainer, justified] : dealers_[me_].complaints) {
-      if (complainer >= schedule_.n) continue;
+    for (sim::PartyId complainer = 0; complainer < schedule_.n; ++complainer) {
+      if (!complaints_.filed(me_, complainer)) continue;
       ctx.broadcast(kVssJustifyTag, encode_justify(complainer, my_deal_->shares[complainer]));
       // Mark my own justification locally (no self-delivery of broadcasts).
-      justified = true;
-      add_public_share(dealers_[me_], my_deal_->shares[complainer]);
+      complaints_.justify(me_, complainer);
+      dealers_[me_].shares.publish(my_deal_->shares[complainer]);
     }
   }
 
   if (round == schedule_.reconstruct_round) {
-    decide_disqualifications();
+    for (std::size_t d = 0; d < schedule_.n; ++d) complaints_.decide(d, dealt(d));
     for (std::size_t d = 0; d < schedule_.n; ++d) {
-      const DealerState& dealer = dealers_[d];
-      if (dealer.disqualified || !dealer.my_share.has_value()) continue;
-      if (!vss_.verify_share(*dealer.commitments, *dealer.my_share)) continue;
-      ctx.broadcast(kVssRevealTag, encode_reveal(d, *dealer.my_share));
+      const ShareLedger& dealer = dealers_[d].shares;
+      if (complaints_.disqualified(d) || !dealer.my_share_verifies()) continue;
+      ctx.broadcast(kVssRevealTag, encode_reveal(d, dealer.my_share()));
     }
   }
 }
 
-void VssProtocolParty::finish(const sim::Inbox& inbox, sim::PartyContext& ctx) {
-  record(inbox, ctx);
+void VssProtocolParty::finish(const sim::Inbox& inbox, sim::PartyContext& /*ctx*/) {
+  record(inbox);
   for (std::size_t d = 0; d < schedule_.n; ++d) {
-    DealerState& dealer = dealers_[d];
-    if (dealer.disqualified) continue;  // announced 0
-    // Pool of verifying shares: public (justified + revealed) plus my own.
-    std::vector<crypto::PedersenShare> pool = dealer.public_shares;
-    if (dealer.my_share.has_value() && dealer.commitments.has_value() &&
-        !dealer.public_share_points.contains(dealer.my_share->x) &&
-        vss_.verify_share(*dealer.commitments, *dealer.my_share))
-      pool.push_back(*dealer.my_share);
-    if (pool.size() < schedule_.threshold + 1) continue;  // unreconstructable -> 0
-    pool.resize(schedule_.threshold + 1);
-    const crypto::Zq secret = vss_.reconstruct(pool);
-    result_.set(d, secret.value() == 1);  // any other value -> default 0
+    if (complaints_.disqualified(d)) continue;  // announced 0
+    const std::optional<crypto::Zq> secret = dealers_[d].shares.reconstruct(schedule_.threshold);
+    result_.set(d, secret && secret->value() == 1);  // unreconstructable or not a bit -> 0
   }
   decided_ = true;
 }

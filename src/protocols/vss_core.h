@@ -1,4 +1,4 @@
-// Shared machinery of the three "real" simultaneous-broadcast protocols.
+// Shared machinery of the VSS-based simultaneous-broadcast protocols.
 //
 // CGMA [7], Chor-Rabin [8] and Gennaro [12] all follow the same robust
 // commit-then-reveal skeleton; what differs is the *scheduling* of the
@@ -28,14 +28,18 @@
 //             qualified dealer; reconstruction needs t+1 of them and the
 //             honest parties alone supply n - t >= t+1.
 //
-// VssProtocolParty implements the whole skeleton once, driven by a
-// VssSchedule; the three protocol classes in cgma.h / chor_rabin.h /
-// gennaro.h only build schedules.
+// The receiving side is two types: a ShareLedger per sharing (the
+// dealer's commitments, my share, the verifying public shares and the
+// reconstruction from them) and one ComplaintBook (complaints, their
+// justifications and each dealer's disqualification).  VssProtocolParty
+// implements the whole skeleton once on them, driven by a VssSchedule;
+// the three protocol classes in cgma.h / chor_rabin.h / gennaro.h only
+// build schedules.  The Θ-MPC backend (theta_mpc.h) runs the same receiver
+// with two ledgers per dealer, under its own tags, codecs and rounds.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "crypto/sigma.h"
@@ -76,6 +80,74 @@ struct VssSchedule {
   void validate() const;
 };
 
+/// The receiving side of one Pedersen sharing, as a party keeps it for one
+/// dealer: the dealer's commitments, my share, and the shares made public
+/// (justified or revealed) that verify, at most one per evaluation point.
+/// The commitments and my share are first-wins; which messages reach the
+/// ledger (tags, codecs, round checks) is the protocol's business.
+class ShareLedger {
+ public:
+  [[nodiscard]] bool has_commitments() const noexcept { return commitments_.has_value(); }
+  [[nodiscard]] const std::vector<std::uint64_t>& commitments() const { return *commitments_; }
+  /// Stores the dealer's commitments unless some are stored already.
+  void set_commitments(std::vector<std::uint64_t> commitments);
+
+  [[nodiscard]] const crypto::PedersenShare& my_share() const { return *my_share_; }
+  /// Stores my share unless one is stored already.  It is not checked here:
+  /// it may arrive before the commitments, and is verified where it is used.
+  void set_my_share(const crypto::PedersenShare& share);
+
+  /// Whether `share` verifies against the commitments (false without them).
+  [[nodiscard]] bool verifies(const crypto::PedersenShare& share) const;
+  /// Whether my share is stored and verifies.
+  [[nodiscard]] bool my_share_verifies() const { return my_share_ && verifies(*my_share_); }
+
+  /// Makes `share` public if it verifies and no share at its point is.
+  void publish(const crypto::PedersenShare& share);
+
+  /// The secret from t+1 verifying shares: the public ones first, then my
+  /// own; nullopt when fewer than t+1 are at hand.
+  [[nodiscard]] std::optional<crypto::Zq> reconstruct(std::size_t threshold) const;
+
+ private:
+  [[nodiscard]] bool is_public(std::uint64_t point) const;
+
+  std::optional<std::vector<std::uint64_t>> commitments_;
+  std::optional<crypto::PedersenShare> my_share_;
+  std::vector<crypto::PedersenShare> public_;
+};
+
+/// The complaint phase, one page per dealer: which parties complained about
+/// the dealer, which of those complaints it answered with a verifying
+/// public share, and whether it is disqualified.  Disqualification is
+/// decided once, at the start of the reveal round: a dealer that did not
+/// deal (no commitments; in Chor-Rabin, no valid PoK) or left a complaint
+/// unanswered is out and announced 0.  Party ids index the pages and the
+/// complaint masks, so n <= 64 as on the wire.
+class ComplaintBook {
+ public:
+  explicit ComplaintBook(std::size_t n = 0) : pages_(n) {}
+
+  /// Files `complainer`'s complaint mask: bit d accuses dealer d.
+  void file(sim::PartyId complainer, std::uint64_t mask) noexcept;
+  [[nodiscard]] bool filed(sim::PartyId dealer, sim::PartyId complainer) const noexcept;
+  /// Marks `complainer`'s complaint against `dealer` answered.
+  void justify(sim::PartyId dealer, sim::PartyId complainer) noexcept;
+
+  void decide(sim::PartyId dealer, bool dealt) noexcept;
+  [[nodiscard]] bool disqualified(sim::PartyId dealer) const noexcept {
+    return pages_[dealer].disqualified;
+  }
+
+ private:
+  struct Page {
+    std::uint64_t filed = 0;      ///< bit c: party c complained
+    std::uint64_t justified = 0;  ///< bit c: the dealer answered party c
+    bool disqualified = false;
+  };
+  std::vector<Page> pages_;
+};
+
 /// The honest machine. Exposed (rather than hidden in a .cpp) so that
 /// adversaries built from honest machines can parameterize them.
 class VssProtocolParty final : public sim::Party {
@@ -95,24 +167,19 @@ class VssProtocolParty final : public sim::Party {
   [[nodiscard]] BitVec output() const override;
 
  private:
-  struct DealerState {
-    std::optional<std::vector<std::uint64_t>> commitments;  ///< C_j vector
-    std::optional<crypto::PedersenShare> my_share;          ///< verified share for me
-    std::vector<crypto::PedersenShare> public_shares;       ///< justified + revealed, verified
-    std::set<std::uint64_t> public_share_points;            ///< dedupe by x
-    // PoK transcript pieces.
+  /// Per dealer: its sharing and, in Chor-Rabin, its PoK transcript.
+  struct Dealer {
+    ShareLedger shares;
     std::optional<std::uint64_t> pok_a;
     std::optional<crypto::SigmaResponse> pok_response;
-    // Complaints against this dealer: complainer -> justified?
-    std::map<sim::PartyId, bool> complaints;
-    bool disqualified = false;
   };
 
-  void record(const sim::Inbox& inbox, sim::PartyContext& ctx);
+  void record(const sim::Inbox& inbox);
   void deal(sim::PartyContext& ctx);
-  void add_public_share(DealerState& state, const crypto::PedersenShare& share);
   [[nodiscard]] crypto::Zq joint_challenge(sim::Round challenge_round) const;
-  void decide_disqualifications();
+  /// Whether dealer d dealt: its commitments are in and, in Chor-Rabin,
+  /// its PoK verifies.
+  [[nodiscard]] bool dealt(std::size_t d) const;
 
   VssSchedule schedule_;
   bool input_;
@@ -120,13 +187,12 @@ class VssProtocolParty final : public sim::Party {
   crypto::PedersenVss vss_;
   sim::PartyId me_ = 0;
 
-  // My own deal (needed for PoK responses and my reveal).
+  // My own deal (needed for PoK responses and my justifications).
   std::optional<crypto::PedersenDeal> my_deal_;
-  std::optional<crypto::Zq> my_secret_;
-  std::optional<crypto::Zq> my_secret_blinding_;
   std::optional<crypto::SigmaCommitment> my_pok_;
 
-  std::vector<DealerState> dealers_;
+  std::vector<Dealer> dealers_;
+  ComplaintBook complaints_;
   /// Challenge contributions seen, keyed by the round they were sent in.
   std::map<sim::Round, std::map<sim::PartyId, std::uint64_t>> challenge_contributions_;
   /// My own contributions per challenge round (broadcasts are not

@@ -1,15 +1,36 @@
-// Garbage-spraying adversaries for the robustness and channel-binding
-// suites: no product binary runs them, they exist to attack every
-// registered protocol with traffic an honest machine never sends.
+// Garbage-spraying adversaries for the robustness, channel-binding and
+// attack-digest suites: no product binary runs them, they exist to attack
+// every registered protocol with traffic an honest machine never sends.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "adversary/adversaries.h"
 #include "crypto/hmac.h"
+#include "protocols/naive_commit_reveal.h"
+#include "protocols/seq_broadcast.h"
+#include "protocols/theta.h"
+#include "protocols/theta_mpc.h"
+#include "protocols/vss_core.h"
 #include "sim/adversary.h"
 
 namespace simulcast::adversary {
+
+/// The message tags of a registered protocol, for FuzzAdversary to spray.
+inline std::vector<sim::Tag> protocol_tags(const std::string& protocol) {
+  using namespace protocols;
+  if (protocol == "seq-broadcast") return {kSeqAnnounceTag};
+  if (protocol == "naive-commit-reveal") return {kNcrCommitTag, kNcrOpenTag};
+  if (protocol == "flawed-pi-g") return {kThetaInputTag, kThetaOutputTag};
+  if (protocol == "flawed-pi-g-mpc")
+    return {kTmpcBitTag, kTmpcCommitTag, kTmpcShareTag, kTmpcComplainTag, kTmpcJustifyTag,
+            kTmpcRevealTag};
+  if (protocol == "seq-broadcast-ds") return {"ds-root", "ds-relay"};
+  // VSS skeleton protocols.
+  return {kVssCommitTag,  kVssShareTag,    kVssComplainTag, kVssJustifyTag,
+          kVssRevealTag,  kPokCommitTag,   kPokChallengeTag, kPokResponseTag};
+}
 
 /// Protocol fuzzer: every round, each corrupted party sprays a random
 /// number of messages with tags drawn from the target protocol's tag set
@@ -87,6 +108,48 @@ class ReplayAdversary final : public sim::Adversary {
 
  private:
   std::vector<sim::PartyId> corrupted_;
+};
+
+/// Share mangler: runs the honest machines (PassiveAdversary) and garbles
+/// some of their traffic, each outgoing message by one adversary-DRBG draw:
+/// dropped (1 in 8), one byte flipped (1 in 8), or sent and also echoed
+/// point-to-point to a party the DRBG picks (1 in 8).  The shares,
+/// justifications and reveals it flips exercise every rejection path of a
+/// VSS receiver with traffic that is otherwise well formed.
+class MangleAdversary final : public sim::Adversary {
+ public:
+  MangleAdversary(const sim::ParallelBroadcastProtocol& protocol,
+                  const sim::ProtocolParams& params)
+      : inner_(protocol, params) {}
+
+  void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override {
+    inner_.setup(info, drbg);
+    corrupted_ = info.corrupted;
+    n_ = info.n;
+    drbg_ = &drbg;
+  }
+
+  void on_round(sim::Round round, const sim::AdversaryView& view,
+                sim::AdversarySender& sender) override {
+    sim::AdversarySender honest(corrupted_);
+    inner_.on_round(round, view, honest);
+    for (sim::Message& m : honest.take_outbox()) {
+      const std::uint64_t fate = drbg_->below(8);
+      if (fate == 0) continue;
+      if (fate == 1 && !m.payload.empty()) m.payload[drbg_->below(m.payload.size())] ^= 0x5a;
+      if (fate == 2) sender.send(m.from, drbg_->below(n_), m.tag, m.payload);
+      if (m.to == sim::kBroadcast)
+        sender.broadcast(m.from, m.tag, std::move(m.payload));
+      else
+        sender.send(m.from, m.to, m.tag, std::move(m.payload));
+    }
+  }
+
+ private:
+  PassiveAdversary inner_;
+  std::vector<sim::PartyId> corrupted_;
+  std::size_t n_ = 0;
+  crypto::HmacDrbg* drbg_ = nullptr;
 };
 
 }  // namespace simulcast::adversary

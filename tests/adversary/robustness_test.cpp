@@ -8,30 +8,11 @@
 #include "fuzz_adversaries.h"
 #include "broadcast/parallel_broadcast.h"
 #include "core/registry.h"
-#include "protocols/naive_commit_reveal.h"
-#include "protocols/seq_broadcast.h"
-#include "protocols/theta.h"
-#include "protocols/theta_mpc.h"
-#include "protocols/vss_core.h"
 #include "sim/network.h"
 #include "stats/rng.h"
 
 namespace simulcast::adversary {
 namespace {
-
-std::vector<sim::Tag> tags_for(const std::string& protocol) {
-  using namespace protocols;
-  if (protocol == "seq-broadcast") return {kSeqAnnounceTag};
-  if (protocol == "naive-commit-reveal") return {kNcrCommitTag, kNcrOpenTag};
-  if (protocol == "flawed-pi-g") return {kThetaInputTag, kThetaOutputTag};
-  if (protocol == "flawed-pi-g-mpc")
-    return {kTmpcBitTag, kTmpcCommitTag, kTmpcShareTag, kTmpcComplainTag, kTmpcJustifyTag,
-            kTmpcRevealTag};
-  if (protocol == "seq-broadcast-ds") return {"ds-root", "ds-relay"};
-  // VSS skeleton protocols.
-  return {kVssCommitTag,  kVssShareTag,    kVssComplainTag, kVssJustifyTag,
-          kVssRevealTag,  kPokCommitTag,   kPokChallengeTag, kPokResponseTag};
-}
 
 class RobustnessTest : public ::testing::TestWithParam<std::string> {
  protected:
@@ -63,7 +44,7 @@ TEST_P(RobustnessTest, SurvivesMessageFuzzing) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     BitVec inputs(n);
     for (std::size_t i = 0; i < n; ++i) inputs.set(i, rng.bit());
-    FuzzAdversary adv(tags_for(GetParam()));
+    FuzzAdversary adv(protocol_tags(GetParam()));
     check_contract(adv, inputs, {1, 3}, seed);
   }
 }
@@ -74,7 +55,7 @@ TEST_P(RobustnessTest, SurvivesSingleFuzzerAtHigherIntensity) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     BitVec inputs(n);
     for (std::size_t i = 0; i < n; ++i) inputs.set(i, rng.bit());
-    FuzzAdversary adv(tags_for(GetParam()), /*max_messages_per_round=*/10);
+    FuzzAdversary adv(protocol_tags(GetParam()), /*max_messages_per_round=*/10);
     check_contract(adv, inputs, {2}, seed);
   }
 }

@@ -51,6 +51,23 @@ TEST(ShareSnoop, InertOnPrivateChannels) {
   }
 }
 
+TEST(ShareSnoop, InertOnPrivateChannelsAtFourParties) {
+  // At n = 4, t + 1 = 2.  On private channels the snooper reads only the
+  // victim's share to its own party, in the rushed view of the deal round;
+  // counting it again when it is delivered a round later would make two
+  // shares at one point, and reconstructing from them throws.
+  const auto schedule = protocols::CgmaProtocol::schedule(4);
+  for (const bool victim_bit : {false, true}) {
+    ShareSnoopAdversary adv(0, schedule);
+    BitVec inputs = BitVec::from_string("0110");
+    inputs.set(0, victim_bit);
+    const auto announced = run_cgma(inputs, adv, {3}, /*private=*/true, 2);
+    ASSERT_TRUE(announced.consistent);
+    EXPECT_FALSE(announced.w.get(3)) << "snooper should fall back to dealing 0";
+    EXPECT_EQ(announced.w.get(0), victim_bit);
+  }
+}
+
 TEST(ShareSnoop, HonestCoordinatesUntouched) {
   const auto schedule = protocols::CgmaProtocol::schedule(5);
   ShareSnoopAdversary adv(0, schedule);

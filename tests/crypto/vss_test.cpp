@@ -208,5 +208,21 @@ TEST_F(PedersenVssTest, VerifyShareMatchesReferenceFormula) {
   EXPECT_GT(accepted, 15u);
 }
 
+TEST_F(PedersenVssTest, DealCarriesBlindingConstant) {
+  // deal.blinding is f'(0): Lagrange at 0 over any t+1 dealt blinding
+  // coordinates gives it back, and with the secret it opens C_0.
+  for (const std::size_t t : {0u, 1u, 3u}) {
+    const Zq secret(t, group_.q());
+    const PedersenDeal deal = vss_.deal(secret, t, 7, drbg_);
+    for (std::size_t first = 0; first + t < deal.shares.size(); ++first) {
+      std::vector<Share<Zq>> coordinates;
+      for (std::size_t i = first; i <= first + t; ++i)
+        coordinates.push_back({deal.shares[i].x, deal.shares[i].blinding});
+      EXPECT_EQ(shamir_reconstruct(coordinates), deal.blinding) << "t=" << t << " first=" << first;
+    }
+    EXPECT_EQ(group_.exp_gh(secret, deal.blinding), deal.commitments.front()) << "t=" << t;
+  }
+}
+
 }  // namespace
 }  // namespace simulcast::crypto

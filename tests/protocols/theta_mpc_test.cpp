@@ -5,12 +5,52 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "adversary/adversaries.h"
 #include "broadcast/parallel_broadcast.h"
 #include "sim/network.h"
 
 namespace simulcast::protocols {
 namespace {
+
+/// Runs the honest machines of the corrupted parties and hands each of
+/// their messages to `edit`, which forwards, replaces or drops it; `extra`
+/// may add messages of its own in any round.
+class EditingPassive final : public sim::Adversary {
+ public:
+  using Edit = std::function<void(sim::Message&, sim::AdversarySender&)>;
+  using Extra = std::function<void(sim::Round, sim::PartyId, sim::AdversarySender&)>;
+
+  EditingPassive(const ThetaMpcProtocol& proto, const sim::ProtocolParams& params, Edit edit,
+                 Extra extra = {})
+      : inner_(proto, params), edit_(std::move(edit)), extra_(std::move(extra)) {}
+
+  void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override {
+    inner_.setup(info, drbg);
+    corrupted_ = info.corrupted;
+  }
+  void on_round(sim::Round round, const sim::AdversaryView& view,
+                sim::AdversarySender& sender) override {
+    sim::AdversarySender buffer(corrupted_);
+    inner_.on_round(round, view, buffer);
+    for (sim::Message& m : buffer.take_outbox()) edit_(m, sender);
+    if (extra_) extra_(round, corrupted_.front(), sender);
+  }
+
+ private:
+  adversary::PassiveAdversary inner_;
+  Edit edit_;
+  Extra extra_;
+  std::vector<sim::PartyId> corrupted_;
+};
+
+void pass_through(sim::Message& m, sim::AdversarySender& sender) {
+  if (m.to == sim::kBroadcast)
+    sender.broadcast(m.from, m.tag, std::move(m.payload));
+  else
+    sender.send(m.from, m.to, m.tag, std::move(m.payload));
+}
 
 class ThetaMpcTest : public ::testing::Test {
  protected:
@@ -98,32 +138,10 @@ TEST_F(ThetaMpcTest, RevealWithholdingCannotChangeOutput) {
   // Same robustness property as the VSS protocols: a corrupted party that
   // participates in dealing but withholds every reveal is still announced
   // with its committed bit.
-  class Withholding final : public sim::Adversary {
-   public:
-    Withholding(const ThetaMpcProtocol& proto, const sim::ProtocolParams& params)
-        : inner_(proto, params) {}
-    void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override {
-      inner_.setup(info, drbg);
-      corrupted_ = info.corrupted;
-    }
-    void on_round(sim::Round round, const sim::AdversaryView& view,
-                  sim::AdversarySender& sender) override {
-      sim::AdversarySender buffer(corrupted_);
-      inner_.on_round(round, view, buffer);
-      for (sim::Message& m : buffer.take_outbox()) {
-        if (m.tag == kTmpcRevealTag) continue;
-        if (m.to == sim::kBroadcast)
-          sender.broadcast(m.from, m.tag, m.payload);
-        else
-          sender.send(m.from, m.to, m.tag, m.payload);
-      }
-    }
-    adversary::PassiveAdversary inner_;
-    std::vector<sim::PartyId> corrupted_;
-  };
-
   for (const bool corrupted_bit : {false, true}) {
-    Withholding adv(proto_, params_for(4));
+    EditingPassive adv(proto_, params_for(4), [](sim::Message& m, sim::AdversarySender& sender) {
+      if (m.tag != kTmpcRevealTag) pass_through(m, sender);
+    });
     BitVec inputs = BitVec::from_string("0110");
     inputs.set(2, corrupted_bit);
     const auto announced = run(inputs, adv, {2}, 5);
@@ -136,43 +154,53 @@ TEST_F(ThetaMpcTest, RevealWithholdingCannotChangeOutput) {
 TEST_F(ThetaMpcTest, SingleLitBitIsHarmless) {
   // |L| = 1 leaves g as the identity; a single corrupted party raising b
   // changes nothing.
-  class OneLit final : public sim::Adversary {
-   public:
-    OneLit(const ThetaMpcProtocol& proto, const sim::ProtocolParams& params)
-        : proto_(&proto), params_(params) {}
-    void setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& drbg) override {
-      corrupted_ = info.corrupted;
-      machine_ = proto_->make_attack_party(corrupted_[0], info.corrupted_inputs.get(0),
-                                           /*lit=*/true, params_);
-      drbg_.emplace(drbg.generate(32));
-      ctx_.emplace(corrupted_[0], info.n, info.k, *drbg_);
-      machine_->begin(*ctx_);
-    }
-    void on_round(sim::Round round, const sim::AdversaryView& view,
-                  sim::AdversarySender& sender) override {
-      std::vector<sim::Message> inbox;
-      for (const sim::Message& m : view.delivered)
-        if (m.to == corrupted_[0] || (m.to == sim::kBroadcast && m.from != corrupted_[0]))
-          inbox.push_back(m);
-      machine_->on_round(round, inbox, *ctx_);
-      for (sim::Message& m : ctx_->take_outbox()) {
-        if (m.to == sim::kBroadcast)
-          sender.broadcast(corrupted_[0], m.tag, m.payload);
-        else
-          sender.send(corrupted_[0], m.to, m.tag, m.payload);
-      }
-    }
-    const ThetaMpcProtocol* proto_;
-    sim::ProtocolParams params_;
-    std::vector<sim::PartyId> corrupted_;
-    std::unique_ptr<sim::Party> machine_;
-    std::optional<crypto::HmacDrbg> drbg_;
-    std::optional<sim::PartyContext> ctx_;
-  };
-
-  OneLit adv(proto_, params_for(4));
+  const sim::ProtocolParams params = params_for(4);
+  adversary::PassiveAdversary adv([&](std::size_t /*j*/, sim::PartyId id, bool input) {
+    return proto_.make_attack_party(id, input, /*lit=*/true, params);
+  });
   const BitVec inputs = BitVec::from_string("1011");
   const auto announced = run(inputs, adv, {2}, 6);
+  ASSERT_TRUE(announced.consistent);
+  EXPECT_EQ(announced.w, inputs);
+}
+
+TEST_F(ThetaMpcTest, BadSharesToMinorityAreJustifiedAway) {
+  // A corrupted dealer garbles P0's twin share (the value of its x share)
+  // and never justifies: P0 complains, the complaint stays unanswered, and
+  // the dealer is disqualified and announced 0 by everyone.
+  EditingPassive adv(proto_, params_for(4), [](sim::Message& m, sim::AdversarySender& sender) {
+    if (m.tag == kTmpcJustifyTag) return;  // refuse to justify
+    if (m.tag == kTmpcShareTag && m.to == 0) m.payload[12] ^= 0xff;
+    pass_through(m, sender);
+  });
+  const auto announced = run(BitVec::from_string("1111"), adv, {2}, 7);
+  ASSERT_TRUE(announced.consistent);
+  EXPECT_EQ(announced.w.to_string(), "1101") << "the unjustified dealer must be announced 0";
+}
+
+TEST_F(ThetaMpcTest, FalseComplaintIsJustifiedAndHarmless) {
+  // A corrupted party falsely accuses honest dealer 0 in the complaint
+  // round; dealer 0 answers with a public justification, so it stays
+  // qualified and its bit is announced as dealt.
+  EditingPassive adv(proto_, params_for(4), pass_through,
+                     [](sim::Round round, sim::PartyId from, sim::AdversarySender& sender) {
+                       if (round != 1) return;
+                       ByteWriter w;
+                       w.u64(0b0001);
+                       sender.broadcast(from, kTmpcComplainTag, w.take());
+                     });
+  sim::ExecutionConfig config;
+  config.seed = 8;
+  config.corrupted = {2};
+  config.record_trace = true;
+  const BitVec inputs = BitVec::from_string("1011");
+  const auto result = sim::run_execution(proto_, params_for(4), inputs, adv, config);
+  std::size_t justifications = 0;
+  for (const auto& round : result.trace)
+    for (const sim::Message& m : round)
+      if (m.tag == kTmpcJustifyTag && m.from == 0) ++justifications;
+  EXPECT_EQ(justifications, 1u) << "dealer 0 must answer the complaint";
+  const auto announced = broadcast::extract_announced(result, config.corrupted);
   ASSERT_TRUE(announced.consistent);
   EXPECT_EQ(announced.w, inputs);
 }

@@ -1,7 +1,8 @@
 // Parameterized tests over the three VSS-based simultaneous-broadcast
 // protocols (CGMA, Chor-Rabin, Gennaro): they share the commit-recoverable
 // skeleton, so the behavioural contract is identical; only the schedules
-// differ.
+// differ.  The receiver they share with Θ-MPC (ShareLedger, ComplaintBook)
+// is pinned directly at the end.
 #include <gtest/gtest.h>
 
 #include "adversary/adversaries.h"
@@ -247,6 +248,69 @@ INSTANTIATE_TEST_SUITE_P(AllVssProtocols, VssProtocolTest,
                              if (c == '-') c = '_';
                            return s;
                          });
+
+class ShareLedgerTest : public ::testing::Test {
+ protected:
+  crypto::PedersenVss vss_;
+  crypto::HmacDrbg drbg_{3, "share-ledger-test"};
+  const crypto::Zq one_{1, vss_.group().q()};
+  // t = 1 over 4 parties: any two verifying shares reconstruct.
+  const crypto::PedersenDeal deal_ = vss_.deal(one_, 1, 4, drbg_);
+
+  [[nodiscard]] crypto::PedersenShare tampered(std::size_t i) const {
+    crypto::PedersenShare share = deal_.shares[i];
+    share.value += one_;
+    return share;
+  }
+};
+
+TEST_F(ShareLedgerTest, PublishesVerifyingSharesOncePerPoint) {
+  ShareLedger ledger;
+  ledger.publish(deal_.shares[0]);  // no commitments yet: nothing verifies
+  EXPECT_FALSE(ledger.verifies(deal_.shares[0]));
+  ledger.set_commitments(deal_.commitments);
+  ledger.set_commitments({});  // first wins
+  ledger.publish(tampered(1));
+  ledger.publish(deal_.shares[0]);
+  EXPECT_FALSE(ledger.reconstruct(1).has_value()) << "one public share of two needed";
+  ledger.publish(deal_.shares[0]);  // a second share at point 1 is dropped
+  EXPECT_FALSE(ledger.reconstruct(1).has_value());
+  ledger.publish(deal_.shares[1]);  // the tampered share did not take point 2
+  EXPECT_EQ(ledger.reconstruct(1), one_);
+}
+
+TEST_F(ShareLedgerTest, ReconstructsFromPublicSharesThenMine) {
+  ShareLedger ledger;
+  ledger.set_my_share(tampered(2));
+  ledger.set_my_share(deal_.shares[2]);  // first wins
+  ledger.set_commitments(deal_.commitments);
+  ledger.publish(deal_.shares[0]);
+  EXPECT_FALSE(ledger.my_share_verifies());
+  EXPECT_FALSE(ledger.reconstruct(1).has_value()) << "a failing share of mine does not count";
+
+  ShareLedger mine;
+  mine.set_commitments(deal_.commitments);
+  mine.set_my_share(deal_.shares[2]);
+  mine.publish(deal_.shares[0]);
+  EXPECT_TRUE(mine.my_share_verifies());
+  EXPECT_EQ(mine.reconstruct(1), one_);
+}
+
+TEST(ComplaintBook, DisqualifiesDealersThatDidNotDealOrLeftComplaintsUnanswered) {
+  ComplaintBook book(4);
+  book.file(1, 0b0101);  // party 1 accuses dealers 0 and 2
+  book.file(3, 0b0100);  // party 3 accuses dealer 2
+  EXPECT_TRUE(book.filed(0, 1));
+  EXPECT_FALSE(book.filed(0, 3));
+  EXPECT_FALSE(book.filed(2, 65)) << "a complainer id off the wire is not a party";
+  book.justify(0, 1);
+  book.justify(2, 1);
+  for (sim::PartyId d = 0; d < 4; ++d) book.decide(d, /*dealt=*/d != 3);
+  EXPECT_FALSE(book.disqualified(0)) << "its one complaint was answered";
+  EXPECT_FALSE(book.disqualified(1)) << "no complaint";
+  EXPECT_TRUE(book.disqualified(2)) << "party 3's complaint is unanswered";
+  EXPECT_TRUE(book.disqualified(3)) << "it did not deal";
+}
 
 }  // namespace
 }  // namespace simulcast::protocols
