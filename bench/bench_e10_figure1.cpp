@@ -28,14 +28,11 @@ constexpr std::uint64_t kSeed = 0xE10;
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E10/figure1";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E10/figure1",
       "Figure 1: Sb =(D(CR))=> CR, CR =/= (Singleton)=> Sb; CR =(D(G))=> G, "
-      "G =/= (D(G))=> CR";
-  rec.setup = "composes the four arrows from dedicated measurements (n = 4..5)";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "G =/= (D(G))=> CR",
+      "composes the four arrows from dedicated measurements (n = 4..5)", kSeed);
 
   const auto uniform4 = dist::make_uniform(4);
   const auto uniform5 = dist::make_uniform(5);
@@ -55,10 +52,10 @@ int main(int argc, char** argv) {
     const auto batch = exec::Runner().run_batch(spec, *uniform4, 2500, kSeed + 1);
     const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     arrow1 = sb.secure && cr.independent;
-    rec.cells.push_back(
-        {"Sb => CR (gennaro/passive, uniform)",
-         obs::check(arrow1, std::string("Sb ") + core::verdict_str(sb.secure) + ", CR " +
-                                core::verdict_str(cr.independent))});
+    experiment.cell("Sb => CR (gennaro/passive, uniform)",
+                    obs::check(arrow1, std::string("Sb ") + core::verdict_str(sb.secure) +
+                                           ", CR " + core::verdict_str(cr.independent)),
+                    obs::Expect::pass);
     std::cout << "Sb ==> CR   (gennaro/passive, uniform):    Sb "
               << core::verdict_str(sb.secure) << ", CR " << core::verdict_str(cr.independent)
               << "\n";
@@ -80,11 +77,11 @@ int main(int argc, char** argv) {
     sb_options.samples = 600;
     const auto sb = testers::test_sb(spec, singleton, sb_options, kSeed + 3);
     arrow2 = cr.independent && !sb.secure;
-    rec.cells.push_back(
-        {"CR =/=> Sb (seq/copy, singleton 1011)",
-         obs::check(arrow2, std::string("CR ") + core::verdict_str(cr.independent) + ", Sb " +
-                                core::verdict_str(sb.secure) +
-                                " (separation needs CR PASS + Sb FAIL)")});
+    experiment.cell("CR =/=> Sb (seq/copy, singleton 1011)",
+                    obs::check(arrow2, std::string("CR ") + core::verdict_str(cr.independent) +
+                                           ", Sb " + core::verdict_str(sb.secure) +
+                                           " (separation needs CR PASS + Sb FAIL)"),
+                    obs::Expect::pass);
     std::cout << "CR =/=> Sb  (seq/copy, singleton 1011):    CR "
               << core::verdict_str(cr.independent) << ", Sb " << core::verdict_str(sb.secure)
               << " (separation needs CR PASS + Sb FAIL)\n";
@@ -103,10 +100,10 @@ int main(int argc, char** argv) {
     const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     const auto g = testers::test_g(batch.samples, spec.corrupted);
     arrow3 = cr.independent && g.independent;
-    rec.cells.push_back(
-        {"CR => G (gennaro/passive, uniform)",
-         obs::check(arrow3, std::string("CR ") + core::verdict_str(cr.independent) + ", G " +
-                                core::verdict_str(g.independent))});
+    experiment.cell("CR => G (gennaro/passive, uniform)",
+                    obs::check(arrow3, std::string("CR ") + core::verdict_str(cr.independent) +
+                                           ", G " + core::verdict_str(g.independent)),
+                    obs::Expect::pass);
     std::cout << "CR ==> G    (gennaro/passive, uniform):    CR "
               << core::verdict_str(cr.independent) << ", G " << core::verdict_str(g.independent)
               << "\n";
@@ -125,11 +122,11 @@ int main(int argc, char** argv) {
     const auto g = testers::test_g(batch.samples, spec.corrupted);
     const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     arrow4 = g.independent && !cr.independent;
-    rec.cells.push_back(
-        {"G =/=> CR (flawed-pi-g/A*, uniform)",
-         obs::check(arrow4, std::string("G ") + core::verdict_str(g.independent) + ", CR " +
-                                core::verdict_str(cr.independent) +
-                                " (separation needs G PASS + CR FAIL)")});
+    experiment.cell("G =/=> CR (flawed-pi-g/A*, uniform)",
+                    obs::check(arrow4, std::string("G ") + core::verdict_str(g.independent) +
+                                           ", CR " + core::verdict_str(cr.independent) +
+                                           " (separation needs G PASS + CR FAIL)"),
+                    obs::Expect::pass);
     std::cout << "G =/=> CR   (flawed-pi-g/A*, uniform):     G "
               << core::verdict_str(g.independent) << ", CR " << core::verdict_str(cr.independent)
               << " (separation needs G PASS + CR FAIL)\n";
@@ -142,7 +139,5 @@ int main(int argc, char** argv) {
             << "]=== CR       CR <===[" << (arrow4 ? "broken-as-claimed" : "??")
             << "]=== G\n        (Singleton)                  (uniform in D(G))\n\n";
 
-  rec.reproduced = arrow1 && arrow2 && arrow3 && arrow4;
-  rec.detail = "all four arrows of Figure 1 reproduced from measurements";
-  return core::finish_experiment(rec);
+  return experiment.finish("all four arrows of Figure 1 reproduced from measurements");
 }

@@ -27,23 +27,18 @@ constexpr std::uint64_t kSeed = 0xE12;
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E12/channel-privacy";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E12/channel-privacy",
       "model validation (Section 3.1): VSS protocols need private p2p channels; "
-      "with public channels a snooper copies a sequential dealer's bit";
-  rec.setup =
+      "with public channels a snooper copies a sequential dealer's bit",
       "cgma, n = 5, corrupted dealer 4 snoops on victim dealer 0; G** tester over "
-      "fixed inputs, 150 executions per input, private vs public channels";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "fixed inputs, 150 executions per input, private vs public channels",
+      kSeed);
 
   const auto proto = core::make_protocol("cgma");
   const auto schedule = protocols::CgmaProtocol::schedule(5);
 
   core::Table table({"channels", "G** verdict", "max gap", "worst (w, r, s)"});
-  bool public_violated = false;
-  bool private_safe = false;
   for (const bool private_channels : {true, false}) {
     exec::RunSpec spec;
     spec.protocol = proto.get();
@@ -55,25 +50,24 @@ int main(int argc, char** argv) {
     testers::GssOptions options;
     options.samples_per_input = 150;
     const testers::GssVerdict v = testers::test_gstarstar(spec, options, kSeed);
-    rec.cells.push_back(
-        {private_channels ? "private channels G**" : "public channels G**", obs::record(v)});
+    experiment.cell(private_channels ? "private channels G**" : "public channels G**",
+                    obs::record(v),
+                    private_channels ? obs::Expect::pass : obs::Expect::violation);
+    if (!private_channels)
+      experiment.cell("public channels gap > 0.9",
+                      obs::check(v.max_gap > 0.9, "the snooper copies the victim bit: gap " +
+                                                      core::fmt(v.max_gap)),
+                      obs::Expect::pass);
     std::ostringstream worst;
     worst << "w=" << v.worst.w.to_string() << " r=" << v.worst.r.to_string()
           << " s=" << v.worst.s.to_string();
     table.add_row({private_channels ? "private (model default)" : "PUBLIC",
                    v.independent ? "independent" : "VIOLATED", core::fmt(v.max_gap),
                    v.independent ? "-" : worst.str()});
-    if (private_channels)
-      private_safe = v.independent;
-    else
-      public_violated = !v.independent && v.max_gap > 0.9;
   }
   std::cout << table.render() << "\n";
 
-  rec.reproduced = public_violated && private_safe;
-  rec.detail =
-      std::string("public channels: snooper copies the victim bit (gap ~ 1); private "
-                  "channels: same adversary inert - the model's encrypted-link ") +
-      "abstraction is necessary, not cosmetic";
-  return core::finish_experiment(rec);
+  return experiment.finish(
+      "public channels: snooper copies the victim bit (gap ~ 1); private channels: same "
+      "adversary inert - the model's encrypted-link abstraction is necessary, not cosmetic");
 }

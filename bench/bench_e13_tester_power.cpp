@@ -26,16 +26,13 @@ const std::vector<std::size_t> kSampleCounts = {100, 200, 400, 800, 1600, 3200, 
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E13/tester-power";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E13/tester-power",
       "(methodology) finite-sample power of the definition testers: detection "
-      "thresholds for the paper's separations, zero false positives on honest runs";
-  rec.setup =
+      "thresholds for the paper's separations, zero false positives on honest runs",
       "sample sweep 100..6400; detection targets: CR on flawed-pi-g/A* (gap 1/4), "
-      "G on naive-commit-reveal/selective-abort (gap 1)";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "G on naive-commit-reveal/selective-abort (gap 1)",
+      kSeed);
 
   // Detection curve 1: CR on the Lemma 6.4 attack.
   const auto pig = core::make_protocol("flawed-pi-g");
@@ -70,8 +67,8 @@ int main(int argc, char** argv) {
     const auto g = testers::test_g(ncr_batch.samples, ncr_spec.corrupted);
     if (!g.independent && g_detect_at == 0) g_detect_at = count;
 
-    rec.cells.push_back({"CR @" + std::to_string(count), obs::record(cr)});
-    rec.cells.push_back({"G @" + std::to_string(count), obs::record(g)});
+    experiment.cell("CR @" + std::to_string(count), obs::record(cr), obs::Expect::info);
+    experiment.cell("G @" + std::to_string(count), obs::record(g), obs::Expect::info);
     table.add_row({std::to_string(count), cr.independent ? "quiet" : "DETECTED",
                    core::fmt(cr.max_gap) + "/" + core::fmt(cr.radius),
                    g.independent ? "quiet" : "DETECTED", core::fmt(g.max_excess)});
@@ -79,6 +76,14 @@ int main(int argc, char** argv) {
   std::cout << table.render() << "\n"
             << "first detection: CR at " << cr_detect_at << " samples, G at " << g_detect_at
             << " samples\n\n";
+  experiment.cell("CR detects the 1/4 gap by 1600",
+                  obs::check(cr_detect_at > 0 && cr_detect_at <= 1600,
+                             "first detection at " + std::to_string(cr_detect_at) + " samples"),
+                  obs::Expect::pass);
+  experiment.cell("G detects the unit gap by 800",
+                  obs::check(g_detect_at > 0 && g_detect_at <= 800,
+                             "first detection at " + std::to_string(g_detect_at) + " samples"),
+                  obs::Expect::pass);
 
   // False positives at the largest count: honest/passive runs of every
   // protocol must be quiet.
@@ -103,15 +108,12 @@ int main(int argc, char** argv) {
   if (no_false_positives)
     std::cout << "no false positives across " << core::protocol_names().size() - 1
               << " protocols at 6400 samples\n";
-  rec.cells.push_back(
-      {"no false positives",
-       obs::check(no_false_positives, "honest/passive runs of every protocol stay quiet "
-                                      "at 6400 samples")});
+  experiment.cell("no false positives",
+                  obs::check(no_false_positives, "honest/passive runs of every protocol stay "
+                                                 "quiet at 6400 samples"),
+                  obs::Expect::pass);
 
-  rec.reproduced = cr_detect_at > 0 && cr_detect_at <= 1600 && g_detect_at > 0 &&
-                   g_detect_at <= 800 && no_false_positives;
-  rec.detail = "CR detects the 1/4-gap at " + std::to_string(cr_detect_at) +
-               " samples, G detects the unit gap at " + std::to_string(g_detect_at) +
-               " samples; zero false positives";
-  return core::finish_experiment(rec);
+  return experiment.finish("CR detects the 1/4-gap at " + std::to_string(cr_detect_at) +
+                           " samples, G detects the unit gap at " + std::to_string(g_detect_at) +
+                           " samples; zero false positives");
 }

@@ -2,10 +2,11 @@
 // achieves CR-independence under D.
 //
 // We cannot sweep "all protocols", but the lemma's force is that even the
-// *best* protocols fail: we run all three real simultaneous-broadcast
-// protocols (and the two baselines) under two correlated ensembles - the
-// hard copy and the even-parity distribution - with NO corruption at all,
-// and show the CR tester flags every one of them.  The violation comes from
+// *best* protocols fail: we run seven protocols (the three real
+// simultaneous-broadcast protocols, Pi_G on both Theta backends and the two
+// baselines) under two correlated ensembles - the hard copy and the
+// even-parity distribution - with NO corruption at all, and show the CR
+// tester flags every one of them.  The violation comes from
 // the correctness requirement itself: announced values must reproduce the
 // correlated inputs, so an input-borne predicate correlates with W_i no
 // matter how the protocol works.  As a control, the same protocols under
@@ -25,24 +26,18 @@ constexpr std::size_t kSamples = 1500;
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E2/cr-impossibility";
-  rec.paper_claim =
-      "Lemma 5.2: D outside Psi_C,n implies no protocol is CR-independent under D";
-  rec.setup =
-      "5 protocols x {copy, even-parity} correlated ensembles, no corruption, "
-      "n = 4, 1500 executions each; uniform ensemble as the control";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+  core::Experiment experiment(
+      "E2/cr-impossibility",
+      "Lemma 5.2: D outside Psi_C,n implies no protocol is CR-independent under D",
+      "7 protocols x {copy, even-parity} correlated ensembles, no corruption, "
+      "n = 4, 1500 executions each; uniform ensemble as the control",
+      kSeed);
 
   const dist::NoisyCopyEnsemble copy(4, 0.0);
   const dist::EvenParityEnsemble parity(4);
   const auto uniform = dist::make_uniform(4);
 
   core::Table table({"protocol", "ensemble", "CR verdict", "max gap", "radius", "worst (i, R)"});
-  bool all_correlated_flagged = true;
-  bool all_uniform_passed = true;
-
   for (const std::string& name : core::protocol_names()) {
     // seq-broadcast-ds is the substrate-cost variant of seq-broadcast; its
     // definitional behaviour is identical and its signature traffic makes
@@ -54,25 +49,20 @@ int main(int argc, char** argv) {
     spec.params.n = 4;
     spec.adversary = adversary::silent_factory();
 
-    const auto eval = [&](const dist::InputEnsemble& ens, bool expect_violation) {
+    const auto eval = [&](const dist::InputEnsemble& ens, obs::Expect expected) {
       const auto batch = exec::Runner().run_batch(spec, ens, kSamples, kSeed);
       const testers::CrVerdict v = testers::test_cr(batch.samples, spec.corrupted);
-      rec.cells.push_back({name + " x " + ens.name(), obs::record(v)});
+      experiment.cell(name + " x " + ens.name(), obs::record(v), expected);
       table.add_row({name, ens.name(), v.independent ? "independent" : "VIOLATED",
                      core::fmt(v.max_gap), core::fmt(v.radius),
                      "P" + std::to_string(v.worst.party) + " / " + v.worst.predicate});
-      if (expect_violation && v.independent) all_correlated_flagged = false;
-      if (!expect_violation && !v.independent) all_uniform_passed = false;
     };
-    eval(copy, true);
-    eval(parity, true);
-    eval(*uniform, false);
+    eval(copy, obs::Expect::violation);
+    eval(parity, obs::Expect::violation);
+    eval(*uniform, obs::Expect::pass);
   }
   std::cout << table.render() << "\n";
 
-  rec.reproduced = all_correlated_flagged && all_uniform_passed;
-  rec.detail = std::string("every protocol violates CR under both non-Psi_C ensembles: ") +
-               (all_correlated_flagged ? "yes" : "NO") +
-               "; uniform control passes everywhere: " + (all_uniform_passed ? "yes" : "NO");
-  return core::finish_experiment(rec);
+  return experiment.finish(
+      "every protocol violates CR under both non-Psi_C ensembles; the uniform control passes");
 }

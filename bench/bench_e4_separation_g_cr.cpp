@@ -57,16 +57,13 @@ Row evaluate(const sim::ParallelBroadcastProtocol& proto, const dist::InputEnsem
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E4/separation-g-cr";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E4/separation-g-cr",
       "Lemma 6.4: Pi_G is (D(G), G)-independent but not CR-independent for any "
-      "non-trivial distribution (incl. uniform); Claim 6.6: A* forces XOR(W) = 0";
-  rec.setup =
+      "non-trivial distribution (incl. uniform); Claim 6.6: A* forces XOR(W) = 0",
       "flawed-pi-g, n = 5, adversary A* corrupting {1, 3}, 4000 executions per "
-      "ensemble; ensembles: uniform, product(.7), near-uniform noisy-copy";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "ensemble; ensembles: uniform, product(.7), near-uniform noisy-copy",
+      kSeed);
 
   const auto proto = core::make_protocol("flawed-pi-g");
 
@@ -78,18 +75,16 @@ int main(int argc, char** argv) {
 
   core::Table table({"ensemble", "XOR(W)=0 always", "G verdict", "G max excess", "CR verdict",
                      "CR max gap", "CR worst predicate"});
-  bool ok = true;
   for (const auto& ens : ensembles) {
     const Row row = evaluate(*proto, *ens, kSeed);
-    rec.cells.push_back(
-        {row.label + " parity", obs::check(row.parity_always_zero, "XOR(W) = 0 always")});
-    rec.cells.push_back({row.label + " G", obs::record(row.g)});
-    rec.cells.push_back({row.label + " CR", obs::record(row.cr)});
+    experiment.cell(row.label + " parity", obs::check(row.parity_always_zero, "XOR(W) = 0 always"),
+                    obs::Expect::pass);
+    experiment.cell(row.label + " G", obs::record(row.g), obs::Expect::pass);
+    experiment.cell(row.label + " CR", obs::record(row.cr), obs::Expect::violation);
     table.add_row({row.label, row.parity_always_zero ? "yes" : "NO",
                    row.g.independent ? "independent" : "VIOLATED", core::fmt(row.g.max_excess),
                    row.cr.independent ? "independent" : "VIOLATED", core::fmt(row.cr.max_gap),
                    row.cr.worst.predicate});
-    ok = ok && row.parity_always_zero && row.g.independent && !row.cr.independent;
   }
   std::cout << table.render() << "\n";
 
@@ -99,10 +94,10 @@ int main(int argc, char** argv) {
   const bool gap_quarter = std::abs(uniform_row.cr.max_gap - 0.25) < 0.05;
   std::cout << "uniform CR gap = " << core::fmt(uniform_row.cr.max_gap)
             << " (paper: p(1-p) = 0.25 for the parity predicate)\n";
-  rec.cells.push_back(
-      {"uniform CR gap ~ 1/4",
-       obs::check(gap_quarter, "measured gap " + core::fmt(uniform_row.cr.max_gap) +
-                                   " vs paper p(1-p) = 0.25")});
+  experiment.cell("uniform CR gap ~ 1/4",
+                  obs::check(gap_quarter, "measured gap " + core::fmt(uniform_row.cr.max_gap) +
+                                              " vs paper p(1-p) = 0.25"),
+                  obs::Expect::pass);
 
   // Fixed-input side (Definition B.2).
   exec::RunSpec gss_spec;
@@ -114,7 +109,7 @@ int main(int argc, char** argv) {
   gss_options.samples_per_input = 250;
   const testers::GssVerdict gss = testers::test_gstarstar(gss_spec, gss_options, kSeed + 2);
   std::cout << core::describe(gss) << "\n";
-  rec.cells.push_back({"uniform G**", obs::record(gss)});
+  experiment.cell("uniform G**", obs::record(gss), obs::Expect::pass);
 
   // Backend ablation: swap the ideal Θ for the real honest-majority MPC
   // (protocols/theta_mpc.h).  The verdicts must be invariant - evidence for
@@ -146,11 +141,12 @@ int main(int argc, char** argv) {
   std::cout << "theta-backend ablation (uniform inputs):\n" << ablation.render() << "\n";
   const bool ablation_ok = mpc_parity_zero && mpc_g.independent && !mpc_cr.independent &&
                            std::abs(mpc_cr.max_gap - uniform_row.cr.max_gap) < 0.05;
-  rec.cells.push_back({"theta-mpc ablation G", obs::record(mpc_g)});
-  rec.cells.push_back({"theta-mpc ablation CR", obs::record(mpc_cr)});
-  rec.cells.push_back(
-      {"theta-mpc ablation invariant",
-       obs::check(ablation_ok, "verdicts and CR gap match the ideal-functionality backend")});
+  experiment.cell("theta-mpc ablation G", obs::record(mpc_g), obs::Expect::pass);
+  experiment.cell("theta-mpc ablation CR", obs::record(mpc_cr), obs::Expect::violation);
+  experiment.cell(
+      "theta-mpc ablation invariant",
+      obs::check(ablation_ok, "verdicts and CR gap match the ideal-functionality backend"),
+      obs::Expect::pass);
 
   // Honest control: without A*, Pi_G is a clean simultaneous broadcast.
   exec::RunSpec honest_spec;
@@ -161,12 +157,10 @@ int main(int argc, char** argv) {
       exec::Runner().run_batch(honest_spec, *ensembles[0], kSamples, kSeed + 3);
   const testers::CrVerdict honest_cr = testers::test_cr(honest_batch.samples, {});
   std::cout << "honest control: " << core::describe(honest_cr) << "\n";
-  rec.cells.push_back({"honest control CR", obs::record(honest_cr)});
+  experiment.cell("honest control CR", obs::record(honest_cr), obs::Expect::pass);
 
-  rec.reproduced = ok && gap_quarter && gss.independent && honest_cr.independent && ablation_ok;
-  rec.detail =
+  return experiment.finish(
       "G passes / G** passes / CR fails with parity gap " + core::fmt(uniform_row.cr.max_gap) +
       " ~ 0.25 on uniform; XOR(W) = 0 in all " + std::to_string(3 * kSamples) +
-      " attacked executions";
-  return core::finish_experiment(rec);
+      " attacked executions");
 }

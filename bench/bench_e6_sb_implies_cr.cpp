@@ -25,16 +25,13 @@ constexpr std::uint64_t kSeed = 0xE6;
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E6/sb-implies-cr";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E6/sb-implies-cr",
       "Lemma 6.1: a protocol Sb-independent on all of D(CR) is CR-independent on all "
-      "of D(CR)";
-  rec.setup =
+      "of D(CR)",
       "grid of 4 product distributions x 4 protocols x passive/silent adversaries, "
-      "n = 4, one corruption; 1200 executions per cell";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "n = 4, one corruption; 1200 executions per cell",
+      kSeed);
 
   std::vector<std::shared_ptr<dist::InputEnsemble>> grid;
   grid.push_back(dist::make_uniform(4));
@@ -46,7 +43,6 @@ int main(int argc, char** argv) {
 
   core::Table table({"protocol", "adversary", "Sb on grid", "CR on grid", "consistent with "
                                                                           "Lemma 6.1?"});
-  bool implication_holds = true;
   for (const std::string& name : protocols) {
     const auto proto = core::make_protocol(name);
     for (const std::string& adv_name : {std::string("passive"), std::string("copy")}) {
@@ -72,12 +68,12 @@ int main(int argc, char** argv) {
       }
       // Lemma 6.1 only forbids (Sb pass, CR fail).
       const bool consistent = !(sb_all && !cr_all);
-      implication_holds = implication_holds && consistent;
-      rec.cells.push_back(
-          {name + " x " + adv_name,
-           obs::check(consistent, std::string("Sb on grid ") + (sb_all ? "PASS" : "FAIL") +
-                                      ", CR on grid " + (cr_all ? "PASS" : "FAIL") +
-                                      " - no (Sb pass, CR fail) cell")});
+      experiment.cell(name + " x " + adv_name,
+                      obs::check(consistent, std::string("Sb on grid ") +
+                                                 (sb_all ? "PASS" : "FAIL") + ", CR on grid " +
+                                                 (cr_all ? "PASS" : "FAIL") +
+                                                 " - no (Sb pass, CR fail) cell"),
+                      obs::Expect::pass);
       table.add_row({name, adv_name, sb_all ? "PASS" : "FAIL", cr_all ? "PASS" : "FAIL",
                      consistent ? "yes" : "NO"});
     }
@@ -100,14 +96,11 @@ int main(int argc, char** argv) {
   const testers::SbVerdict sb = testers::test_sb(spec, *uniform, sb_options, kSeed + 8);
   std::cout << "A.1 construction on seq-broadcast + copy (uniform):\n  "
             << core::describe(cr) << "\n  " << core::describe(sb) << "\n";
-  const bool contrapositive = !cr.independent && !sb.secure;
-  rec.cells.push_back({"A.1 construction CR", obs::record(cr)});
-  rec.cells.push_back({"A.1 construction Sb", obs::record(sb)});
+  experiment.cell("A.1 construction CR", obs::record(cr), obs::Expect::violation);
+  experiment.cell("A.1 construction Sb", obs::record(sb), obs::Expect::violation);
 
-  rec.reproduced = implication_holds && contrapositive;
-  rec.detail = std::string("no (Sb pass, CR fail) cell observed: ") +
-               (implication_holds ? "yes" : "NO") +
-               "; CR attack transforms into Sb distinguisher (gaps " + core::fmt(cr.max_gap) +
-               " / " + core::fmt(sb.max_distinguisher_gap) + ")";
-  return core::finish_experiment(rec);
+  return experiment.finish("no (Sb pass, CR fail) cell observed; CR attack transforms into Sb "
+                           "distinguisher (gaps " +
+                           core::fmt(cr.max_gap) + " / " + core::fmt(sb.max_distinguisher_gap) +
+                           ")");
 }

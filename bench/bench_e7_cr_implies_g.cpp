@@ -26,16 +26,13 @@ constexpr std::uint64_t kSeed = 0xE7;
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E7/cr-implies-g";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E7/cr-implies-g",
       "Lemma 6.2: a protocol CR-independent on all of D(G) is G-independent on all of "
-      "D(G); proof constructs D' with CR gap = p(1-p) * G** gap";
-  rec.setup =
+      "D(G); proof constructs D' with CR gap = p(1-p) * G** gap",
       "grid of locally independent distributions x 4 protocols (one corruption, "
-      "passive); then the A.2 pinned distribution on seq-broadcast + copy";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "passive); then the A.2 pinned distribution on seq-broadcast + copy",
+      kSeed);
 
   std::vector<std::shared_ptr<dist::InputEnsemble>> grid;
   grid.push_back(dist::make_uniform(4));
@@ -43,7 +40,6 @@ int main(int argc, char** argv) {
   grid.push_back(std::make_shared<dist::NoisyCopyEnsemble>(4, 0.5));  // = uniform
 
   core::Table table({"protocol", "CR on grid", "G on grid", "consistent with Lemma 6.2?"});
-  bool implication_holds = true;
   for (const char* name : {"cgma", "chor-rabin", "gennaro", "flawed-pi-g"}) {
     const auto proto = core::make_protocol(name);
     exec::RunSpec spec;
@@ -60,11 +56,11 @@ int main(int argc, char** argv) {
       g_all = g_all && testers::test_g(batch.samples, spec.corrupted).independent;
     }
     const bool consistent = !(cr_all && !g_all);
-    implication_holds = implication_holds && consistent;
-    rec.cells.push_back(
-        {name, obs::check(consistent, std::string("CR on grid ") + (cr_all ? "PASS" : "FAIL") +
-                                          ", G on grid " + (g_all ? "PASS" : "FAIL") +
-                                          " - no (CR pass, G fail) cell")});
+    experiment.cell(name,
+                    obs::check(consistent, std::string("CR on grid ") + (cr_all ? "PASS" : "FAIL") +
+                                               ", G on grid " + (g_all ? "PASS" : "FAIL") +
+                                               " - no (CR pass, G fail) cell"),
+                    obs::Expect::pass);
     table.add_row(
         {name, cr_all ? "PASS" : "FAIL", g_all ? "PASS" : "FAIL", consistent ? "yes" : "NO"});
   }
@@ -94,18 +90,15 @@ int main(int argc, char** argv) {
   std::cout << "CR on D' (pinned, p = " << p_ell << "): " << core::describe(cr) << "\n"
             << "predicted CR gap = p(1-p) * G** gap = " << core::fmt(predicted) << "\n";
 
-  const bool construction_matches =
-      !gss.independent && !cr.independent && std::abs(cr.max_gap - predicted) < 0.05;
-  rec.cells.push_back({"A.2 G** on seq-broadcast + copy", obs::record(gss)});
-  rec.cells.push_back({"A.2 CR on D'", obs::record(cr)});
-  rec.cells.push_back({"A.2 gap prediction",
-                       obs::check(construction_matches,
-                                  "measured CR gap " + core::fmt(cr.max_gap) +
-                                      " vs predicted p(1-p) * G** gap " + core::fmt(predicted))});
+  experiment.cell("A.2 G** on seq-broadcast + copy", obs::record(gss), obs::Expect::violation);
+  experiment.cell("A.2 CR on D'", obs::record(cr), obs::Expect::violation);
+  experiment.cell("A.2 gap prediction",
+                  obs::check(std::abs(cr.max_gap - predicted) < 0.05,
+                             "measured CR gap " + core::fmt(cr.max_gap) +
+                                 " vs predicted p(1-p) * G** gap " + core::fmt(predicted)),
+                  obs::Expect::pass);
 
-  rec.reproduced = implication_holds && construction_matches;
-  rec.detail = std::string("no (CR pass, G fail) cell observed: ") +
-               (implication_holds ? "yes" : "NO") + "; A.2 construction: measured CR gap " +
-               core::fmt(cr.max_gap) + " vs predicted " + core::fmt(predicted);
-  return core::finish_experiment(rec);
+  return experiment.finish("no (CR pass, G fail) cell observed; A.2 construction: measured CR "
+                           "gap " +
+                           core::fmt(cr.max_gap) + " vs predicted " + core::fmt(predicted));
 }

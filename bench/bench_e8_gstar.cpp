@@ -56,27 +56,26 @@ double gstar_gap(const RunSpec& spec, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E8/gstar";
-  rec.paper_claim =
-      "Prop. B.3: G* and G** are equivalent; Prop. B.4: G** implies G on Psi_L,n";
-  rec.setup =
+  core::Experiment experiment(
+      "E8/gstar", "Prop. B.3: G* and G** are equivalent; Prop. B.4: G** implies G on Psi_L,n",
       "grid of (protocol, adversary) pairs, n = 4..5, fixed-input sweeps with 200 "
-      "executions per input, G on uniform with 4000 executions";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "executions per input, G on uniform with 4000 executions",
+      kSeed);
 
+  // Each row states what its G** and G cells should show: the copy attack
+  // breaks both notions, the honest, silent and A* rows keep both.
   struct Cell {
     std::string protocol;
     std::string adversary;
     RunSpec spec;
+    obs::Expect expected;
   };
   std::vector<Cell> cells;
   std::vector<std::unique_ptr<sim::ParallelBroadcastProtocol>> protos;
 
   const auto add = [&](const std::string& pname, const std::string& aname, std::size_t n,
-                       std::vector<sim::PartyId> corrupted,
-                       adversary::AdversaryFactory factory) {
+                       std::vector<sim::PartyId> corrupted, adversary::AdversaryFactory factory,
+                       obs::Expect expected) {
     protos.push_back(core::make_protocol(pname));
     Cell cell;
     cell.protocol = pname;
@@ -85,6 +84,7 @@ int main(int argc, char** argv) {
     cell.spec.params.n = n;
     cell.spec.corrupted = std::move(corrupted);
     cell.spec.adversary = std::move(factory);
+    cell.expected = expected;
     cells.push_back(std::move(cell));
   };
 
@@ -92,12 +92,14 @@ int main(int argc, char** argv) {
     auto gennaro = core::make_protocol("gennaro");
     sim::ProtocolParams p4;
     p4.n = 4;
-    add("gennaro", "passive", 4, {2}, adversary::passive_factory(*gennaro, p4));
+    add("gennaro", "passive", 4, {2}, adversary::passive_factory(*gennaro, p4),
+        obs::Expect::pass);
     protos.push_back(std::move(gennaro));  // keep alive for the factory
   }
-  add("flawed-pi-g", "parity A*", 5, {1, 3}, adversary::parity_factory());
-  add("seq-broadcast", "copy", 4, {3}, adversary::copy_last_factory(0));
-  add("seq-broadcast", "silent", 4, {3}, adversary::silent_factory());
+  add("flawed-pi-g", "parity A*", 5, {1, 3}, adversary::parity_factory(), obs::Expect::pass);
+  add("seq-broadcast", "copy", 4, {3}, adversary::copy_last_factory(0),
+      obs::Expect::violation);
+  add("seq-broadcast", "silent", 4, {3}, adversary::silent_factory(), obs::Expect::pass);
 
   // G* compares two kPerInput-sample Bernoulli estimates per (input,
   // corrupted coordinate); use the same union-bounded Hoeffding radius the
@@ -107,8 +109,6 @@ int main(int argc, char** argv) {
 
   core::Table table({"protocol", "adversary", "G* gap", "G* verdict", "G** gap", "G** verdict",
                      "G verdict", "B.3 agree?", "B.4 ok?"});
-  bool b3_all = true;
-  bool b4_all = true;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     const Cell& cell = cells[ci];
     const double gs = gstar_gap(cell.spec, kSeed + ci);
@@ -124,16 +124,15 @@ int main(int argc, char** argv) {
 
     const bool b3 = gstar_pass == gss.independent;
     const bool b4 = !(gss.independent && !g.independent);
-    b3_all = b3_all && b3;
-    b4_all = b4_all && b4;
     const std::string row_label = cell.protocol + " x " + cell.adversary;
-    rec.cells.push_back({row_label + " G**", obs::record(gss)});
-    rec.cells.push_back({row_label + " G", obs::record(g)});
-    rec.cells.push_back(
-        {row_label + " B.3/B.4",
-         obs::check(b3 && b4, std::string("G* gap ") + core::fmt(gs) + " (" +
-                                  (gstar_pass ? "PASS" : "FAIL") + "), B.3 agree " +
-                                  (b3 ? "yes" : "NO") + ", B.4 ok " + (b4 ? "yes" : "NO"))});
+    experiment.cell(row_label + " G**", obs::record(gss), cell.expected);
+    experiment.cell(row_label + " G", obs::record(g), cell.expected);
+    experiment.cell(row_label + " B.3/B.4",
+                    obs::check(b3 && b4, std::string("G* gap ") + core::fmt(gs) + " (" +
+                                             (gstar_pass ? "PASS" : "FAIL") + "), B.3 agree " +
+                                             (b3 ? "yes" : "NO") + ", B.4 ok " +
+                                             (b4 ? "yes" : "NO")),
+                    obs::Expect::pass);
     table.add_row({cell.protocol, cell.adversary, core::fmt(gs),
                    gstar_pass ? "PASS" : "FAIL", core::fmt(gss.max_gap),
                    gss.independent ? "PASS" : "FAIL", g.independent ? "PASS" : "FAIL",
@@ -141,8 +140,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
 
-  rec.reproduced = b3_all && b4_all;
-  rec.detail = std::string("G*/G** verdicts agree on every row: ") + (b3_all ? "yes" : "NO") +
-               "; no (G** pass, G fail) row: " + (b4_all ? "yes" : "NO");
-  return core::finish_experiment(rec);
+  return experiment.finish(
+      "G*/G** verdicts agree on every row; no (G** pass, G fail) row");
 }

@@ -8,7 +8,6 @@
 // Chor-Rabin logarithmically, Gennaro stays constant.  A second table
 // ablates the commitment backend of the naive protocol (hash vs Pedersen) -
 // round/message counts are invariant, byte counts differ.
-#include <algorithm>
 #include <iostream>
 
 #include "adversary/adversaries.h"
@@ -30,8 +29,8 @@ struct Measurement {
 /// One all-honest execution, run as a one-repetition Runner batch under the
 /// run conditions of the command line (--drop/--delay/--crash/--chaos).
 /// The execution seed is kSeed and the inputs are drawn from Rng(n).  An
-/// execution whose honest outputs disagree appends a failed check cell.
-Measurement measure(obs::ExperimentRecord& rec, const sim::ParallelBroadcastProtocol& proto,
+/// execution whose honest outputs disagree records a failed check cell.
+Measurement measure(core::Experiment& experiment, const sim::ParallelBroadcastProtocol& proto,
                     std::size_t n, const crypto::CommitmentScheme* scheme = nullptr) {
   exec::RunSpec spec;
   spec.protocol = &proto;
@@ -43,8 +42,8 @@ Measurement measure(obs::ExperimentRecord& rec, const sim::ParallelBroadcastProt
   for (std::size_t i = 0; i < n; ++i) inputs.set(i, rng.bit());
   const exec::Sample s = exec::Runner().run_batch(spec, {inputs}, {kSeed}).samples.front();
   if (!s.consistent)
-    rec.cells.push_back({proto.name() + " n=" + std::to_string(n) + " consistent",
-                         obs::check(false, "honest outputs disagree")});
+    experiment.cell(proto.name() + " n=" + std::to_string(n) + " consistent",
+                    obs::check(false, "honest outputs disagree"), obs::Expect::pass);
   return {s.rounds, s.traffic.messages, s.traffic.wire_bytes};
 }
 
@@ -52,16 +51,13 @@ Measurement measure(obs::ExperimentRecord& rec, const sim::ParallelBroadcastProt
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
-  obs::ExperimentRecord rec;
-  rec.id = "E9/rounds";
-  rec.paper_claim =
+  core::Experiment experiment(
+      "E9/rounds",
       "Sections 1/7: rounds(CGMA) = Theta(n) [7], rounds(Chor-Rabin) = Theta(log n) "
-      "[8], rounds(Gennaro) = O(1) [12]";
-  rec.setup =
+      "[8], rounds(Gennaro) = O(1) [12]",
       "all-honest executions, n in {4, 8, 16, 32, 64}; measured rounds / messages / "
-      "wire bytes per protocol";
-  rec.seed = kSeed;
-  core::print_banner(rec);
+      "wire bytes per protocol",
+      kSeed);
 
   const std::vector<std::size_t> sizes = {4, 8, 16, 32, 64};
   const std::vector<std::string> names = {"seq-broadcast", "cgma", "chor-rabin", "gennaro",
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
     const auto proto = core::make_protocol(name);
     std::vector<std::string> row = {name};
     for (std::size_t n : sizes) {
-      const Measurement m = measure(rec, *proto, n);
+      const Measurement m = measure(experiment, *proto, n);
       results[name].push_back(m);
       row.push_back(std::to_string(m.rounds) + "r/" + std::to_string(m.messages) + "m/" +
                     std::to_string(m.wire_bytes) + "B");
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
       const auto proto = core::make_protocol(name);
       std::vector<std::string> row = {name};
       for (std::size_t n : {4u, 8u}) {
-        const Measurement m = measure(rec, *proto, n);
+        const Measurement m = measure(experiment, *proto, n);
         row.push_back(std::to_string(m.rounds) + "r/" + std::to_string(m.messages) + "m/" +
                       std::to_string(m.wire_bytes) + "B");
       }
@@ -129,8 +125,8 @@ int main(int argc, char** argv) {
   const auto naive = core::make_protocol("naive-commit-reveal");
   const crypto::HashCommitmentScheme hash_scheme;
   const crypto::PedersenCommitmentScheme pedersen_scheme;
-  const Measurement mh = measure(rec, *naive, 16, &hash_scheme);
-  const Measurement mp = measure(rec, *naive, 16, &pedersen_scheme);
+  const Measurement mh = measure(experiment, *naive, 16, &hash_scheme);
+  const Measurement mp = measure(experiment, *naive, 16, &pedersen_scheme);
   core::Table ablation({"backend", "rounds", "messages", "wire bytes"});
   ablation.add_row({"hash-sha256", std::to_string(mh.rounds), std::to_string(mh.messages),
                     std::to_string(mh.wire_bytes)});
@@ -141,34 +137,30 @@ int main(int argc, char** argv) {
   const bool ablation_ok =
       mh.rounds == mp.rounds && mh.messages == mp.messages && mh.wire_bytes != mp.wire_bytes;
 
-  rec.cells.push_back({"cgma linear",
-                       obs::check(cgma_linear, "rounds(n=64) = " +
-                                                   std::to_string(rounds_of("cgma", 4)) +
-                                                   " = n + 3")});
-  rec.cells.push_back(
-      {"chor-rabin logarithmic",
-       obs::check(cr_log, "each doubling of n adds 3 rounds (rounds(n=64) = " +
-                              std::to_string(rounds_of("chor-rabin", 4)) + ")")});
-  rec.cells.push_back(
-      {"gennaro constant",
-       obs::check(gennaro_const, "rounds(n=4) = rounds(n=64) = " +
-                                     std::to_string(rounds_of("gennaro", 4)))});
-  rec.cells.push_back({"order at n=64",
-                       obs::check(order_at_64, "gennaro < chor-rabin < cgma in rounds")});
-  rec.cells.push_back(
-      {"commitment-backend ablation",
-       obs::check(ablation_ok,
-                  "hash vs pedersen: rounds/messages invariant, wire bytes differ (" +
-                      std::to_string(mh.wire_bytes) + "B vs " +
-                      std::to_string(mp.wire_bytes) + "B)")});
+  experiment.cell("cgma linear",
+                  obs::check(cgma_linear, "rounds(n=64) = " +
+                                              std::to_string(rounds_of("cgma", 4)) + " = n + 3"),
+                  obs::Expect::pass);
+  experiment.cell("chor-rabin logarithmic",
+                  obs::check(cr_log, "each doubling of n adds 3 rounds (rounds(n=64) = " +
+                                         std::to_string(rounds_of("chor-rabin", 4)) + ")"),
+                  obs::Expect::pass);
+  experiment.cell("gennaro constant",
+                  obs::check(gennaro_const, "rounds(n=4) = rounds(n=64) = " +
+                                                std::to_string(rounds_of("gennaro", 4))),
+                  obs::Expect::pass);
+  experiment.cell("order at n=64",
+                  obs::check(order_at_64, "gennaro < chor-rabin < cgma in rounds"),
+                  obs::Expect::pass);
+  experiment.cell("commitment-backend ablation",
+                  obs::check(ablation_ok,
+                             "hash vs pedersen: rounds/messages invariant, wire bytes differ (" +
+                                 std::to_string(mh.wire_bytes) + "B vs " +
+                                 std::to_string(mp.wire_bytes) + "B)"),
+                  obs::Expect::pass);
 
-  // Every cell passes: the five shape checks above and no inconsistent
-  // execution.
-  rec.reproduced = std::all_of(rec.cells.begin(), rec.cells.end(),
-                               [](const obs::ExperimentCell& c) { return c.verdict.pass; });
-  rec.detail = "rounds at n=64: cgma=" + std::to_string(rounds_of("cgma", 4)) +
-               " chor-rabin=" + std::to_string(rounds_of("chor-rabin", 4)) +
-               " gennaro=" + std::to_string(rounds_of("gennaro", 4)) +
-               " (linear / log / constant as in the paper)";
-  return core::finish_experiment(rec);
+  return experiment.finish("rounds at n=64: cgma=" + std::to_string(rounds_of("cgma", 4)) +
+                           " chor-rabin=" + std::to_string(rounds_of("chor-rabin", 4)) +
+                           " gennaro=" + std::to_string(rounds_of("gennaro", 4)) +
+                           " (linear / log / constant as in the paper)");
 }

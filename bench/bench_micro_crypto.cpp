@@ -154,13 +154,10 @@ BENCHMARK(BM_MerkleSignerSetup)->Arg(2)->Arg(4);
 }  // namespace
 
 int main(int argc, char** argv) {
-  simulcast::obs::ExperimentRecord rec;
-  rec.id = "micro/crypto";
-  rec.paper_claim =
+  return simulcast::bench::run_micro(
+      argc, argv, "micro/crypto",
       "(methodology) building-block costs decomposing the protocol-level "
-      "measurements of E9";
-  rec.setup =
+      "measurements of E9",
       "google-benchmark over hashing, commitments, Shamir/VSS, sigma proofs "
-      "and hash-based signatures";
-  return simulcast::bench::run_micro(argc, argv, std::move(rec));
+      "and hash-based signatures");
 }

@@ -71,11 +71,9 @@ BENCHMARK(BM_SampleCollection);
 }  // namespace
 
 int main(int argc, char** argv) {
-  simulcast::obs::ExperimentRecord rec;
-  rec.id = "micro/sim";
-  rec.paper_claim =
+  return simulcast::bench::run_micro(
+      argc, argv, "micro/sim",
       "(methodology) wall-clock cost of one execution per protocol and per n, "
-      "plus tester throughput";
-  rec.setup = "google-benchmark over sim::run_execution and the CR tester";
-  return simulcast::bench::run_micro(argc, argv, std::move(rec));
+      "plus tester throughput",
+      "google-benchmark over sim::run_execution and the CR tester");
 }

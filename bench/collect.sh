@@ -11,6 +11,12 @@
 # loadable).  Exits non-zero if any driver fails, emits no JSON, reports
 # "reproduced": false, or (under --trace) writes a malformed trace.
 #
+# Every record any mode reads must also check itself (check_reproduced):
+# its "reproduced" is recomputed from its cells by the one rule of
+# core::reproduced -- the record is not partial and every cell met its
+# "expected" outcome ("pass" cells passed, "violation" cells were flagged,
+# "info" cells decide nothing) -- and a mismatch fails the run.
+#
 # In the default and --faults modes every histogram in every record must
 # also agree with its own buckets (check_histograms): the bucket counts sum
 # to "count", p50 <= p95 <= p99, and each p_q lies within [first, last] of
@@ -152,6 +158,27 @@ EOF
       grep -q '"dropped": ' "$1" &&
       grep -q '"reproduced": ' "$1"
   fi
+}
+
+# Verdict honesty (schema v10): "reproduced" must equal the rule applied to
+# the record's own cells and partial flag.
+check_reproduced() {
+  python3 - "$1" 2>&1 <<'EOF'
+import json, sys
+rec = json.load(open(sys.argv[1]))
+unmet = []
+for cell in rec["cells"]:
+    expected = cell["expected"]
+    if expected not in ("pass", "violation", "info"):
+        sys.exit(f"  cell {cell['label']!r} has an unknown expectation {expected!r}")
+    if expected != "info" and cell["verdict"]["pass"] != (expected == "pass"):
+        unmet.append(cell["label"])
+rule = not rec["partial"] and not unmet
+if rec["reproduced"] != rule:
+    sys.exit(f"  reproduced mismatch in {sys.argv[1]}: the record says "
+             f"{json.dumps(rec['reproduced'])}, its cells say {json.dumps(rule)} "
+             f"(partial {json.dumps(rec['partial'])}, unmet cells: {unmet or 'none'})")
+EOF
 }
 
 # Histogram honesty (schema v9): each histogram's "buckets" are
@@ -341,7 +368,15 @@ if [ "$want_status" -eq 1 ]; then
     if ! check_status_stream "$status_file" "$json_dir"/BENCH_*.json; then
       echo "collect.sh: FAIL $name (heartbeat stream $status_file is dishonest)" >&2
       failures=$((failures + 1))
+      continue
     fi
+    for rec in "$json_dir"/BENCH_*.json; do
+      if ! check_reproduced "$rec"; then
+        echo "collect.sh: FAIL $name (\"reproduced\" in $rec does not follow from its cells)" >&2
+        failures=$((failures + 1))
+        break
+      fi
+    done
   done
   count=${#drivers[@]}
   echo "collect.sh: $((count - failures))/$count drivers streamed honest heartbeats, records in $out_dir"
@@ -401,6 +436,10 @@ if [ "$want_socket" -eq 1 ] || [ "$want_process" -eq 1 ] || [ "$want_chaos" -eq 
         return 1
       fi
       for base in "$base_dir"/BENCH_*.json; do
+        if ! check_reproduced "$base"; then
+          echo "collect.sh: FAIL $name (\"reproduced\" in $base does not follow from its cells)" >&2
+          ok=1
+        fi
         other=$dir/$(basename "$base")
         if [ ! -f "$other" ]; then
           echo "collect.sh: FAIL $name ($label run wrote no $(basename "$base"))" >&2
@@ -465,6 +504,15 @@ if [ "$want_resume" -eq 1 ]; then
       failures=$((failures + 1))
       continue
     fi
+    partial_ok=1
+    for rec in "$res_dir"/BENCH_*.json; do
+      check_reproduced "$rec" || partial_ok=0
+    done
+    if [ "$partial_ok" -eq 0 ]; then
+      echo "collect.sh: FAIL $name (\"reproduced\" in an interrupted record does not follow from its cells)" >&2
+      failures=$((failures + 1))
+      continue
+    fi
     if ! "$driver" --json="$res_dir" --checkpoint="$ckpt_dir" --resume; then
       echo "collect.sh: FAIL $name (resume run exited nonzero)" >&2
       failures=$((failures + 1))
@@ -478,7 +526,8 @@ if [ "$want_resume" -eq 1 ]; then
     record_ok=1
     for baseline in "$base_dir"/BENCH_*.json; do
       resumed=$res_dir/$(basename "$baseline")
-      if [ ! -f "$resumed" ] || ! same_record "$baseline" "$resumed"; then
+      if [ ! -f "$resumed" ] || ! same_record "$baseline" "$resumed" ||
+         ! check_reproduced "$resumed"; then
         echo "collect.sh: FAIL $name (resumed record $(basename "$baseline") differs from baseline)" >&2
         record_ok=0
       fi
@@ -530,6 +579,15 @@ for driver in "${drivers[@]}"; do
     fi
   elif [ -z "$written" ] || ! grep -q '"reproduced": true' $written; then
     echo "collect.sh: FAIL $name (no JSON with \"reproduced\": true in $out_dir)" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  verdicts_ok=1
+  for rec in $written; do
+    check_reproduced "$rec" || verdicts_ok=0
+  done
+  if [ "$verdicts_ok" -eq 0 ]; then
+    echo "collect.sh: FAIL $name (\"reproduced\" in $written does not follow from its cells)" >&2
     failures=$((failures + 1))
     continue
   fi

@@ -80,7 +80,7 @@ failed = False
 # Versions this script can interpret (obs/records.h kSchemaVersion history).
 # Anything else means the field layout below is wrong for the record, so
 # refuse to compare rather than produce a meaningless verdict.
-KNOWN_SCHEMAS = {9}
+KNOWN_SCHEMAS = {10}
 for role, rec, path in (("baseline", baseline, sys.argv[1]),
                         ("candidate", candidate, sys.argv[2])):
     version = rec.get("schema_version")

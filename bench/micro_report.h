@@ -1,9 +1,9 @@
 // Shared main for the google-benchmark micro harnesses.
 //
 // Replaces BENCHMARK_MAIN() so the micro binaries speak the same observation
-// protocol as the E-binaries: every measured run is captured into an
-// obs::ExperimentRecord cell and the record flows through the common
-// core::finish_experiment epilogue (verdict line + optional BENCH_*.json).
+// protocol as the E-binaries: every measured run is a record cell that
+// expects to pass, and the record flows through the common core::Experiment
+// epilogue (verdict line + optional BENCH_*.json).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -21,7 +21,7 @@ namespace simulcast::bench {
 /// Console reporter that also records each measurement as a record cell.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
-  std::vector<obs::ExperimentCell> cells;
+  explicit RecordingReporter(core::Experiment& experiment) : experiment_(experiment) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -31,17 +31,23 @@ class RecordingReporter : public benchmark::ConsoleReporter {
               : obs::fmt(run.GetAdjustedRealTime(), 1) + " " +
                     benchmark::GetTimeUnitString(run.time_unit) + "/iter over " +
                     std::to_string(run.iterations) + " iterations";
-      cells.push_back({run.benchmark_name(), obs::check(!run.error_occurred, detail)});
+      experiment_.cell(run.benchmark_name(), obs::check(!run.error_occurred, detail),
+                       obs::Expect::pass);
     }
     ConsoleReporter::ReportRuns(runs);
   }
+
+ private:
+  core::Experiment& experiment_;
 };
 
 /// The micro-harness main: strips the simulcast CLI knobs (--threads=,
 /// --json=, --trace=; already consumed by exec::configure) out of argv
 /// before google-benchmark sees them, runs the registered benchmarks, and
-/// emits the record.  Exits 0 iff at least one benchmark ran without error.
-inline int run_micro(int argc, char** argv, obs::ExperimentRecord rec) {
+/// emits the record.  Exits 0 iff at least one benchmark ran and none
+/// reported an error.
+inline int run_micro(int argc, char** argv, const std::string& id,
+                     const std::string& paper_claim, const std::string& setup) {
   // Strict parse of the shared knobs; google-benchmark's own flags pass
   // through to benchmark::Initialize below.
   exec::configure(argc, argv, {"--benchmark_"});
@@ -57,19 +63,15 @@ inline int run_micro(int argc, char** argv, obs::ExperimentRecord rec) {
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) return 1;
 
-  core::print_banner(rec);
-  RecordingReporter reporter;
+  core::Experiment experiment(id, paper_claim, setup);
+  RecordingReporter reporter(experiment);
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  bool all_ok = ran > 0;
-  for (const obs::ExperimentCell& cell : reporter.cells)
-    all_ok = all_ok && cell.verdict.pass;
-  rec.cells = std::move(reporter.cells);
-  rec.reproduced = all_ok;
-  rec.detail = std::to_string(ran) + " benchmarks measured, " +
-               std::to_string(rec.cells.size()) + " runs recorded";
-  return core::finish_experiment(rec);
+  experiment.cell("benchmarks ran",
+                  obs::check(ran > 0, std::to_string(ran) + " benchmarks measured"),
+                  obs::Expect::pass);
+  return experiment.finish(std::to_string(ran) + " benchmarks measured");
 }
 
 }  // namespace simulcast::bench

@@ -66,9 +66,14 @@ Tally run_elections(const std::string& protocol, const adversary::AdversaryFacto
 
 int main(int argc, char** argv) {
   exec::configure(argc, argv);  // --threads=N / --json=PATH / --trace=PATH (strict)
+  core::Experiment experiment("example/election",
+                              "selective abort correlates the corrupted vote; recoverable "
+                              "commitments leave only input-independent abstention",
+                              "referendum, 7 voters, voter 6 corrupted, 1500 elections per "
+                              "scenario",
+                              11);
   static const crypto::HashCommitmentScheme scheme;
-  std::cout << std::fixed << std::setprecision(3) << "referendum with " << kVoters
-            << " voters, voter 6 corrupted, " << kElections << " elections per row\n\n";
+  std::cout << std::fixed << std::setprecision(3);
 
   const Tally naive = run_elections(
       "naive-commit-reveal", adversary::selective_abort_factory(0, scheme), 11);
@@ -88,25 +93,14 @@ int main(int argc, char** argv) {
                "commit time (tests/protocols/vss_protocols_test.cpp,\n"
                "RevealWithholdingCannotChangeAnnouncedValue).\n\n";
 
-  const bool naive_correlated = naive.match_rate > 0.95;
-  const bool fair_independent = std::abs(fair.match_rate - 0.5) < 0.06;
-
-  obs::ExperimentRecord rec;
-  rec.id = "example/election";
-  rec.paper_claim = "selective abort correlates the corrupted vote; recoverable "
-                    "commitments leave only input-independent abstention";
-  rec.setup = "referendum, 7 voters, voter 6 corrupted, 1500 elections per scenario";
-  rec.seed = 11;
-  rec.cells.push_back(
-      {"naive-commit-reveal correlated",
-       obs::check(naive_correlated,
-                  "match rate " + core::fmt(naive.match_rate, 3) + " > 0.95")});
-  rec.cells.push_back(
-      {"gennaro independent",
-       obs::check(fair_independent,
-                  "|match rate " + core::fmt(fair.match_rate, 3) + " - 0.5| < 0.06")});
-  rec.reproduced = naive_correlated && fair_independent;
-  rec.detail = "naive match " + core::fmt(naive.match_rate, 3) + ", gennaro match " +
-               core::fmt(fair.match_rate, 3);
-  return core::finish_experiment(rec);
+  experiment.cell("naive-commit-reveal correlated",
+                  obs::check(naive.match_rate > 0.95,
+                             "match rate " + core::fmt(naive.match_rate, 3) + " > 0.95"),
+                  obs::Expect::pass);
+  experiment.cell("gennaro independent",
+                  obs::check(std::abs(fair.match_rate - 0.5) < 0.06,
+                             "|match rate " + core::fmt(fair.match_rate, 3) + " - 0.5| < 0.06"),
+                  obs::Expect::pass);
+  return experiment.finish("naive match " + core::fmt(naive.match_rate, 3) +
+                           ", gennaro match " + core::fmt(fair.match_rate, 3));
 }

@@ -18,7 +18,7 @@
 // --threads (or the SIMULCAST_THREADS environment variable) shards the
 // sample collection across a thread pool; results are bit-identical for
 // every thread count (see DESIGN.md, "exec engine seeding contract").
-// --json / --trace route the run through the same core::finish_experiment
+// --json / --trace route the run through the same core::Experiment
 // epilogue as the bench drivers: BENCH_explore_*.json records and
 // Perfetto-loadable TRACE_explore_*.json traces land under PATH.
 // --drop / --delay / --crash install a deterministic sim::FaultPlan
@@ -188,43 +188,34 @@ int main(int argc, char** argv) {
       setup << (i ? "," : "") << corrupted[i];
     setup << "}, " << samples << " executions, seed " << seed << ")";
     if (!faults.empty()) setup << "  faults: " << faults.summary();
-    std::cout << "running " << setup.str() << "\n\n";
-
-    obs::ExperimentRecord rec;
-    rec.id = "explore/" + protocol_name + "-" + adversary_name + "-" + dist_spec;
-    rec.paper_claim = "exploration run: no pinned claim, verdicts are observations";
-    rec.setup = setup.str();
-    rec.seed = seed;
+    // Exploration pins no claim: every cell is an observation (`info`), so
+    // the run reproduces iff it completes.
+    core::Experiment experiment(
+        "explore/" + protocol_name + "-" + adversary_name + "-" + dist_spec,
+        "exploration run: no pinned claim, verdicts are observations", setup.str(), seed);
 
     const std::vector<exec::Sample> sample_set =
         exec::Runner().run_batch(spec, *ensemble, samples, seed).samples;
     const double consistency = testers::consistency_rate(sample_set);
     std::cout << "consistency rate: " << core::fmt(consistency) << "\n";
-    rec.cells.push_back({"consistency",
-                         obs::check(true, "rate " + core::fmt(consistency))});
+    experiment.cell("consistency", obs::check(true, "rate " + core::fmt(consistency)),
+                    obs::Expect::info);
     const auto cr = testers::test_cr(sample_set, spec.corrupted);
     std::cout << core::describe(cr) << "\n";
-    rec.cells.push_back({"CR", obs::record(cr)});
+    experiment.cell("CR", obs::record(cr), obs::Expect::info);
     if (!spec.corrupted.empty()) {
       const auto g = testers::test_g(sample_set, spec.corrupted);
       std::cout << core::describe(g) << "\n";
-      rec.cells.push_back({"G", obs::record(g)});
+      experiment.cell("G", obs::record(g), obs::Expect::info);
     }
     testers::SbOptions sb_options;
     sb_options.samples = std::min<std::size_t>(samples, 800);
     const auto sb = testers::test_sb(spec, *ensemble, sb_options, seed + 1);
     std::cout << core::describe(sb) << "\n";
-    rec.cells.push_back({"Sb", obs::record(sb)});
+    experiment.cell("Sb", obs::record(sb), obs::Expect::info);
     std::cout << "\n";
 
-    // Exploration has no expected outcome, so the run "reproduces" iff it
-    // completed; the per-cell verdicts carry the observations.
-    rec.reproduced = true;
-    std::ostringstream detail;
-    detail << rec.cells.size() << " verdict cells observed, consistency "
-           << core::fmt(consistency);
-    rec.detail = detail.str();
-    return core::finish_experiment(rec);
+    return experiment.finish("consistency " + core::fmt(consistency));
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

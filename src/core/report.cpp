@@ -1,5 +1,6 @@
 #include "core/report.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -131,55 +132,84 @@ std::string describe(const obs::MetricsSnapshot& m) {
   return os.str();
 }
 
-void print_banner(const std::string& experiment_id, const std::string& paper_claim,
-                  const std::string& setup) {
-  std::cout << "\n=== " << experiment_id << " ===\n"
-            << "paper claim : " << paper_claim << "\n"
-            << "setup       : " << setup << "\n\n";
+namespace {
+
+bool met(const obs::ExperimentCell& c) {
+  return c.expected == obs::Expect::info || c.verdict.pass == (c.expected == obs::Expect::pass);
 }
 
-void print_banner(const obs::ExperimentRecord& record) {
-  print_banner(record.id, record.paper_claim, record.setup);
+}  // namespace
+
+bool reproduced(const obs::ExperimentRecord& record) {
+  return !record.partial && std::all_of(record.cells.begin(), record.cells.end(), met);
 }
 
-void print_verdict_line(const std::string& experiment_id, bool reproduced,
-                        const std::string& detail) {
-  std::cout << "[" << experiment_id << "] " << (reproduced ? "REPRODUCED" : "NOT-REPRODUCED")
-            << " - " << detail << "\n";
+Experiment::Experiment(std::string id, std::string paper_claim, std::string setup,
+                       std::uint64_t seed) {
+  record_.id = std::move(id);
+  record_.paper_claim = std::move(paper_claim);
+  record_.setup = std::move(setup);
+  record_.seed = seed;
+  std::cout << "\n=== " << record_.id << " ===\n"
+            << "paper claim : " << record_.paper_claim << "\n"
+            << "setup       : " << record_.setup << "\n\n";
 }
 
-int finish_experiment(const obs::ExperimentRecord& record) {
+void Experiment::cell(std::string label, obs::VerdictRecord verdict, obs::Expect expected) {
+  record_.cells.push_back({std::move(label), std::move(verdict), expected});
+}
+
+int Experiment::finish(const std::string& summary) {
   obs::trace_instant("finish_experiment");
   const exec::RunConfig config = exec::run_config();
   const exec::Ledger ledger = exec::ledger();
-  obs::ExperimentRecord full = record;
-  full.perf = ledger.report;
-  if (full.metrics.empty()) full.metrics = obs::Metrics::global().snapshot();
-  // Records state the conditions they were measured under: drivers that
-  // didn't set a plan inherit whatever --drop/--delay/--crash installed.
-  if (full.faults.empty()) full.faults = config.faults;
-  if (full.transport.empty())
-    full.transport = std::string(net::transport_kind_name(config.transport));
-  if (full.chaos.empty()) full.chaos = config.chaos.summary();
+  record_.perf = ledger.report;
+  record_.metrics = obs::Metrics::global().snapshot();
+  // Records state the conditions they were measured under.
+  record_.faults = config.faults;
+  record_.transport = std::string(net::transport_kind_name(config.transport));
+  record_.chaos = config.chaos.summary();
   // Campaign correlation ids (schema v7): every batch that ran in this
   // process, in launch order — the join key between this record and its
   // trace/log/status artifacts.
-  full.campaigns.clear();
-  for (const std::uint64_t id : ledger.campaigns) full.campaigns.push_back(obs::correlation_hex(id));
+  for (const std::uint64_t id : ledger.campaigns)
+    record_.campaigns.push_back(obs::correlation_hex(id));
   // A graceful stop (SIGINT/SIGTERM or --stop-after) flushes the record in
-  // whatever state the drain left it; flag it so consumers know the
-  // verdicts rest on fewer samples than the setup advertises.
-  full.partial = full.partial || full.perf.partial || exec::shutdown_requested();
-  if (full.perf.executions > 0)
-    std::cout << describe(full.perf) << "\n";
-  if (!full.metrics.empty()) std::cout << describe(full.metrics) << "\n";
-  if (full.perf.executions > 0 || !full.metrics.empty()) std::cout << "\n";
-  print_verdict_line(full.id, full.reproduced, full.detail);
+  // whatever state the drain left it; the testers then judged drained,
+  // zero-filled slots, so a partial record never reproduces.
+  record_.partial = record_.perf.partial || exec::shutdown_requested();
+  record_.reproduced = reproduced(record_);
+
+  std::size_t deciding = 0;
+  std::size_t missed = 0;
+  std::string unmet;
+  for (const obs::ExperimentCell& c : record_.cells) {
+    deciding += c.expected != obs::Expect::info;
+    if (!met(c)) unmet += (missed++ > 0 ? ", " : "") + c.label;
+  }
+  std::ostringstream detail;
+  detail << deciding - missed << "/" << deciding << " cells as the paper expects";
+  if (deciding < record_.cells.size()) detail << ", " << record_.cells.size() - deciding << " info";
+  if (record_.partial)
+    detail << "; partial: " << record_.perf.completed << " of " << record_.perf.executions
+           << " executions ran";
+  else if (!unmet.empty())
+    detail << "; unmet: " << unmet;
+  else
+    detail << "; " << summary;
+  record_.detail = detail.str();
+
+  if (record_.perf.executions > 0) std::cout << describe(record_.perf) << "\n";
+  if (!record_.metrics.empty()) std::cout << describe(record_.metrics) << "\n";
+  if (record_.perf.executions > 0 || !record_.metrics.empty()) std::cout << "\n";
+  std::cout << "[" << record_.id << "] " << (record_.reproduced ? "REPRODUCED" : "NOT-REPRODUCED")
+            << " - " << record_.detail << "\n";
   for (const std::string& written :
-       {obs::write_record(full, config.json_path), obs::write_trace(full.id, config.trace_path),
-        obs::flush_log(config.log_path), obs::flush_status(config.status_path)})
+       {obs::write_record(record_, config.json_path),
+        obs::write_trace(record_.id, config.trace_path), obs::flush_log(config.log_path),
+        obs::flush_status(config.status_path)})
     if (!written.empty()) std::cout << "[obs] wrote " << written << "\n";
-  return full.reproduced ? 0 : 1;
+  return record_.reproduced ? 0 : 1;
 }
 
 }  // namespace simulcast::core

@@ -1,11 +1,13 @@
-// Plain-text reporting helpers for the experiment harnesses.
+// Plain-text reporting for the experiment harnesses.
 //
 // Every bench binary prints (a) the paper's claim, (b) the measured
-// evidence, (c) a PASS/FAIL verdict line that EXPERIMENTS.md quotes.  The
-// Table class right-pads cells and draws the separators so all benches
-// look alike.
+// evidence, (c) a REPRODUCED/NOT-REPRODUCED verdict line that
+// EXPERIMENTS.md quotes; core::Experiment prints (a) and (c) and keeps the
+// record.  The Table class right-pads cells and draws the separators so
+// all benches look alike.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -58,26 +60,35 @@ class Table {
 /// snapshot the JSON serializes, like every other describe().
 [[nodiscard]] std::string describe(const obs::MetricsSnapshot& m);
 
-/// Experiment banner: id, paper claim, and what is being run.
-void print_banner(const std::string& experiment_id, const std::string& paper_claim,
-                  const std::string& setup);
+/// The one rule behind a record's "reproduced": the record is not partial
+/// and every cell met the outcome the paper expects of it — a `pass` cell
+/// passed and a `violation` cell was flagged; `info` cells never decide it.
+[[nodiscard]] bool reproduced(const obs::ExperimentRecord& record);
 
-/// Banner from a record's identity fields (id / paper_claim / setup).
-void print_banner(const obs::ExperimentRecord& record);
+/// One experiment run, from banner to exit code.  The constructor prints
+/// the banner (id, paper claim, setup); cell() records each verdict with
+/// the outcome the paper expects of it; finish() completes the record
+/// (perf and campaigns from the exec ledger — every batch and tester call
+/// of the process — metrics from obs::Metrics::global(), faults,
+/// transport and chaos from exec::run_config(), partial from the ledger
+/// and the process stop flag), sets "reproduced" by the rule above,
+/// prints the [exec] and [metrics] lines and the verdict line, emits
+/// BENCH_<id>.json and TRACE_<id>.json when those sinks are configured
+/// (--json= / --trace=), and returns the exit code: 0 iff reproduced.
+class Experiment {
+ public:
+  Experiment(std::string id, std::string paper_claim, std::string setup,
+             std::uint64_t seed = 0);
 
-/// The one-line machine-greppable verdict every harness ends with.
-void print_verdict_line(const std::string& experiment_id, bool reproduced,
-                        const std::string& detail);
+  void cell(std::string label, obs::VerdictRecord verdict, obs::Expect expected);
 
-/// The uniform bench epilogue: sets record.perf and record.campaigns from
-/// the exec ledger (every batch and tester call of the process; whatever the
-/// driver put there is replaced) and fills record.metrics from
-/// obs::Metrics::global() when the driver left it empty; prints the [exec] accounting line (when any batch ran), the
-/// [metrics] registry lines and the verdict line; emits BENCH_<id>.json
-/// when a JSON sink is configured
-/// (--json= / SIMULCAST_JSON) and TRACE_<id>.json when a trace sink is
-/// (--trace= / SIMULCAST_TRACE); returns the driver's exit code (0 iff
-/// reproduced).
-int finish_experiment(const obs::ExperimentRecord& record);
+  /// The verdict line reads "k/k cells as the paper expects" and then
+  /// `summary` when the run reproduced, how many executions ran when it
+  /// is partial, or the labels of the cells that missed.
+  int finish(const std::string& summary);
+
+ private:
+  obs::ExperimentRecord record_;
+};
 
 }  // namespace simulcast::core

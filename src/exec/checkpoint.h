@@ -7,20 +7,22 @@
 // quarantine list and the batch's wall-clock partials to a sidecar file,
 // keyed by the batch's *identity tuple* — protocol, party count, repetition
 // count, a config hash (corruption set, auxiliary input, channel privacy,
-// security parameter), a fault-plan hash and a stream hash over every
-// (input, seed) pair in slot order.  On resume the identity is verified
-// field by field; restored slots are byte-exact copies of what the
-// interrupted run computed, and the remaining slots are pure functions of
-// their (input, seed), so the resumed batch is bit-identical to an
-// uninterrupted one at any thread count (pinned by tests/exec and the
-// tests/props interrupt-point property).
+// security parameter, commitment scheme, adversary type), a fault-plan
+// hash and a stream hash over every (input, seed) pair in slot order.  On
+// resume the identity is verified field by field; restored slots are
+// byte-exact copies of what the interrupted run computed, and the
+// remaining slots are pure functions of their (input, seed), so the
+// resumed batch is bit-identical to an uninterrupted one at any thread
+// count (pinned by tests/exec and the tests/props interrupt-point
+// property).
 //
-// One deliberate blind spot: the adversary is a closure
-// (adversary::AdversaryFactory) and cannot be hashed, so two campaigns that
-// differ *only* in adversary code share an identity.  Every caller in this
-// repository derives the adversary from the protocol/spec the hash does
-// cover; resuming a checkpoint against a hand-modified adversary is on the
-// caller (DESIGN.md section 10).
+// The adversary is a closure (adversary::AdversaryFactory): the config hash
+// covers the closure's type, which tells the factories apart, but not the
+// parameters it captured.  One blind spot is left: two campaigns whose
+// factories are of one kind and differ only in captured parameters (say
+// copy_last_factory(0) and copy_last_factory(1)) share an identity, and
+// resuming one from the other's checkpoint is on the caller (DESIGN.md
+// section 10).
 //
 // The file is written atomically (temp file + rename) so a kill mid-flush
 // leaves the previous checkpoint intact, never a truncated one; a trailer
@@ -44,7 +46,8 @@ struct CampaignIdentity {
   std::string protocol;           ///< ParallelBroadcastProtocol::name()
   std::size_t n = 0;              ///< party count
   std::size_t count = 0;          ///< repetitions in the batch
-  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, k, commitment scheme
+  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, k, commitment scheme,
+                                  ///< adversary factory type
   std::uint64_t fault_hash = 0;   ///< the effective sim::FaultPlan
   std::uint64_t stream_hash = 0;  ///< every (input, seed) pair, slot order
 

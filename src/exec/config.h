@@ -7,7 +7,7 @@
 // the command line left unset, all parsed strictly (a malformed, unknown or
 // repeated knob exits 2 with the usage line).  configure() installs the
 // result as the process value that Runner and Session take by default and
-// that core::finish_experiment reads sink paths and record metadata from.
+// that core::Experiment::finish reads sink paths and record metadata from.
 // Installing also opens the event store's two hot-path gates
 // (obs/events.h) and sets the net default transport.  Lower layers never
 // read the installed value: what net and obs need travels down as

@@ -115,6 +115,9 @@ CampaignIdentity compute_identity(const RunSpec& spec, const sim::FaultPlan& pla
   config_hash.mix(static_cast<std::uint64_t>(spec.private_channels ? 1 : 0));
   // A null scheme mixes nothing, so batches without one keep their ids.
   if (spec.params.commitments != nullptr) config_hash.mix(spec.params.commitments->name());
+  // Each adversary factory returns its own closure type, so two batches
+  // that differ only in their adversary never share a checkpoint.
+  config_hash.mix(std::string_view(spec.adversary.target_type().name()));
   identity.config_hash = config_hash.value();
 
   IdentityHash fault_hash;
@@ -459,7 +462,7 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
     }
   }
   if (out.report.partial) {
-    // A drained batch may never reach finish_experiment (the driver decides
+    // A drained batch may never reach Experiment::finish (the driver decides
     // what to do after a graceful stop); land the log and status sinks on
     // disk now so the interrupt loses no observability either.
     (void)obs::flush_log(run.log_path);

@@ -79,7 +79,7 @@ struct QuarantineRecord {
 /// ---- graceful shutdown -------------------------------------------------
 /// SIGINT/SIGTERM flip a cooperative stop flag; workers drain at the next
 /// slot boundary, the engine flushes a checkpoint for every in-flight
-/// batch, and core::finish_experiment emits a partial record.  A second
+/// batch, and core::Experiment::finish emits a partial record.  A second
 /// SIGINT restores the default disposition (an insistent ^C^C still kills).
 
 /// True once a graceful stop was requested (signal, stop-after trigger, or
@@ -180,7 +180,7 @@ class ScopedPhase {
 /// ---- the process ledger ------------------------------------------------
 /// The one place executions are accounted.  Every batch a Runner runs adds
 /// its report and its campaign id here, every tester call adds the time it
-/// spent evaluating samples, and core::finish_experiment reads a record's
+/// spent evaluating samples, and core::Experiment::finish reads a record's
 /// `perf` and `metadata.campaigns` from it.  Batches run one after another,
 /// so the ids land in launch order at every thread count.  A batch that
 /// repeats an earlier one (same spec, inputs and seeds) has its id and is

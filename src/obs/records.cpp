@@ -19,6 +19,8 @@ constexpr const char* kCompiler = __VERSION__;
 constexpr const char* kCompiler = "unknown";
 #endif
 
+constexpr const char* kExpectNames[] = {"pass", "violation", "info"};  // by Expect
+
 }  // namespace
 
 std::string fmt(double value, int precision) {
@@ -209,7 +211,10 @@ void append(Json& json, const ExperimentRecord& r) {
   json.object_end();
   json.key("cells").array_begin();
   for (const ExperimentCell& cell : r.cells) {
-    json.object_begin().member("label", cell.label).key("verdict");
+    json.object_begin()
+        .member("label", cell.label)
+        .member("expected", kExpectNames[static_cast<int>(cell.expected)])
+        .key("verdict");
     append(json, cell.verdict);
     json.object_end();
   }

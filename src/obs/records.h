@@ -1,4 +1,4 @@
-// Typed, machine-readable result records (schema v1).
+// Typed, machine-readable result records (schema: kSchemaVersion below).
 //
 // Every quantity a bench driver prints — the CR/G/G**/Sb verdicts, the
 // per-cell gaps and radii, the engine's BatchReport — is first captured in
@@ -56,7 +56,12 @@ namespace simulcast::obs {
 /// non-empty buckets (obs::Histogram's one layout); the lo/hi range and
 /// the underflow/overflow tails are gone, and every percentile is the
 /// midpoint of the bucket holding its rank.
-inline constexpr std::uint64_t kSchemaVersion = 9;
+/// v10: self-checking records — each cell gained "expected", the outcome
+/// the paper predicts of it ("pass", "violation", or "info" for a row that
+/// decides nothing), and "reproduced" follows from the cells by one rule
+/// (core::reproduced): the record is not partial and every cell that is
+/// not "info" met its expectation.
+inline constexpr std::uint64_t kSchemaVersion = 10;
 
 /// Fixed-precision decimal formatting shared by tables and detail strings
 /// (core::fmt delegates here so text and records agree digit for digit).
@@ -82,54 +87,47 @@ struct VerdictRecord {
 /// A boolean check row with no statistic attached.
 [[nodiscard]] VerdictRecord check(bool pass, std::string detail);
 
+/// The outcome the paper predicts of one cell: the tester passes, the
+/// tester flags a violation, or nothing (`info`: a sweep row or an
+/// exploration observation, recorded but deciding nothing).
+enum class Expect { pass, violation, info };
+
 /// One row of an experiment: a labelled verdict (protocol x ensemble cell,
-/// sweep row, arrow of Figure 1, ...).
+/// sweep row, arrow of Figure 1, ...) and what the paper expects of it.
 struct ExperimentCell {
   std::string label;
   VerdictRecord verdict;
+  Expect expected = Expect::pass;
 };
 
 /// Everything one bench driver produces: identity, paper claim, setup,
 /// per-cell verdicts, the overall reproduced flag, and run metadata
 /// (seed / threads / build) so a BENCH_<id>.json is self-describing.
+/// Drivers fill it through core::Experiment: its constructor sets the
+/// identity and seed, cell() the cells, and finish() everything else.
 struct ExperimentRecord {
   std::string id;           ///< e.g. "E2/cr-impossibility"
   std::string paper_claim;
   std::string setup;
   std::vector<ExperimentCell> cells;
-  bool reproduced = false;
-  std::string detail;       ///< the verdict line's free-text evidence
+  bool reproduced = false;  ///< core::reproduced of this record
+  std::string detail;       ///< the verdict line's text after the verdict
   std::uint64_t seed = 0;   ///< master seed compiled into the driver
   /// Engine accounting of every batch and tester call the process ran
-  /// (wall clock, throughput, traffic, per-phase breakdown).  Not set by
-  /// drivers: core::finish_experiment always overwrites it with the exec
+  /// (wall clock, throughput, traffic, per-phase breakdown): the exec
   /// ledger's report (exec/runner.h).
   exec::BatchReport perf;
-  /// Registry snapshot (schema v2).  Left empty by drivers:
-  /// core::finish_experiment fills it from obs::Metrics::global().
-  MetricsSnapshot metrics;
-  /// The fault plan in force (schema v3).  Left empty by drivers:
-  /// core::finish_experiment fills it from exec::run_config().faults, so a
-  /// record always states the conditions it was measured under.
-  sim::FaultPlan faults;
-  /// Schema v4: true when the record was flushed by a graceful stop before
-  /// every repetition finished — verdicts then rest on fewer samples than
-  /// the setup line advertises.  Left false by drivers:
-  /// core::finish_experiment derives it from the ledger's perf report and the
-  /// process stop flag.
+  MetricsSnapshot metrics;  ///< obs::Metrics::global() (schema v2)
+  sim::FaultPlan faults;    ///< the fault plan in force (schema v3)
+  /// Schema v4: true when a graceful stop flushed the record before every
+  /// repetition finished — its verdicts rest on drained slots, so such a
+  /// record never reproduces.
   bool partial = false;
-  /// Transport backend the record was measured under (schema v5,
-  /// "inproc" | "socket").  Left empty by drivers: core::finish_experiment
-  /// fills it from exec::run_config().transport.
-  std::string transport;
-  /// Wire-chaos spec the record was measured under (schema v8, canonical
-  /// net/chaos.h summary; "" = clean wire).  Left empty by drivers:
-  /// core::finish_experiment fills it from exec::run_config().chaos.
-  std::string chaos;
+  std::string transport;  ///< backend measured under, "inproc" | "socket" | "process" (v5)
+  std::string chaos;      ///< net/chaos.h spec summary, "" = clean wire (v8)
   /// Campaign correlation ids (schema v7): the distinct 16-hex identity
   /// digests of the batches that fed this record, in launch order, capped
-  /// at exec::kCampaignListCap.  Not set by drivers:
-  /// core::finish_experiment always overwrites it with the exec ledger's.
+  /// at exec::kCampaignListCap.
   std::vector<std::string> campaigns;
 };
 

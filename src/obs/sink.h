@@ -1,6 +1,6 @@
 // The machine-readable results sink.
 //
-// core::finish_experiment writes each driver's finished ExperimentRecord
+// core::Experiment::finish writes each driver's finished ExperimentRecord
 // to the JSON path of the installed exec::RunConfig (--json=PATH next to
 // --threads, or the SIMULCAST_JSON environment variable).  A PATH ending
 // in ".json" names the output file exactly; any other PATH is treated as a

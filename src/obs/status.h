@@ -87,7 +87,7 @@ class StatusReporter {
 
 /// Rewrites the accumulated heartbeat stream to `path` (temp+rename);
 /// returns the path, or "" when `path` is empty (no sink) or nothing has
-/// been emitted.  The graceful-shutdown drain path and finish_experiment
+/// been emitted.  The graceful-shutdown drain path and core::Experiment::finish
 /// call it so the stream lands on disk.
 std::string flush_status(const std::string& path);
 

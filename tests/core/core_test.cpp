@@ -68,6 +68,46 @@ TEST(Session, DeterministicPerSeed) {
   EXPECT_EQ(r1.messages(), r2.messages());
 }
 
+// The one rule behind "reproduced": a pass cell must pass, a violation
+// cell must be flagged, info cells never decide, and a partial record
+// never reproduces.
+obs::ExperimentRecord record_of(std::vector<std::pair<bool, obs::Expect>> cells) {
+  obs::ExperimentRecord rec;
+  for (const auto& [pass, expected] : cells)
+    rec.cells.push_back({"cell", obs::check(pass, ""), expected});
+  return rec;
+}
+
+TEST(Rule, EachExpectationMetAndMissed) {
+  EXPECT_TRUE(reproduced(record_of({{true, obs::Expect::pass}})));
+  EXPECT_FALSE(reproduced(record_of({{false, obs::Expect::pass}})));
+  EXPECT_TRUE(reproduced(record_of({{false, obs::Expect::violation}})));
+  EXPECT_FALSE(reproduced(record_of({{true, obs::Expect::violation}})));
+  EXPECT_TRUE(reproduced(record_of({{true, obs::Expect::pass}, {false, obs::Expect::violation}})));
+  EXPECT_FALSE(reproduced(record_of({{true, obs::Expect::pass}, {true, obs::Expect::violation}})));
+  EXPECT_FALSE(
+      reproduced(record_of({{false, obs::Expect::pass}, {false, obs::Expect::violation}})));
+}
+
+TEST(Rule, InfoCellsNeverDecide) {
+  for (const bool pass : {true, false}) {
+    EXPECT_TRUE(reproduced(record_of({{pass, obs::Expect::info}})));
+    EXPECT_TRUE(reproduced(record_of({{true, obs::Expect::pass}, {pass, obs::Expect::info}})));
+    EXPECT_FALSE(reproduced(record_of({{false, obs::Expect::pass}, {pass, obs::Expect::info}})));
+  }
+  EXPECT_TRUE(reproduced(record_of({})));
+}
+
+TEST(Rule, PartialRecordNeverReproduces) {
+  for (obs::ExperimentRecord rec :
+       {record_of({}), record_of({{true, obs::Expect::pass}, {false, obs::Expect::violation}}),
+        record_of({{true, obs::Expect::info}})}) {
+    ASSERT_TRUE(reproduced(rec));
+    rec.partial = true;
+    EXPECT_FALSE(reproduced(rec));
+  }
+}
+
 TEST(Report, TableRendersAligned) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

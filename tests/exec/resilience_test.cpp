@@ -546,7 +546,7 @@ TEST(Shutdown, SigintDrainsFlushesCheckpointAndResumes) {
 
 // The bug this pins: the graceful-shutdown drain used to flush only the
 // checkpoint, so an interrupted campaign that never reached
-// finish_experiment lost its entire event log and heartbeat stream.  After
+// Experiment::finish lost its entire event log and heartbeat stream.  After
 // a REAL SIGINT lands mid-batch, run_batch's drain path must flush the log
 // and status sinks of its RunConfig: the log file exists and narrates the
 // drain, the status stream exists and its last heartbeat is final.

@@ -556,6 +556,28 @@ TEST(Ledger, CommitmentSchemeSeparatesCampaignIds) {
   EXPECT_EQ(ledger().report.executions, 4u);
 }
 
+// The adversary is part of a batch's identity: the same spec, inputs and
+// seeds under another adversary factory are another campaign, so a resume
+// never restores one adversary's samples into the other's batch.
+TEST(Ledger, AdversarySeparatesCampaignIds) {
+  const LedgerGuard guard;
+  const auto proto = core::make_protocol("seq-broadcast");
+  RunSpec spec = spec_for(*proto, 4);
+  spec.corrupted = {3};
+  const BitVec input(4);
+  std::vector<std::uint64_t> ids;
+  for (adversary::AdversaryFactory factory :
+       {adversary::silent_factory(), adversary::passive_factory(*proto, spec.params),
+        adversary::copy_last_factory(0)}) {
+    spec.adversary = std::move(factory);
+    ids.push_back(Runner(1).run_batch(spec, {input}, {7}).report.campaign);
+  }
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_NE(ids[0], ids[2]);
+  EXPECT_NE(ids[1], ids[2]);
+  EXPECT_EQ(ledger().campaigns, ids);
+}
+
 // test_cr and test_g stamp their own evaluation time; they run nothing.
 TEST(Ledger, TestersStampEvaluationTime) {
   const LedgerGuard guard;

@@ -544,7 +544,7 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   for (std::uint64_t rep = 0; rep < kReps; ++rep)
     expected_execs.insert(obs::exec_correlation_id(campaign, rep));
 
-  // Record metadata: finish_experiment fills campaigns from the ledger.
+  // Record metadata: Experiment::finish fills campaigns from the ledger.
   const std::vector<std::uint64_t> noted = exec::ledger().campaigns;
   EXPECT_NE(std::find(noted.begin(), noted.end(), campaign), noted.end());
 
