@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
     spec.params.n = 4;
     spec.corrupted = {2};
     spec.adversary = adversary::passive_factory(*proto, spec.params);
-    testers::SbOptions sb_options;
-    sb_options.samples = 900;
-    const auto sb = testers::test_sb(spec, *uniform4, sb_options, kSeed);
+    const auto sb = testers::test_sb(spec, *uniform4, 900, kSeed);
     const auto batch = exec::Runner().run_batch(spec, *uniform4, 2500, kSeed + 1);
     const auto cr = testers::test_cr(batch.samples, spec.corrupted);
     arrow1 = sb.secure && cr.independent;
@@ -73,9 +71,7 @@ int main(int argc, char** argv) {
     const dist::SingletonEnsemble singleton(BitVec::from_string("1011"));
     const auto batch = exec::Runner().run_batch(spec, singleton, 800, kSeed + 2);
     const auto cr = testers::test_cr(batch.samples, spec.corrupted);
-    testers::SbOptions sb_options;
-    sb_options.samples = 600;
-    const auto sb = testers::test_sb(spec, singleton, sb_options, kSeed + 3);
+    const auto sb = testers::test_sb(spec, singleton, 600, kSeed + 3);
     arrow2 = cr.independent && !sb.secure;
     experiment.cell("CR =/=> Sb (seq/copy, singleton 1011)",
                     obs::check(arrow2, std::string("CR ") + core::verdict_str(cr.independent) +

@@ -76,9 +76,7 @@ int main(int argc, char** argv) {
       const auto batch = exec::Runner().run_batch(spec, ens, 2500, kSeed);
       const auto cr = testers::test_cr(batch.samples, spec.corrupted);
       const auto g = testers::test_g(batch.samples, spec.corrupted);
-      testers::SbOptions sb_options;
-      sb_options.samples = 800;
-      const auto sb = testers::test_sb(spec, ens, sb_options, kSeed + 1);
+      const auto sb = testers::test_sb(spec, ens, 800, kSeed + 1);
 
       const std::string cell_label = row.adversary + " x " + ens.name();
       experiment.cell(cell_label + " CR", obs::record(cr), obs::Expect::pass);

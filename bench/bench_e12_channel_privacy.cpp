@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
     spec.private_channels = private_channels;
     spec.adversary = adversary::share_snoop_factory(0, schedule);
 
-    testers::GssOptions options;
-    options.samples_per_input = 150;
-    const testers::GssVerdict v = testers::test_gstarstar(spec, options, kSeed);
+    const testers::GssVerdict v = testers::test_gstarstar(spec, 150, kSeed);
     experiment.cell(private_channels ? "private channels G**" : "public channels G**",
                     obs::record(v),
                     private_channels ? obs::Expect::pass : obs::Expect::violation);

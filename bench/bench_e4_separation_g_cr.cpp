@@ -105,9 +105,7 @@ int main(int argc, char** argv) {
   gss_spec.params.n = 5;
   gss_spec.corrupted = {1, 3};
   gss_spec.adversary = adversary::parity_factory();
-  testers::GssOptions gss_options;
-  gss_options.samples_per_input = 250;
-  const testers::GssVerdict gss = testers::test_gstarstar(gss_spec, gss_options, kSeed + 2);
+  const testers::GssVerdict gss = testers::test_gstarstar(gss_spec, 250, kSeed + 2);
   std::cout << core::describe(gss) << "\n";
   experiment.cell("uniform G**", obs::record(gss), obs::Expect::pass);
 

@@ -49,9 +49,7 @@ int main(int argc, char** argv) {
     const auto batch = exec::Runner().run_batch(spec, ens, 400, kSeed + bits);
     const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
 
-    testers::SbOptions sb_options;
-    sb_options.samples = 400;
-    const testers::SbVerdict sb = testers::test_sb(spec, ens, sb_options, kSeed + bits);
+    const testers::SbVerdict sb = testers::test_sb(spec, ens, 400, kSeed + bits);
 
     // The dummy-input simulator runs the copier against honest inputs 0, so
     // the class simulation breaks exactly on the singletons whose victim bit

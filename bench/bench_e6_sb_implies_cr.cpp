@@ -58,9 +58,7 @@ int main(int argc, char** argv) {
       bool sb_all = true;
       bool cr_all = true;
       for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-        testers::SbOptions sb_options;
-        sb_options.samples = 600;
-        const testers::SbVerdict sb = testers::test_sb(spec, *grid[gi], sb_options, kSeed + gi);
+        const testers::SbVerdict sb = testers::test_sb(spec, *grid[gi], 600, kSeed + gi);
         sb_all = sb_all && sb.secure;
         const auto batch = exec::Runner().run_batch(spec, *grid[gi], 1200, kSeed + 100 + gi);
         const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
@@ -91,9 +89,7 @@ int main(int argc, char** argv) {
   const auto uniform = dist::make_uniform(4);
   const auto batch = exec::Runner().run_batch(spec, *uniform, 2000, kSeed + 7);
   const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
-  testers::SbOptions sb_options;
-  sb_options.samples = 1000;
-  const testers::SbVerdict sb = testers::test_sb(spec, *uniform, sb_options, kSeed + 8);
+  const testers::SbVerdict sb = testers::test_sb(spec, *uniform, 1000, kSeed + 8);
   std::cout << "A.1 construction on seq-broadcast + copy (uniform):\n  "
             << core::describe(cr) << "\n  " << core::describe(sb) << "\n";
   experiment.cell("A.1 construction CR", obs::record(cr), obs::Expect::violation);

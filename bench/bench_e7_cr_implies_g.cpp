@@ -77,9 +77,7 @@ int main(int argc, char** argv) {
   spec.corrupted = {3};
   spec.adversary = adversary::copy_last_factory(0);
 
-  testers::GssOptions gss_options;
-  gss_options.samples_per_input = 150;
-  const testers::GssVerdict gss = testers::test_gstarstar(spec, gss_options, kSeed + 50);
+  const testers::GssVerdict gss = testers::test_gstarstar(spec, 150, kSeed + 50);
   std::cout << "G** on seq-broadcast + copy: " << core::describe(gss) << "\n";
 
   const double p_ell = 0.3;

@@ -29,7 +29,7 @@ using exec::RunSpec;
 /// zeroed-honest-input hybrid.
 double gstar_gap(const RunSpec& spec, std::uint64_t seed) {
   const std::size_t n = spec.params.n;
-  const auto honest = testers::honest_indices(n, spec.corrupted);
+  const auto honest = complement(n, spec.corrupted);
   stats::Rng master(seed);
   double max_gap = 0.0;
   for (std::uint64_t x_bits = 0; x_bits < (std::uint64_t{1} << n); ++x_bits) {
@@ -102,10 +102,10 @@ int main(int argc, char** argv) {
   add("seq-broadcast", "silent", 4, {3}, adversary::silent_factory(), obs::Expect::pass);
 
   // G* compares two kPerInput-sample Bernoulli estimates per (input,
-  // corrupted coordinate); use the same union-bounded Hoeffding radius the
-  // G** tester uses (plus the standard 0.02 margin).
+  // corrupted coordinate): the testers' rule, union-bounded over 64 inputs
+  // times 2 corrupted coordinates.
   const double kThreshold =
-      stats::hoeffding_diff_radius(kPerInput, kPerInput, 0.01 / (64.0 * 2.0)) + 0.02;
+      stats::Budget(testers::kAlpha, 64 * 2).diff_radius(kPerInput, kPerInput) + testers::kMargin;
 
   core::Table table({"protocol", "adversary", "G* gap", "G* verdict", "G** gap", "G** verdict",
                      "G verdict", "B.3 agree?", "B.4 ok?"});
@@ -114,9 +114,7 @@ int main(int argc, char** argv) {
     const double gs = gstar_gap(cell.spec, kSeed + ci);
     const bool gstar_pass = gs <= kThreshold;
 
-    testers::GssOptions gss_options;
-    gss_options.samples_per_input = kPerInput;
-    const testers::GssVerdict gss = testers::test_gstarstar(cell.spec, gss_options, kSeed + 40 + ci);
+    const testers::GssVerdict gss = testers::test_gstarstar(cell.spec, kPerInput, kSeed + 40 + ci);
 
     const auto uniform = dist::make_uniform(cell.spec.params.n);
     const auto batch = exec::Runner().run_batch(cell.spec, *uniform, 4000, kSeed + 80 + ci);

@@ -208,9 +208,8 @@ int main(int argc, char** argv) {
       std::cout << core::describe(g) << "\n";
       experiment.cell("G", obs::record(g), obs::Expect::info);
     }
-    testers::SbOptions sb_options;
-    sb_options.samples = std::min<std::size_t>(samples, 800);
-    const auto sb = testers::test_sb(spec, *ensemble, sb_options, seed + 1);
+    const auto sb =
+        testers::test_sb(spec, *ensemble, std::min<std::size_t>(samples, 800), seed + 1);
     std::cout << core::describe(sb) << "\n";
     experiment.cell("Sb", obs::record(sb), obs::Expect::info);
     std::cout << "\n";

@@ -10,6 +10,9 @@
 //   gennaro              VSS commit-reveal, parallel deals, 4 rounds [12]
 //   naive-commit-reveal  plain commitments, 2 rounds (selective-abort prone)
 //   flawed-pi-g          the Lemma 6.4 protocol over the ideal Θ
+//   flawed-pi-g-mpc      the same protocol over the honest-majority MPC Θ
+//   seq-broadcast-ds     seq-broadcast with the broadcast channel built from
+//                        point-to-point links and Dolev-Strong
 #pragma once
 
 #include <memory>

@@ -357,36 +357,17 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
       span.arg("exec", exec_id);
       span.arg("rep", rep);
       const auto start = std::chrono::steady_clock::now();
+      bool ran = true;
+      std::string reason;
       if (options.quarantine) {
-        Sample sample;
-        std::string reason;
-        if (attempt_repetition(spec, run, input_for(rep), seeds[rep], rep, retried_count, sample,
-                               reason)) {
-          out.samples[rep] = std::move(sample);
-          const auto elapsed = std::chrono::steady_clock::now() - start;
-          record_repetition_metrics(
-              out.samples[rep],
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-          span.arg("rounds", out.samples[rep].rounds);
-          status[rep].store(kDone, std::memory_order_release);
-          completed_count.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          {
-            const std::lock_guard<std::mutex> lock(quarantine_mutex);
-            quarantined.push_back({rep, seeds[rep], reason});
-          }
-          status[rep].store(kQuarantined, std::memory_order_release);
-          quarantined_count.fetch_add(1, std::memory_order_relaxed);
-          obs::Metrics::global().counter("exec.quarantined").add(1);
-          if (obs::log_enabled())
-            obs::log_event(obs::LogLevel::kWarn, "rep-quarantine",
-                           {{"rep", rep}, {"seed", seeds[rep]}}, reason);
-        }
+        ran = attempt_repetition(spec, run, input_for(rep), seeds[rep], rep, retried_count,
+                                 out.samples[rep], reason);
       } else {
         // Legacy contract: a throwing repetition aborts the batch through
         // parallel_for's first-by-worker-index rethrow.
         out.samples[rep] = run_one(spec, run, input_for(rep), seeds[rep]);
+      }
+      if (ran) {
         const auto elapsed = std::chrono::steady_clock::now() - start;
         record_repetition_metrics(
             out.samples[rep],
@@ -395,6 +376,17 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
         span.arg("rounds", out.samples[rep].rounds);
         status[rep].store(kDone, std::memory_order_release);
         completed_count.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        {
+          const std::lock_guard<std::mutex> lock(quarantine_mutex);
+          quarantined.push_back({rep, seeds[rep], reason});
+        }
+        status[rep].store(kQuarantined, std::memory_order_release);
+        quarantined_count.fetch_add(1, std::memory_order_relaxed);
+        obs::Metrics::global().counter("exec.quarantined").add(1);
+        if (obs::log_enabled())
+          obs::log_event(obs::LogLevel::kWarn, "rep-quarantine",
+                         {{"rep", rep}, {"seed", seeds[rep]}}, reason);
       }
       last_exec_id.store(exec_id, std::memory_order_relaxed);
       obs::set_current_exec(0);

@@ -72,19 +72,6 @@ double Rng::uniform01() noexcept {
   return static_cast<double>(operator()() >> 11) * 0x1.0p-53;
 }
 
-std::vector<std::uint8_t> Rng::bytes(std::size_t count) {
-  std::vector<std::uint8_t> out(count);
-  std::size_t i = 0;
-  while (i < count) {
-    std::uint64_t word = operator()();
-    for (int b = 0; b < 8 && i < count; ++b, ++i) {
-      out[i] = static_cast<std::uint8_t>(word & 0xff);
-      word >>= 8;
-    }
-  }
-  return out;
-}
-
 Rng Rng::fork(std::string_view label, std::uint64_t index) const noexcept {
   std::uint64_t s = seed_;
   s ^= mix_label(label);

@@ -53,9 +53,6 @@ class Rng {
   /// Uniform double in [0,1) with 53 bits of precision.
   [[nodiscard]] double uniform01() noexcept;
 
-  /// `count` uniform bytes.
-  [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t count);
-
   /// Derives an independent child generator.  Children forked with distinct
   /// (label, index) pairs have distinct, fixed seeds; forking does not
   /// advance this generator, so adding forks never perturbs existing

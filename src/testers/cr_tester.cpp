@@ -1,15 +1,24 @@
 #include "testers/cr_tester.h"
 
-#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "base/error.h"
-#include "stats/confidence.h"
 
 namespace simulcast::testers {
 
-std::vector<CrPredicate> default_cr_predicates(std::size_t reduced_bits) {
-  std::vector<CrPredicate> lib;
+namespace {
+
+/// A polynomial-time predicate over W_{-i} (the announced vector minus
+/// coordinate i, in increasing-coordinate order).
+struct Predicate {
+  std::string name;
+  std::function<bool(const BitVec&)> eval;
+};
+
+/// The predicate library for vectors of n-1 bits.
+std::vector<Predicate> predicate_library(std::size_t reduced_bits) {
+  std::vector<Predicate> lib;
   lib.push_back({"parity==0", [](const BitVec& v) { return !v.parity(); }});
   for (std::size_t j = 0; j < reduced_bits; ++j)
     lib.push_back({"bit" + std::to_string(j) + "==1",
@@ -28,31 +37,29 @@ std::vector<CrPredicate> default_cr_predicates(std::size_t reduced_bits) {
   return lib;
 }
 
+}  // namespace
+
 CrVerdict test_cr(const std::vector<exec::Sample>& samples,
-                  const std::vector<sim::PartyId>& corrupted, const CrOptions& options) {
+                  const std::vector<sim::PartyId>& corrupted) {
   const exec::EvaluationTimer timer;
   if (samples.empty()) throw UsageError("test_cr: no samples");
   const std::size_t n = samples.front().announced.size();
-  const std::vector<std::size_t> honest = honest_indices(n, corrupted);
+  const std::vector<std::size_t> honest = complement(n, corrupted);
   if (honest.empty()) throw UsageError("test_cr: no honest party to test");
 
-  const std::vector<CrPredicate> predicates =
-      options.predicates.empty() ? default_cr_predicates(n - 1) : options.predicates;
+  const std::vector<Predicate> predicates = predicate_library(n - 1);
 
   CrVerdict verdict;
-  verdict.samples = samples.size();
-  // Union bound over all tested (i, R) pairs; the three estimated
-  // probabilities per pair add a further factor of 3.
-  const double alpha_each =
-      options.alpha / (3.0 * static_cast<double>(honest.size() * predicates.size()));
-  verdict.radius = 3.0 * stats::hoeffding_radius(samples.size(), alpha_each);
+  // Three estimated probabilities for each tested (i, R) pair.
+  const stats::Budget budget(kAlpha, 3 * honest.size() * predicates.size());
+  verdict.radius = 3.0 * budget.mean_radius(samples.size());
 
   const double count = static_cast<double>(samples.size());
   for (std::size_t i : honest) {
     std::vector<std::size_t> others;
     for (std::size_t j = 0; j < n; ++j)
       if (j != i) others.push_back(j);
-    for (const CrPredicate& pred : predicates) {
+    for (const Predicate& pred : predicates) {
       double wi_zero = 0.0;
       double pred_true = 0.0;
       double joint = 0.0;
@@ -73,7 +80,7 @@ CrVerdict test_cr(const std::vector<exec::Sample>& samples,
       }
     }
   }
-  verdict.independent = verdict.max_gap <= verdict.radius + options.margin;
+  verdict.independent = verdict.max_gap <= verdict.radius + kMargin;
   return verdict;
 }
 

@@ -9,10 +9,11 @@
 // random event, which is exactly why the paper introduces G** as the
 // technically robust variant (Props. B.3/B.4 relate it to G and G*).
 //
-// The tester enumerates all honest-input vectors (n - t small) for each
-// configured corrupted-input vector, estimates each input's probabilities
-// from samples_per_input fixed-input executions, and reports the worst
-// pairwise gap per corrupted party.
+// The tester enumerates all honest-input vectors (n - t small) for the two
+// corrupted-input vectors w = 0...0 and w = 1...1, estimates each input's
+// probabilities from samples_per_input fixed-input executions, and reports
+// the worst pairwise gap per corrupted party.  The budget is union-bounded
+// over |w| * |corrupted| * 4^|honest| estimates.
 #pragma once
 
 #include "testers/monte_carlo.h"
@@ -35,24 +36,17 @@ struct GssVerdict {
   std::size_t executions = 0;
 };
 
-struct GssOptions {
-  std::size_t samples_per_input = 400;   ///< executions per fixed input vector
-  double alpha = 0.01;
-  double margin = 0.02;
-  /// Corrupted-input vectors w to sweep; empty = all-zeros and all-ones.
-  std::vector<BitVec> corrupted_inputs;
-};
-
 /// Largest honest-party count the sweep enumerates.  The sweep is one
-/// batch, so all |w| x 2^honest x samples_per_input of its Samples are in
+/// batch, so all 2 x 2^honest x samples_per_input of its Samples are in
 /// memory at once (about 170 bytes each with their input and seed, plus
-/// any adversary output): at this limit, with the default two w vectors
-/// and 400 samples per input, 51 200 Samples, under 10 MB.
+/// any adversary output): at this limit, with 400 samples per input,
+/// 51 200 Samples, under 10 MB.
 inline constexpr std::size_t kGssMaxHonestParties = 6;
 
-/// Runs every fixed input of the sweep as one exec::Runner batch, then
-/// evaluates the gaps.  Throws UsageError above kGssMaxHonestParties.
-[[nodiscard]] GssVerdict test_gstarstar(const exec::RunSpec& spec, const GssOptions& options,
-                                        std::uint64_t seed);
+/// Runs every fixed input of the sweep, samples_per_input executions each,
+/// as one exec::Runner batch, then evaluates the gaps.  Throws UsageError
+/// above kGssMaxHonestParties.
+[[nodiscard]] GssVerdict test_gstarstar(const exec::RunSpec& spec,
+                                        std::size_t samples_per_input, std::uint64_t seed);
 
 }  // namespace simulcast::testers

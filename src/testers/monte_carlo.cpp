@@ -11,9 +11,4 @@ double consistency_rate(const std::vector<exec::Sample>& samples) {
   return static_cast<double>(ok) / static_cast<double>(samples.size());
 }
 
-std::vector<std::size_t> honest_indices(std::size_t n,
-                                        const std::vector<sim::PartyId>& corrupted) {
-  return complement(n, corrupted);
-}
-
 }  // namespace simulcast::testers

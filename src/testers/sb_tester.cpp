@@ -1,15 +1,24 @@
 #include "testers/sb_tester.h"
 
-#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "base/error.h"
-#include "stats/confidence.h"
 #include "stats/empirical.h"
 
 namespace simulcast::testers {
 
 namespace {
+
+/// A distinguisher gap must clear its radius by this much to be flagged.
+constexpr double kSbMargin = 0.05;
+
+/// A distinguisher over the pair (inputs x, announced W).
+struct Distinguisher {
+  std::string name;
+  std::function<bool(const BitVec& x, const BitVec& w)> eval;
+};
 
 /// Packs (x, W) into a 2n-bit vector for joint-histogram comparison.
 BitVec pack_pair(const BitVec& x, const BitVec& w) {
@@ -19,12 +28,10 @@ BitVec pack_pair(const BitVec& x, const BitVec& w) {
   return out;
 }
 
-}  // namespace
-
-std::vector<SbDistinguisher> default_sb_distinguishers(
-    std::size_t n, const std::vector<sim::PartyId>& corrupted) {
-  std::vector<SbDistinguisher> lib;
-  const std::vector<std::size_t> honest = honest_indices(n, corrupted);
+std::vector<Distinguisher> distinguisher_library(std::size_t n,
+                                                 const std::vector<sim::PartyId>& corrupted) {
+  std::vector<Distinguisher> lib;
+  const std::vector<std::size_t> honest = complement(n, corrupted);
   // Copy detectors: corrupted announced value equals an honest input.
   for (std::size_t c : corrupted) {
     for (std::size_t j : honest) {
@@ -45,14 +52,16 @@ std::vector<SbDistinguisher> default_sb_distinguishers(
   return lib;
 }
 
+}  // namespace
+
 SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble,
-                  const SbOptions& options, std::uint64_t seed) {
+                  std::size_t samples, std::uint64_t seed) {
   if (spec.protocol == nullptr) throw UsageError("test_sb: null protocol");
   const std::size_t n = spec.params.n;
   if (n > kSbMaxParties)
     throw UsageError("test_sb: n = " + std::to_string(n) + " exceeds " +
                      std::to_string(kSbMaxParties) + " parties (the joint (x, W) takes 2n bits)");
-  const std::vector<std::size_t> honest = honest_indices(n, spec.corrupted);
+  const std::vector<std::size_t> honest = complement(n, spec.corrupted);
 
   stats::Rng master(seed);
   stats::Rng input_rng = master.fork("sb-inputs");
@@ -63,7 +72,6 @@ SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble
   // "exec-fixed", 0)(); slot samples + rep is the ideal world's sandbox,
   // where the dummy-input simulator runs the adversary on x_rep with the
   // honest inputs pinned to 0, with the same seed over "sb-ideal".
-  const std::size_t samples = options.samples;
   std::vector<BitVec> inputs(2 * samples);
   std::vector<std::uint64_t> seeds(2 * samples);
   for (std::size_t rep = 0; rep < samples; ++rep) {
@@ -91,26 +99,25 @@ SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble
   }
 
   SbVerdict verdict;
-  verdict.samples = options.samples;
   verdict.tv_joint = real_joint.tv_distance(ideal_joint);
 
-  const std::vector<SbDistinguisher> lib = default_sb_distinguishers(n, spec.corrupted);
-  const double alpha_each = options.alpha / std::max<double>(1.0, static_cast<double>(lib.size()));
-  verdict.radius = stats::hoeffding_diff_radius(options.samples, options.samples, alpha_each);
-  for (const SbDistinguisher& d : lib) {
+  const std::vector<Distinguisher> lib = distinguisher_library(n, spec.corrupted);
+  const stats::Budget budget(kAlpha, lib.size());
+  verdict.radius = budget.diff_radius(samples, samples);
+  for (const Distinguisher& d : lib) {
     double p_real = 0.0;
     double p_ideal = 0.0;
     for (const auto& [x, w] : real_pairs) p_real += d.eval(x, w) ? 1.0 : 0.0;
     for (const auto& [x, w] : ideal_pairs) p_ideal += d.eval(x, w) ? 1.0 : 0.0;
-    p_real /= static_cast<double>(options.samples);
-    p_ideal /= static_cast<double>(options.samples);
+    p_real /= static_cast<double>(samples);
+    p_ideal /= static_cast<double>(samples);
     const double gap = std::abs(p_real - p_ideal);
     if (gap > verdict.max_distinguisher_gap) {
       verdict.max_distinguisher_gap = gap;
       verdict.worst = {d.name, p_real, p_ideal};
     }
   }
-  verdict.secure = verdict.max_distinguisher_gap <= verdict.radius + options.margin;
+  verdict.secure = verdict.max_distinguisher_gap <= verdict.radius + kSbMargin;
   return verdict;
 }
 

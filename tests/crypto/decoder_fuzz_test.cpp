@@ -17,7 +17,18 @@ class DecoderFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   stats::Rng rng_{GetParam()};
 
-  Bytes random_payload() { return rng_.bytes(rng_.below(128)); }
+  /// `count` uniform bytes, eight from each draw, low byte first.
+  Bytes random_bytes(std::size_t count) {
+    Bytes out(count);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < count; ++i, word >>= 8) {
+      if (i % 8 == 0) word = rng_();
+      out[i] = static_cast<std::uint8_t>(word);
+    }
+    return out;
+  }
+
+  Bytes random_payload() { return random_bytes(rng_.below(128)); }
 };
 
 TEST_P(DecoderFuzzTest, GroupElementsDecoderNeverCrashes) {
@@ -72,7 +83,7 @@ TEST_P(DecoderFuzzTest, SignatureChainDecoderNeverCrashes) {
       w.u8(static_cast<std::uint8_t>(rng_.below(4)));
       w.u32(static_cast<std::uint32_t>(rng_.below(3)));
       payload = w.take();
-      const Bytes tail = rng_.bytes(rng_.below(3) == 0 ? 0 : rng_.below(64));
+      const Bytes tail = random_bytes(rng_.below(3) == 0 ? 0 : rng_.below(64));
       payload.insert(payload.end(), tail.begin(), tail.end());
     }
     const auto decoded = broadcast::decode_chain(payload);

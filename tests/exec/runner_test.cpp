@@ -492,9 +492,7 @@ TEST(Ledger, SbTesterCallIsOneBatch) {
   RunSpec spec = spec_for(*proto, 4);
   spec.corrupted = {3};
   spec.adversary = adversary::copy_last_factory(0);
-  testers::SbOptions options;
-  options.samples = 50;
-  (void)testers::test_sb(spec, *dist::make_uniform(4), options, 5);
+  (void)testers::test_sb(spec, *dist::make_uniform(4), 50, 5);
   const Ledger books = ledger();
   EXPECT_EQ(books.campaigns.size(), 1u);
   EXPECT_EQ(books.report.executions, 100u);
@@ -508,9 +506,7 @@ TEST(Ledger, GStarStarTesterCallIsOneBatch) {
   RunSpec spec = spec_for(*proto, 4);
   spec.corrupted = {3};
   spec.adversary = adversary::copy_last_factory(0);
-  testers::GssOptions options;
-  options.samples_per_input = 10;
-  const testers::GssVerdict verdict = testers::test_gstarstar(spec, options, 5);
+  const testers::GssVerdict verdict = testers::test_gstarstar(spec, 10, 5);
   const Ledger books = ledger();
   EXPECT_EQ(books.campaigns.size(), 1u);
   EXPECT_EQ(books.report.executions, verdict.executions);

@@ -244,7 +244,6 @@ TEST(Records, DescribeAndJsonRenderFromSameRecord) {
   v.independent = false;
   v.max_gap = 0.1875;
   v.radius = 0.03125;
-  v.samples = 4000;
   v.worst.party = 2;
   v.worst.predicate = "W3=1";
   v.worst.p_wi_zero = 0.5;

@@ -52,6 +52,17 @@ TEST(Hoeffding, EmpiricalCoverage) {
   EXPECT_GE(covered, 950);
 }
 
+TEST(Budget, SplitsAlphaEvenlyOverEstimates) {
+  const Budget budget(0.01, 8);
+  EXPECT_EQ(budget.mean_radius(100), hoeffding_radius(100, 0.01 / 8.0));
+  EXPECT_EQ(budget.diff_radius(100, 400), hoeffding_diff_radius(100, 400, 0.01 / 8.0));
+}
+
+TEST(Budget, NothingTestedKeepsAllOfAlpha) {
+  EXPECT_EQ(Budget(0.01, 0).mean_radius(100), hoeffding_radius(100, 0.01));
+  EXPECT_EQ(Budget(0.01, 1).diff_radius(100, 50), hoeffding_diff_radius(100, 50, 0.01));
+}
+
 TEST(NormalQuantile, StandardValues) {
   EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-8);
   EXPECT_NEAR(normal_quantile(0.975), 1.959964, 1e-4);

@@ -73,15 +73,6 @@ TEST(Rng, Uniform01Range) {
   }
 }
 
-TEST(Rng, BytesLengthAndDeterminism) {
-  Rng a(11);
-  Rng b(11);
-  const auto ba = a.bytes(37);
-  const auto bb = b.bytes(37);
-  EXPECT_EQ(ba.size(), 37u);
-  EXPECT_EQ(ba, bb);
-}
-
 TEST(Rng, ForkIsPureAndLabelled) {
   const Rng parent(17);
   Rng c1 = parent.fork("alpha");

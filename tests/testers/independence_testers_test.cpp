@@ -127,9 +127,7 @@ TEST(GTester, RequiresCorruptedParties) {
 TEST(GssTester, FlawedPiGUnderParityAdversaryIsIndependent) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
-  GssOptions options;
-  options.samples_per_input = 300;
-  const GssVerdict v = test_gstarstar(spec, options, kSeed);
+  const GssVerdict v = test_gstarstar(spec, 300, kSeed);
   EXPECT_TRUE(v.independent) << core::describe(v);
   EXPECT_GT(v.executions, 0u);
 }
@@ -139,9 +137,7 @@ TEST(GssTester, SeqBroadcastUnderCopyIsViolated) {
   // the copier's announced bit with certainty.
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
-  GssOptions options;
-  options.samples_per_input = 100;
-  const GssVerdict v = test_gstarstar(spec, options, kSeed);
+  const GssVerdict v = test_gstarstar(spec, 100, kSeed);
   EXPECT_FALSE(v.independent);
   EXPECT_GT(v.max_gap, 0.9);
   EXPECT_EQ(v.worst.party, 3u);
@@ -152,9 +148,7 @@ TEST(GssTester, PassiveGennaroIsIndependent) {
   sim::ProtocolParams params;
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {1}, adversary::passive_factory(*proto, params));
-  GssOptions options;
-  options.samples_per_input = 150;
-  const GssVerdict v = test_gstarstar(spec, options, kSeed);
+  const GssVerdict v = test_gstarstar(spec, 150, kSeed);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
 
@@ -162,14 +156,11 @@ TEST(GssTester, PassiveGennaroIsIndependent) {
 // limit runs, one more honest party is refused before anything runs.
 TEST(GssTester, HonestPartyLimitBoundsTheSweep) {
   const auto proto = core::make_protocol("seq-broadcast");
-  GssOptions options;
-  options.samples_per_input = 1;
   const auto at_limit =
       make_spec(*proto, kGssMaxHonestParties + 1, {0}, adversary::silent_factory());
-  EXPECT_EQ(test_gstarstar(at_limit, options, kSeed).executions,
-            2u << kGssMaxHonestParties);
+  EXPECT_EQ(test_gstarstar(at_limit, 1, kSeed).executions, 2u << kGssMaxHonestParties);
   const auto above = make_spec(*proto, kGssMaxHonestParties + 2, {0}, adversary::silent_factory());
-  EXPECT_THROW((void)test_gstarstar(above, options, kSeed), UsageError);
+  EXPECT_THROW((void)test_gstarstar(above, 1, kSeed), UsageError);
 }
 
 // ---------------------------------------------------------------- Sb tester
@@ -180,9 +171,7 @@ TEST(SbTester, GennaroUnderPassiveIsSimulatable) {
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {2}, adversary::passive_factory(*proto, params));
   const auto ens = dist::make_uniform(4);
-  SbOptions options;
-  options.samples = 800;
-  const SbVerdict v = test_sb(spec, *ens, options, kSeed);
+  const SbVerdict v = test_sb(spec, *ens, 800, kSeed);
   EXPECT_TRUE(v.secure) << core::describe(v);
 }
 
@@ -192,9 +181,7 @@ TEST(SbTester, SeqBroadcastUnderCopyIsViolated) {
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
   const auto ens = dist::make_uniform(4);
-  SbOptions options;
-  options.samples = 800;
-  const SbVerdict v = test_sb(spec, *ens, options, kSeed);
+  const SbVerdict v = test_sb(spec, *ens, 800, kSeed);
   EXPECT_FALSE(v.secure);
   EXPECT_GT(v.max_distinguisher_gap, 0.3);
   EXPECT_EQ(v.worst.distinguisher, "W3==x0");
@@ -206,9 +193,7 @@ TEST(SbTester, FlawedPiGUnderParityAdversaryIsViolated) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
   const auto ens = dist::make_uniform(5);
-  SbOptions options;
-  options.samples = 800;
-  const SbVerdict v = test_sb(spec, *ens, options, kSeed);
+  const SbVerdict v = test_sb(spec, *ens, 800, kSeed);
   EXPECT_FALSE(v.secure) << core::describe(v);
 }
 
@@ -217,13 +202,66 @@ TEST(SbTester, PartyLimitIsCheckedBeforeSampling) {
   // BitVec, and n = 33 is refused up front instead of failing in the
   // histogram after every execution has run.
   const auto proto = core::make_protocol("seq-broadcast");
-  SbOptions options;
-  options.samples = 2;
   const auto at_limit = make_spec(*proto, kSbMaxParties, {}, adversary::silent_factory());
-  EXPECT_NO_THROW((void)test_sb(at_limit, *dist::make_uniform(kSbMaxParties), options, kSeed));
+  EXPECT_NO_THROW((void)test_sb(at_limit, *dist::make_uniform(kSbMaxParties), 2, kSeed));
   const auto beyond = make_spec(*proto, kSbMaxParties + 1, {}, adversary::silent_factory());
-  EXPECT_THROW((void)test_sb(beyond, *dist::make_uniform(kSbMaxParties + 1), options, kSeed),
+  EXPECT_THROW((void)test_sb(beyond, *dist::make_uniform(kSbMaxParties + 1), 2, kSeed),
                UsageError);
+}
+
+// ------------------------------------------------------------- the one rule
+//
+// Each verdict spends kAlpha over the estimates it union-bounds; these
+// pin one radius per verdict to the bits it has always had, so a drift in
+// a count, in the split or in kAlpha fails here before it moves a record.
+
+std::vector<exec::Sample> repeated(std::vector<exec::Sample> samples, const char* announced,
+                                   std::size_t count) {
+  exec::Sample sample;
+  sample.announced = BitVec::from_string(announced);
+  samples.insert(samples.end(), count, sample);
+  return samples;
+}
+
+TEST(OneRule, CrRadiusIsPinned) {
+  // 3 estimates for each of 3 honest parties x 19 predicates over 4 bits
+  // (E4's uniform rows).
+  const CrVerdict v = test_cr(repeated({}, "00000", 4000), {1, 3});
+  EXPECT_EQ(v.radius, 0.10837425219318486);
+}
+
+TEST(OneRule, GRadiusIsPinned) {
+  // Two usable conditionings (00 and 11) for 2 corrupted parties: 2^2 x 2
+  // estimates.  The 49 samples of honest vector 10 fall below the floor.
+  auto samples = repeated({}, "0000", 100);
+  samples = repeated(std::move(samples), "1111", 60);
+  samples = repeated(std::move(samples), "1000", 49);
+  const GVerdict v = test_g(samples, {2, 3});
+  EXPECT_EQ(v.pairs_tested, 2u);
+  EXPECT_EQ(v.worst.gap, 1.0);
+  EXPECT_EQ(v.worst.radius, 0.46022497841030796);
+}
+
+TEST(OneRule, GssRadiusIsPinned) {
+  // |w| = 2 x 2 corrupted x 4^3 honest pairs, 250 executions per input
+  // (E4's G** cell).
+  const auto proto = core::make_protocol("seq-broadcast");
+  const auto spec = make_spec(*proto, 5, {1, 3}, adversary::silent_factory());
+  EXPECT_EQ(test_gstarstar(spec, 250, kSeed).radius, 0.30379785373287344);
+}
+
+TEST(OneRule, SbRadiusIsPinned) {
+  // 8 distinguishers at n = 4 with one corrupted party, 400 samples per
+  // world (E5's Sb cells).
+  const auto proto = core::make_protocol("seq-broadcast");
+  const auto spec = make_spec(*proto, 4, {3}, adversary::silent_factory());
+  EXPECT_EQ(test_sb(spec, *dist::make_uniform(4), 400, kSeed).radius, 0.20088437083043342);
+}
+
+TEST(OneRule, GStarThresholdIsPinned) {
+  // bench_e8_gstar's G* threshold: 64 inputs x 2 corrupted coordinates,
+  // 200 executions on each side, plus the margin.
+  EXPECT_EQ(stats::Budget(kAlpha, 64 * 2).diff_radius(200, 200) + kMargin, 0.34929462204882117);
 }
 
 }  // namespace

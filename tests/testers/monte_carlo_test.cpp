@@ -99,10 +99,5 @@ TEST(MonteCarlo, Validation) {
   EXPECT_THROW((void)exec::Runner().run_batch(spec, BitVec(4), 1, 1), UsageError);
 }
 
-TEST(MonteCarlo, HonestIndices) {
-  EXPECT_EQ(honest_indices(5, {1, 3}), (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(honest_indices(3, {}), (std::vector<std::size_t>{0, 1, 2}));
-}
-
 }  // namespace
 }  // namespace simulcast::testers
