@@ -33,6 +33,8 @@
 # is an explicit true/false verdict.  A record that ran no execution (E1
 # classifies exact pmfs) must instead carry all-zero traffic and
 # "reproduced": true: a lossy wire with nothing on it can flip nothing.
+# The last line counts the drivers whose records passed these checks and,
+# of those, the ones whose records all say "reproduced": true.
 #
 # With --resume, each driver instead exercises the interrupt/resume story
 # end to end (DESIGN.md section 10): run once uninterrupted as a baseline,
@@ -80,6 +82,9 @@
 # correlation id, the last line is flagged "final", and its "completed"
 # equals the total perf.completed of the records the driver wrote — the
 # stream and the record agree on how much work was done.
+#
+# Every mode parses records and traces with python3; without it the script
+# exits 2 before running anything.
 set -u
 
 want_trace=0
@@ -114,6 +119,11 @@ if [ "$#" -lt 1 ]; then
   exit 2
 fi
 
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "collect.sh: python3 is required to check records and traces" >&2
+  exit 2
+fi
+
 out_dir=$1
 shift
 mkdir -p "$out_dir" || exit 2
@@ -129,25 +139,18 @@ else
   fi
 fi
 
-# Trace well-formedness: full JSON parse when python3 is around, otherwise a
-# cheap shape check for the traceEvents array.
+# Trace well-formedness: the file parses as JSON.
 check_trace() {
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$1" >/dev/null 2>&1
-  else
-    grep -q '"traceEvents": \[' "$1"
-  fi
+  python3 -m json.tool "$1" >/dev/null 2>&1
 }
 
 # Faulted-record honesty: the record parses, its faults object carries the
 # requested drop rate, the traffic block carries all four fault counters,
 # and "reproduced" is an explicit verdict.  A record whose executions ran
 # must show dropped messages; one that ran none must show all-zero traffic
-# and reproduce.  Without python3, a grep-shaped approximation of the same
-# checks.
+# and reproduce.
 check_faulted_record() {
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$1" "$drop_rate" 2>/dev/null <<'EOF'
+  python3 - "$1" "$drop_rate" 2>/dev/null <<'EOF'
 import json, sys
 rec = json.load(open(sys.argv[1]))
 assert rec["reproduced"] in (True, False)
@@ -160,11 +163,6 @@ if rec["perf"]["executions"] == 0:
 else:
     assert traffic["dropped"] > 0
 EOF
-  else
-    grep -q '"drop_probability": ' "$1" &&
-      grep -q '"dropped": ' "$1" &&
-      grep -q '"reproduced": ' "$1"
-  fi
 }
 
 # Verdict honesty (schema v10): "reproduced" must equal the rule applied to
@@ -194,10 +192,6 @@ EOF
 # rank ceil(q * count) (clamped to [1, count]); an empty histogram has
 # null percentiles and no buckets.
 check_histograms() {
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "  check_histograms needs python3" >&2
-    return 1
-  fi
   python3 - "$1" 2>&1 <<'EOF'
 import json, math, sys
 rec = json.load(open(sys.argv[1]))
@@ -349,10 +343,6 @@ EOF
 }
 
 if [ "$want_status" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --status needs python3 for heartbeat checks" >&2
-    exit 2
-  fi
   failures=0
   for driver in "${drivers[@]}"; do
     name=$(basename "$driver")
@@ -397,10 +387,6 @@ fi
 # (which names the backend and the chaos spec, the one thing the runs
 # disagree on) and pass CHECK.
 if [ "$want_socket" -eq 1 ] || [ "$want_process" -eq 1 ] || [ "$want_chaos" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: identity modes need python3 for record comparison" >&2
-    exit 2
-  fi
   base_label=inproc
   if [ "$want_socket" -eq 1 ]; then
     variants=("socket check_socket_metrics --transport=socket")
@@ -479,10 +465,6 @@ if [ "$want_socket" -eq 1 ] || [ "$want_process" -eq 1 ] || [ "$want_chaos" -eq 
 fi
 
 if [ "$want_resume" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --resume needs python3 for record comparison" >&2
-    exit 2
-  fi
   failures=0
   for driver in "${drivers[@]}"; do
     name=$(basename "$driver")
@@ -548,6 +530,7 @@ if [ "$want_resume" -eq 1 ]; then
 fi
 
 failures=0
+reproduced=0  # --faults: drivers whose honest records all say reproduced
 for driver in "${drivers[@]}"; do
   name=$(basename "$driver")
   before=$(ls "$out_dir"/BENCH_*.json 2>/dev/null | sort)
@@ -612,10 +595,19 @@ for driver in "${drivers[@]}"; do
     if [ -z "$trace" ] || ! check_trace "$trace"; then
       echo "collect.sh: FAIL $name (no parseable TRACE_*.json in $out_dir)" >&2
       failures=$((failures + 1))
+      continue
     fi
+  fi
+  if [ "$want_faults" -eq 1 ] && ! grep -L '"reproduced": true' $written | grep -q .; then
+    reproduced=$((reproduced + 1))
   fi
 done
 
 count=${#drivers[@]}
-echo "collect.sh: $((count - failures))/$count drivers reproduced, records in $out_dir"
+if [ "$want_faults" -eq 1 ]; then
+  echo "collect.sh: $((count - failures))/$count drivers wrote honest faulted records" \
+       "($reproduced reproduced), records in $out_dir"
+else
+  echo "collect.sh: $((count - failures))/$count drivers reproduced, records in $out_dir"
+fi
 [ "$failures" -eq 0 ]

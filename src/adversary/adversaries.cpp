@@ -136,7 +136,7 @@ void SelectiveAbortAdversary::on_round(sim::Round round, const sim::AdversaryVie
     if (m.tag != protocols::kNcrOpenTag || m.from != victim_) continue;
     try {
       ByteReader r(m.payload);
-      const Bytes msg = r.bytes();
+      const ByteSpan msg = r.field();
       if (msg.size() == 1 && msg[0] <= 1) victim_bit = msg[0] == 1;
     } catch (const Error&) {
     }

@@ -1,21 +1,31 @@
 #include "base/bytes.h"
 
+#include <limits>
+
 #include "base/error.h"
 
 namespace simulcast {
 
 namespace {
 
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw UsageError("from_hex: invalid hex digit");
+std::uint32_t field_length(std::size_t size) {
+  if (size > std::numeric_limits<std::uint32_t>::max())
+    throw UsageError("ByteWriter: a field of " + std::to_string(size) +
+                     " bytes exceeds its u32 length prefix");
+  return static_cast<std::uint32_t>(size);
+}
+
+/// The `count` bytes of `data` at `pos`, which then moves past them.
+ByteSpan take(ByteSpan data, std::size_t& pos, std::size_t count) {
+  if (count > data.size() - pos) throw ProtocolError("ByteReader: truncated message");
+  const ByteSpan out = data.subspan(pos, count);
+  pos += count;
+  return out;
 }
 
 }  // namespace
 
-std::string to_hex(const Bytes& data) {
+std::string to_hex(ByteSpan data) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
   out.reserve(data.size() * 2);
@@ -26,79 +36,70 @@ std::string to_hex(const Bytes& data) {
   return out;
 }
 
-Bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) throw UsageError("from_hex: odd-length input");
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(hex_digit(hex[i]) * 16 + hex_digit(hex[i + 1])));
-  }
-  return out;
-}
-
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  std::uint8_t le[4];
+  for (std::size_t i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  raw(le);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  std::uint8_t le[8];
+  for (std::size_t i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  raw(le);
 }
 
-void ByteWriter::bytes(const Bytes& data) {
-  u32(static_cast<std::uint32_t>(data.size()));
-  buf_.insert(buf_.end(), data.begin(), data.end());
+void ByteWriter::bytes(ByteSpan data) {
+  u32(field_length(data.size()));
+  raw(data);
 }
 
 void ByteWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  u32(field_length(s.size()));
+  out_->insert(out_->end(), s.begin(), s.end());
 }
 
-void ByteReader::need(std::size_t count) const {
-  if (pos_ + count > data_.size()) throw ProtocolError("ByteReader: truncated message");
+std::size_t ByteWriter::begin_field() {
+  const std::size_t at = out_->size();
+  u32(0);
+  return at;
+}
+
+void ByteWriter::end_field(std::size_t at) {
+  std::uint32_t len = field_length(out_->size() - at - 4);
+  for (std::size_t i = 0; i < 4; ++i, len >>= 8) (*out_)[at + i] = static_cast<std::uint8_t>(len);
 }
 
 std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
+  return take(data_, pos_, 1)[0];
 }
 
 std::uint32_t ByteReader::u32() {
-  need(4);
+  const ByteSpan b = take(data_, pos_, 4);
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+  for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
   return v;
 }
 
 std::uint64_t ByteReader::u64() {
-  need(8);
+  const ByteSpan b = take(data_, pos_, 8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+  for (std::size_t i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
   return v;
 }
 
-Bytes ByteReader::bytes() {
+ByteSpan ByteReader::field() {
   const std::uint32_t len = u32();
-  need(len);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return out;
+  return take(data_, pos_, len);
+}
+
+Bytes ByteReader::bytes() {
+  const ByteSpan f = field();
+  return Bytes(f.begin(), f.end());
 }
 
 std::string ByteReader::str() {
-  const std::uint32_t len = u32();
-  need(len);
-  std::string out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return out;
+  const ByteSpan f = field();
+  return std::string(f.begin(), f.end());
 }
 
 }  // namespace simulcast

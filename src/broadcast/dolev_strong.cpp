@@ -150,7 +150,7 @@ std::optional<DecodedChain> decode_chain(const Bytes& data) {
     for (std::uint32_t i = 0; i < count; ++i) {
       ChainLink link;
       link.signer = r.u64();
-      const auto sig = crypto::decode_merkle_signature(r.bytes());
+      const auto sig = crypto::decode_merkle_signature(r.field());
       if (!sig.has_value()) return std::nullopt;
       link.signature = *sig;
       dc.chain.push_back(std::move(link));

@@ -44,13 +44,11 @@ class Session {
   /// options.
   Session(std::string protocol, std::size_t n, exec::RunConfig config = exec::run_config());
 
-  /// Largest corruption count the protocol tolerates.
-  [[nodiscard]] std::size_t max_corruptions() const;
-
   /// Runs with every party honest.
   [[nodiscard]] SessionResult run(const BitVec& inputs, std::uint64_t seed) const;
 
-  /// Runs with the given corrupted set driven by the adversary factory.
+  /// Runs with the given corrupted set driven by the adversary factory: a
+  /// one-repetition run_batch_seeded on one thread.
   [[nodiscard]] SessionResult run_with_adversary(
       const BitVec& inputs, const std::vector<sim::PartyId>& corrupted,
       const adversary::AdversaryFactory& adversary, std::uint64_t seed) const;

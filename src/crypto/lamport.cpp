@@ -108,7 +108,7 @@ Bytes encode_merkle_signature(const MerkleSignature& sig) {
   return w.take();
 }
 
-std::optional<MerkleSignature> decode_merkle_signature(const Bytes& data) {
+std::optional<MerkleSignature> decode_merkle_signature(ByteSpan data) {
   try {
     ByteReader r(data);
     MerkleSignature sig;
@@ -117,7 +117,7 @@ std::optional<MerkleSignature> decode_merkle_signature(const Bytes& data) {
     if (pk_count != kLamportChains) return std::nullopt;
     sig.one_time_pk.reserve(pk_count);
     for (std::uint32_t i = 0; i < pk_count; ++i) {
-      const Bytes b = r.bytes();
+      const ByteSpan b = r.field();
       if (b.size() != kSha256DigestSize) return std::nullopt;
       Digest d{};
       std::copy(b.begin(), b.end(), d.begin());
@@ -132,7 +132,7 @@ std::optional<MerkleSignature> decode_merkle_signature(const Bytes& data) {
     if (path_count > 64) return std::nullopt;
     sig.path.siblings.reserve(path_count);
     for (std::uint32_t i = 0; i < path_count; ++i) {
-      const Bytes b = r.bytes();
+      const ByteSpan b = r.field();
       if (b.size() != kSha256DigestSize) return std::nullopt;
       Digest d{};
       std::copy(b.begin(), b.end(), d.begin());

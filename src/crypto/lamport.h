@@ -80,6 +80,6 @@ class MerkleSigner {
 
 /// Wire encoding (used by Dolev-Strong message relaying).
 [[nodiscard]] Bytes encode_merkle_signature(const MerkleSignature& sig);
-[[nodiscard]] std::optional<MerkleSignature> decode_merkle_signature(const Bytes& data);
+[[nodiscard]] std::optional<MerkleSignature> decode_merkle_signature(ByteSpan data);
 
 }  // namespace simulcast::crypto

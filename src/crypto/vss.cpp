@@ -129,7 +129,7 @@ Bytes encode_group_elements(const std::vector<std::uint64_t>& elements) {
   return w.take();
 }
 
-std::vector<std::uint64_t> decode_group_elements(const Bytes& data) {
+std::vector<std::uint64_t> decode_group_elements(ByteSpan data) {
   ByteReader r(data);
   const std::uint32_t count = r.u32();
   if (count > 4096) throw ProtocolError("decode_group_elements: oversized");
@@ -148,7 +148,7 @@ Bytes encode_pedersen_share(const PedersenShare& s) {
   return w.take();
 }
 
-PedersenShare decode_pedersen_share(const Bytes& data, std::uint64_t q) {
+PedersenShare decode_pedersen_share(ByteSpan data, std::uint64_t q) {
   ByteReader r(data);
   PedersenShare s;
   s.x = r.u64();

@@ -125,8 +125,8 @@ class PedersenVss {
 [[nodiscard]] Bytes encode_share(const Share<Zq>& s);
 [[nodiscard]] Share<Zq> decode_share(const Bytes& data, std::uint64_t q);
 [[nodiscard]] Bytes encode_group_elements(const std::vector<std::uint64_t>& elements);
-[[nodiscard]] std::vector<std::uint64_t> decode_group_elements(const Bytes& data);
+[[nodiscard]] std::vector<std::uint64_t> decode_group_elements(ByteSpan data);
 [[nodiscard]] Bytes encode_pedersen_share(const PedersenShare& s);
-[[nodiscard]] PedersenShare decode_pedersen_share(const Bytes& data, std::uint64_t q);
+[[nodiscard]] PedersenShare decode_pedersen_share(ByteSpan data, std::uint64_t q);
 
 }  // namespace simulcast::crypto

@@ -1,100 +1,102 @@
 #include "exec/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
+#include <bit>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "base/bytes.h"
 #include "base/error.h"
-#include "base/parse.h"
 #include "obs/file.h"
+#include "obs/log.h"
+#include "stats/rng.h"
 
 namespace simulcast::exec {
 namespace {
 
-// v2 added wire_bytes / wire_delivered_bytes to each slot's traffic fields
-// (the transport refactor's serialized-byte accounting).  v3 dropped the
-// deprecated payload-only counts alongside record schema v6.  Old sidecars
-// are rejected as unreadable rather than resumed with a mismatched layout.
-constexpr std::string_view kMagic = "simulcast-checkpoint v3";
+// The sidecar is one binary record written and read with base/bytes.h:
+//
+//   str magic | u32 version | str protocol | u64 n, count, config, faults,
+//   stream | u64 elapsed-seconds bits | u32 slots, each
+//   u64 slot | bits inputs | bits announced | u8 consistent | u64 rounds |
+//   u64 per sim::kTrafficColumns entry | bytes adversary output
+//   | u32 quarantined, each u64 rep | u64 seed | str reason
+//
+// where `bits` is u32 size | u64 packed.  Any other version (1-3 were
+// text) is rejected as unreadable rather than resumed with a mismatched
+// layout.
+constexpr std::string_view kMagic = "simulcast-checkpoint";
+constexpr std::uint32_t kVersion = 4;
 
-// SplitMix64 finalizer: one cheap, well-mixed permutation per lane so the
-// accumulator is order-sensitive and avalanche-complete.
-std::uint64_t split_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+void write_bits(ByteWriter& w, const BitVec& bits) {
+  w.u32(static_cast<std::uint32_t>(bits.size()));
+  w.u64(bits.packed());
 }
 
-std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return std::string(buffer);
-}
-
-std::uint64_t parse_hex16(const std::string& text, const char* what) {
-  if (text.size() != 16 || text.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    throw UsageError(std::string("checkpoint: malformed ") + what + " '" + text + "'");
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return value;
-}
-
-// Doubles round-trip through their bit pattern, not decimal text: the
-// elapsed-seconds partial must survive write/load exactly so a resumed
-// report equals an uninterrupted one to the bit.
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-// BitVecs and Bytes may be empty (a quarantined slot's announced vector, an
-// adversary with no output); "-" marks empty so every field stays exactly
-// one whitespace-delimited token.
-std::string bits_token(const BitVec& bits) {
-  const std::string text = bits.to_string();
-  return text.empty() ? std::string("-") : text;
-}
-
-BitVec token_bits(const std::string& token) {
-  return token == "-" ? BitVec() : BitVec::from_string(token);
-}
-
-std::string bytes_token(const Bytes& bytes) {
-  return bytes.empty() ? std::string("-") : to_hex(bytes);
-}
-
-Bytes token_bytes(const std::string& token) {
-  return token == "-" ? Bytes() : from_hex(token);
+BitVec read_bits(ByteReader& r) {
+  const std::uint32_t size = r.u32();
+  const std::uint64_t packed = r.u64();
+  if (size > kMaxBits)
+    throw ProtocolError("a bit vector of " + std::to_string(size) + " bits exceeds " +
+                        std::to_string(kMaxBits));
+  return BitVec(size, packed);
 }
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& detail) {
   throw UsageError("checkpoint: corrupt file '" + path + "': " + detail);
 }
 
+CheckpointData read_record(ByteSpan file, const std::string& path) {
+  ByteReader r(file);
+  if (r.str() != kMagic) corrupt(path, "bad magic");
+  if (const std::uint32_t version = r.u32(); version != kVersion)
+    corrupt(path, "version " + std::to_string(version) + ", expected " + std::to_string(kVersion));
+  CheckpointData data;
+  CampaignIdentity& id = data.identity;
+  id.protocol = r.str();
+  id.n = r.u64();
+  id.count = r.u64();
+  id.config_hash = r.u64();
+  id.fault_hash = r.u64();
+  id.stream_hash = r.u64();
+  data.elapsed_seconds = std::bit_cast<double>(r.u64());
+  for (std::uint32_t left = r.u32(); left > 0; --left) {
+    SlotRecord record;
+    Sample& s = record.sample;
+    record.slot = r.u64();
+    if (record.slot >= id.count) corrupt(path, "slot index out of range");
+    s.inputs = read_bits(r);
+    s.announced = read_bits(r);
+    const std::uint8_t consistent = r.u8();
+    if (consistent > 1) corrupt(path, "malformed consistency flag");
+    s.consistent = consistent == 1;
+    s.rounds = r.u64();
+    for (const auto& [column, name] : sim::kTrafficColumns) s.traffic.*column = r.u64();
+    s.adversary_output = r.bytes();
+    data.slots.push_back(std::move(record));
+  }
+  for (std::uint32_t left = r.u32(); left > 0; --left) {
+    QuarantineRecord q;
+    q.rep = r.u64();
+    if (q.rep >= id.count) corrupt(path, "quarantine index out of range");
+    q.seed = r.u64();
+    q.reason = r.str();
+    data.quarantined.push_back(std::move(q));
+  }
+  if (!r.done()) corrupt(path, "trailing bytes after the record");
+  return data;
+}
+
 }  // namespace
 
 IdentityHash& IdentityHash::mix(std::uint64_t value) {
-  state_ = split_mix(state_ ^ value);
+  std::uint64_t lane = state_ ^ value;
+  state_ = stats::split_mix64(lane);
   return *this;
 }
 
 IdentityHash& IdentityHash::mix(double value) {
-  return mix(double_bits(value));
+  return mix(std::bit_cast<std::uint64_t>(value));
 }
 
 IdentityHash& IdentityHash::mix(std::string_view text) {
@@ -124,11 +126,10 @@ bool CampaignIdentity::operator==(const CampaignIdentity& other) const {
 }
 
 std::string CampaignIdentity::describe() const {
-  std::ostringstream out;
-  out << "protocol=" << protocol << " n=" << n << " count=" << count
-      << " config=" << hex16(config_hash) << " faults=" << hex16(fault_hash)
-      << " stream=" << hex16(stream_hash);
-  return out.str();
+  return "protocol=" + protocol + " n=" + std::to_string(n) + " count=" + std::to_string(count) +
+         " config=" + obs::correlation_hex(config_hash) +
+         " faults=" + obs::correlation_hex(fault_hash) +
+         " stream=" + obs::correlation_hex(stream_hash);
 }
 
 std::uint64_t CampaignIdentity::digest() const {
@@ -143,7 +144,7 @@ std::uint64_t CampaignIdentity::digest() const {
 }
 
 std::string checkpoint_filename(const CampaignIdentity& identity) {
-  return "ckpt_" + hex16(identity.digest()) + ".ckpt";
+  return "ckpt_" + obs::correlation_hex(identity.digest()) + ".ckpt";
 }
 
 std::string resolve_checkpoint_path(const std::string& path, const CampaignIdentity& identity) {
@@ -151,125 +152,47 @@ std::string resolve_checkpoint_path(const std::string& path, const CampaignIdent
 }
 
 void write_checkpoint(const std::string& resolved_path, const CheckpointData& data) {
-  std::ostringstream out;
-  out << kMagic << "\n";
-  out << "protocol " << data.identity.protocol << "\n";
-  out << "identity n=" << data.identity.n << " count=" << data.identity.count
-      << " config=" << hex16(data.identity.config_hash)
-      << " faults=" << hex16(data.identity.fault_hash)
-      << " stream=" << hex16(data.identity.stream_hash) << "\n";
-  out << "elapsed " << hex16(double_bits(data.elapsed_seconds)) << "\n";
+  ByteWriter w;
+  w.str(kMagic);
+  w.u32(kVersion);
+  w.str(data.identity.protocol);
+  w.u64(data.identity.n);
+  w.u64(data.identity.count);
+  w.u64(data.identity.config_hash);
+  w.u64(data.identity.fault_hash);
+  w.u64(data.identity.stream_hash);
+  w.u64(std::bit_cast<std::uint64_t>(data.elapsed_seconds));
+  w.u32(static_cast<std::uint32_t>(data.slots.size()));
   for (const SlotRecord& record : data.slots) {
     const Sample& s = record.sample;
-    out << "slot " << record.slot << ' ' << bits_token(s.inputs) << ' '
-        << bits_token(s.announced) << ' ' << (s.consistent ? 1 : 0) << ' ' << s.rounds << ' ';
-    for (const auto& [column, name] : sim::kTrafficColumns) out << s.traffic.*column << ' ';
-    out << bytes_token(s.adversary_output) << "\n";
+    w.u64(record.slot);
+    write_bits(w, s.inputs);
+    write_bits(w, s.announced);
+    w.u8(s.consistent ? 1 : 0);
+    w.u64(s.rounds);
+    for (const auto& [column, name] : sim::kTrafficColumns) w.u64(s.traffic.*column);
+    w.bytes(s.adversary_output);
   }
+  w.u32(static_cast<std::uint32_t>(data.quarantined.size()));
   for (const QuarantineRecord& q : data.quarantined) {
-    out << "quarantine " << q.rep << ' ' << q.seed << ' ' << q.reason << "\n";
+    w.u64(q.rep);
+    w.u64(q.seed);
+    w.str(q.reason);
   }
-  out << "end " << data.slots.size() << ' ' << data.quarantined.size() << "\n";
-  obs::write_file(resolved_path, out.str());
+  const Bytes& record = w.data();
+  obs::write_file(resolved_path,
+                  std::string_view(reinterpret_cast<const char*>(record.data()), record.size()));
 }
 
 std::optional<CheckpointData> load_checkpoint(const std::string& resolved_path) {
-  std::ifstream in(resolved_path);
+  std::ifstream in(resolved_path, std::ios::binary);
   if (!in) return std::nullopt;
-
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    corrupt(resolved_path, "bad magic line");
+  const Bytes file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  try {
+    return read_record(file, resolved_path);
+  } catch (const ProtocolError& e) {
+    corrupt(resolved_path, e.what());
   }
-
-  CheckpointData data;
-  if (!std::getline(in, line) || line.rfind("protocol ", 0) != 0) {
-    corrupt(resolved_path, "missing protocol line");
-  }
-  data.identity.protocol = line.substr(std::string_view("protocol ").size());
-
-  if (!std::getline(in, line)) corrupt(resolved_path, "missing identity line");
-  {
-    std::istringstream fields(line);
-    std::string tag, n_f, count_f, config_f, faults_f, stream_f;
-    fields >> tag >> n_f >> count_f >> config_f >> faults_f >> stream_f;
-    if (!fields || tag != "identity" || n_f.rfind("n=", 0) != 0 ||
-        count_f.rfind("count=", 0) != 0 || config_f.rfind("config=", 0) != 0 ||
-        faults_f.rfind("faults=", 0) != 0 || stream_f.rfind("stream=", 0) != 0) {
-      corrupt(resolved_path, "malformed identity line");
-    }
-    const std::optional<std::uint64_t> n = parse_uint(std::string_view(n_f).substr(2));
-    const std::optional<std::uint64_t> count = parse_uint(std::string_view(count_f).substr(6));
-    if (!n || !count) corrupt(resolved_path, "malformed identity counts");
-    data.identity.n = *n;
-    data.identity.count = *count;
-    data.identity.config_hash = parse_hex16(config_f.substr(7), "config hash");
-    data.identity.fault_hash = parse_hex16(faults_f.substr(7), "fault hash");
-    data.identity.stream_hash = parse_hex16(stream_f.substr(7), "stream hash");
-  }
-
-  if (!std::getline(in, line)) corrupt(resolved_path, "missing elapsed line");
-  {
-    std::istringstream fields(line);
-    std::string tag, bits_f;
-    fields >> tag >> bits_f;
-    if (!fields || tag != "elapsed") corrupt(resolved_path, "malformed elapsed line");
-    data.elapsed_seconds = bits_double(parse_hex16(bits_f, "elapsed bits"));
-  }
-
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "slot") {
-      SlotRecord record;
-      Sample& s = record.sample;
-      std::string inputs_f, announced_f, adversary_f;
-      int consistent = 0;
-      fields >> record.slot >> inputs_f >> announced_f >> consistent >> s.rounds;
-      for (const auto& [column, name] : sim::kTrafficColumns) fields >> s.traffic.*column;
-      fields >> adversary_f;
-      if (!fields || (consistent != 0 && consistent != 1)) {
-        corrupt(resolved_path, "malformed slot line");
-      }
-      try {
-        s.inputs = token_bits(inputs_f);
-        s.announced = token_bits(announced_f);
-        s.adversary_output = token_bytes(adversary_f);
-      } catch (const Error&) {
-        corrupt(resolved_path, "malformed slot payload");
-      }
-      s.consistent = consistent == 1;
-      if (record.slot >= data.identity.count) {
-        corrupt(resolved_path, "slot index out of range");
-      }
-      data.slots.push_back(std::move(record));
-    } else if (tag == "quarantine") {
-      QuarantineRecord q;
-      fields >> q.rep >> q.seed;
-      if (!fields) corrupt(resolved_path, "malformed quarantine line");
-      std::getline(fields, q.reason);
-      if (!q.reason.empty() && q.reason.front() == ' ') q.reason.erase(0, 1);
-      if (q.rep >= data.identity.count) {
-        corrupt(resolved_path, "quarantine index out of range");
-      }
-      data.quarantined.push_back(std::move(q));
-    } else if (tag == "end") {
-      std::size_t slots = 0, quarantined = 0;
-      fields >> slots >> quarantined;
-      if (!fields || slots != data.slots.size() || quarantined != data.quarantined.size()) {
-        corrupt(resolved_path, "trailer count mismatch (truncated file?)");
-      }
-      saw_end = true;
-      break;
-    } else {
-      corrupt(resolved_path, "unknown record '" + tag + "'");
-    }
-  }
-  if (!saw_end) corrupt(resolved_path, "missing trailer (truncated file?)");
-  return data;
 }
 
 void remove_checkpoint(const std::string& resolved_path) {

@@ -24,9 +24,11 @@
 // resuming one from the other's checkpoint is on the caller (DESIGN.md
 // section 10).
 //
-// The file is written atomically (temp file + rename) so a kill mid-flush
-// leaves the previous checkpoint intact, never a truncated one; a trailer
-// line double-checks the record counts against belt-and-braces corruption.
+// The file is one versioned binary record, written and read with
+// base/bytes.h's ByteWriter/ByteReader.  It is written atomically (temp
+// file + rename) so a kill mid-flush leaves the previous checkpoint
+// intact, never a truncated one; a load still rejects every proper prefix
+// of a record and any byte after one.
 #pragma once
 
 #include <cstdint>

@@ -68,8 +68,7 @@ struct RunConfig {
   std::chrono::milliseconds net_timeout = net::kDefaultNetTimeout;
   /// Wire chaos below the transport (--chaos); inert by default.
   net::ChaosSpec chaos;
-  /// Fault plan (--drop, --delay, --crash) for every batch whose RunSpec
-  /// carries an empty one.
+  /// Fault plan (--drop, --delay, --crash) for every execution.
   sim::FaultPlan faults;
   /// --checkpoint, --resume, --rep-timeout, --retries.
   BatchOptions batch;

@@ -59,7 +59,7 @@ Sample run_one(const RunSpec& spec, const RunConfig& run, const BitVec& input,
   config.corrupted = spec.corrupted;
   config.auxiliary_input = spec.auxiliary_input;
   config.private_channels = spec.private_channels;
-  config.faults = spec.faults.empty() ? run.faults : spec.faults;
+  config.faults = run.faults;
   config.deadline = deadline;
   config.transport = run.transport;
   config.chaos = run.chaos;
@@ -245,8 +245,7 @@ BatchResult run_prepared(const RunSpec& spec, const RunConfig& run,
   // (obs/log.h), so it is computed for every batch now, not only for
   // checkpointed ones — the hash is O(count) and vanishes next to running
   // the repetitions.
-  const CampaignIdentity identity =
-      compute_identity(spec, spec.faults.empty() ? run.faults : spec.faults, input_for, seeds);
+  const CampaignIdentity identity = compute_identity(spec, run.faults, input_for, seeds);
   const std::uint64_t campaign = identity.digest();
   out.report.campaign = campaign;
   obs::set_current_campaign(campaign);
@@ -590,7 +589,7 @@ Runner::Runner(std::size_t threads, RunConfig config) : config_(std::move(config
 
 void Runner::validate(const RunSpec& spec) const {
   if (spec.protocol == nullptr) throw UsageError("exec::Runner: null protocol");
-  (spec.faults.empty() ? config_.faults : spec.faults).validate(spec.params.n);
+  config_.faults.validate(spec.params.n);
   const net::ChaosSpec& chaos = config_.chaos;
   if (chaos.enabled() && chaos.party != net::ChaosSpec::kAllParties &&
       chaos.party >= spec.params.n)

@@ -48,10 +48,6 @@ struct RunSpec {
   adversary::AdversaryFactory adversary;
   Bytes auxiliary_input;
   bool private_channels = true;
-  /// Fault plan applied to every execution of the batch (sim/faults.h).
-  /// An empty plan falls back to the Runner's RunConfig::faults, so the
-  /// --drop/--delay/--crash knobs reach every driver unchanged.
-  sim::FaultPlan faults;
 };
 
 /// One execution's observables.
@@ -262,10 +258,9 @@ class Runner {
  private:
   /// Usage errors caught before any sampling, so they never surface as a
   /// failure of every repetition (nor get quarantined as one): a null
-  /// protocol, an effective fault plan (the spec's, else the config's)
-  /// naming a party the execution does not have, or a chaos spec whose
-  /// party:ID names no party (it would disturb nothing while the record
-  /// claimed it had).
+  /// protocol, a fault plan naming a party the execution does not have,
+  /// or a chaos spec whose party:ID names no party (it would disturb
+  /// nothing while the record claimed it had).
   void validate(const RunSpec& spec) const;
 
   RunConfig config_;

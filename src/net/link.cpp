@@ -34,14 +34,9 @@ constexpr auto kHoldGated = Link::Clock::time_point::max();
 /// Bytes asked of one recv; a shorter answer means the socket is drained.
 constexpr std::size_t kReadChunk = 16384;
 
-/// Seals the reliable record that starts at `out[at]` and runs to the
-/// end of `out`: fills in its length prefix (which covers the CRC about to
-/// be appended) and appends the CRC over everything after the prefix.
-void seal(Bytes& out, std::size_t at) {
-  const auto len = static_cast<std::uint32_t>(out.size() - at);
-  for (int shift = 0; shift < 32; shift += 8)
-    out[at + static_cast<std::size_t>(shift / 8)] = static_cast<std::uint8_t>(len >> shift);
-  put_u32(out, crc32c(out.data() + at + 4, out.size() - at - 4));
+/// True when `unparsed` starts with a complete record.
+bool holds_record(ByteSpan unparsed) {
+  return unparsed.size() >= 4 && unparsed.size() - 4 >= ByteReader(unparsed).u32();
 }
 
 }  // namespace
@@ -58,19 +53,21 @@ void Link::enable_chaos(const ChaosSpec& spec, std::uint64_t seed, std::string_v
   rto_ = kRtoMin;
 }
 
-bool Link::send(std::uint8_t type, const Bytes& body) {
+bool Link::send(std::uint8_t type, ByteSpan body) {
   if (reliable()) {
     send_reliable(type, body);
   } else {
-    put_u32(outbox_, static_cast<std::uint32_t>(body.size() + 1));
-    outbox_.push_back(type);
-    queue(body);
+    ByteWriter w(outbox_);
+    const std::size_t at = w.begin_field();
+    w.u8(type);
+    w.raw(body);
+    w.end_field(at);
   }
   flush();
   return !closed_;
 }
 
-void Link::send_reliable(std::uint8_t type, const Bytes& body) {
+void Link::send_reliable(std::uint8_t type, ByteSpan body) {
   const auto now = Clock::now();
   // Older hold-gated records count this one as one of the "later" records
   // they wait to be passed by — decremented before it goes out so a hold
@@ -79,13 +76,15 @@ void Link::send_reliable(std::uint8_t type, const Bytes& body) {
     if (!u.held.empty() && u.release == kHoldGated && u.hold > 0) --u.hold;
 
   const std::uint64_t seq = tx_next_++;
-  Bytes record(4);
+  Bytes record;
   record.reserve(4 + kRecOverhead + 1 + body.size());
-  record.push_back(kRecData);
-  put_u64(record, seq);
-  record.push_back(type);
-  record.insert(record.end(), body.begin(), body.end());
-  seal(record, 0);
+  ByteWriter w(record);
+  const std::size_t at = w.begin_field();
+  w.u8(kRecData);
+  w.u64(seq);
+  w.u8(type);
+  w.raw(body);
+  end_crc_field(w, at);
 
   if (unacked_.empty()) rto_deadline_ = now + rto_;
   unacked_.push_back(Unacked{seq, std::move(record), now});
@@ -195,15 +194,11 @@ void Link::pump(Clock::time_point now) {
     release_deferred(now);
     // Acks waiting in the inbuf may cover what the RTO would resend: the
     // timer fires on the first pump after next() has absorbed them.
-    if (!dead_ && !unacked_.empty() && now >= rto_deadline_ && !record_pending())
+    if (!dead_ && !unacked_.empty() && now >= rto_deadline_ &&
+        !holds_record(ByteSpan(inbuf_).subspan(in_head_)))
       retransmit_all(now);
   }
   flush();
-}
-
-bool Link::record_pending() const noexcept {
-  const std::size_t have = inbuf_.size() - in_head_;
-  return have >= 4 && have - 4 >= get_u32(inbuf_.data() + in_head_);
 }
 
 void Link::receive() {
@@ -257,62 +252,64 @@ void Link::flush() {
 std::optional<Link::Record> Link::next() {
   std::optional<Record> record;
   while (!record) {
-    const std::size_t have = inbuf_.size() - in_head_;
-    if (have < 4) break;
-    const std::uint8_t* at = inbuf_.data() + in_head_;
-    const std::uint32_t len = get_u32(at);
+    const ByteSpan unparsed = ByteSpan(inbuf_).subspan(in_head_);
+    if (unparsed.size() < 4) break;
+    const std::uint32_t len = ByteReader(unparsed).u32();
     const std::size_t floor = reliable() ? kRecOverhead : 1;
     if (len < floor || len > kMaxRecord) {
       std::string claimed = "unreadable";
       if (reliable())
         claimed = "reliable";
-      else if (have >= 5)
-        claimed = type_name_ != nullptr ? std::string(type_name_(at[4]))
-                                        : "type " + std::to_string(at[4]);
+      else if (unparsed.size() >= 5)
+        claimed = type_name_ != nullptr ? std::string(type_name_(unparsed[4]))
+                                        : "type " + std::to_string(unparsed[4]);
       throw ProtocolError("Link[" + label_ + "]: " + claimed + " record declares length " +
                           std::to_string(len) + " outside [" + std::to_string(floor) + ", " +
                           std::to_string(kMaxRecord) + "]");
     }
-    if (have - 4 < len) break;
+    if (unparsed.size() - 4 < len) break;
     in_head_ += 4 + len;
-    record = reliable() ? accept(at + 4, len) : Record{at[4], at + 5, len - 1};
+    const ByteSpan rec = unparsed.subspan(4, len);
+    record = reliable() ? accept(rec) : Record{rec[0], rec.subspan(1)};
   }
   if (ack_due_) {
     // One cumulative ack per call, for the delivery and every gap or
     // duplicate discarded on the way to it.
-    const std::size_t at = outbox_.size();
-    outbox_.resize(at + 4);
-    outbox_.push_back(kRecAck);
-    put_u64(outbox_, rx_next_);
-    seal(outbox_, at);
+    ByteWriter w(outbox_);
+    const std::size_t at = w.begin_field();
+    w.u8(kRecAck);
+    w.u64(rx_next_);
+    end_crc_field(w, at);
     ack_due_ = false;
     flush();
   }
   return record;
 }
 
-std::optional<Link::Record> Link::accept(const std::uint8_t* rec, std::size_t len) {
-  if (get_u32(rec + len - 4) != crc32c(rec, len - 4)) {
+std::optional<Link::Record> Link::accept(ByteSpan rec) {
+  const std::optional<ByteSpan> contents = crc_field_contents(rec);
+  if (!contents) {
     // A chaos bit-flip: the record is discarded whole and the sender's
     // RTO owns recovery (net.chaos.corrupt_rejected).
     ++stats_.corrupt_rejected;
     return std::nullopt;
   }
-  const std::uint8_t kind = rec[0];
-  const std::uint64_t seq = get_u64(rec + 1);
+  ByteReader r(*contents);
+  const std::uint8_t kind = r.u8();
+  const std::uint64_t seq = r.u64();
   if (kind == kRecAck) {
     on_ack(seq, Clock::now());
     return std::nullopt;
   }
-  if (kind != kRecData || len == kRecOverhead)
+  if (kind != kRecData || r.done())
     throw ProtocolError("Link[" + label_ + "]: malformed reliable record (kind " +
-                        std::to_string(kind) + ", length " + std::to_string(len) + ")");
+                        std::to_string(kind) + ", length " + std::to_string(rec.size()) + ")");
   ack_due_ = true;
   // A gap or duplicate is discarded; the ack re-announces the position the
   // sender must resume from (go-back-N).
   if (seq != rx_next_) return std::nullopt;
   ++rx_next_;
-  return Record{rec[9], rec + 10, len - kRecOverhead - 1};
+  return Record{(*contents)[9], contents->subspan(10)};  // after kind and seq
 }
 
 Link::Clock::time_point Link::wake() const noexcept {

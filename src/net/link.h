@@ -20,11 +20,15 @@
 //   u32 len | u8 kind | u64 seq | rest | u32 crc32c   (crc covers kind..rest)
 //
 // with kind 1 (data: rest = u8 type | body) or kind 2 (ack: rest empty,
-// seq = next data seq expected, cumulative).  Chaos (net/chaos.h) disturbs
-// only *first transmissions* of data records, below the length prefix, so
-// framing never desynchronizes; acks and retransmissions ride clean.  The
-// receiver delivers strictly in sequence, discarding gaps, duplicates and
-// CRC rejects and re-acking its position (go-back-N).  The sender keeps
+// seq = next data seq expected, cumulative).  Both layouts are
+// length-prefixed fields written and read with base/bytes.h's
+// ByteWriter/ByteReader; the reliable one ends in net/wire.h's CRC
+// trailer (end_crc_field / crc_field_contents), as frames do.  Chaos
+// (net/chaos.h) disturbs only *first transmissions* of data records,
+// below the length prefix, so framing never desynchronizes; acks and
+// retransmissions ride clean.  The receiver delivers strictly in
+// sequence, discarding gaps, duplicates and CRC rejects and re-acking its
+// position (go-back-N).  The sender keeps
 // every unacked record and retransmits them all when the RTO fires: an
 // RFC 6298 srtt/rttvar estimate from clean ack round trips (Karn's rule),
 // clamped to [25 ms, 1 s], doubled per burst and back to the estimate
@@ -58,12 +62,10 @@ class Link {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// A delivered record: `size` body bytes at `data`, valid until the next
-  /// pump().
+  /// A delivered record; its body is valid until the next pump().
   struct Record {
     std::uint8_t type = 0;
-    const std::uint8_t* data = nullptr;
-    std::size_t size = 0;
+    ByteSpan body;
   };
 
   /// Names a record type in error messages; null prints the number.
@@ -83,7 +85,7 @@ class Link {
   /// Queues one record and writes what the socket takes now.  False when
   /// the peer is gone.  A chaos-dropped record still returns true: the
   /// retransmit machinery owns its recovery.
-  bool send(std::uint8_t type, const Bytes& body);
+  bool send(std::uint8_t type, ByteSpan body);
 
   /// Reads whatever the socket holds, releases deferred first
   /// transmissions due by `now`, fires the RTO when due, and writes what
@@ -138,14 +140,12 @@ class Link {
     Clock::time_point release{};  ///< max() = hold-gated
   };
 
-  void send_reliable(std::uint8_t type, const Bytes& body);
+  void send_reliable(std::uint8_t type, ByteSpan body);
   /// One complete reliable record (kind..crc): the in-sequence data it
   /// delivers, or nullopt for an ack, a CRC reject, a gap or a duplicate.
-  [[nodiscard]] std::optional<Record> accept(const std::uint8_t* rec, std::size_t len);
+  [[nodiscard]] std::optional<Record> accept(ByteSpan rec);
   void receive();
   void flush();
-  /// A complete record awaits next().
-  [[nodiscard]] bool record_pending() const noexcept;
   void queue(const Bytes& bytes) { outbox_.insert(outbox_.end(), bytes.begin(), bytes.end()); }
   /// Queues the held first transmissions due by `now` (all of them with
   /// `all`).

@@ -22,9 +22,6 @@ namespace simulcast::net {
 
 namespace {
 
-/// seq + slot prelude in front of every wire frame in a channel record.
-constexpr std::size_t kRecordPrelude = 16;
-
 /// The record type of a frame on a channel (the only type it carries).
 constexpr std::uint8_t kFrameRecord = 1;
 
@@ -162,9 +159,10 @@ void SocketTransport::submit(sim::Message m, std::size_t slot) {
 
   const auto start = Link::Clock::now();
   encode_buf_.clear();
-  put_u64(encode_buf_, next_seq_++);
-  put_u64(encode_buf_, static_cast<std::uint64_t>(slot));
-  WireWriter(encode_buf_).message(m);
+  ByteWriter w(encode_buf_);
+  w.u64(next_seq_++);
+  w.u64(static_cast<std::uint64_t>(slot));
+  write_message(w, m);
   stats_.serialize += Link::Clock::now() - start;
   ++stats_.frames;
   stats_.bytes_on_wire += encode_buf_.size();
@@ -176,16 +174,15 @@ void SocketTransport::submit(sim::Message m, std::size_t slot) {
 }
 
 void SocketTransport::park(const Link::Record& record) {
-  if (record.type != kFrameRecord || record.size < kRecordPrelude)
-    throw ProtocolError("SocketTransport: malformed channel record");
-  const std::uint64_t seq = get_u64(record.data);
-  const std::uint64_t slot = get_u64(record.data + 8);
+  if (record.type != kFrameRecord) throw ProtocolError("SocketTransport: malformed channel record");
+  ByteReader r(record.body);
+  const std::uint64_t seq = r.u64();
+  const std::uint64_t slot = r.u64();
   if (slot >= parked_.size())
     throw ProtocolError("SocketTransport: frame addressed to slot " + std::to_string(slot) +
                         " of " + std::to_string(parked_.size()));
-  WireReader reader(record.data + kRecordPrelude, record.size - kRecordPrelude);
-  sim::Message message = reader.message();
-  if (!reader.done()) throw ProtocolError("SocketTransport: trailing bytes after a frame");
+  sim::Message message = read_message(r);
+  if (!r.done()) throw ProtocolError("SocketTransport: trailing bytes after a frame");
   parked_[slot].push_back({seq, std::move(message)});
 }
 

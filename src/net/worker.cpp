@@ -45,7 +45,8 @@ std::string_view proc_frame_name(ProcFrame type) noexcept {
 }
 
 void encode_worker_hello(const WorkerHello& hello, Bytes& out) {
-  ByteWriter w(std::move(out));
+  out.clear();
+  ByteWriter w(out);
   w.u32(kProcMagic);
   w.u8(kProcVersion);
   w.u64(hello.n);
@@ -58,7 +59,6 @@ void encode_worker_hello(const WorkerHello& hello, Bytes& out) {
   w.str(hello.protocol);
   w.str(hello.commitments);
   w.str(hello.chaos);
-  out = w.take();
 }
 
 WorkerHello decode_worker_hello(const Bytes& body) {
@@ -80,12 +80,12 @@ WorkerHello decode_worker_hello(const Bytes& body) {
 }
 
 void encode_worker_ack(const WorkerAck& ack, Bytes& out) {
-  ByteWriter w(std::move(out));
+  out.clear();
+  ByteWriter w(out);
   w.u32(kProcMagic);
   w.u8(kProcVersion);
   w.u64(ack.slot);
   w.u64(ack.fault_digest);
-  out = w.take();
 }
 
 WorkerAck decode_worker_ack(const Bytes& body) {
@@ -129,7 +129,7 @@ WorkerChannel::Status WorkerChannel::read_frame(ProcFrame& type, Bytes& body,
     const std::optional<Link::Record> record = next();
     if (!record) return false;
     type = static_cast<ProcFrame>(record->type);
-    body.assign(record->data, record->data + record->size);
+    body.assign(record->body.begin(), record->body.end());
     return true;
   });
 }

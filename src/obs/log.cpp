@@ -1,9 +1,11 @@
 #include "obs/log.h"
 
+#include <array>
 #include <atomic>
 #include <utility>
 #include <vector>
 
+#include "base/bytes.h"
 #include "obs/file.h"
 #include "obs/json.h"
 
@@ -72,10 +74,9 @@ std::uint64_t exec_correlation_id(std::uint64_t campaign, std::uint64_t rep) {
 }
 
 std::string correlation_hex(std::uint64_t id) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) out[15 - i] = digits[(id >> (4 * i)) & 0xf];
-  return out;
+  std::array<std::uint8_t, 8> big_endian{};
+  for (std::size_t i = 0; i < 8; ++i) big_endian[i] = static_cast<std::uint8_t>(id >> (56 - 8 * i));
+  return to_hex(big_endian);
 }
 
 std::string log_line(const Event& record) {

@@ -25,11 +25,11 @@ Bytes encode_twin(const TwinShares& tw) {
   return w.take();
 }
 
-TwinShares decode_twin(const Bytes& data, std::uint64_t q) {
+TwinShares decode_twin(ByteSpan data, std::uint64_t q) {
   ByteReader r(data);
   TwinShares tw;
-  tw.x = crypto::decode_pedersen_share(r.bytes(), q);
-  tw.rho = crypto::decode_pedersen_share(r.bytes(), q);
+  tw.x = crypto::decode_pedersen_share(r.field(), q);
+  tw.rho = crypto::decode_pedersen_share(r.field(), q);
   if (!r.done()) throw ProtocolError("decode_twin: trailing bytes");
   return tw;
 }
@@ -186,8 +186,8 @@ class ThetaMpcParty final : public sim::Party {
           Dealer& d = dealers_[m.from];
           if (d.x.has_commitments()) continue;
           ByteReader r(m.payload);
-          auto cx = crypto::decode_group_elements(r.bytes());
-          auto cr = crypto::decode_group_elements(r.bytes());
+          auto cx = crypto::decode_group_elements(r.field());
+          auto cr = crypto::decode_group_elements(r.field());
           if (!vss_.verify_commitments(cx, t_) || !vss_.verify_commitments(cr, t_)) continue;
           d.x.set_commitments(std::move(cx));
           d.rho.set_commitments(std::move(cr));
@@ -206,7 +206,7 @@ class ThetaMpcParty final : public sim::Party {
           Dealer& d = dealers_[m.from];
           ByteReader r(m.payload);
           const sim::PartyId complainer = r.u64();
-          const TwinShares tw = decode_twin(r.bytes(), group_->q());
+          const TwinShares tw = decode_twin(r.field(), group_->q());
           if (tw.x.x != complainer + 1 || tw.rho.x != complainer + 1) continue;
           if (!complaints_.filed(m.from, complainer)) continue;
           if (!d.x.verifies(tw.x) || !d.rho.verifies(tw.rho)) continue;
@@ -223,7 +223,7 @@ class ThetaMpcParty final : public sim::Party {
           const std::uint64_t dealer_id = r.u64();
           const auto kind = static_cast<Kind>(r.u8());
           if (dealer_id >= n_ || (kind != Kind::kX && kind != Kind::kRho)) continue;
-          const PedersenShare share = crypto::decode_pedersen_share(r.bytes(), group_->q());
+          const PedersenShare share = crypto::decode_pedersen_share(r.field(), group_->q());
           if (share.x != m.from + 1) continue;
           dealers_[dealer_id].sharing(kind).publish(share);
         }

@@ -180,7 +180,7 @@ void VssProtocolParty::record(const sim::Inbox& inbox) {
         ShareLedger& dealer = dealers_[m.from].shares;  // dealers justify themselves
         ByteReader r(m.payload);
         const sim::PartyId complainer = r.u64();
-        const auto share = crypto::decode_pedersen_share(r.bytes(), group_->q());
+        const auto share = crypto::decode_pedersen_share(r.field(), group_->q());
         if (share.x != complainer + 1) continue;
         if (!complaints_.filed(m.from, complainer) || !dealer.verifies(share)) continue;
         complaints_.justify(m.from, complainer);
@@ -191,7 +191,7 @@ void VssProtocolParty::record(const sim::Inbox& inbox) {
         ByteReader r(m.payload);
         const std::uint64_t dealer_id = r.u64();
         if (dealer_id >= schedule_.n) continue;
-        const auto share = crypto::decode_pedersen_share(r.bytes(), group_->q());
+        const auto share = crypto::decode_pedersen_share(r.field(), group_->q());
         if (share.x != m.from + 1) continue;  // a party reveals only its own share
         dealers_[dealer_id].shares.publish(share);
       }

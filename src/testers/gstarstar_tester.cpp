@@ -10,6 +10,7 @@ GssVerdict test_gstarstar(const exec::RunSpec& spec, std::size_t samples_per_inp
                           std::uint64_t seed) {
   if (spec.protocol == nullptr) throw UsageError("test_gstarstar: null protocol");
   if (spec.corrupted.empty()) throw UsageError("test_gstarstar: no corrupted party");
+  if (samples_per_input == 0) throw UsageError("test_gstarstar: zero samples per input");
   const std::size_t n = spec.params.n;
   const std::vector<std::size_t> honest = complement(n, spec.corrupted);
   if (honest.empty()) throw UsageError("test_gstarstar: no honest parties");

@@ -44,8 +44,9 @@ struct GssVerdict {
 inline constexpr std::size_t kGssMaxHonestParties = 6;
 
 /// Runs every fixed input of the sweep, samples_per_input executions each,
-/// as one exec::Runner batch, then evaluates the gaps.  Throws UsageError
-/// above kGssMaxHonestParties.
+/// as one exec::Runner batch, then evaluates the gaps.  Throws UsageError,
+/// before sampling anything, when samples_per_input is 0 or the honest
+/// parties exceed kGssMaxHonestParties.
 [[nodiscard]] GssVerdict test_gstarstar(const exec::RunSpec& spec,
                                         std::size_t samples_per_input, std::uint64_t seed);
 

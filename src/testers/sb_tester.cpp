@@ -57,6 +57,7 @@ std::vector<Distinguisher> distinguisher_library(std::size_t n,
 SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble,
                   std::size_t samples, std::uint64_t seed) {
   if (spec.protocol == nullptr) throw UsageError("test_sb: null protocol");
+  if (samples == 0) throw UsageError("test_sb: zero samples");
   const std::size_t n = spec.params.n;
   if (n > kSbMaxParties)
     throw UsageError("test_sb: n = " + std::to_string(n) + " exceeds " +

@@ -51,7 +51,8 @@ inline constexpr std::size_t kSbMaxParties = kMaxBits / 2;
 
 /// Runs the real and simulated ensembles over `ensemble`, `samples`
 /// executions each, as one exec::Runner batch and compares them.
-/// Throws UsageError, before sampling anything, when n > kSbMaxParties.
+/// Throws UsageError, before sampling anything, when samples is 0 or
+/// n > kSbMaxParties.
 [[nodiscard]] SbVerdict test_sb(const exec::RunSpec& spec, const dist::InputEnsemble& ensemble,
                                 std::size_t samples, std::uint64_t seed);
 

@@ -54,11 +54,6 @@ TEST(Session, AdversarialRunReportsDefaults) {
   EXPECT_EQ(result.announced.to_string(), "11011");
 }
 
-TEST(Session, MaxCorruptionsMatchesProtocol) {
-  EXPECT_EQ(Session("gennaro", 5).max_corruptions(), 2u);
-  EXPECT_EQ(Session("seq-broadcast", 5).max_corruptions(), 4u);
-}
-
 TEST(Session, DeterministicPerSeed) {
   Session session("chor-rabin", 4);
   const BitVec inputs = BitVec::from_string("0110");

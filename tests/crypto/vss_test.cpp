@@ -224,5 +224,27 @@ TEST_F(PedersenVssTest, DealCarriesBlindingConstant) {
   }
 }
 
+// The share payload's bytes, pinned: x, value and blinding as three
+// little-endian u64s.  Decoding reads the share in place from a nested
+// field, as the VSS receivers do with a justify or reveal message.
+TEST(PedersenCodec, PayloadBytesArePinned) {
+  constexpr std::uint64_t q = 1000003;
+  const PedersenShare share{2, Zq{123456789, q}, Zq{987654, q}};
+  const Bytes payload = encode_pedersen_share(share);
+  EXPECT_EQ(to_hex(payload), "0200000000000000e4f606000000000006120f0000000000");
+
+  ByteWriter w;
+  w.u64(1);  // the complainer
+  w.bytes(payload);
+  const Bytes justify = w.take();
+  ByteReader r(justify);
+  EXPECT_EQ(r.u64(), 1u);
+  const PedersenShare back = decode_pedersen_share(r.field(), q);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.x, share.x);
+  EXPECT_EQ(back.value, share.value);
+  EXPECT_EQ(back.blinding, share.blinding);
+}
+
 }  // namespace
 }  // namespace simulcast::crypto

@@ -16,6 +16,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -89,8 +90,9 @@ Sample sample_fixture(std::size_t n, std::uint64_t tweak) {
   return s;
 }
 
-TEST(Checkpoint, RoundTripsEveryField) {
-  const auto dir = scratch_dir("roundtrip");
+/// A checkpoint with every kind of field: three slots (one with an empty
+/// adversary output) and two quarantine records.
+CheckpointData checkpoint_fixture() {
   CheckpointData data;
   data.identity.protocol = "gennaro";
   data.identity.n = 4;
@@ -104,7 +106,22 @@ TEST(Checkpoint, RoundTripsEveryField) {
   data.slots.push_back({9, sample_fixture(4, 2)});
   data.quarantined.push_back({5, 0xDEADBEEFULL, "timeout: watchdog deadline expired at round 2"});
   data.quarantined.push_back({7, 42, "deterministic: reason with   spaces"});
+  return data;
+}
 
+Bytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Checkpoint, RoundTripsEveryField) {
+  const auto dir = scratch_dir("roundtrip");
+  const CheckpointData data = checkpoint_fixture();
   const std::string path = (dir / "batch.ckpt").string();
   write_checkpoint(path, data);
   const std::optional<CheckpointData> loaded = load_checkpoint(path);
@@ -123,37 +140,75 @@ TEST(Checkpoint, RoundTripsEveryField) {
   EXPECT_EQ(loaded->quarantined[1].reason, "deterministic: reason with   spaces");
 }
 
+// A reason is whatever an exception said, line breaks and leading blanks
+// included; the record carries it verbatim.
+TEST(Checkpoint, ReasonWithNewlineRoundTrips) {
+  const auto dir = scratch_dir("newline");
+  CheckpointData data = checkpoint_fixture();
+  data.quarantined[0].reason = "deterministic: first line\n second line\nend 0 0\n";
+  data.quarantined[1].reason = " leading blank";
+  const std::string path = (dir / "batch.ckpt").string();
+  write_checkpoint(path, data);
+  const std::optional<CheckpointData> loaded = load_checkpoint(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->quarantined.size(), 2u);
+  EXPECT_EQ(loaded->quarantined[0].reason, data.quarantined[0].reason);
+  EXPECT_EQ(loaded->quarantined[1].reason, data.quarantined[1].reason);
+  EXPECT_EQ(loaded->slots.size(), data.slots.size());
+}
+
 TEST(Checkpoint, MissingFileIsFreshCampaign) {
   const auto dir = scratch_dir("missing");
   EXPECT_FALSE(load_checkpoint((dir / "nope.ckpt").string()).has_value());
 }
 
+// Every proper prefix of a record (the empty file included), a byte after
+// it, a wrong magic and a wrong version are refused, never half-loaded.
 TEST(Checkpoint, RejectsCorruptFiles) {
   const auto dir = scratch_dir("corrupt");
-  CheckpointData data;
-  data.identity.protocol = "gennaro";
-  data.identity.n = 4;
-  data.identity.count = 4;
-  data.slots.push_back({1, sample_fixture(4, 2)});
   const std::string path = (dir / "batch.ckpt").string();
-  write_checkpoint(path, data);
+  write_checkpoint(path, checkpoint_fixture());
+  const Bytes record = read_bytes(path);
+  ASSERT_GT(record.size(), 100u);
 
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    text = os.str();
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    write_bytes(path, Bytes(record.begin(), record.begin() + static_cast<std::ptrdiff_t>(len)));
+    EXPECT_THROW((void)load_checkpoint(path), UsageError) << "prefix of " << len << " bytes";
   }
-  // Truncation (lost trailer) must be detected, not half-loaded.
-  {
-    const std::string truncated = text.substr(0, text.rfind("end "));
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << truncated;
-    EXPECT_THROW((void)load_checkpoint(path), UsageError);
-  }
-  // Wrong magic: not ours.
+  Bytes padded = record;
+  padded.push_back(0);
+  write_bytes(path, padded);
+  EXPECT_THROW((void)load_checkpoint(path), UsageError);
+  // The magic is a length-prefixed string at offset 0, the version a u32
+  // right after it.
+  Bytes magic = record;
+  magic[4] ^= 0x20;
+  write_bytes(path, magic);
+  EXPECT_THROW((void)load_checkpoint(path), UsageError);
+  Bytes version = record;
+  version[4 + std::string_view("simulcast-checkpoint").size()] += 1;
+  write_bytes(path, version);
+  EXPECT_THROW((void)load_checkpoint(path), UsageError);
   std::ofstream(path, std::ios::binary | std::ios::trunc) << "not a checkpoint\n";
   EXPECT_THROW((void)load_checkpoint(path), UsageError);
+  // The unmodified record still loads.
+  write_bytes(path, record);
+  EXPECT_TRUE(load_checkpoint(path).has_value());
+}
+
+// The sidecar name and the identity line keep their 16-hex rendering.
+TEST(Checkpoint, FileNameAndDescriptionArePinned) {
+  CampaignIdentity identity;
+  identity.protocol = "gennaro";
+  identity.n = 4;
+  identity.count = 10;
+  identity.config_hash = 0x0123456789abcdefULL;
+  identity.fault_hash = 7;
+  identity.stream_hash = 0x00ff00ff00ff00ffULL;
+  EXPECT_EQ(checkpoint_filename(identity), "ckpt_cfcbb7827007c172.ckpt");
+  EXPECT_EQ(identity.describe(),
+            "protocol=gennaro n=4 count=10 config=0123456789abcdef faults=0000000000000007 "
+            "stream=00ff00ff00ff00ff");
 }
 
 TEST(Checkpoint, ResolvePathFileVsDirectory) {
@@ -182,14 +237,15 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
   std::size_t label = 0;
   for (const std::string& name : core::protocol_names()) {
     const auto proto = core::make_protocol(name);
-    RunSpec spec = spec_for(*proto, 4);
-    spec.faults.drop_probability = 0.1;
-    spec.faults.max_delay = 1;
-    spec.faults.crashes.push_back({2, 1});
+    const RunSpec spec = spec_for(*proto, 4);
+    RunConfig config;
+    config.faults.drop_probability = 0.1;
+    config.faults.max_delay = 1;
+    config.faults.crashes.push_back({2, 1});
     // seq-broadcast-ds signs everything; a handful of executions suffices.
     const std::size_t count = name == "seq-broadcast-ds" ? 3 : 8;
 
-    const BatchResult baseline = Runner(1).run_batch(spec, *ens, count, 7);
+    const BatchResult baseline = Runner(1, config).run_batch(spec, *ens, count, 7);
     ASSERT_EQ(baseline.report.completed, count) << name;
 
     for (const bool tracing : {false, true}) {
@@ -207,12 +263,12 @@ TEST(Resume, InterruptResumeIsIdenticalForAllProtocols) {
         clear_shutdown();
         set_stop_after(count / 2);
         const BatchResult interrupted =
-            Runner(threads).set_options(options).run_batch(spec, *ens, count, 7);
+            Runner(threads, config).set_options(options).run_batch(spec, *ens, count, 7);
         EXPECT_LE(interrupted.report.completed, count) << context;
 
         clear_shutdown();
         const BatchResult resumed =
-            Runner(threads).set_options(options).run_batch(spec, *ens, count, 7);
+            Runner(threads, config).set_options(options).run_batch(spec, *ens, count, 7);
         ASSERT_EQ(resumed.samples.size(), baseline.samples.size()) << context;
         for (std::size_t i = 0; i < count; ++i)
           EXPECT_TRUE(baseline.samples[i] == resumed.samples[i])
@@ -291,9 +347,10 @@ TEST(Resume, IdentityMismatchRefuses) {
   // Different repetition count -> refuse.
   EXPECT_THROW((void)Runner(1).set_options(options).run_batch(spec, *ens, 9, 3), UsageError);
   // Different fault plan -> refuse.
-  RunSpec faulty = spec;
+  RunConfig faulty;
   faulty.faults.drop_probability = 0.5;
-  EXPECT_THROW((void)Runner(1).set_options(options).run_batch(faulty, *ens, 8, 3), UsageError);
+  EXPECT_THROW((void)Runner(1, faulty).set_options(options).run_batch(spec, *ens, 8, 3),
+               UsageError);
   // The true campaign still resumes fine.
   const BatchResult resumed = Runner(1).set_options(options).run_batch(spec, *ens, 8, 3);
   EXPECT_EQ(resumed.report.completed, 8u);

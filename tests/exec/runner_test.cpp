@@ -179,17 +179,18 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
 // filters) through TSan across a real pool.
 TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
   const auto proto = core::make_protocol("gennaro");
-  RunSpec spec = spec_for(*proto, 5);
-  spec.faults.drop_probability = 0.1;
-  spec.faults.max_delay = 1;
-  spec.faults.crashes.push_back({2, 1});
-  spec.faults.partitions.push_back({{0, 1}, 1, 3});
+  const RunSpec spec = spec_for(*proto, 5);
+  RunConfig config;
+  config.faults.drop_probability = 0.1;
+  config.faults.max_delay = 1;
+  config.faults.crashes.push_back({2, 1});
+  config.faults.partitions.push_back({{0, 1}, 1, 3});
   const auto ens = dist::make_uniform(5);
   constexpr std::size_t kReps = 24;
 
   obs::set_trace_enabled(false);
   obs::clear_events();
-  const auto baseline = Runner(1).run_batch(spec, *ens, kReps, 13);
+  const auto baseline = Runner(1, config).run_batch(spec, *ens, kReps, 13);
   std::size_t faults_seen = 0;
   for (const Sample& s : baseline.samples)
     faults_seen += s.traffic.dropped + s.traffic.delayed + s.traffic.blocked + s.traffic.crashed;
@@ -199,7 +200,7 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
     obs::set_trace_enabled(tracing);
     obs::clear_events();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const auto rerun = Runner(threads).run_batch(spec, *ens, kReps, 13);
+      const auto rerun = Runner(threads, config).run_batch(spec, *ens, kReps, 13);
       ASSERT_EQ(baseline.samples.size(), rerun.samples.size());
       for (std::size_t i = 0; i < baseline.samples.size(); ++i)
         EXPECT_TRUE(baseline.samples[i] == rerun.samples[i])
@@ -211,8 +212,8 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
   obs::set_trace_enabled(false);
 }
 
-// An empty RunSpec plan falls back to the Runner's RunConfig plan, which
-// must reach every execution.
+// The Runner's RunConfig plan, the one source of faults, must reach every
+// execution.
 TEST(Runner, DefaultFaultPlanReachesBatches) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
@@ -291,20 +292,14 @@ TEST(Runner, Validation) {
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, *ens, 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, BitVec(4), 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, aimed_past_n).run_batch(spec4, {BitVec(4)}, {1}), UsageError);
-  // So is a crash of a party the execution does not have, from the config
-  // or from the spec — also with quarantine on, which must not book it as
-  // every repetition failing.
+  // So is a crash of a party the execution does not have — also with
+  // quarantine on, which must not book it as every repetition failing.
   RunConfig crash_past_n;
   crash_past_n.faults.crashes.push_back({9, 0});
   crash_past_n.batch.quarantine = true;
   EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, *ens, 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, BitVec(4), 1, 1), UsageError);
   EXPECT_THROW((void)Runner(1, crash_past_n).run_batch(spec4, {BitVec(4)}, {1}), UsageError);
-  RunSpec crash_spec = spec4;
-  crash_spec.faults.crashes.push_back({4, 0});
-  RunConfig quarantining;
-  quarantining.batch.quarantine = true;
-  EXPECT_THROW((void)Runner(1, quarantining).run_batch(crash_spec, *ens, 1, 1), UsageError);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

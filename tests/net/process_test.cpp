@@ -369,9 +369,10 @@ WorkerHello chatter_hello() {
 /// `u32 len | u8 kHello | body`, cut after `keep` body bytes.
 Bytes hello_record(const Bytes& body, std::size_t keep) {
   Bytes record;
-  put_u32(record, static_cast<std::uint32_t>(body.size() + 1));
-  record.push_back(static_cast<std::uint8_t>(ProcFrame::kHello));
-  record.insert(record.end(), body.begin(), body.begin() + static_cast<std::ptrdiff_t>(keep));
+  ByteWriter w(record);
+  w.u32(static_cast<std::uint32_t>(body.size() + 1));
+  w.u8(static_cast<std::uint8_t>(ProcFrame::kHello));
+  w.raw(ByteSpan(body).first(keep));
   return record;
 }
 

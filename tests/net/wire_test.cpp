@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -119,19 +120,18 @@ TEST(Wire, MultiFrameStreamDecodesInOrder) {
   const stats::Rng master(kMasterSeed);
   std::vector<sim::Message> sent;
   Bytes stream;
-  WireWriter writer(stream);
+  ByteWriter writer(stream);
   for (std::size_t i = 0; i < 5; ++i) {
     stats::Rng rng = master.fork("wire-stream", i);
     sent.push_back(random_message(rng));
-    writer.message(sent.back());
+    write_message(writer, sent.back());
   }
-  WireReader reader(stream);
+  ByteReader reader(stream);
   for (std::size_t i = 0; i < sent.size(); ++i) {
     ASSERT_FALSE(reader.done()) << "stream exhausted after " << i << " frames";
-    EXPECT_TRUE(messages_equal(reader.message(), sent[i])) << "frame " << i;
+    EXPECT_TRUE(messages_equal(read_message(reader), sent[i])) << "frame " << i;
   }
   EXPECT_TRUE(reader.done());
-  EXPECT_EQ(reader.offset(), stream.size());
 }
 
 TEST(Wire, EveryTruncationThrowsProtocolError) {
@@ -139,8 +139,8 @@ TEST(Wire, EveryTruncationThrowsProtocolError) {
   Bytes frame;
   encode_message(random_message(rng), frame);
   for (std::size_t len = 0; len < frame.size(); ++len) {
-    WireReader reader(frame.data(), len);
-    EXPECT_THROW((void)reader.message(), ProtocolError) << "prefix length " << len;
+    ByteReader reader(ByteSpan(frame).first(len));
+    EXPECT_THROW((void)read_message(reader), ProtocolError) << "prefix length " << len;
   }
 }
 
@@ -224,13 +224,59 @@ TEST(Wire, EverySingleBitFlipThrowsProtocolError) {
   }
 }
 
+// The frame and batch layouts, pinned byte for byte: every backend and
+// every version of the codec must put exactly these bytes on the wire.
+TEST(Wire, FrameAndBatchBytesArePinned) {
+  const sim::Message m{3, sim::kBroadcast, 5, "vss-justify", {0x01, 0x02, 0xfe}};
+  const std::string frame_hex =
+      "33000000020300000000000000ffffffffffffffff05000000000000000b0000007673732d6a7573746966"
+      "79030000000102fe89ea2a0c";
+  Bytes frame;
+  encode_message(m, frame);
+  EXPECT_EQ(to_hex(frame), frame_hex);
+  EXPECT_EQ(frame.size(), encoded_size(m));
+
+  ByteWriter w;
+  w.u64(9);
+  write_batch(w, std::vector<sim::Message>{m, sim::Message{0, 2, 1, "t", {}}});
+  // u64 9 | u32 count 2 | u32 blob length 0x61 | the two frames
+  EXPECT_EQ(to_hex(w.data()), "0900000000000000" "02000000" "61000000" + frame_hex +
+                                  "2600000002000000000000000002000000000000000100000000000000"
+                                  "010000007400000000a233fe90");
+  ByteReader r(w.data());
+  EXPECT_EQ(r.u64(), 9u);
+  std::vector<sim::Message> batch;
+  read_batch(r, batch);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(messages_equal(batch[0], m));
+}
+
+/// A CRC-sealed field over `contents`, length prefix dropped.
+Bytes crc_field(const Bytes& contents) {
+  ByteWriter w;
+  const std::size_t at = w.begin_field();
+  w.raw(contents);
+  end_crc_field(w, at);
+  return Bytes(w.data().begin() + 4, w.data().end());
+}
+
 TEST(Wire, Crc32cKnownVectors) {
-  // The canonical CRC32C check string (RFC 3720 appendix B.4).
-  const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32c(digits, sizeof(digits)), 0xE3069283u);
-  EXPECT_EQ(crc32c(nullptr, 0), 0u);
-  // Chained two-part computation equals the one-shot digest.
-  EXPECT_EQ(crc32c(digits + 4, 5, crc32c(digits, 4)), 0xE3069283u);
+  // The canonical CRC32C check string (RFC 3720 appendix B.4): its trailer
+  // is 0xE3069283, little-endian like every integer on the wire.
+  const Bytes digits = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  const Bytes sealed = crc_field(digits);
+  EXPECT_EQ(to_hex(sealed), to_hex(digits) + "839206e3");
+  EXPECT_EQ(to_hex(crc_field({})), "00000000");
+  const std::optional<ByteSpan> contents = crc_field_contents(sealed);
+  ASSERT_TRUE(contents.has_value());
+  EXPECT_EQ(Bytes(contents->begin(), contents->end()), digits);
+  // Any flipped bit, or a field shorter than its trailer, fails the check.
+  for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
+    Bytes flipped = sealed;
+    flipped[byte] ^= 0x10;
+    EXPECT_FALSE(crc_field_contents(flipped).has_value()) << "byte " << byte;
+  }
+  EXPECT_FALSE(crc_field_contents(Bytes{0x00, 0x00, 0x00}).has_value());
 }
 
 }  // namespace

@@ -52,8 +52,10 @@ TEST(InterruptResumeProperty, ResumeOfInterruptEqualsUninterruptedRun) {
     spec.adversary = adversary::silent_factory();
 
     stats::Rng plan_rng = master.fork("plan", i);
-    spec.faults = random_plan(plan_rng, kParties, proto->rounds(kParties), bounds);
-    if (spec.faults.empty()) spec.faults.drop_probability = 0.125;  // the property demands faults
+    exec::RunConfig config;
+    config.faults = random_plan(plan_rng, kParties, proto->rounds(kParties), bounds);
+    // The property demands faults.
+    if (config.faults.empty()) config.faults.drop_probability = 0.125;
 
     stats::Rng triple_rng = master.fork("triple", i);
     const std::uint64_t exec_seed = master.fork("exec", i)();
@@ -64,9 +66,10 @@ TEST(InterruptResumeProperty, ResumeOfInterruptEqualsUninterruptedRun) {
                                    " exec_seed=" + std::to_string(exec_seed) +
                                    " interrupt_slot=" + std::to_string(interrupt_slot) +
                                    " threads=" + std::to_string(threads) + " plan=[" +
-                                   spec.faults.summary() + "]";
+                                   config.faults.summary() + "]";
 
-    const exec::BatchResult baseline = exec::Runner(1).run_batch(spec, *ens, kReps, exec_seed);
+    const exec::BatchResult baseline =
+        exec::Runner(1, config).run_batch(spec, *ens, kReps, exec_seed);
     ASSERT_EQ(baseline.report.completed, kReps) << reproducer;
 
     exec::BatchOptions options;
@@ -77,12 +80,12 @@ TEST(InterruptResumeProperty, ResumeOfInterruptEqualsUninterruptedRun) {
     exec::clear_shutdown();
     exec::set_stop_after(interrupt_slot);
     const exec::BatchResult interrupted =
-        exec::Runner(threads).set_options(options).run_batch(spec, *ens, kReps, exec_seed);
+        exec::Runner(threads, config).set_options(options).run_batch(spec, *ens, kReps, exec_seed);
     ASSERT_LE(interrupted.report.completed, kReps) << reproducer;
 
     exec::clear_shutdown();
     const exec::BatchResult resumed =
-        exec::Runner(threads).set_options(options).run_batch(spec, *ens, kReps, exec_seed);
+        exec::Runner(threads, config).set_options(options).run_batch(spec, *ens, kReps, exec_seed);
 
     ASSERT_EQ(resumed.samples.size(), baseline.samples.size()) << reproducer;
     for (std::size_t rep = 0; rep < kReps; ++rep) {

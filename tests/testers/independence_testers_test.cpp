@@ -163,6 +163,29 @@ TEST(GssTester, HonestPartyLimitBoundsTheSweep) {
   EXPECT_THROW((void)test_gstarstar(above, 1, kSeed), UsageError);
 }
 
+/// Runs `call`, which must throw UsageError("`message`") without running a
+/// batch: the ledger neither counts an execution nor gains a campaign.
+template <class Call>
+void expect_refused_before_sampling(Call call, const std::string& message) {
+  exec::clear_ledger();
+  try {
+    call();
+    ADD_FAILURE() << "expected UsageError: " << message;
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+  const exec::Ledger after = exec::ledger();
+  EXPECT_TRUE(after.campaigns.empty());
+  EXPECT_EQ(after.report.executions, 0u);
+}
+
+TEST(GssTester, ZeroSamplesIsRefusedBeforeSampling) {
+  const auto proto = core::make_protocol("seq-broadcast");
+  const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
+  expect_refused_before_sampling([&] { (void)test_gstarstar(spec, 0, kSeed); },
+                                 "test_gstarstar: zero samples per input");
+}
+
 // ---------------------------------------------------------------- Sb tester
 
 TEST(SbTester, GennaroUnderPassiveIsSimulatable) {
@@ -207,6 +230,14 @@ TEST(SbTester, PartyLimitIsCheckedBeforeSampling) {
   const auto beyond = make_spec(*proto, kSbMaxParties + 1, {}, adversary::silent_factory());
   EXPECT_THROW((void)test_sb(beyond, *dist::make_uniform(kSbMaxParties + 1), 2, kSeed),
                UsageError);
+}
+
+TEST(SbTester, ZeroSamplesIsRefusedBeforeSampling) {
+  const auto proto = core::make_protocol("seq-broadcast");
+  const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
+  const auto ens = dist::make_uniform(4);
+  expect_refused_before_sampling([&] { (void)test_sb(spec, *ens, 0, kSeed); },
+                                 "test_sb: zero samples");
 }
 
 // ------------------------------------------------------------- the one rule
