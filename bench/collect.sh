@@ -13,9 +13,10 @@
 #
 # Every record any mode reads must also check itself (check_reproduced):
 # its "reproduced" is recomputed from its cells by the one rule of
-# core::reproduced -- the record is not partial and every cell met its
-# "expected" outcome ("pass" cells passed, "violation" cells were flagged,
-# "info" cells decide nothing) -- and a mismatch fails the run.
+# core::reproduced -- the record is not partial, its perf.quarantine is
+# empty, and every cell met its "expected" outcome ("pass" cells passed,
+# "violation" cells were flagged, "info" cells decide nothing) -- and a
+# mismatch fails the run.
 #
 # In the default and --faults modes every histogram in every record must
 # also agree with its own buckets (check_histograms): the bucket counts sum
@@ -178,11 +179,13 @@ for cell in rec["cells"]:
         sys.exit(f"  cell {cell['label']!r} has an unknown expectation {expected!r}")
     if expected != "info" and cell["verdict"]["pass"] != (expected == "pass"):
         unmet.append(cell["label"])
-rule = not rec["partial"] and not unmet
+quarantined = len(rec.get("perf", {}).get("quarantine", []))
+rule = not rec["partial"] and quarantined == 0 and not unmet
 if rec["reproduced"] != rule:
     sys.exit(f"  reproduced mismatch in {sys.argv[1]}: the record says "
              f"{json.dumps(rec['reproduced'])}, its cells say {json.dumps(rule)} "
-             f"(partial {json.dumps(rec['partial'])}, unmet cells: {unmet or 'none'})")
+             f"(partial {json.dumps(rec['partial'])}, quarantined {quarantined}, "
+             f"unmet cells: {unmet or 'none'})")
 EOF
 }
 

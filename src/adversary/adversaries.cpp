@@ -34,7 +34,7 @@ void PassiveAdversary::setup(const sim::CorruptionInfo& info, crypto::HmacDrbg& 
     const sim::PartyId id = corrupted_[j];
     machines_.push_back(make_machine_(j, id, info.corrupted_inputs.get(j)));
     drbgs_.emplace_back(drbg.generate(32));
-    contexts_.emplace_back(id, info.n, info.k, drbgs_.back());
+    contexts_.emplace_back(id, info.n, drbgs_.back());
     machines_.back()->begin(contexts_.back());
   }
 }

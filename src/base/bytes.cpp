@@ -15,14 +15,6 @@ std::uint32_t field_length(std::size_t size) {
   return static_cast<std::uint32_t>(size);
 }
 
-/// The `count` bytes of `data` at `pos`, which then moves past them.
-ByteSpan take(ByteSpan data, std::size_t& pos, std::size_t count) {
-  if (count > data.size() - pos) throw ProtocolError("ByteReader: truncated message");
-  const ByteSpan out = data.subspan(pos, count);
-  pos += count;
-  return out;
-}
-
 }  // namespace
 
 std::string to_hex(ByteSpan data) {
@@ -34,18 +26,6 @@ std::string to_hex(ByteSpan data) {
     out.push_back(kDigits[b & 0xf]);
   }
   return out;
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  std::uint8_t le[4];
-  for (std::size_t i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(le);
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  std::uint8_t le[8];
-  for (std::size_t i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(le);
 }
 
 void ByteWriter::bytes(ByteSpan data) {
@@ -69,27 +49,8 @@ void ByteWriter::end_field(std::size_t at) {
   for (std::size_t i = 0; i < 4; ++i, len >>= 8) (*out_)[at + i] = static_cast<std::uint8_t>(len);
 }
 
-std::uint8_t ByteReader::u8() {
-  return take(data_, pos_, 1)[0];
-}
-
-std::uint32_t ByteReader::u32() {
-  const ByteSpan b = take(data_, pos_, 4);
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  const ByteSpan b = take(data_, pos_, 8);
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-ByteSpan ByteReader::field() {
-  const std::uint32_t len = u32();
-  return take(data_, pos_, len);
+void ByteReader::truncated() {
+  throw ProtocolError("ByteReader: truncated message");
 }
 
 Bytes ByteReader::bytes() {

@@ -28,6 +28,8 @@ using ByteSpan = std::span<const std::uint8_t>;
 /// Canonical, unambiguous serializer: integers are little-endian, and
 /// every variable-length field carries a u32 length prefix.  bytes(),
 /// str() and end_field() throw UsageError for a field too long for it.
+/// The integer writers and readers are defined here, inline: every frame,
+/// record and payload runs through them.
 class ByteWriter {
  public:
   /// Writes into a buffer of its own, handed out by take().
@@ -44,8 +46,8 @@ class ByteWriter {
   ByteWriter& operator=(const ByteWriter&) = delete;
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   /// Length-prefixed raw bytes.
   void bytes(ByteSpan data);
   /// Length-prefixed string.
@@ -64,6 +66,15 @@ class ByteWriter {
   [[nodiscard]] Bytes take() noexcept { return std::move(*out_); }
 
  private:
+  /// Appends `v` little-endian, growing the buffer once.
+  template <class UInt>
+  void put_le(UInt v) {
+    const std::size_t at = out_->size();
+    out_->resize(at + sizeof v);
+    std::uint8_t* const le = out_->data() + at;
+    for (std::size_t i = 0; i < sizeof v; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   Bytes own_;
   Bytes* out_ = &own_;
 };
@@ -74,19 +85,41 @@ class ByteReader {
  public:
   explicit ByteReader(ByteSpan data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint8_t u8() { return take(1)[0]; }
+  [[nodiscard]] std::uint32_t u32() {
+    const ByteSpan b = take(4);
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+    return v;
+  }
+  [[nodiscard]] std::uint64_t u64() {
+    const ByteSpan b = take(8);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    return v;
+  }
   /// A length-prefixed field, copied out.
   [[nodiscard]] Bytes bytes();
   [[nodiscard]] std::string str();
   /// A length-prefixed field, borrowed: no copy, and a ByteReader over it
   /// cannot read past the field's length prefix.
-  [[nodiscard]] ByteSpan field();
+  [[nodiscard]] ByteSpan field() {
+    const std::uint32_t len = u32();
+    return take(len);
+  }
   /// True when all input has been consumed.
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
 
  private:
+  /// The next `count` bytes, which the reader then moves past.
+  ByteSpan take(std::size_t count) {
+    if (count > data_.size() - pos_) truncated();
+    const ByteSpan out = data_.subspan(pos_, count);
+    pos_ += count;
+    return out;
+  }
+  [[noreturn]] static void truncated();
+
   ByteSpan data_;
   std::size_t pos_ = 0;
 };

@@ -141,7 +141,8 @@ bool met(const obs::ExperimentCell& c) {
 }  // namespace
 
 bool reproduced(const obs::ExperimentRecord& record) {
-  return !record.partial && std::all_of(record.cells.begin(), record.cells.end(), met);
+  return !record.partial && record.perf.quarantine.empty() &&
+         std::all_of(record.cells.begin(), record.cells.end(), met);
 }
 
 Experiment::Experiment(std::string id, std::string paper_claim, std::string setup,
@@ -176,7 +177,8 @@ int Experiment::finish(const std::string& summary) {
     record_.campaigns.push_back(obs::correlation_hex(id));
   // A graceful stop (SIGINT/SIGTERM or --stop-after) flushes the record in
   // whatever state the drain left it; the testers then judged drained,
-  // zero-filled slots, so a partial record never reproduces.
+  // zero-filled slots, so a partial record never reproduces.  Quarantined
+  // slots are zero-filled the same way.
   record_.partial = record_.perf.partial || exec::shutdown_requested();
   record_.reproduced = reproduced(record_);
 
@@ -190,13 +192,15 @@ int Experiment::finish(const std::string& summary) {
   std::ostringstream detail;
   detail << deciding - missed << "/" << deciding << " cells as the paper expects";
   if (deciding < record_.cells.size()) detail << ", " << record_.cells.size() - deciding << " info";
+  const std::size_t quarantined = record_.perf.quarantine.size();
   if (record_.partial)
     detail << "; partial: " << record_.perf.completed << " of " << record_.perf.executions
            << " executions ran";
-  else if (!unmet.empty())
-    detail << "; unmet: " << unmet;
-  else
-    detail << "; " << summary;
+  if (quarantined > 0)
+    detail << "; quarantined: " << quarantined << " of " << record_.perf.executions
+           << " executions";
+  if (!record_.partial && quarantined == 0)
+    detail << "; " << (unmet.empty() ? summary : "unmet: " + unmet);
   record_.detail = detail.str();
 
   if (record_.perf.executions > 0) std::cout << describe(record_.perf) << "\n";

@@ -60,9 +60,11 @@ class Table {
 /// snapshot the JSON serializes, like every other describe().
 [[nodiscard]] std::string describe(const obs::MetricsSnapshot& m);
 
-/// The one rule behind a record's "reproduced": the record is not partial
-/// and every cell met the outcome the paper expects of it — a `pass` cell
-/// passed and a `violation` cell was flagged; `info` cells never decide it.
+/// The one rule behind a record's "reproduced": the record is not partial,
+/// no repetition was quarantined (both leave zero-filled slots the testers
+/// judged), and every cell met the outcome the paper expects of it — a
+/// `pass` cell passed and a `violation` cell was flagged; `info` cells
+/// never decide it.
 [[nodiscard]] bool reproduced(const obs::ExperimentRecord& record);
 
 /// One experiment run, from banner to exit code.  The constructor prints
@@ -82,9 +84,10 @@ class Experiment {
 
   void cell(std::string label, obs::VerdictRecord verdict, obs::Expect expected);
 
-  /// The verdict line reads "k/k cells as the paper expects" and then
-  /// `summary` when the run reproduced, how many executions ran when it
-  /// is partial, or the labels of the cells that missed.
+  /// The verdict line reads "k/k cells as the paper expects" and then how
+  /// many executions ran when it is partial and how many were quarantined,
+  /// or else the labels of the cells that missed, or `summary` when the
+  /// run reproduced.
   int finish(const std::string& summary);
 
  private:

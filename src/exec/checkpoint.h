@@ -7,8 +7,8 @@
 // quarantine list and the batch's wall-clock partials to a sidecar file,
 // keyed by the batch's *identity tuple* — protocol, party count, repetition
 // count, a config hash (corruption set, auxiliary input, channel privacy,
-// security parameter, commitment scheme, adversary type), a fault-plan
-// hash and a stream hash over every (input, seed) pair in slot order.  On
+// commitment scheme, adversary type), a fault-plan hash and a stream hash
+// over every (input, seed) pair in slot order.  On
 // resume the identity is verified field by field; restored slots are
 // byte-exact copies of what the interrupted run computed, and the
 // remaining slots are pure functions of their (input, seed), so the
@@ -48,7 +48,7 @@ struct CampaignIdentity {
   std::string protocol;           ///< ParallelBroadcastProtocol::name()
   std::size_t n = 0;              ///< party count
   std::size_t count = 0;          ///< repetitions in the batch
-  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, k, commitment scheme,
+  std::uint64_t config_hash = 0;  ///< corruption set, aux input, privacy, commitment scheme,
                                   ///< adversary factory type
   std::uint64_t fault_hash = 0;   ///< the effective sim::FaultPlan
   std::uint64_t stream_hash = 0;  ///< every (input, seed) pair, slot order

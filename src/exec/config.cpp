@@ -58,9 +58,18 @@ std::uint64_t count_value(std::string_view knob, const char* expected, std::stri
   return *value;
 }
 
-double seconds_value(std::string_view knob, std::string_view text) {
+/// The longest duration a seconds knob takes: 10^6 s (11.6 days) lies far
+/// inside the steady clock's range, so every later conversion to an
+/// integer clock duration is exact and no deadline wraps into the past.
+constexpr double kMaxSeconds = 1e6;
+
+/// The one seconds parser: a positive number of seconds, at most
+/// kMaxSeconds; `positive` names a tighter floor the caller checks.
+double seconds_value(std::string_view knob, std::string_view text,
+                     const char* positive = "a positive number of seconds") {
   const std::optional<double> seconds = parse_real(text);
-  if (!seconds || !(*seconds > 0.0)) malformed(knob, "a positive number of seconds", text);
+  if (!seconds || !(*seconds > 0.0)) malformed(knob, positive, text);
+  if (*seconds > kMaxSeconds) malformed(knob, "at most 1000000 seconds", text);
   return *seconds;
 }
 
@@ -89,11 +98,11 @@ const Knob kKnobs[] = {
      [](RunConfig& c, std::string_view knob, std::string_view v) {
        // Fractional seconds are first-class (--net-timeout=0.5): chaos
        // suites want sub-second stall detection, and the transports keep
-       // the deadline in milliseconds anyway.
-       const std::optional<double> seconds = parse_real(v);
-       if (!seconds || !(*seconds * 1000.0 >= 1.0))
-         malformed(knob, "a positive number of seconds (>= 0.001)", v);
-       c.net_timeout = std::chrono::milliseconds(static_cast<long>(*seconds * 1000.0));
+       // the deadline in whole milliseconds, so at least one.
+       const char* const expected = "a positive number of seconds (>= 0.001)";
+       const double ms = seconds_value(knob, v, expected) * 1000.0;
+       if (!(ms >= 1.0)) malformed(knob, expected, v);
+       c.net_timeout = std::chrono::milliseconds(static_cast<long>(ms));
      }},
     {"--chaos", nullptr, true,
      [](RunConfig& c, std::string_view, std::string_view v) {

@@ -108,7 +108,6 @@ CampaignIdentity compute_identity(const RunSpec& spec, const sim::FaultPlan& pla
   identity.count = seeds.size();
 
   IdentityHash config_hash;
-  config_hash.mix(static_cast<std::uint64_t>(spec.params.k));
   config_hash.mix(static_cast<std::uint64_t>(spec.corrupted.size()));
   for (const sim::PartyId id : spec.corrupted) config_hash.mix(static_cast<std::uint64_t>(id));
   config_hash.mix(spec.auxiliary_input);

@@ -1,9 +1,11 @@
 #include "net/link.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <system_error>
 
@@ -324,6 +326,32 @@ std::chrono::milliseconds Link::recovery_bound() const noexcept {
   const std::size_t budget = chaos_ != nullptr ? chaos_->spec().budget : 0;
   const std::size_t left = budget > budget_used_ ? budget - budget_used_ : 0;
   return std::chrono::milliseconds(rto_.count() * static_cast<long>(left + 2) + 1000);
+}
+
+void wait_links(std::span<Link> links, Link::Clock::time_point deadline) {
+  // One poll set per thread, reused: the socket backend waits at least
+  // once per delivery slot, and steady state allocates nothing.
+  thread_local std::vector<pollfd> fds;
+  fds.resize(links.size());
+  Link::Clock::time_point until = deadline;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const Link& l = links[i];
+    fds[i] = {l.fd(), static_cast<short>(POLLIN | (l.wants_write() ? POLLOUT : 0)), 0};
+    until = std::min(until, l.wake());
+  }
+  const long long left =
+      std::chrono::ceil<std::chrono::milliseconds>(until - Link::Clock::now()).count();
+  if (::poll(fds.data(), fds.size(), static_cast<int>(std::clamp<long long>(left, 0, INT_MAX))) <
+      0) {
+    if (errno != EINTR) throw std::system_error(errno, std::generic_category(), "wait_links: poll");
+    for (pollfd& p : fds) p.revents = 0;  // interrupted: only the timers decide
+  }
+  // Timers are judged after the sleep, so a Link that is both readable and
+  // due reads its acks first: pump() holds the RTO while a complete record
+  // waits unread.
+  const auto now = Link::Clock::now();
+  for (std::size_t i = 0; i < links.size(); ++i)
+    if (fds[i].revents != 0 || links[i].wake() <= now) links[i].pump(now);
 }
 
 }  // namespace simulcast::net

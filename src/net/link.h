@@ -6,9 +6,10 @@
 // recv passes MSG_DONTWAIT, so the same code runs on the process backend's
 // socketpairs (net/worker.h) and the socket backend's TCP channels
 // (net/socket.h).  Outgoing bytes queue in an outbox and incoming bytes in
-// an inbuf; the Link has no wait loop of its own.  Its owner calls pump()
-// when the descriptor is readable or writable or wake() has passed, and
-// next() to take delivered records.
+// an inbuf.  A Link never blocks: wait_links() below is the one blocking
+// wait, shared by both backends, and pumps each Link when its descriptor is
+// ready or its wake() has passed; the owner then calls next() to take
+// delivered records.
 //
 // On a clean wire a record is
 //
@@ -45,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -177,5 +179,14 @@ class Link {
   std::size_t budget_used_ = 0;  ///< charged retransmit bursts
   ChaosStats stats_;
 };
+
+/// The one blocking wait over a set of Links.  Polls each Link's
+/// descriptor, always for reading and for writing while it wants_write(),
+/// and sleeps until one is ready, the earliest wake() of any Link or
+/// `deadline`, whichever comes first; then pumps every Link that is ready
+/// or whose timer is due.  The caller takes what they delivered with
+/// next().  Throws std::system_error when the poll fails other than by
+/// EINTR.
+void wait_links(std::span<Link> links, Link::Clock::time_point deadline);
 
 }  // namespace simulcast::net

@@ -56,19 +56,9 @@ std::vector<sim::Message> decode_outbox(const Bytes& body) {
 
 }  // namespace
 
-std::uint64_t fault_plan_digest(std::string_view summary) noexcept {
-  // FNV-1a; the digest is an equality check inside one handshake, not a
-  // cryptographic commitment.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : summary) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-ProcSupervisor::ProcSupervisor(Spec spec) : spec_(std::move(spec)) {
-  workers_.resize(spec_.n);
+ProcSupervisor::ProcSupervisor(std::chrono::milliseconds net_timeout, WorkerHello hello)
+    : net_timeout_(net_timeout), hello_(std::move(hello)), chaos_(parse_chaos_spec(hello_.chaos)) {
+  workers_.resize(hello_.n);
 }
 
 ProcSupervisor::~ProcSupervisor() { shutdown(); }
@@ -92,7 +82,7 @@ void ProcSupervisor::spawn(std::size_t id, bool input) {
   }
 
   const std::string timeout_arg =
-      std::string(kWorkerTimeoutFlag) + std::to_string(spec_.net_timeout.count());
+      std::string(kWorkerTimeoutFlag) + std::to_string(net_timeout_.count());
   const std::string fd_arg = std::string(kWorkerFdFlag) + "3";
   std::vector<char*> argv;
   char exe[] = "/proc/self/exe";
@@ -118,40 +108,29 @@ void ProcSupervisor::spawn(std::size_t id, bool input) {
   Worker& w = workers_[id];
   w.pid = pid;
   w.fd = sv[0];
-  w.channel = std::make_unique<WorkerChannel>(sv[0], spec_.net_timeout);
+  w.channel = std::make_unique<WorkerChannel>(sv[0], net_timeout_);
   proc_counters().spawned.add(1);
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kInfo, "worker-spawn",
                    {{"party", id}, {"pid", static_cast<std::uint64_t>(pid)}});
 
-  WorkerHello hello;
-  hello.n = spec_.n;
-  hello.slot = id;
-  hello.k = spec_.k;
-  hello.seed = spec_.seed;
-  hello.rounds = spec_.rounds;
-  hello.input = input;
-  hello.fault_digest = spec_.fault_digest;
-  hello.protocol = spec_.protocol;
-  hello.commitments = spec_.commitments;
-  hello.chaos = spec_.chaos.summary();  // "" for a clean wire
+  hello_.slot = id;
+  hello_.input = input;
 
   const auto handshake = [&] {
     Bytes body;
-    encode_worker_hello(hello, body);
+    encode_worker_hello(hello_, body);
     if (!w.channel->write_frame(ProcFrame::kHello, body))
       throw ProtocolError("worker gone before hello");
     ProcFrame type{};
     Bytes reply;
-    const WorkerChannel::Status status = w.channel->read_frame(type, reply, spec_.net_timeout);
+    const WorkerChannel::Status status = w.channel->read_frame(type, reply, net_timeout_);
     if (status == WorkerChannel::Status::kTimeout)
       throw ProtocolError("no ack within the stall deadline (--net-timeout)");
     if (status == WorkerChannel::Status::kEof) throw ProtocolError("worker rejected the hello");
     if (type != ProcFrame::kAck) throw ProtocolError("expected kAck");
-    const WorkerAck ack = decode_worker_ack(reply);
-    if (ack.slot != id) throw ProtocolError("ack echoed slot " + std::to_string(ack.slot));
-    if (ack.fault_digest != spec_.fault_digest)
-      throw ProtocolError("ack echoed a different fault digest");
+    const std::uint64_t echoed = decode_worker_ack(reply);
+    if (echoed != id) throw ProtocolError("ack echoed slot " + std::to_string(echoed));
   };
   // Any handshake failure kills and reaps the child before the throw — a
   // failed handshake must leave no process behind.
@@ -171,8 +150,8 @@ void ProcSupervisor::spawn(std::size_t id, bool input) {
   // framing from the next frame on (the worker mirrors this right after
   // writing its ack).
   const std::string label = "coord:P" + std::to_string(id);
-  if (spec_.chaos.enabled() && spec_.chaos.applies_to(id))
-    w.channel->enable_chaos(spec_.chaos, spec_.seed, label);
+  if (chaos_.enabled() && chaos_.applies_to(id))
+    w.channel->enable_chaos(chaos_, hello_.seed, label);
   else
     w.channel->set_label(label);
 }
@@ -277,7 +256,7 @@ void ProcSupervisor::shutdown() noexcept {
     }
     chaos_stats_ = ChaosStats{};
   }
-  const auto give_up = std::chrono::steady_clock::now() + spec_.net_timeout;
+  const auto give_up = std::chrono::steady_clock::now() + net_timeout_;
   for (std::size_t id = 0; id < workers_.size(); ++id) {
     Worker& w = workers_[id];
     if (w.pid < 0) continue;

@@ -34,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/bitvec.h"
@@ -59,37 +58,20 @@ class WorkerLost : public Error {
   std::size_t party_;
 };
 
-/// FNV-1a digest of FaultPlan::summary(), bound into the handshake so a
-/// coordinator/worker pairing that disagrees about the fault schedule is
-/// caught before the first round.
-[[nodiscard]] std::uint64_t fault_plan_digest(std::string_view summary) noexcept;
-
 /// One execution's crew of worker processes.  Single-threaded, owned by
 /// one run_execution call (concurrent Runner workers each own their own
 /// supervisor, like every per-execution object).
 class ProcSupervisor {
  public:
-  /// The execution identity every worker must agree on; the scalar fields
-  /// travel in the handshake verbatim.
-  struct Spec {
-    std::string protocol;     ///< protocol registry name
-    std::string commitments;  ///< commitment scheme name; "" = none
-    std::size_t n = 0;
-    std::uint32_t k = 0;
-    std::uint64_t seed = 0;
-    std::size_t rounds = 0;
-    std::uint64_t fault_digest = 0;
-    /// Wire-chaos conditions (net/chaos.h).  Channels of targeted parties
-    /// switch to resilient framing after the handshake; a channel whose
-    /// retransmit budget runs out surfaces as WorkerLost, bit-for-bit the
-    /// crash a FaultPlan entry at that round would have produced.
-    ChaosSpec chaos;
-    /// Stall deadline (--net-timeout) for handshakes, replies and reaping;
-    /// handed to every worker on its command line.
-    std::chrono::milliseconds net_timeout = kDefaultNetTimeout;
-  };
-
-  explicit ProcSupervisor(Spec spec);
+  /// `hello` is what every worker is told (its slot and input are filled
+  /// in per spawn).  Like a worker, the supervisor parses the chaos spec
+  /// out of it: channels of targeted parties switch to resilient framing
+  /// after the handshake, and a channel whose retransmit budget runs out
+  /// surfaces as WorkerLost, bit-for-bit the crash a FaultPlan entry at
+  /// that round would have produced.  `net_timeout` (--net-timeout) bounds
+  /// handshakes, replies and reaping, and is handed to every worker on its
+  /// command line.  Throws UsageError on an unparsable chaos spec.
+  ProcSupervisor(std::chrono::milliseconds net_timeout, WorkerHello hello);
   ~ProcSupervisor();
 
   ProcSupervisor(const ProcSupervisor&) = delete;
@@ -139,7 +121,9 @@ class ProcSupervisor {
   [[nodiscard]] Bytes call(std::size_t id, ProcFrame request, const Bytes& body,
                            ProcFrame reply);
 
-  Spec spec_;
+  std::chrono::milliseconds net_timeout_;
+  WorkerHello hello_;
+  ChaosSpec chaos_;
   std::vector<Worker> workers_;
   /// Coordinator-side chaos accounting, folded into net.chaos.* at
   /// shutdown.  Worker-side counters die with the worker process —

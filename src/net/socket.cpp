@@ -3,13 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <string>
 #include <system_error>
 
@@ -106,12 +104,8 @@ void SocketTransport::open(std::size_t n, std::size_t slots) {
   next_seq_ = 0;
   stats_ = WireStats{};
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) sys_error("epoll_create1");
-
   // n party channels + the broadcast channel + the functionality channel.
   links_.resize(2 * (n_ + 2));
-  interest_.assign(links_.size(), 0);
   for (std::size_t i = 0; i < n_ + 2; ++i) {
     const auto [send_fd, recv_fd] = loopback_tcp_pair();
     Link& tx = links_[2 * i] = Link(send_fd);
@@ -129,27 +123,10 @@ void SocketTransport::open(std::size_t n, std::size_t slots) {
       tx.set_label(label);
       rx.set_label(label + ":rx");
     }
-    watch(2 * i);
-    watch(2 * i + 1);
   }
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kDebug, "net-connect",
                    {{"parties", n_}, {"channels", n_ + 2}, {"slots", slots}});
-}
-
-void SocketTransport::watch(std::size_t key) {
-  const Link& l = links_[key];
-  std::uint32_t& registered = interest_[key];
-  // The receiving end always reads; the sending end reads only acks.
-  const std::uint32_t events = (key % 2 == 1 || l.reliable() ? std::uint32_t{EPOLLIN} : 0u) |
-                               (l.wants_write() ? std::uint32_t{EPOLLOUT} : 0u);
-  if (events == registered) return;
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.u64 = key;
-  const int op = registered == 0 ? EPOLL_CTL_ADD : events == 0 ? EPOLL_CTL_DEL : EPOLL_CTL_MOD;
-  if (::epoll_ctl(epoll_fd_, op, l.fd(), &ev) < 0) sys_error("epoll_ctl");
-  registered = events;
 }
 
 void SocketTransport::submit(sim::Message m, std::size_t slot) {
@@ -170,7 +147,6 @@ void SocketTransport::submit(sim::Message m, std::size_t slot) {
 
   if (!links_[2 * index].send(kFrameRecord, encode_buf_))
     throw ProtocolError("SocketTransport: channel closed mid-execution");
-  watch(2 * index);
 }
 
 void SocketTransport::park(const Link::Record& record) {
@@ -186,21 +162,21 @@ void SocketTransport::park(const Link::Record& record) {
   parked_[slot].push_back({seq, std::move(message)});
 }
 
-void SocketTransport::advance(std::size_t key, Link::Clock::time_point now, std::size_t slot) {
-  Link& l = links_[key];
-  l.pump(now);
-  // A sending end only ever reads acks, which next() absorbs.
+void SocketTransport::take_delivered(std::size_t slot) {
   const auto start = Link::Clock::now();
-  while (const std::optional<Link::Record> record = l.next()) park(*record);
+  for (std::size_t key = 0; key < links_.size(); ++key) {
+    Link& l = links_[key];
+    // A sending end only ever reads acks, which next() absorbs.
+    while (const std::optional<Link::Record> record = l.next()) park(*record);
+    if (l.dead())
+      throw ProtocolError("SocketTransport: slot " + std::to_string(slot) + " abandoned (" +
+                          std::to_string(parked_[slot].size()) + "/" +
+                          std::to_string(expected_[slot]) +
+                          " frames): chaos retransmit budget exhausted on channel " +
+                          std::to_string(key / 2) + " — the wire was too hostile");
+    if (l.closed()) throw ProtocolError("SocketTransport: channel closed mid-execution");
+  }
   stats_.deserialize += Link::Clock::now() - start;
-  if (l.dead())
-    throw ProtocolError("SocketTransport: slot " + std::to_string(slot) + " abandoned (" +
-                        std::to_string(parked_[slot].size()) + "/" +
-                        std::to_string(expected_[slot]) +
-                        " frames): chaos retransmit budget exhausted on channel " +
-                        std::to_string(key / 2) + " — the wire was too hostile");
-  if (l.closed()) throw ProtocolError("SocketTransport: channel closed mid-execution");
-  watch(key);
 }
 
 std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
@@ -214,8 +190,7 @@ std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
   auto last_progress = start;
   std::size_t seen = bucket.size();
   while (bucket.size() < expected_[slot]) {
-    auto now = Link::Clock::now();
-    if (now - last_progress > stall_timeout_) {
+    if (Link::Clock::now() - last_progress > stall_timeout_) {
       if (obs::log_enabled())
         obs::log_event(obs::LogLevel::kError, "net-stall",
                        {{"slot", slot}, {"parked", bucket.size()}, {"expected", expected_[slot]}});
@@ -223,29 +198,11 @@ std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
                           " (" + std::to_string(bucket.size()) + "/" +
                           std::to_string(expected_[slot]) + " frames)");
     }
-    // Sleep until a descriptor is ready, a Link timer (RTO, delayed first
-    // transmission) is due, or the stall deadline — whichever is first.
-    auto wake = last_progress + stall_timeout_;
-    if (chaos_.enabled())
-      for (const Link& l : links_) wake = std::min(wake, l.wake());
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
-    epoll_event events[16];
-    const int ready = ::epoll_wait(epoll_fd_, events, 16,
-                                   static_cast<int>(std::clamp<long long>(left, 0, INT_MAX)));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      sys_error("epoll_wait");
-    }
-    now = Link::Clock::now();
-    for (int e = 0; e < ready; ++e) advance(static_cast<std::size_t>(events[e].data.u64), now, slot);
-    // Timers after I/O: acks already on the wire get read before an RTO
-    // decides they are missing.
-    if (chaos_.enabled())
-      for (std::size_t key = 0; key < links_.size(); ++key)
-        if (links_[key].wake() <= now) advance(key, now, slot);
+    wait_links(links_, last_progress + stall_timeout_);
+    take_delivered(slot);
     if (bucket.size() != seen) {
       seen = bucket.size();
-      last_progress = now;
+      last_progress = Link::Clock::now();
     }
   }
 
@@ -280,10 +237,6 @@ void SocketTransport::close() {
   record_chaos_metrics(chaos_stats());
   for (const Link& l : links_) abort_close(l.fd());
   links_.clear();
-  if (epoll_fd_ >= 0) {
-    (void)::close(epoll_fd_);
-    epoll_fd_ = -1;
-  }
 }
 
 }  // namespace simulcast::net

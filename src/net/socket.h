@@ -9,7 +9,7 @@
 //
 //   u64 seq | u64 slot | <wire frame (net/wire.h)>
 //
-// and collect(slot) runs one epoll event loop over every Link until each
+// and collect(slot) waits on every Link (net::wait_links) until each
 // frame submitted for `slot` has been delivered, then returns the
 // messages ordered by submission sequence number.  The reorder-by-seq
 // step is what keeps party outputs and verdicts identical to the
@@ -17,9 +17,9 @@
 // channels arbitrarily, but delivery order never depends on it.
 // Wall-clock timing, and only wall-clock timing, differs.
 //
-// The event loop is single-threaded and owned by one execution, so
-// concurrent exec::Runner workers each drive their own loop with no shared
-// state (TSan-clean by construction).  Sockets are closed with SO_LINGER
+// The transport is single-threaded and owned by one execution, so
+// concurrent exec::Runner workers each wait on their own Links with no
+// shared state (TSan-clean by construction).  Sockets are closed with SO_LINGER
 // abort semantics: a campaign runs tens of thousands of executions, and
 // letting each connection linger in TIME_WAIT would exhaust loopback
 // ephemeral ports within minutes.
@@ -28,7 +28,7 @@
 // switch to reliable records, the sending one drawing its fates from a
 // "wire-chaos:socket:<index>" DRBG.  Recovery is the Link's — go-back-N,
 // cumulative acks riding back on the same connection, the RTO — and the
-// epoll loop sleeps until the next Link timer rather than polling.  A
+// wait sleeps until the next Link timer rather than spinning.  A
 // channel whose Link spends its retransmit budget fails the execution at
 // that RTO with a ProtocolError naming the exhaustion: on this backend
 // degradation is an execution failure, not a party crash (that contract
@@ -90,24 +90,20 @@ class SocketTransport final : public Transport {
   };
 
   [[nodiscard]] std::size_t channel_for(sim::PartyId to) const;
-  /// Pumps one Link, parks what it delivered, refreshes its epoll
-  /// interest.  Throws when the channel closed or spent its budget while
-  /// `slot` was being collected.
-  void advance(std::size_t key, Link::Clock::time_point now, std::size_t slot);
+  /// Parks every record the Links delivered.  Throws when a channel
+  /// closed or spent its budget while `slot` was being collected.
+  void take_delivered(std::size_t slot);
   void park(const Link::Record& record);
-  void watch(std::size_t key);
 
   std::chrono::milliseconds stall_timeout_;
   ChaosSpec chaos_;
   std::uint64_t seed_;
 
   std::size_t n_ = 0;
-  int epoll_fd_ = -1;
-  /// Two Links per loopback channel, indexed by epoll key: links_[2c] is
-  /// channel c's sending end (it reads acks back on a chaotic channel) and
-  /// links_[2c + 1] its receiving end (it delivers frames, writes acks).
+  /// Two Links per loopback channel: links_[2c] is channel c's sending end
+  /// (it reads acks back on a chaotic channel) and links_[2c + 1] its
+  /// receiving end (it delivers frames, writes acks).
   std::vector<Link> links_;
-  std::vector<std::uint32_t> interest_;  ///< epoll events registered per Link
   std::vector<std::size_t> expected_;       ///< frames submitted per slot
   std::vector<std::vector<Parked>> parked_; ///< frames received per slot
   std::uint64_t next_seq_ = 0;

@@ -24,8 +24,8 @@
 //     golden output are unchanged.  It has no wire, so it ignores a chaos
 //     spec (the CLI rejects that combination up front).
 //   - SocketTransport (net/socket.h) moves every frame through per-party
-//     loopback TCP channels, each a pair of net::Links (net/link.h) on one
-//     epoll loop.  Frames carry a submission sequence number and collect()
+//     loopback TCP channels, each a pair of net::Links (net/link.h) under
+//     one wait.  Frames carry a submission sequence number and collect()
 //     reorders by it, so party outputs and verdicts are identical to the
 //     in-process backend even under recoverable chaos; only wall-clock
 //     timing (and therefore timing metrics) varies.
@@ -49,7 +49,7 @@ namespace simulcast::net {
 
 enum class TransportKind {
   kInProcess,  ///< slot-indexed in-memory mailboxes (default; bit-identical)
-  kSocket,     ///< loopback TCP endpoints + epoll event loop (verdict-identical)
+  kSocket,     ///< loopback TCP channels, one wait over their Links (verdict-identical)
   kProcess,    ///< per-party worker processes under a coordinator (net/procs.h)
 };
 

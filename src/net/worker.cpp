@@ -1,12 +1,9 @@
 #include "net/worker.h"
 
-#include <poll.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <optional>
+#include <span>
 #include <string_view>
-#include <system_error>
 
 #include "base/error.h"
 #include "net/transport.h"
@@ -51,11 +48,9 @@ void encode_worker_hello(const WorkerHello& hello, Bytes& out) {
   w.u8(kProcVersion);
   w.u64(hello.n);
   w.u64(hello.slot);
-  w.u64(hello.k);
   w.u64(hello.seed);
   w.u64(hello.rounds);
   w.u8(hello.input ? 1 : 0);
-  w.u64(hello.fault_digest);
   w.str(hello.protocol);
   w.str(hello.commitments);
   w.str(hello.chaos);
@@ -67,11 +62,9 @@ WorkerHello decode_worker_hello(const Bytes& body) {
   WorkerHello hello;
   hello.n = r.u64();
   hello.slot = r.u64();
-  hello.k = r.u64();
   hello.seed = r.u64();
   hello.rounds = r.u64();
   hello.input = r.u8() != 0;
-  hello.fault_digest = r.u64();
   hello.protocol = r.str();
   hello.commitments = r.str();
   hello.chaos = r.str();
@@ -79,23 +72,20 @@ WorkerHello decode_worker_hello(const Bytes& body) {
   return hello;
 }
 
-void encode_worker_ack(const WorkerAck& ack, Bytes& out) {
+void encode_worker_ack(std::uint64_t slot, Bytes& out) {
   out.clear();
   ByteWriter w(out);
   w.u32(kProcMagic);
   w.u8(kProcVersion);
-  w.u64(ack.slot);
-  w.u64(ack.fault_digest);
+  w.u64(slot);
 }
 
-WorkerAck decode_worker_ack(const Bytes& body) {
+std::uint64_t decode_worker_ack(const Bytes& body) {
   ByteReader r(body);
   expect_preamble(r, "worker ack");
-  WorkerAck ack;
-  ack.slot = r.u64();
-  ack.fault_digest = r.u64();
+  const std::uint64_t slot = r.u64();
   if (!r.done()) throw ProtocolError("worker ack: trailing bytes");
-  return ack;
+  return slot;
 }
 
 WorkerChannel::WorkerChannel(int fd, std::chrono::milliseconds net_timeout)
@@ -108,18 +98,8 @@ WorkerChannel::Status WorkerChannel::wait(std::chrono::milliseconds deadline, Do
     if (dead()) return Status::kBudget;
     if (done()) return Status::kOk;
     if (closed()) return Status::kEof;
-    const auto now = Link::Clock::now();
-    if (now >= give_up) return Status::kTimeout;
-    // Sleep until the descriptor is ready or the Link has timer work
-    // (an RTO, a delayed first transmission) — whichever comes first.
-    const auto until = std::min(give_up, wake());
-    if (until > now) {
-      pollfd pfd{fd(), static_cast<short>(POLLIN | (wants_write() ? POLLOUT : 0)), 0};
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(until - now);
-      if (::poll(&pfd, 1, static_cast<int>(left.count())) < 0 && errno != EINTR)
-        throw std::system_error(errno, std::generic_category(), "WorkerChannel: poll");
-    }
-    pump(Link::Clock::now());
+    if (Link::Clock::now() >= give_up) return Status::kTimeout;
+    wait_links(std::span<Link>(static_cast<Link*>(this), 1), give_up);
   }
 }
 

@@ -25,7 +25,7 @@
 //   coordinator                      worker
 //   -----------                      ------
 //   kHello {version, n, slot, ...}
-//                                    kAck {slot echo, digest echo}
+//                                    kAck {slot echo}
 //   kBegin
 //                                    kOut {begin-outbox batch}
 //   kRound {r, inbox batch}    (xR)
@@ -66,10 +66,7 @@ namespace simulcast::net {
 inline constexpr std::uint32_t kProcMagic = 0x53504331;
 
 /// Bumped on any control-protocol change; both ends reject other versions.
-/// v2: the hello carries the chaos spec and chaos-targeted channels switch
-/// to reliability records after the handshake.  v3: the hello carries only
-/// the execution identity (three test-only fields are gone).
-inline constexpr std::uint8_t kProcVersion = 3;
+inline constexpr std::uint8_t kProcVersion = 4;
 
 /// Control-frame types.  Requests are low, replies have the high bit set.
 enum class ProcFrame : std::uint8_t {
@@ -86,43 +83,35 @@ enum class ProcFrame : std::uint8_t {
 /// "hello" / "begin" / ... for error messages; "unknown" for garbage.
 [[nodiscard]] std::string_view proc_frame_name(ProcFrame type) noexcept;
 
-/// Everything a worker needs to reconstruct its party machine: the
-/// versioned handshake body.  The fault digest binds the worker to the
-/// coordinator's FaultPlan so a mixed-up pairing is caught at handshake
-/// time, not as silent divergence.
+/// The versioned handshake body: exactly what a worker reads to rebuild
+/// its party machine.  The fault plan stays with the coordinator, whose
+/// scheduler applies it; a worker never sees one.
 struct WorkerHello {
   std::uint64_t n = 0;
-  std::uint64_t slot = 0;          ///< this worker's party id
-  std::uint64_t k = 0;             ///< security parameter
-  std::uint64_t seed = 0;          ///< master execution seed
+  std::uint64_t slot = 0;   ///< this worker's party id
+  std::uint64_t seed = 0;   ///< master execution seed
   std::uint64_t rounds = 0;
-  bool input = false;              ///< the party's input bit
-  std::uint64_t fault_digest = 0;  ///< digest of FaultPlan::summary()
-  std::string protocol;            ///< registry name (core/registry.h)
-  std::string commitments;         ///< scheme name; "" = no scheme
-  std::string chaos;               ///< canonical chaos spec; "" = clean wire
-};
-
-/// Worker's handshake reply: echoes enough to prove it parsed the hello
-/// it was meant to receive.
-struct WorkerAck {
-  std::uint64_t slot = 0;
-  std::uint64_t fault_digest = 0;
+  bool input = false;       ///< the party's input bit
+  std::string protocol;     ///< registry name (core/registry.h)
+  std::string commitments;  ///< scheme name; "" = no scheme
+  std::string chaos;        ///< canonical chaos spec; "" = clean wire
 };
 
 /// Handshake codecs over frame *bodies* (WorkerChannel::write_frame adds
-/// the length prefix and type byte).  decode_* throws ProtocolError on
-/// truncation, trailing slack, bad magic or version.
+/// the length prefix and type byte).  The ack body is the preamble and the
+/// slot it echoes.  decode_* throws ProtocolError on truncation, trailing
+/// slack, bad magic or version.
 void encode_worker_hello(const WorkerHello& hello, Bytes& out);
 [[nodiscard]] WorkerHello decode_worker_hello(const Bytes& body);
-void encode_worker_ack(const WorkerAck& ack, Bytes& out);
-[[nodiscard]] WorkerAck decode_worker_ack(const Bytes& body);
+void encode_worker_ack(std::uint64_t slot, Bytes& out);
+[[nodiscard]] std::uint64_t decode_worker_ack(const Bytes& body);
 
-/// One end of the coordinator<->worker socketpair: a net::Link plus the
-/// one poll loop that waits on it.  Does not own the descriptor.  The
-/// Link's enable_chaos (call once, right after the handshake, on both
-/// ends, each with its own label), set_label, reliable and chaos_stats are
-/// the channel's own.  Single-threaded, like every per-execution object.
+/// One end of the coordinator<->worker socketpair: a net::Link with a
+/// frame API, which blocks in net::wait_links.  Does not own the
+/// descriptor.  The Link's enable_chaos (call once, right after the
+/// handshake, on both ends, each with its own label), set_label, reliable
+/// and chaos_stats are the channel's own.  Single-threaded, like every
+/// per-execution object.
 class WorkerChannel : private Link {
  public:
   enum class Status {
@@ -168,8 +157,8 @@ class WorkerChannel : private Link {
   bool drain(std::chrono::milliseconds deadline);
 
  private:
-  /// The one poll loop: pumps the Link until `done()` holds or the Link
-  /// dies, closes or times out.
+  /// Waits (wait_links) until `done()` holds or the Link dies, closes or
+  /// times out.
   template <class Done>
   Status wait(std::chrono::milliseconds deadline, Done done);
 

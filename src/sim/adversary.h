@@ -31,7 +31,6 @@ struct CorruptionInfo {
   BitVec corrupted_inputs;         ///< x_B in the order of `corrupted`
   Bytes auxiliary_input;           ///< the paper's z
   std::size_t n = 0;
-  std::uint32_t k = 0;
 };
 
 /// What the adversary observes in one round.  Both views reference

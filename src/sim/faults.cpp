@@ -15,6 +15,9 @@ bool FaultPlan::empty() const noexcept {
 void FaultPlan::validate(std::size_t n) const {
   if (!(drop_probability >= 0.0 && drop_probability <= 1.0))
     throw UsageError("FaultPlan: drop_probability must be in [0, 1]");
+  if (max_delay > kMaxDelay)
+    throw UsageError("FaultPlan: delay " + std::to_string(max_delay) + " exceeds the cap of " +
+                     std::to_string(kMaxDelay) + " rounds");
   for (const CrashFault& c : crashes)
     if (c.party >= n) throw UsageError("FaultPlan: crash party id out of range");
   for (const Partition& p : partitions) {

@@ -59,6 +59,7 @@ struct FaultPlan {
   double drop_probability = 0.0;
   /// Per-message delivery delay, uniform in [0, max_delay] extra rounds.
   /// A message delayed past the final delivery is lost (counted dropped).
+  /// At most kMaxDelay.
   std::size_t max_delay = 0;
   std::vector<CrashFault> crashes;
   std::vector<Partition> partitions;
@@ -68,9 +69,14 @@ struct FaultPlan {
   /// layer existed.
   [[nodiscard]] bool empty() const noexcept;
 
+  /// The largest max_delay: 2^32 rounds, so neither max_delay + 1 nor a
+  /// delivery slot round + 1 + delay can wrap.  Every larger delay would
+  /// land past the final delivery anyway, i.e. act as a drop.
+  static constexpr std::size_t kMaxDelay = std::size_t{1} << 32;
+
   /// Throws UsageError on a malformed plan for an n-party execution:
-  /// drop_probability outside [0, 1], a crash or partition member id >= n,
-  /// or an empty partition side.
+  /// drop_probability outside [0, 1], max_delay above kMaxDelay, a crash or
+  /// partition member id >= n, or an empty partition side.
   void validate(std::size_t n) const;
 
   /// One-line human-readable form ("drop=0.05 delay<=2 crash=[1@0] ..."),

@@ -153,7 +153,6 @@ int serve_worker(net::WorkerChannel& channel) {
       protocol = g_worker_protocol_resolver(hello.protocol);
     if (protocol == nullptr || protocol->rounds(hello.n) != hello.rounds) return 3;
     params.n = hello.n;
-    params.k = static_cast<std::uint32_t>(hello.k);
     if (!hello.commitments.empty()) {
       scheme = crypto::make_commitment_scheme(hello.commitments);
       params.commitments = scheme.get();
@@ -166,10 +165,10 @@ int serve_worker(net::WorkerChannel& channel) {
   }
   crypto::HmacDrbg drbg(hello.seed, "party:" + std::to_string(hello.slot));
   MessagePool pool;
-  PartyContext ctx(hello.slot, hello.n, params.k, drbg, &pool);
+  PartyContext ctx(hello.slot, hello.n, drbg, &pool);
 
   Bytes ack_body;
-  net::encode_worker_ack({hello.slot, hello.fault_digest}, ack_body);
+  net::encode_worker_ack(hello.slot, ack_body);
   if (!channel.write_frame(net::ProcFrame::kAck, ack_body)) return 0;
 
   // The handshake rides plain framing on both sides; resilient framing
@@ -383,17 +382,14 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // workers through it.
   std::unique_ptr<net::ProcSupervisor> crew;
   if (config.transport == net::TransportKind::kProcess) {
-    net::ProcSupervisor::Spec spec;
-    spec.protocol = protocol.name();
-    spec.commitments = params.commitments != nullptr ? params.commitments->name() : std::string();
-    spec.n = n;
-    spec.k = params.k;
-    spec.seed = config.seed;
-    spec.rounds = total_rounds;
-    spec.fault_digest = net::fault_plan_digest(plan.summary());
-    spec.chaos = config.chaos;
-    spec.net_timeout = config.net_timeout;
-    crew = std::make_unique<net::ProcSupervisor>(std::move(spec));
+    net::WorkerHello hello;
+    hello.n = n;
+    hello.seed = config.seed;
+    hello.rounds = total_rounds;
+    hello.protocol = protocol.name();
+    if (params.commitments != nullptr) hello.commitments = params.commitments->name();
+    hello.chaos = config.chaos.summary();  // "" for a clean wire
+    crew = std::make_unique<net::ProcSupervisor>(config.net_timeout, std::move(hello));
   }
 
   // Machines (honest parties only).  All payload buffers of the execution
@@ -405,7 +401,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   std::vector<PartyContext> contexts;
   contexts.reserve(n);
   for (PartyId id = 0; id < n; ++id) {
-    contexts.emplace_back(id, n, params.k, party_drbgs[id], &payload_pool);
+    contexts.emplace_back(id, n, party_drbgs[id], &payload_pool);
     if (is_corrupted(corrupted, id)) continue;
     if (crew != nullptr)
       machines[id] = std::make_unique<RemoteParty>(*crew, id, inputs.get(id));
@@ -423,7 +419,6 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
       info.corrupted_inputs.set(j, inputs.get(corrupted[j]));
     info.auxiliary_input = config.auxiliary_input;
     info.n = n;
-    info.k = params.k;
     adversary.setup(info, adversary_drbg);
   }
 

@@ -19,16 +19,14 @@
 namespace simulcast::sim {
 
 /// Per-party environment handed to the machine each round: identity,
-/// population, security parameter, private randomness and an outbox.
+/// population, private randomness and an outbox.
 class PartyContext {
  public:
-  PartyContext(PartyId id, std::size_t n, std::uint32_t k, crypto::HmacDrbg& drbg,
-               MessagePool* pool = nullptr)
-      : id_(id), n_(n), k_(k), drbg_(&drbg), pool_(pool) {}
+  PartyContext(PartyId id, std::size_t n, crypto::HmacDrbg& drbg, MessagePool* pool = nullptr)
+      : id_(id), n_(n), drbg_(&drbg), pool_(pool) {}
 
   [[nodiscard]] PartyId id() const noexcept { return id_; }
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
-  [[nodiscard]] std::uint32_t security_parameter() const noexcept { return k_; }
   [[nodiscard]] crypto::HmacDrbg& drbg() noexcept { return *drbg_; }
 
   /// A ByteWriter over a pooled buffer (sim/pool.h): build the payload in
@@ -50,7 +48,6 @@ class PartyContext {
  private:
   PartyId id_;
   std::size_t n_;
-  std::uint32_t k_;
   crypto::HmacDrbg* drbg_;
   MessagePool* pool_;
   std::vector<Message> outbox_;

@@ -14,10 +14,9 @@ namespace simulcast::sim {
 
 /// Static parameters shared by every machine of one execution.
 struct ProtocolParams {
-  std::size_t n = 0;                                    ///< number of parties
-  std::uint32_t k = 32;                                 ///< security parameter
-  const crypto::CommitmentScheme* commitments = nullptr;  ///< backend (may be null for
-                                                          ///< protocols that do not commit)
+  std::size_t n = 0;  ///< number of parties
+  /// Commitment backend; null for protocols that do not commit.
+  const crypto::CommitmentScheme* commitments = nullptr;
 };
 
 /// A protocol that implements parallel broadcast (Definition 3.1): fixed

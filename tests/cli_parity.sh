@@ -49,6 +49,11 @@ check "negative net timeout"   --net-timeout=-1
 check "sub-ms net timeout"     --net-timeout=0.0001
 check "trailing-junk timeout"  --net-timeout=5s
 check "repeated net timeout"   --net-timeout=5 --net-timeout=5
+# Seconds knobs stop at 10^6 s: past it a value overflows the clock
+# duration it becomes (a deadline in the past, a heartbeat per wait).
+check "status interval past the cap" --status-interval=1e300
+check "rep timeout past the cap"     --rep-timeout=1e300
+check "net timeout past the cap"     --net-timeout=1e300
 check "empty chaos spec"       --chaos=
 check "unknown chaos key"      --chaos=turbulence:0.5
 check "chaos loss over 1"      --chaos=loss:1.5
@@ -62,6 +67,31 @@ check "chaos on the in-process backend" --chaos=loss:0.5
 check "crash party beyond n"   --crash=9@0
 check "negative crash party"   --crash=-1@0
 check "chaos party beyond n"   --transport=socket --chaos=loss:0.5,party:9
+
+# Refused before sampling, naming what was refused: exit 2 from both front
+# doors with `want` on stderr.  The exit code alone cannot tell: a delay
+# bound whose max_delay + 1 wraps also exits 2 if it reaches the first
+# execution, naming the DRBG ("HmacDrbg::below: bound == 0").
+check_names() {
+  desc=$1
+  want=$2
+  shift 2
+  a_err=$("$explore" gennaro none uniform --samples=1 "$@" 2>&1 >/dev/null)
+  a=$?
+  b_err=$("$driver" "$@" 2>&1 >/dev/null)
+  b=$?
+  case $a_err in *"$want"*) a_named=yes ;; *) a_named=no ;; esac
+  case $b_err in *"$want"*) b_named=yes ;; *) b_named=no ;; esac
+  if [ "$a" -ne 2 ] || [ "$b" -ne 2 ] || [ "$a_named" = no ] || [ "$b_named" = no ]; then
+    echo "FAIL [$desc]: explore exit $a (names it: $a_named), driver exit $b" \
+         "(names it: $b_named); want 2 and '$want' from both" >&2
+    fail=1
+  else
+    echo "ok   [$desc]: both exit 2 naming '$want'"
+  fi
+}
+
+check_names "delay bound that wraps" "delay 18446744073709551615" --delay=18446744073709551615
 
 # Explore-only rows: explore's own options (--n, --samples, --seed,
 # --corrupt) and distribution specs go through the run knobs' strict number

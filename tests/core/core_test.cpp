@@ -103,6 +103,19 @@ TEST(Rule, PartialRecordNeverReproduces) {
   }
 }
 
+// A quarantined slot is zero-filled and handed to the testers like a
+// drained one, so one quarantined repetition blocks the verdict however
+// the cells came out.
+TEST(Rule, QuarantinedRecordNeverReproduces) {
+  for (obs::ExperimentRecord rec :
+       {record_of({}), record_of({{true, obs::Expect::pass}, {false, obs::Expect::violation}}),
+        record_of({{true, obs::Expect::info}})}) {
+    ASSERT_TRUE(reproduced(rec));
+    rec.perf.quarantine.push_back({13, 0xfeed, "timeout: run_execution: watchdog deadline expired"});
+    EXPECT_FALSE(reproduced(rec));
+  }
+}
+
 TEST(Report, TableRendersAligned) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});

@@ -20,6 +20,7 @@
 #include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -200,17 +201,18 @@ const char* fd_kind_name(FdKind kind) {
   return kind == FdKind::kUnix ? "AF_UNIX socketpair" : "loopback TCP pair";
 }
 
+/// A connected stream pair of `kind`.
+std::pair<int, int> stream_pair(FdKind kind) {
+  if (kind == FdKind::kTcp) return loopback_tcp_pair();
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) ADD_FAILURE() << "socketpair failed";
+  return {fds[0], fds[1]};
+}
+
 /// A connected stream pair of `kind` wrapped in two WorkerChannels.
 struct ChannelPair {
   explicit ChannelPair(FdKind kind = FdKind::kUnix) {
-    if (kind == FdKind::kTcp) {
-      std::tie(fd_a, fd_b) = loopback_tcp_pair();
-    } else {
-      int fds[2] = {-1, -1};
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) ADD_FAILURE() << "socketpair failed";
-      fd_a = fds[0];
-      fd_b = fds[1];
-    }
+    std::tie(fd_a, fd_b) = stream_pair(kind);
     a.emplace(fd_a);
     b.emplace(fd_b);
   }
@@ -273,6 +275,81 @@ TEST(Link, RecordBytesArePinned) {
               "0d0000000202000000000000008c480cc4");
   }
   for (const int fd : {fds[0], fds[1], back[0], back[1]}) ::close(fd);
+}
+
+// ----------------------------------------------------- wait_links ----
+
+/// Three connected stream pairs of `kind`: the Links under test wrap the
+/// `near` ends, and the tests write into the `far` ends.
+struct ThreePairs {
+  explicit ThreePairs(FdKind kind) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::tie(near[i], far[i]) = stream_pair(kind);
+      links.emplace_back(near[i]);
+    }
+  }
+  ~ThreePairs() {
+    for (std::size_t i = 0; i < 3; ++i) {
+      ::close(near[i]);
+      ::close(far[i]);
+    }
+  }
+  int near[3] = {-1, -1, -1};
+  int far[3] = {-1, -1, -1};
+  std::vector<Link> links;
+};
+
+using WaitClock = Link::Clock;
+
+TEST(WaitLinks, ReturnsWhenOneOfSeveralLinksBecomesReadable) {
+  for (const FdKind kind : kFdKinds) {
+    SCOPED_TRACE(fd_kind_name(kind));
+    ThreePairs pairs(kind);
+    // A record lands on the middle Link 50 ms into a 20 s wait.
+    std::jthread writer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      Link far(pairs.far[1]);
+      EXPECT_TRUE(far.send(9, Bytes{1, 2, 3}));
+    });
+    const auto start = WaitClock::now();
+    wait_links(pairs.links, start + std::chrono::seconds(20));
+    EXPECT_LT(WaitClock::now() - start, std::chrono::seconds(10));
+    writer.join();
+    // wait_links pumped the ready Link, so its record is already read.
+    const std::optional<Link::Record> record = pairs.links[1].next();
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->type, 9);
+    EXPECT_EQ(Bytes(record->body.begin(), record->body.end()), (Bytes{1, 2, 3}));
+    EXPECT_FALSE(pairs.links[0].next().has_value());
+    EXPECT_FALSE(pairs.links[2].next().has_value());
+  }
+}
+
+TEST(WaitLinks, ReturnsWhenALinkTimerFallsDue) {
+  ThreePairs pairs(FdKind::kUnix);
+  // The first transmission is dropped, so the RTO (25 ms before any round
+  // trip sample) is the only thing that can happen; nobody ever writes.
+  pairs.links[2].enable_chaos(parse_chaos_spec("loss:1,budget:4"), kMasterSeed, "wait:timer");
+  ASSERT_TRUE(pairs.links[2].send(5, Bytes{7}));
+  const WaitClock::time_point due = pairs.links[2].wake();
+  const auto start = WaitClock::now();
+  ASSERT_LT(due, start + std::chrono::seconds(2));
+  wait_links(pairs.links, start + std::chrono::seconds(20));
+  EXPECT_GE(WaitClock::now(), due);
+  EXPECT_LT(WaitClock::now() - start, std::chrono::seconds(10));
+  // The due Link was pumped: its RTO retransmitted the record, clean.
+  EXPECT_EQ(pairs.links[2].chaos_stats().retransmits, 1u);
+  EXPECT_FALSE(drain_raw(pairs.far[2]).empty());
+}
+
+TEST(WaitLinks, ReturnsAtTheDeadlineWhenNothingHappens) {
+  ThreePairs pairs(FdKind::kUnix);
+  const auto start = WaitClock::now();
+  const auto deadline = start + std::chrono::milliseconds(120);
+  wait_links(pairs.links, deadline);
+  EXPECT_GE(WaitClock::now(), deadline);
+  EXPECT_LT(WaitClock::now() - start, std::chrono::seconds(10));
+  for (Link& l : pairs.links) EXPECT_FALSE(l.next().has_value());
 }
 
 TEST(ResilientChannel, RecoversUnderHeavyChaos) {
