@@ -33,6 +33,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "base/parse.h"
 #include "core/registry.h"
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
   // Worker dispatch must run before the positional-argument checks: a
   // re-exec'd process-transport worker carries no positionals, only the
   // --simulcast-worker-* flags (exec::configure below never sees them —
-  // it is handed argv offset past the positionals).
+  // it is handed the knobs after the positionals).
   if (const int worker_rc = simulcast::sim::maybe_worker_main(argc, argv); worker_rc >= 0)
     return worker_rc;
   if (argc >= 2 && std::string(argv[1]) == "list") {
@@ -130,10 +131,13 @@ int main(int argc, char** argv) {
   // The uniform knobs (--threads, --transport, --json, --trace, the fault
   // and resilience flags) go through the same strict parser every bench
   // driver uses: an unknown or repeated option exits 2 there, so explore's
-  // own loop only sees its four pass-through knobs.  argv is offset past
-  // the three positionals, which exec::configure must not see.
-  const exec::RunConfig config =
-      exec::configure(argc - 3, argv + 3, {"--n=", "--corrupt=", "--samples=", "--seed="});
+  // own loop only sees its four pass-through knobs.  exec::configure sees
+  // explore's own name (its usage line prints it) and the knobs, never the
+  // three positionals.
+  std::vector<char*> knobs{argv[0]};
+  knobs.insert(knobs.end(), argv + 4, argv + argc);
+  const exec::RunConfig config = exec::configure(static_cast<int>(knobs.size()), knobs.data(),
+                                                 {"--n=", "--corrupt=", "--samples=", "--seed="});
   std::size_t n = 5;
   std::vector<sim::PartyId> corrupted;
   std::size_t samples = 2000;

@@ -47,8 +47,4 @@ std::vector<std::string> protocol_names() {
           "flawed-pi-g-mpc", "seq-broadcast-ds"};
 }
 
-std::vector<std::string> simultaneous_protocol_names() {
-  return {"cgma", "chor-rabin", "gennaro"};
-}
-
 }  // namespace simulcast::core

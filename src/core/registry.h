@@ -30,8 +30,4 @@ namespace simulcast::core {
 /// All registered names, in catalogue order.
 [[nodiscard]] std::vector<std::string> protocol_names();
 
-/// The names of the protocols that actually implement *simultaneous*
-/// broadcast (used by sweeps that should exclude the negative controls).
-[[nodiscard]] std::vector<std::string> simultaneous_protocol_names();
-
 }  // namespace simulcast::core

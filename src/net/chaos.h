@@ -13,14 +13,14 @@
 //
 // Determinism contract (mirrors the FaultPlan's fault DRBG): every chaos
 // decision is drawn from an HmacDrbg forked from the execution seed with a
-// "wire-chaos:<channel>" personalization, in first-transmission order.
-// First-transmission order is itself a pure function of the execution, so
-// which frames are lost / duplicated / corrupted is reproducible from
-// (seed, spec) alone.  Retransmissions ride clean (no chaos draw): that is
-// what makes "recoverable" an invariant rather than a race — a finite
-// budget of clean retransmits always converges — and it keeps the DRBG
-// stream independent of wall-clock timing.  Retransmit *counts* and
-// latency metrics still vary run to run, like every timing metric.
+// "wire-chaos:<channel>" personalization, in the order of the exposed
+// first transmissions (net::Link::send).  That order is a pure function of
+// the execution, so which frames are lost / duplicated / corrupted is
+// reproducible from (seed, spec) alone.  Retransmissions ride clean (no
+// chaos draw): that is what makes "recoverable" an invariant rather than
+// a race — a finite budget of clean retransmits always converges — and it
+// keeps the DRBG stream independent of wall-clock timing.  Retransmit
+// *counts* and latency metrics still vary run to run, as timings do.
 //
 // The spec grammar (the --chaos=SPEC knob) is a comma-separated key list:
 //
@@ -31,11 +31,11 @@
 //   corrupt:P        per-byte bit-flip probability (headers stay intact:
 //                    chaos corrupts payload regions, packet-granularity
 //                    netem semantics — framing never desynchronizes)
-//   budget:N         charged retransmit bursts allowed per channel before
-//                    the channel is declared dead (degradation path)
-//   party:ID         restrict chaos to party ID's channels (ID < n)
-//   after:K          first K frames per channel ride clean (lets tests pin
-//                    the round where chaos engages)
+//   budget:N         charged retransmit bursts allowed per Link before
+//                    the Link is declared dead (degradation path)
+//   party:ID         restrict chaos to party ID (ID < n): see applies_to
+//   after:K          first K exposed frames per Link ride clean (lets
+//                    tests pin the round where chaos engages)
 //
 // e.g. --chaos=delay:pareto:2:20,loss:0.01,corrupt:1e-6
 #pragma once
@@ -82,9 +82,10 @@ struct ChaosSpec {
            corrupt > 0.0;
   }
 
-  /// True when this spec targets `slot`'s channels.
-  [[nodiscard]] bool applies_to(std::size_t slot) const noexcept {
-    return party == kAllParties || party == slot;
+  /// True when this spec targets party `id`: a record's destination on
+  /// the socket backend, a worker's channel on the process backend.
+  [[nodiscard]] bool applies_to(std::size_t id) const noexcept {
+    return party == kAllParties || party == id;
   }
 
   /// Canonical spelling: parse(summary()) round-trips, summary() of an

@@ -55,9 +55,9 @@ void Link::enable_chaos(const ChaosSpec& spec, std::uint64_t seed, std::string_v
   rto_ = kRtoMin;
 }
 
-bool Link::send(std::uint8_t type, ByteSpan body) {
+bool Link::send(std::uint8_t type, ByteSpan body, bool exposed) {
   if (reliable()) {
-    send_reliable(type, body);
+    send_reliable(type, body, exposed);
   } else {
     ByteWriter w(outbox_);
     const std::size_t at = w.begin_field();
@@ -69,7 +69,7 @@ bool Link::send(std::uint8_t type, ByteSpan body) {
   return !closed_;
 }
 
-void Link::send_reliable(std::uint8_t type, ByteSpan body) {
+void Link::send_reliable(std::uint8_t type, ByteSpan body, bool exposed) {
   const auto now = Clock::now();
   // Older hold-gated records count this one as one of the "later" records
   // they wait to be passed by — decremented before it goes out so a hold
@@ -92,7 +92,7 @@ void Link::send_reliable(std::uint8_t type, ByteSpan body) {
   unacked_.push_back(Unacked{seq, std::move(record), now});
   Unacked& entry = unacked_.back();
 
-  const Chaos::Verdict verdict = chaos_->next_verdict();
+  const Chaos::Verdict verdict = exposed ? chaos_->next_verdict() : Chaos::Verdict{};
   if (verdict.drop) {
     entry.harmed = true;
     ++stats_.dropped;

@@ -4,7 +4,7 @@
 // A Link wraps one end of a connected AF_UNIX or loopback-TCP stream
 // socket.  It neither owns nor configures the descriptor: every send and
 // recv passes MSG_DONTWAIT, so the same code runs on the process backend's
-// socketpairs (net/worker.h) and the socket backend's TCP channels
+// socketpairs (net/worker.h) and the socket backend's TCP stream
 // (net/socket.h).  Outgoing bytes queue in an outbox and incoming bytes in
 // an inbuf.  A Link never blocks: wait_links() below is the one blocking
 // wait, shared by both backends, and pumps each Link when its descriptor is
@@ -15,7 +15,7 @@
 //
 //   u32 len | u8 type | body                          (len covers type..body)
 //
-// After enable_chaos() — only on channels the chaos spec targets, both ends
+// After enable_chaos() — only on streams the chaos spec targets, both ends
 // at the same point of the stream — every record becomes
 //
 //   u32 len | u8 kind | u64 seq | rest | u32 crc32c   (crc covers kind..rest)
@@ -25,9 +25,9 @@
 // length-prefixed fields written and read with base/bytes.h's
 // ByteWriter/ByteReader; the reliable one ends in net/wire.h's CRC
 // trailer (end_crc_field / crc_field_contents), as frames do.  Chaos
-// (net/chaos.h) disturbs only *first transmissions* of data records,
-// below the length prefix, so framing never desynchronizes; acks and
-// retransmissions ride clean.  The receiver delivers strictly in
+// (net/chaos.h) disturbs only *first transmissions* of exposed data
+// records, below the length prefix, so framing never desynchronizes;
+// acks and retransmissions ride clean.  The receiver delivers strictly in
 // sequence, discarding gaps, duplicates and CRC rejects and re-acking its
 // position (go-back-N).  The sender keeps
 // every unacked record and retransmits them all when the RTO fires: an
@@ -85,9 +85,10 @@ class Link {
   void set_label(std::string_view label) { label_ = label; }
 
   /// Queues one record and writes what the socket takes now.  False when
-  /// the peer is gone.  A chaos-dropped record still returns true: the
-  /// retransmit machinery owns its recovery.
-  bool send(std::uint8_t type, ByteSpan body);
+  /// the peer is gone.  On a reliable Link only an `exposed` record draws
+  /// a chaos fate; an unexposed one goes out clean.  A chaos-dropped
+  /// record still returns true: the retransmit machinery owns its recovery.
+  bool send(std::uint8_t type, ByteSpan body, bool exposed);
 
   /// Reads whatever the socket holds, releases deferred first
   /// transmissions due by `now`, fires the RTO when due, and writes what
@@ -142,7 +143,7 @@ class Link {
     Clock::time_point release{};  ///< max() = hold-gated
   };
 
-  void send_reliable(std::uint8_t type, ByteSpan body);
+  void send_reliable(std::uint8_t type, ByteSpan body, bool exposed);
   /// One complete reliable record (kind..crc): the in-sequence data it
   /// delivers, or nullopt for an ack, a CRC reject, a gap or a duplicate.
   [[nodiscard]] std::optional<Record> accept(ByteSpan rec);

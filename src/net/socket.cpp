@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <string>
 #include <system_error>
@@ -20,7 +19,7 @@ namespace simulcast::net {
 
 namespace {
 
-/// The record type of a frame on a channel (the only type it carries).
+/// The record type of a frame on the stream (the only type it carries).
 constexpr std::uint8_t kFrameRecord = 1;
 
 [[noreturn]] void sys_error(const std::string& what) {
@@ -89,55 +88,32 @@ SocketTransport::~SocketTransport() {
   close();
 }
 
-std::size_t SocketTransport::channel_for(sim::PartyId to) const {
-  if (to == sim::kBroadcast) return n_;
-  if (to == sim::kFunctionality) return n_ + 1;
-  if (to >= n_) throw UsageError("SocketTransport: destination out of range");
-  return to;
-}
-
-void SocketTransport::open(std::size_t n, std::size_t slots) {
+void SocketTransport::open(std::size_t slots) {
   close();  // re-open() recycles the object
-  n_ = n;
   expected_.assign(slots, 0);
   parked_.assign(slots, {});
-  next_seq_ = 0;
   stats_ = WireStats{};
 
-  // n party channels + the broadcast channel + the functionality channel.
-  links_.resize(2 * (n_ + 2));
-  for (std::size_t i = 0; i < n_ + 2; ++i) {
-    const auto [send_fd, recv_fd] = loopback_tcp_pair();
-    Link& tx = links_[2 * i] = Link(send_fd);
-    Link& rx = links_[2 * i + 1] = Link(recv_fd);
-    const std::string label = "socket:" + std::to_string(i);
-    // party:ID targets that party's channel only; the broadcast and
-    // functionality channels (n_, n_ + 1) are disturbed only by an
-    // all-party spec.
-    const bool targeted = chaos_.enabled() && (chaos_.party == ChaosSpec::kAllParties ||
-                                               (i < n_ && chaos_.applies_to(i)));
-    if (targeted) {
-      tx.enable_chaos(chaos_, seed_, label);
-      rx.enable_chaos(chaos_, seed_, label + ":rx");
-    } else {
-      tx.set_label(label);
-      rx.set_label(label + ":rx");
-    }
+  const auto [send_fd, recv_fd] = loopback_tcp_pair();
+  links_ = {Link(send_fd), Link(recv_fd)};
+  if (chaos_.enabled()) {
+    links_[0].enable_chaos(chaos_, seed_, "socket");
+    links_[1].enable_chaos(chaos_, seed_, "socket:rx");
+  } else {
+    links_[0].set_label("socket");
+    links_[1].set_label("socket:rx");
   }
   if (obs::log_enabled())
-    obs::log_event(obs::LogLevel::kDebug, "net-connect",
-                   {{"parties", n_}, {"channels", n_ + 2}, {"slots", slots}});
+    obs::log_event(obs::LogLevel::kDebug, "net-connect", {{"slots", slots}});
 }
 
 void SocketTransport::submit(sim::Message m, std::size_t slot) {
-  if (links_.empty()) throw UsageError("SocketTransport: submit before open");
+  if (links_[0].fd() < 0) throw UsageError("SocketTransport: submit before open");
   if (slot >= expected_.size()) throw UsageError("SocketTransport: slot out of range");
-  const std::size_t index = channel_for(m.to);
 
   const auto start = Link::Clock::now();
   encode_buf_.clear();
   ByteWriter w(encode_buf_);
-  w.u64(next_seq_++);
   w.u64(static_cast<std::uint64_t>(slot));
   write_message(w, m);
   stats_.serialize += Link::Clock::now() - start;
@@ -145,48 +121,44 @@ void SocketTransport::submit(sim::Message m, std::size_t slot) {
   stats_.bytes_on_wire += encode_buf_.size();
   ++expected_[slot];
 
-  if (!links_[2 * index].send(kFrameRecord, encode_buf_))
-    throw ProtocolError("SocketTransport: channel closed mid-execution");
-}
-
-void SocketTransport::park(const Link::Record& record) {
-  if (record.type != kFrameRecord) throw ProtocolError("SocketTransport: malformed channel record");
-  ByteReader r(record.body);
-  const std::uint64_t seq = r.u64();
-  const std::uint64_t slot = r.u64();
-  if (slot >= parked_.size())
-    throw ProtocolError("SocketTransport: frame addressed to slot " + std::to_string(slot) +
-                        " of " + std::to_string(parked_.size()));
-  sim::Message message = read_message(r);
-  if (!r.done()) throw ProtocolError("SocketTransport: trailing bytes after a frame");
-  parked_[slot].push_back({seq, std::move(message)});
+  if (!links_[0].send(kFrameRecord, encode_buf_, chaos_.applies_to(m.to)))
+    throw ProtocolError("SocketTransport: stream closed mid-execution");
 }
 
 void SocketTransport::take_delivered(std::size_t slot) {
   const auto start = Link::Clock::now();
-  for (std::size_t key = 0; key < links_.size(); ++key) {
-    Link& l = links_[key];
-    // A sending end only ever reads acks, which next() absorbs.
-    while (const std::optional<Link::Record> record = l.next()) park(*record);
+  for (Link& l : links_) {
+    // The sending end only ever reads acks, which next() absorbs.
+    while (const std::optional<Link::Record> record = l.next()) {
+      if (record->type != kFrameRecord)
+        throw ProtocolError("SocketTransport: malformed stream record");
+      ByteReader r(record->body);
+      const std::uint64_t at = r.u64();
+      if (at >= parked_.size())
+        throw ProtocolError("SocketTransport: frame addressed to slot " + std::to_string(at) +
+                            " of " + std::to_string(parked_.size()));
+      parked_[at].push_back(read_message(r));
+      if (!r.done()) throw ProtocolError("SocketTransport: trailing bytes after a frame");
+    }
     if (l.dead())
       throw ProtocolError("SocketTransport: slot " + std::to_string(slot) + " abandoned (" +
                           std::to_string(parked_[slot].size()) + "/" +
                           std::to_string(expected_[slot]) +
-                          " frames): chaos retransmit budget exhausted on channel " +
-                          std::to_string(key / 2) + " — the wire was too hostile");
-    if (l.closed()) throw ProtocolError("SocketTransport: channel closed mid-execution");
+                          " frames): chaos retransmit budget exhausted on the stream — the "
+                          "wire was too hostile");
+    if (l.closed()) throw ProtocolError("SocketTransport: stream closed mid-execution");
   }
   stats_.deserialize += Link::Clock::now() - start;
 }
 
 std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
-  if (links_.empty()) throw UsageError("SocketTransport: collect before open");
+  if (links_[0].fd() < 0) throw UsageError("SocketTransport: collect before open");
   if (slot >= parked_.size()) throw UsageError("SocketTransport: slot out of range");
   obs::TraceSpan span("net-flush");
   span.arg("slot", slot);
   const auto start = Link::Clock::now();
 
-  std::vector<Parked>& bucket = parked_[slot];
+  std::vector<sim::Message>& bucket = parked_[slot];
   auto last_progress = start;
   std::size_t seen = bucket.size();
   while (bucket.size() < expected_[slot]) {
@@ -205,17 +177,8 @@ std::vector<sim::Message> SocketTransport::collect(std::size_t slot) {
       last_progress = Link::Clock::now();
     }
   }
-
-  // The kernel interleaves channels arbitrarily; delivery order must not
-  // depend on it.  Reordering by submission sequence number restores the
-  // in-process backend's ordering exactly.
-  std::sort(bucket.begin(), bucket.end(),
-            [](const Parked& a, const Parked& b) { return a.seq < b.seq; });
-  std::vector<sim::Message> out;
-  out.reserve(bucket.size());
-  for (Parked& p : bucket) out.push_back(std::move(p.message));
-  bucket.clear();
-  bucket.shrink_to_fit();
+  // One stream: the bucket holds the slot's frames in submission order.
+  std::vector<sim::Message> out = std::move(bucket);
 
   const auto elapsed = Link::Clock::now() - start;
   stats_.flush += elapsed;
@@ -232,11 +195,11 @@ ChaosStats SocketTransport::chaos_stats() const {
 }
 
 void SocketTransport::close() {
-  if (!links_.empty() && obs::log_enabled())
-    obs::log_event(obs::LogLevel::kDebug, "net-abort-close", {{"channels", links_.size() / 2}});
+  if (links_[0].fd() >= 0 && obs::log_enabled())
+    obs::log_event(obs::LogLevel::kDebug, "net-abort-close");
   record_chaos_metrics(chaos_stats());
   for (const Link& l : links_) abort_close(l.fd());
-  links_.clear();
+  links_ = {Link(), Link()};
 }
 
 }  // namespace simulcast::net

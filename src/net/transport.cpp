@@ -28,7 +28,7 @@ class InProcessTransport final : public Transport {
     return TransportKind::kInProcess;
   }
 
-  void open(std::size_t /*n*/, std::size_t slots) override { pending_.resize(slots); }
+  void open(std::size_t slots) override { pending_.resize(slots); }
 
   void submit(sim::Message m, std::size_t slot) override {
     if (slot >= pending_.size()) throw UsageError("InProcessTransport: slot out of range");

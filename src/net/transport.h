@@ -6,7 +6,7 @@
 // *how* the bytes move between those two points.  The contract is a
 // slot-addressed mailbox:
 //
-//   open(n, slots)        once per execution, before any traffic;
+//   open(slots)           once per execution, before any traffic;
 //   submit(m, slot)       hand over one message for delivery slot `slot`
 //                         (the scheduler only submits to slots it has not
 //                         collected yet);
@@ -23,17 +23,17 @@
 //     scheduler — the purity contract, exec::Runner checkpoints and every
 //     golden output are unchanged.  It has no wire, so it ignores a chaos
 //     spec (the CLI rejects that combination up front).
-//   - SocketTransport (net/socket.h) moves every frame through per-party
-//     loopback TCP channels, each a pair of net::Links (net/link.h) under
-//     one wait.  Frames carry a submission sequence number and collect()
-//     reorders by it, so party outputs and verdicts are identical to the
-//     in-process backend even under recoverable chaos; only wall-clock
-//     timing (and therefore timing metrics) varies.
+//   - SocketTransport (net/socket.h) moves every frame through one
+//     loopback TCP stream, a pair of net::Links (net/link.h) under one
+//     wait.  The stream delivers in submission order, so party outputs
+//     and verdicts are identical to the in-process backend even under
+//     recoverable chaos; only wall-clock timing (and therefore timing
+//     metrics) varies.
 //
 // Every backend accounts WireStats using the net/wire.h encoding, so
 // "bytes on wire" means the same thing whether or not a kernel was
 // involved: the in-process backend prices frames with encoded_size(),
-// the socket backend counts each frame with its seq/slot prelude.
+// the socket backend counts each frame with its 8-byte slot prelude.
 #pragma once
 
 #include <chrono>
@@ -49,7 +49,7 @@ namespace simulcast::net {
 
 enum class TransportKind {
   kInProcess,  ///< slot-indexed in-memory mailboxes (default; bit-identical)
-  kSocket,     ///< loopback TCP channels, one wait over their Links (verdict-identical)
+  kSocket,     ///< one loopback TCP stream, one wait over its Links (verdict-identical)
   kProcess,    ///< per-party worker processes under a coordinator (net/procs.h)
 };
 
@@ -79,7 +79,7 @@ void set_default_transport_kind(TransportKind kind) noexcept;
 /// (fractional seconds accepted) shortens it so tests fail in seconds, not
 /// minutes.  Under chaos a process channel derives a tighter deadline from
 /// its Link's RTO and remaining budget (net/worker.h stall_deadline()),
-/// and a socket channel that spends its budget fails at that RTO.
+/// and a socket stream that spends its budget fails at that RTO.
 inline constexpr std::chrono::milliseconds kDefaultNetTimeout{30000};
 
 /// Per-execution transport accounting.  Byte/frame counts are
@@ -104,9 +104,9 @@ class Transport {
 
   [[nodiscard]] virtual TransportKind kind() const noexcept = 0;
 
-  /// Prepares mailboxes for an n-party execution with `slots` delivery
-  /// slots (rounds(n) + 1: one per round plus the final delivery).
-  virtual void open(std::size_t n, std::size_t slots) = 0;
+  /// Prepares mailboxes for an execution with `slots` delivery slots
+  /// (rounds(n) + 1: one per round plus the final delivery).
+  virtual void open(std::size_t slots) = 0;
 
   /// Hands one message to the transport for delivery slot `slot`.
   virtual void submit(sim::Message m, std::size_t slot) = 0;
@@ -127,9 +127,9 @@ class Transport {
 /// Backend factory.  The in-process backend is allocation-cheap and
 /// ignores `chaos` — there is no wire to disturb, which is also why
 /// recoverable chaos cannot change results: the chaos-free backend defines
-/// them.  The socket backend opens its endpoints lazily in open(), gives
-/// up on a stalled collect() after `net_timeout`, and disturbs the
-/// channels `chaos` targets with a DRBG forked from `seed`.
+/// them.  The socket backend opens its stream lazily in open(), gives up
+/// on a stalled collect() after `net_timeout`, and disturbs the records
+/// `chaos` targets with a DRBG forked from `seed`.
 [[nodiscard]] std::unique_ptr<Transport> make_transport(
     TransportKind kind, std::chrono::milliseconds net_timeout = kDefaultNetTimeout,
     const ChaosSpec& chaos = {}, std::uint64_t seed = 0);

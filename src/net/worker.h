@@ -133,10 +133,11 @@ class WorkerChannel : private Link {
   /// Queues one frame and writes what the socket takes; the next wait
   /// (read_frame or drain) writes the rest.  Returns false when the peer
   /// is gone (a dead worker is a crash, not an error); throws
-  /// std::system_error on any other syscall failure.  With chaos enabled a
-  /// chaos-dropped frame still returns true (the Link owns its recovery).
+  /// std::system_error on any other syscall failure.  Chaos targets whole
+  /// channels, and a chaos-dropped frame still returns true (the Link owns
+  /// its recovery).
   bool write_frame(ProcFrame type, const Bytes& body) {
-    return send(static_cast<std::uint8_t>(type), body);
+    return send(static_cast<std::uint8_t>(type), body, /*exposed=*/true);
   }
 
   /// Reads one complete frame, waiting at most `deadline`.  kEof when the

@@ -323,19 +323,6 @@ void FunctionalitySender::send(PartyId to, Tag tag, Bytes payload) {
   outbox_.push_back(Message{kFunctionality, to, 0, tag, std::move(payload)});
 }
 
-const BitVec& ExecutionResult::any_honest_output(const std::vector<PartyId>& corrupted) const {
-  std::string failed;
-  for (PartyId id = 0; id < outputs.size(); ++id) {
-    if (is_corrupted(corrupted, id)) continue;
-    if (outputs[id].has_value()) return *outputs[id];
-    failed += (failed.empty() ? "P" : ", P") + std::to_string(id);
-  }
-  throw ProtocolError("ExecutionResult: no honest party produced output (" +
-                      (failed.empty() ? std::string("no honest parties exist")
-                                      : "failed honest parties: " + failed) +
-                      ")");
-}
-
 bool ExecutionResult::honest_outputs_consistent(const std::vector<PartyId>& corrupted) const {
   const BitVec* first = nullptr;
   for (PartyId id = 0; id < outputs.size(); ++id) {
@@ -505,7 +492,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // partitions), the transport decides how the bytes move.
   std::unique_ptr<net::Transport> transport =
       net::make_transport(config.transport, config.net_timeout, config.chaos, config.seed);
-  transport->open(n, total_rounds + 1);
+  transport->open(total_rounds + 1);
 
   // Routes one round's outgoing traffic, applying drops and delays.
   // Functionality traffic models an ideal subprotocol and is exempt.

@@ -124,11 +124,6 @@ struct ExecutionResult {
   /// All messages by round (only when record_trace was set).
   std::vector<std::vector<Message>> trace;
 
-  /// First honest output (Definition 3.1 takes any honest party's vector).
-  /// Throws ProtocolError (naming the honest parties that failed) if no
-  /// honest party produced output.
-  [[nodiscard]] const BitVec& any_honest_output(const std::vector<PartyId>& corrupted) const;
-
   /// True when all honest outputs are equal (the consistency property).
   [[nodiscard]] bool honest_outputs_consistent(const std::vector<PartyId>& corrupted) const;
 };

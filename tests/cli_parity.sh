@@ -145,6 +145,18 @@ check_explore "negative chaos warm-up"    gennaro none uniform --samples=1 --tra
 check_explore "overflowing chaos budget"  gennaro none uniform --samples=1 --transport=socket \
                                           --chaos=loss:0.5,budget:99999999999999999999999
 
+# The usage line names the program that printed it: explore hands the
+# shared parser its own name, never one of its positionals ("usage:
+# uniform [--threads=N] ..." was the bug).
+usage_line=$("$explore" gennaro none uniform --bogus 2>&1 >/dev/null | grep '^usage:')
+case $usage_line in
+  "usage: "*explore" ["*) echo "ok   [usage line names explore]" ;;
+  *)
+    echo "FAIL [usage line names explore]: got '$usage_line'" >&2
+    fail=1
+    ;;
+esac
+
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore
 # alone carries the acceptance row: with one in-process sample it exits 0 in

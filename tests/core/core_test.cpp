@@ -21,12 +21,6 @@ TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW((void)make_protocol("paxos"), UsageError);
 }
 
-TEST(Registry, SimultaneousSubsetIsRegistered) {
-  const auto all = protocol_names();
-  for (const std::string& name : simultaneous_protocol_names())
-    EXPECT_NE(std::find(all.begin(), all.end(), name), all.end()) << name;
-}
-
 TEST(Session, HonestRunAnnouncesInputs) {
   for (const std::string& name : protocol_names()) {
     Session session(name, 4);

@@ -243,13 +243,13 @@ TEST(Link, RecordBytesArePinned) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, back), 0);
   {
     Link tx(fds[0]);
-    ASSERT_TRUE(tx.send(7, Bytes{0xaa, 0xbb, 0xcc}));
+    ASSERT_TRUE(tx.send(7, Bytes{0xaa, 0xbb, 0xcc}, true));
     EXPECT_EQ(to_hex(drain_raw(fds[1])), "0400000007aabbcc");
 
     const ChaosSpec spec = parse_chaos_spec("delay:fixed:0");
     tx.enable_chaos(spec, 1, "pin");
-    ASSERT_TRUE(tx.send(7, Bytes{0xaa, 0xbb, 0xcc}));
-    ASSERT_TRUE(tx.send(8, Bytes{}));
+    ASSERT_TRUE(tx.send(7, Bytes{0xaa, 0xbb, 0xcc}, true));
+    ASSERT_TRUE(tx.send(8, Bytes{}, true));
     const Bytes records = drain_raw(fds[1]);
     EXPECT_EQ(to_hex(records),
               "1100000001000000000000000007aabbcc9baf6414"
@@ -275,6 +275,49 @@ TEST(Link, RecordBytesArePinned) {
               "0d0000000202000000000000008c480cc4");
   }
   for (const int fd : {fds[0], fds[1], back[0], back[1]}) ::close(fd);
+}
+
+// A record sent unexposed draws no fate, so a Link's fates are a pure
+// function of (seed, spec, exposed traffic): one that also sends an
+// unexposed record between two exposed ones reports exactly the fates of
+// one that sends only the two.  Certain loss pins it for any seed (the
+// unexposed record is the only one on the wire); the mixed spec draws
+// every fate kind.
+TEST(Link, FatesDependOnlyOnExposedTraffic) {
+  for (const char* text : {"loss:1", "loss:0.5,dup:0.5,reorder:0.5:2,corrupt:0.05"}) {
+    SCOPED_TRACE(text);
+    const ChaosSpec spec = parse_chaos_spec(text);
+    const Bytes body(32, 0x5a);
+    int mixed_fds[2] = {-1, -1};
+    int exposed_fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, mixed_fds), 0);
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, exposed_fds), 0);
+    {
+      Link mixed(mixed_fds[0]);
+      Link exposed(exposed_fds[0]);
+      mixed.enable_chaos(spec, kMasterSeed, "fates");
+      exposed.enable_chaos(spec, kMasterSeed, "fates");
+      ASSERT_TRUE(mixed.send(1, body, true));
+      ASSERT_TRUE(mixed.send(2, body, false));
+      ASSERT_TRUE(mixed.send(3, body, true));
+      ASSERT_TRUE(exposed.send(1, body, true));
+      ASSERT_TRUE(exposed.send(3, body, true));
+      const ChaosStats& a = mixed.chaos_stats();
+      const ChaosStats& b = exposed.chaos_stats();
+      EXPECT_EQ(a.dropped, b.dropped);
+      EXPECT_EQ(a.duplicated, b.duplicated);
+      EXPECT_EQ(a.reordered, b.reordered);
+      EXPECT_EQ(a.delayed, b.delayed);
+      EXPECT_EQ(a.corrupted, b.corrupted);
+      if (spec.loss == 1.0) {
+        EXPECT_EQ(a.dropped, 2u);
+        // Sequenced and CRC'd, but clean: one reliable data record
+        // (len | kind | seq | type | body | crc) is all the wire holds.
+        EXPECT_EQ(drain_raw(mixed_fds[1]).size(), 4 + 1 + 8 + 1 + body.size() + 4);
+      }
+    }
+    for (const int fd : {mixed_fds[0], mixed_fds[1], exposed_fds[0], exposed_fds[1]}) ::close(fd);
+  }
 }
 
 // ----------------------------------------------------- wait_links ----
@@ -309,7 +352,7 @@ TEST(WaitLinks, ReturnsWhenOneOfSeveralLinksBecomesReadable) {
     std::jthread writer([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       Link far(pairs.far[1]);
-      EXPECT_TRUE(far.send(9, Bytes{1, 2, 3}));
+      EXPECT_TRUE(far.send(9, Bytes{1, 2, 3}, true));
     });
     const auto start = WaitClock::now();
     wait_links(pairs.links, start + std::chrono::seconds(20));
@@ -330,7 +373,7 @@ TEST(WaitLinks, ReturnsWhenALinkTimerFallsDue) {
   // The first transmission is dropped, so the RTO (25 ms before any round
   // trip sample) is the only thing that can happen; nobody ever writes.
   pairs.links[2].enable_chaos(parse_chaos_spec("loss:1,budget:4"), kMasterSeed, "wait:timer");
-  ASSERT_TRUE(pairs.links[2].send(5, Bytes{7}));
+  ASSERT_TRUE(pairs.links[2].send(5, Bytes{7}, true));
   const WaitClock::time_point due = pairs.links[2].wake();
   const auto start = WaitClock::now();
   ASSERT_LT(due, start + std::chrono::seconds(2));
@@ -524,8 +567,8 @@ TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
   SocketTransport chaotic(kDefaultNetTimeout,
                           parse_chaos_spec("loss:0.15,dup:0.1,reorder:0.1:2,corrupt:0.003"),
                           kMasterSeed);
-  clean.open(kParties, kSlots);
-  chaotic.open(kParties, kSlots);
+  clean.open(kSlots);
+  chaotic.open(kSlots);
   submit_random_traffic({&clean, &chaotic}, "socket-chaos");
   for (std::size_t slot = 0; slot < kSlots; ++slot) {
     const std::vector<sim::Message> expect = clean.collect(slot);
@@ -554,8 +597,8 @@ TEST(SocketChaos, SameSeedSpecAndTrafficGiveIdenticalFrameFates) {
     const ChaosSpec spec = parse_chaos_spec(text);
     SocketTransport first(kDefaultNetTimeout, spec, kMasterSeed);
     SocketTransport second(kDefaultNetTimeout, spec, kMasterSeed);
-    first.open(kParties, kSlots);
-    second.open(kParties, kSlots);
+    first.open(kSlots);
+    second.open(kSlots);
     submit_random_traffic({&first, &second}, "socket-chaos-fates");
     for (std::size_t slot = 0; slot < kSlots; ++slot) {
       (void)first.collect(slot);
@@ -578,16 +621,41 @@ TEST(SocketChaos, SameSeedSpecAndTrafficGiveIdenticalFrameFates) {
   EXPECT_GT(seen.corrupted, 0u);
 }
 
+/// party:1 disturbs only the records addressed to party 1: under certain
+/// loss every one of them is dropped once and no other record is, and the
+/// retransmissions still deliver every record in submission order.
 TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
   SocketTransport transport(kDefaultNetTimeout, parse_chaos_spec("loss:1,party:1"), kMasterSeed);
-  transport.open(kParties, 1);
-  // Traffic to untargeted parties rides a clean channel: no chaos columns
-  // move, and collect returns immediately.
-  transport.submit(sim::Message{0, 2, 0, "t", {1}}, 0);
-  transport.submit(sim::Message{2, 0, 0, "t", {2}}, 0);
+  transport.open(1);
+  const std::vector<sim::PartyId> destinations = {0, 1, sim::kBroadcast, 2, sim::kFunctionality,
+                                                  1, 1, 0, sim::kBroadcast};
+  std::vector<sim::Message> sent;
+  for (std::size_t i = 0; i < destinations.size(); ++i) {
+    sent.push_back(sim::Message{i % kParties, destinations[i], 0, "t",
+                                {static_cast<std::uint8_t>(i)}});
+    transport.submit(sent.back(), 0);
+  }
   const std::vector<sim::Message> got = transport.collect(0);
-  EXPECT_EQ(got.size(), 2u);
-  EXPECT_EQ(transport.chaos_stats().dropped, 0u);
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i)
+    EXPECT_TRUE(messages_equal(got[i], sent[i])) << "message " << i;
+  const ChaosStats stats = transport.chaos_stats();
+  EXPECT_EQ(stats.dropped, 3u);  // the three records to party 1
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_EQ(stats.budget_exhausted, 0u);
+  transport.close();
+}
+
+/// `after:K` counts the exposed records of the one stream, whatever their
+/// destinations: of seven records to three parties the first two ride
+/// clean and the other five are lost once.
+TEST(SocketChaos, WarmupCountsRecordsPerStream) {
+  SocketTransport transport(kDefaultNetTimeout, parse_chaos_spec("loss:1,after:2"), kMasterSeed);
+  transport.open(1);
+  for (std::size_t i = 0; i < 7; ++i)
+    transport.submit(sim::Message{0, i % kParties, 0, "t", {static_cast<std::uint8_t>(i)}}, 0);
+  EXPECT_EQ(transport.collect(0).size(), 7u);
+  EXPECT_EQ(transport.chaos_stats().dropped, 5u);
   transport.close();
 }
 
@@ -597,7 +665,7 @@ TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
 TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
   SocketTransport transport(kDefaultNetTimeout, parse_chaos_spec("loss:1,budget:0"),
                             kMasterSeed);
-  transport.open(2, 1);
+  transport.open(1);
   transport.submit(sim::Message{0, 1, 0, "t", {1}}, 0);
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -616,7 +684,7 @@ TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
 TEST(SocketChaos, InProcessBackendIgnoresChaos) {
   auto transport = make_transport(TransportKind::kInProcess, kDefaultNetTimeout,
                                   parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
-  transport->open(2, 1);
+  transport->open(1);
   transport->submit(sim::Message{0, 1, 0, "t", {1}}, 0);
   EXPECT_EQ(transport->collect(0).size(), 1u);  // no wire, no chaos
   transport->close();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +43,7 @@ TEST(Transport, KindNamesRoundTrip) {
 
 TEST(Transport, InProcessPreservesSubmissionOrder) {
   auto transport = make_transport(TransportKind::kInProcess);
-  transport->open(4, 3);
+  transport->open(3);
   std::size_t total_bytes = 0;
   for (std::size_t i = 0; i < 6; ++i) {
     sim::Message m{i % 4, (i + 1) % 4, 0, "t" + std::to_string(i), {std::uint8_t(i)}};
@@ -61,7 +63,7 @@ TEST(Transport, InProcessPreservesSubmissionOrder) {
 TEST(Transport, SubmitOutOfRangeSlotIsUsageError) {
   for (const TransportKind kind : {TransportKind::kInProcess, TransportKind::kSocket}) {
     auto transport = make_transport(kind);
-    transport->open(2, 2);
+    transport->open(2);
     EXPECT_THROW(transport->submit(sim::Message{0, 1, 0, "t", {}}, 2), UsageError)
         << transport_kind_name(kind);
   }
@@ -74,8 +76,8 @@ TEST(Transport, SocketMatchesInProcessOnRandomTraffic) {
   constexpr std::size_t kSlots = 5;
   auto inproc = make_transport(TransportKind::kInProcess);
   auto socket = make_transport(TransportKind::kSocket);
-  inproc->open(kParties, kSlots);
-  socket->open(kParties, kSlots);
+  inproc->open(kSlots);
+  socket->open(kSlots);
 
   stats::Rng rng = stats::Rng(kMasterSeed).fork("transport-equiv", 0);
   for (std::size_t i = 0; i < 200; ++i) {
@@ -104,16 +106,35 @@ TEST(Transport, SocketMatchesInProcessOnRandomTraffic) {
       EXPECT_TRUE(messages_equal(got[i], expected[i])) << "slot " << slot << " message " << i;
   }
   EXPECT_EQ(socket->stats().frames, 200u);
-  // The socket stream carries a seq/slot prelude per frame on top of the
-  // wire encoding, so it moves strictly more bytes than the in-process
-  // accounting prices.
-  EXPECT_GT(socket->stats().bytes_on_wire, inproc->stats().bytes_on_wire);
+  // The socket stream carries an 8-byte slot prelude per frame on top of
+  // the wire encoding, and nothing else.
+  EXPECT_EQ(socket->stats().bytes_on_wire, inproc->stats().bytes_on_wire + 8 * 200);
   // The wire timers accumulate nanoseconds: 200 encodes and decodes cannot
   // add up to zero, however fast each one is.
   EXPECT_GT(socket->stats().serialize.count(), 0);
   EXPECT_GT(socket->stats().deserialize.count(), 0);
   socket->close();
   socket->close();  // idempotent
+}
+
+/// Descriptors this process holds open right now.
+std::size_t open_descriptors() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return static_cast<std::size_t>(std::distance(begin(fds), end(fds)));
+}
+
+/// One loopback stream per execution: open() holds its two ends and
+/// nothing else (the listener is gone), a re-open() replaces them, and
+/// close() releases them.
+TEST(Transport, SocketOpenHoldsOneStream) {
+  auto socket = make_transport(TransportKind::kSocket);
+  const std::size_t before = open_descriptors();
+  socket->open(5);
+  EXPECT_EQ(open_descriptors(), before + 2);
+  socket->open(5);
+  EXPECT_EQ(open_descriptors(), before + 2);
+  socket->close();
+  EXPECT_EQ(open_descriptors(), before);
 }
 
 // ------------------------------------------- execution invariance ----
@@ -280,7 +301,7 @@ class TimedSocketStub final : public Transport {
     stats_.serialize = serialize;
   }
   [[nodiscard]] TransportKind kind() const noexcept override { return TransportKind::kSocket; }
-  void open(std::size_t, std::size_t) override {}
+  void open(std::size_t) override {}
   void submit(sim::Message, std::size_t) override {}
   [[nodiscard]] std::vector<sim::Message> collect(std::size_t) override { return {}; }
 };
